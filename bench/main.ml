@@ -8,8 +8,9 @@
    - showcase: the in-text examples (1e23, # marks)
    - ablation: estimator accuracy (ours, E7)
    - sweep:    scaling cost by magnitude, the series behind Table 2 (ours)
-   - reader:   certified fast paths vs exact (reader tiers, Gay fixed
-               format, Grisu3-style shortest form; ours, E9)
+   - reader:   certified fast paths vs exact (reader tiers, fixed
+               format on the table tier beside Gay's heuristic, shortest
+               form on the table tier; ours, E9)
    - service:  sequential vs supervised parallel streaming (ours, E10)
    - bignum:   substrate microbenchmarks (ours, E8)
    - kernel:   allocation-free digit loop vs pure-Nat reference
@@ -38,6 +39,22 @@ let time_cpu f =
   (r, Sys.time () -. t0)
 
 let sink = ref 0
+
+(* [f] with the table tier's dispatch gate set to [on], restored
+   afterwards. *)
+let with_fastpath on f =
+  let was = Dragon.Printer.fastpath_enabled () in
+  Dragon.Printer.set_fastpath_enabled on;
+  Fun.protect ~finally:(fun () -> Dragon.Printer.set_fastpath_enabled was) f
+
+(* Table-tier (hits, fallbacks) of one untimed run of [f]: the counters
+   only record while telemetry is on. *)
+let tier_counts stats f =
+  let h0, f0 = stats () in
+  Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled false) f;
+  let h1, f1 = stats () in
+  (h1 - h0, f1 - f0)
 
 let line = String.make 72 '-'
 
@@ -315,7 +332,9 @@ let reader_bench ~size () =
     (after.Reader.Fast.exact - before.Reader.Fast.exact)
     (after.Reader.Fast.extended - before.Reader.Fast.extended)
     (after.Reader.Fast.fallback - before.Reader.Fast.fallback);
-  (* Gay's fixed-format fast path *)
+  (* Fixed format at 15 digits: the exact n-digit conversion, Gay's
+     heuristic (a comparator that never shipped) and the shipped
+     Fixed_format on its exact tier and on the table tier *)
   let values = Array.map decompose_pos corpus in
   let _, t_naive =
     time_cpu (fun () ->
@@ -339,43 +358,60 @@ let reader_bench ~size () =
                   (fst (Baselines.Gay_heuristic.convert ~ndigits:15 b64 v)))
           values)
   in
+  let fixed15 () =
+    Array.iter
+      (fun v ->
+        sink :=
+          !sink
+          + Array.length
+              (Dragon.Fixed_format.convert_exn b64 v
+                 (Dragon.Fixed_format.Relative 15))
+                .Dragon.Fixed_format.digits)
+      values
+  in
+  let _, t_fixed_exact = with_fastpath false (fun () -> time_cpu fixed15) in
+  let _, t_fixed_table = with_fastpath true (fun () -> time_cpu fixed15) in
+  let fixed_hits, fixed_fallbacks =
+    with_fastpath true (fun () ->
+        tier_counts Dragon.Printer.fixed_fastpath_stats fixed15)
+  in
   Printf.printf
-    "\n  Gay heuristic, fixed format at 15 digits (correct by construction):\n";
-  Printf.printf "  exact conversion:    %8.3f s\n" t_naive;
-  Printf.printf "  certified fast path: %8.3f s  (%.1fx; %d hits, %d fallbacks)\n"
-    t_gay (t_naive /. t_gay)
+    "\n  Fixed format at 15 digits (correct by construction):\n";
+  Printf.printf "  exact conversion:         %8.3f s\n" t_naive;
+  Printf.printf
+    "  Gay heuristic:            %8.3f s  (%.1fx; %d hits, %d fallbacks)\n"
+    t_gay
+    (t_naive /. t_gay)
     (Baselines.Gay_heuristic.fast_path_hits () - h0)
     (Baselines.Gay_heuristic.fallbacks () - f0);
-  (* Grisu3-style shortest-form fast path *)
-  let _, t_dragon =
-    time_cpu (fun () ->
-        Array.iter
-          (fun v ->
-            sink :=
-              !sink
-              + Array.length
-                  (Dragon.Free_format.convert b64 v).Dragon.Free_format.digits)
-          values)
-  in
-  let fast0, fb0 = Baselines.Fast_shortest.stats () in
-  let _, t_short =
-    time_cpu (fun () ->
-        Array.iter
-          (fun v ->
-            sink :=
-              !sink
-              + Array.length
-                  (Baselines.Fast_shortest.convert v).Dragon.Free_format.digits)
-          values)
-  in
-  let fast1, fb1 = Baselines.Fast_shortest.stats () in
+  Printf.printf "  Fixed_format, exact tier: %8.3f s\n" t_fixed_exact;
   Printf.printf
-    "\n  Shortest form, Grisu3-style candidates + exact verification\n\
-    \  (digit-identical to the paper's printer):\n";
-  Printf.printf "  Burger-Dybvig free format: %8.3f s\n" t_dragon;
-  Printf.printf "  certified fast shortest:   %8.3f s  (%.1fx; %d fast, %d \
-                 fallbacks)\n"
-    t_short (t_dragon /. t_short) (fast1 - fast0) (fb1 - fb0)
+    "  Fixed_format, table tier: %8.3f s  (%.1fx; %d hits, %d fallbacks)\n"
+    t_fixed_table
+    (t_fixed_exact /. t_fixed_table)
+    fixed_hits fixed_fallbacks;
+  (* Shortest form: the shipped table tier against the exact kernels *)
+  let free () =
+    Array.iter
+      (fun v ->
+        sink :=
+          !sink
+          + Array.length
+              (Dragon.Free_format.convert b64 v).Dragon.Free_format.digits)
+      values
+  in
+  let _, t_exact_kernels = with_fastpath false (fun () -> time_cpu free) in
+  let _, t_table = with_fastpath true (fun () -> time_cpu free) in
+  let hits, fallbacks =
+    with_fastpath true (fun () -> tier_counts Dragon.Printer.fastpath_stats free)
+  in
+  Printf.printf
+    "\n  Shortest form, table tier vs the exact kernels (digit-identical):\n";
+  Printf.printf "  exact kernels: %8.3f s\n" t_exact_kernels;
+  Printf.printf "  table tier:    %8.3f s  (%.1fx; %d hits, %d fallbacks)\n"
+    t_table
+    (t_exact_kernels /. t_table)
+    hits fallbacks
 
 (* ------------------------------------------------------------------ *)
 (* Bignum substrate microbenchmarks *)
@@ -471,49 +507,53 @@ let kernel_bench ~size () =
     Dragon.Generate.set_force_pure true;
     Fun.protect ~finally:(fun () -> Dragon.Generate.set_force_pure false) f
   in
-  let without_fastpath f =
-    Dragon.Printer.set_fastpath_enabled false;
-    Fun.protect ~finally:(fun () -> Dragon.Printer.set_fastpath_enabled true) f
-  in
   (* The table-driven fast path finishes a pass in single-digit
      milliseconds at this corpus size, so repeat it to get a clock
      reading that dwarfs timer resolution. *)
   let fast_reps = 50 in
-  let fast_t, fast_w =
-    free_pass ();
+  let measure_fast pass =
+    pass ();
     Gc.full_major ();
     let w0 = Gc.minor_words () in
     let _, t =
       time_cpu (fun () ->
           for _ = 1 to fast_reps do
-            free_pass ()
+            pass ()
           done)
     in
     let w1 = Gc.minor_words () in
     let reps = float_of_int fast_reps in
     (t /. reps, (w1 -. w0) /. (fsize *. reps))
   in
-  let scr_t, scr_w = without_fastpath (fun () -> measure free_pass) in
+  let fast_t, fast_w = with_fastpath true (fun () -> measure_fast free_pass) in
+  let scr_t, scr_w = with_fastpath false (fun () -> measure free_pass) in
   let pure_t, pure_w = forced_pure (fun () -> measure free_pass) in
-  let fx_scr_t, fx_scr_w = measure fixed_pass in
+  let fx_fast_t, fx_fast_w =
+    with_fastpath true (fun () -> measure_fast fixed_pass)
+  in
+  let fx_scr_t, fx_scr_w = with_fastpath false (fun () -> measure fixed_pass) in
   let fx_pure_t, fx_pure_w = forced_pure (fun () -> measure fixed_pass) in
   let sw_t, sw_w = measure sw_pass in
   (* Dispatch splits (counters record only while telemetry is on): the
-     fast path's hit/fallback division of one pass, then the word/scratch
-     division of the exact kernels with the fast path off. *)
-  let h0, fb0 = Dragon.Printer.fastpath_stats () in
-  Telemetry.set_enabled true;
-  free_pass ();
-  Telemetry.set_enabled false;
-  let h1, fb1 = Dragon.Printer.fastpath_stats () in
-  let fp_hits = h1 - h0 and fp_fallbacks = fb1 - fb0 in
-  let fallback_rate =
-    float_of_int fp_fallbacks /. float_of_int (max 1 (fp_hits + fp_fallbacks))
+     fast path's hit/fallback division of one pass per format, then the
+     word/scratch division of the exact kernels with the fast path off. *)
+  let fp_hits, fp_fallbacks =
+    with_fastpath true (fun () ->
+        tier_counts Dragon.Printer.fastpath_stats free_pass)
   in
+  let fx_hits, fx_fallbacks =
+    with_fastpath true (fun () ->
+        tier_counts Dragon.Printer.fixed_fastpath_stats fixed_pass)
+  in
+  let rate hits fallbacks =
+    float_of_int fallbacks /. float_of_int (max 1 (hits + fallbacks))
+  in
+  let fallback_rate = rate fp_hits fp_fallbacks
+  and fx_fallback_rate = rate fx_hits fx_fallbacks in
   let f0 = Dragon.Generate.fastpath_count ()
   and s0 = Dragon.Generate.scratchpath_count () in
   Telemetry.set_enabled true;
-  without_fastpath free_pass;
+  with_fastpath false free_pass;
   Telemetry.set_enabled false;
   let fast_hits = Dragon.Generate.fastpath_count () - f0
   and scratch_hits = Dragon.Generate.scratchpath_count () - s0 in
@@ -524,6 +564,7 @@ let kernel_bench ~size () =
   row "free format, table fast path" fast_t fast_w;
   row "free format, kernel path" scr_t scr_w;
   row "free format, pure-Nat path" pure_t pure_w;
+  row "fixed format (17), table fast path" fx_fast_t fx_fast_w;
   row "fixed format (17), kernel path" fx_scr_t fx_scr_w;
   row "fixed format (17), pure-Nat path" fx_pure_t fx_pure_w;
   row "Steele & White baseline" sw_t sw_w;
@@ -537,6 +578,11 @@ let kernel_bench ~size () =
      hits / %d fallbacks (%.3f%% fallback)\n"
     (scr_t /. fast_t) (pure_t /. fast_t) fp_hits fp_fallbacks
     (100.0 *. fallback_rate);
+  Printf.printf
+    "  fixed format (17) on the table tier: %.2fx over the exact kernels \
+     (%.2fx over pure), %d hits / %d fallbacks (%.3f%% fallback)\n"
+    (fx_scr_t /. fx_fast_t) (fx_pure_t /. fx_fast_t) fx_hits fx_fallbacks
+    (100.0 *. fx_fallback_rate);
   let oc = open_out "BENCH_kernel.json" in
   Printf.fprintf oc
     "{\n\
@@ -554,6 +600,10 @@ let kernel_bench ~size () =
     \    \"speedup\": %.3f\n\
     \  },\n\
     \  \"fixed_format_17\": {\n\
+    \    \"fastpath\": { \"time_s\": %.6f, \"conversions_per_s\": %.0f, \
+     \"minor_words_per_conversion\": %.1f, \"hits\": %d, \"fallbacks\": %d, \
+     \"fallback_rate\": %.5f, \"speedup_vs_kernel\": %.3f, \
+     \"speedup_vs_pure\": %.3f },\n\
     \    \"kernel\": { \"time_s\": %.6f, \"conversions_per_s\": %.0f, \
      \"minor_words_per_conversion\": %.1f },\n\
     \    \"pure\": { \"time_s\": %.6f, \"conversions_per_s\": %.0f, \
@@ -567,21 +617,27 @@ let kernel_bench ~size () =
      }\n"
     size fast_t (fsize /. fast_t) fast_w fp_hits fp_fallbacks fallback_rate
     (scr_t /. fast_t) (pure_t /. fast_t) scr_t (fsize /. scr_t) scr_w pure_t
-    (fsize /. pure_t) pure_w (pure_w /. scr_w) (pure_t /. scr_t) fx_scr_t
+    (fsize /. pure_t) pure_w (pure_w /. scr_w) (pure_t /. scr_t) fx_fast_t
+    (fsize /. fx_fast_t) fx_fast_w fx_hits fx_fallbacks fx_fallback_rate
+    (fx_scr_t /. fx_fast_t) (fx_pure_t /. fx_fast_t) fx_scr_t
     (fsize /. fx_scr_t) fx_scr_w fx_pure_t (fsize /. fx_pure_t) fx_pure_w
     (fx_pure_w /. fx_scr_w) (fx_pure_t /. fx_scr_t) sw_t (fsize /. sw_t) sw_w
     fast_hits scratch_hits;
   close_out oc;
   Printf.printf "  wrote BENCH_kernel.json\n";
   (* Acceptance floor: the table fast path must clear 3x the exact
-     kernels on this corpus, with margin to spare; regressing below
-     that fails the bench (and the CI bench step) loudly. *)
-  if scr_t /. fast_t < 3.0 then begin
-    Printf.eprintf
-      "FAIL: fast-path speedup %.2fx below the 3x acceptance floor\n"
-      (scr_t /. fast_t);
-    exit 1
-  end
+     kernels on this corpus in both formats, with margin to spare;
+     regressing below that fails the bench (and the CI bench step)
+     loudly. *)
+  List.iter
+    (fun (format, speedup) ->
+      if speedup < 3.0 then begin
+        Printf.eprintf
+          "FAIL: %s fast-path speedup %.2fx below the 3x acceptance floor\n"
+          format speedup;
+        exit 1
+      end)
+    [ ("free format", scr_t /. fast_t); ("fixed format", fx_scr_t /. fx_fast_t) ]
 
 (* ------------------------------------------------------------------ *)
 (* Service layer: sequential vs supervised parallel throughput (E10) *)

@@ -122,12 +122,50 @@ let estimate_k ~base (fmt : Format_spec.t) (v : Value.finite) =
   int_of_float
     (Float.ceil ((log2_v /. (log (float_of_int base) /. log 2.)) -. 1e-10))
 
-let convert_exn ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
-    ?(tie = Generate.Closer_up) fmt (v : Value.finite) request =
+let check_request ~base request =
   if base < 2 || base > 36 then
     Robust.Error.raise_
       (Robust.Error.range ~what:"base"
          (Printf.sprintf "%d not in 2..36" base));
+  match request with
+  | Relative i when i < 1 ->
+    Robust.Error.raise_
+      (Robust.Error.range ~what:"relative digits" (Printf.sprintf "%d < 1" i))
+  | Absolute _ | Relative _ -> ()
+
+(* [Digit d] for a decimal digit, from statically allocated values so
+   a table-tier hit allocates no boxes. *)
+let decimal_digit = function
+  | 0 -> Digit 0 | 1 -> Digit 1 | 2 -> Digit 2 | 3 -> Digit 3
+  | 4 -> Digit 4 | 5 -> Digit 5 | 6 -> Digit 6 | 7 -> Digit 7
+  | 8 -> Digit 8 | 9 -> Digit 9 | d -> Digit d
+
+(* The table tier's position rule (see {!Fastpath.convert_fixed}),
+   after the request and budget checks: [None] sends the request to the
+   exact tier below. *)
+let table_tier ~base ~mode fmt v request =
+  let relative, pos =
+    match request with Relative i -> (true, i) | Absolute j -> (false, j)
+  in
+  match
+    Free_format.table_tier ~base ~mode fmt v
+      (Fastpath.convert_fixed ~relative ~pos)
+  with
+  | None -> None
+  | Some (generated, k, zeros) ->
+    let n = Array.length generated in
+    Generate.observe_finish n;
+    let total = if relative then pos else k - pos in
+    let digits = Array.make total Hash in
+    for i = 0 to n - 1 do
+      digits.(i) <- decimal_digit generated.(i)
+    done;
+    Array.fill digits n zeros (Digit 0);
+    Some { digits; k }
+
+let convert_exn ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
+    ?(tie = Generate.Closer_up) fmt (v : Value.finite) request =
+  check_request ~base request;
   match request with
   | Absolute j ->
     let k = estimate_k ~base fmt v in
@@ -140,20 +178,22 @@ let convert_exn ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
       (* [k - j] is within one of the digit span the conversion will
          materialize; vet it against the budget before the bignum work *)
       Robust.Budget.check_output_digits (k - j);
-      absolute ~base ~mode ~tie fmt v j
+      match table_tier ~base ~mode fmt v request with
+      | Some t -> t
+      | None -> absolute ~base ~mode ~tie fmt v j
     end
-  | Relative i ->
-    if i < 1 then
-      Robust.Error.raise_
-        (Robust.Error.range ~what:"relative digits"
-           (Printf.sprintf "%d < 1" i));
+  | Relative i -> (
     Robust.Budget.check_output_digits i;
-    (* The position of the first digit can shift when the quantum expansion
-       rounds the value up to the next power of the base (paper, end of
-       Section 4), so estimate from the unexpanded range and refine. *)
-    let bnd = Boundaries.of_finite ~mode fmt v in
-    let k0, _ = Scaling.scale_on_high ~base bnd in
-    relative ~base ~mode ~tie fmt v i ~attempts:2 ~guess:k0
+    match table_tier ~base ~mode fmt v request with
+    | Some t -> t
+    | None ->
+      (* The position of the first digit can shift when the quantum
+         expansion rounds the value up to the next power of the base
+         (paper, end of Section 4), so estimate from the unexpanded
+         range and refine. *)
+      let bnd = Boundaries.of_finite ~mode fmt v in
+      let k0, _ = Scaling.scale_on_high ~base bnd in
+      relative ~base ~mode ~tie fmt v i ~attempts:2 ~guess:k0)
 
 let convert ?base ?mode ?tie fmt (v : Value.finite) request =
   Robust.Error.catch (fun () -> convert_exn ?base ?mode ?tie fmt v request)

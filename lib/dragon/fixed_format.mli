@@ -39,9 +39,13 @@ val convert :
     requests fail in constant time.  An [Absolute] position far above
     the value short-circuits to the single rounded zero digit.
 
-    Scaling always uses the estimator seeded on the range's upper bound
-    ({!Scaling.scale_on_high}), which stays within one of the true scale
-    factor even when the quantum dwarfs the value. *)
+    Valid decimal requests on binary formats with mantissas below 2^53
+    run on the table tier first ({!Free_format.table_tier} with
+    {!Fastpath.convert_fixed}), whose output is byte-identical by
+    construction; an uncertain verdict falls back to the exact tier.
+    There, scaling always uses the estimator seeded on the range's
+    upper bound ({!Scaling.scale_on_high}), which stays within one of
+    the true scale factor even when the quantum dwarfs the value. *)
 
 val convert_exn :
   ?base:int ->
@@ -54,6 +58,11 @@ val convert_exn :
 (** {!convert} for call sites with statically valid arguments (tests,
     examples, internal drivers).
     @raise Robust.Error.E on what [convert] would report as [Error]. *)
+
+val check_request : base:int -> request -> unit
+(** The argument checks {!convert} makes before looking at the value.
+    @raise Robust.Error.E with a [Range] error for a base outside
+    2..36 or [Relative i] with [i < 1]. *)
 
 val significant_digits : t -> int
 (** Number of non-[#] positions. *)

@@ -15,23 +15,23 @@ let h_digits =
                1024; 8192 |]
     "bdprint_free_format_digits"
 
-(* Table-driven fast path (see {!Fastpath}): attempted before any Nat
-   work when the conversion matches what the Q4.112 kernel certifies —
-   decimal output, the default Fast_estimate strategy, a binary format
-   with a mantissa in 53 bits, a to-nearest rounding mode, an exponent
-   inside the power-of-ten table.  The tie strategy does not gate
-   dispatch: exact ties are never certifiable, so every input whose
-   output could depend on [tie] falls back to the exact kernels.  The
-   fast path stands aside while faults are armed (it has no bignum trip
-   sites to mirror) and under force-pure (it is not the differential
-   anchor).  Bignum-bit budgets are deliberately not consulted on this
-   path — it allocates no bignum at all — while deadlines and the
-   output-digit budget keep the reference loop's per-digit cadence
-   inside the kernel. *)
-let try_fastpath ~base ~mode ~strategy fmt v =
+(* The table tier's one gate, shared by free and fixed format: a
+   conversion qualifies for the Q4.112 kernels (see {!Fastpath}) when
+   they can certify it — decimal output, a binary format with a
+   mantissa in 53 bits, a to-nearest rounding mode, an exponent inside
+   the power-of-ten table (the kernel checks that).  The tie strategy
+   does not gate dispatch: exact ties are never certifiable, so every
+   input whose output could depend on [tie] falls back to the exact
+   kernels.  The tier stands aside while faults are armed (it has no
+   bignum trip sites to mirror) and under force-pure (it is not the
+   differential anchor).  Bignum-bit budgets are deliberately not
+   consulted on this path — it allocates no bignum at all — while
+   deadlines and the output-digit budget keep the reference loop's
+   per-digit cadence inside the kernel.  [attempt] is the stopping
+   rule's entry point; the span it runs in is the [fastpath] stage. *)
+let table_tier ~base ~mode fmt v attempt =
   if
     base = 10
-    && (match strategy with Scaling.Fast_estimate -> true | _ -> false)
     && fmt.Fp.Format_spec.b = 2
     && Fastpath.enabled ()
     && (not (Generate.force_pure ()))
@@ -60,8 +60,7 @@ let try_fastpath ~base ~mode ~strategy fmt v =
       in
       let t0 = Trace.start () in
       let r =
-        Fastpath.convert_shortest ~f ~e:v.Fp.Value.e ~mantissa_bits:bits
-          ~narrow ~high_ok ~est
+        attempt ~f ~e:v.Fp.Value.e ~mantissa_bits:bits ~narrow ~high_ok ~est
       in
       Trace.finish Trace.Fastpath t0;
       r
@@ -72,7 +71,14 @@ let try_fastpath ~base ~mode ~strategy fmt v =
 let convert ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
     ?(strategy = Scaling.Fast_estimate) ?(tie = Generate.Closer_up) fmt v =
   if base < 2 || base > 36 then invalid_arg "Free_format.convert: base";
-  match try_fastpath ~base ~mode ~strategy fmt v with
+  (* The shortest rule certifies the default estimator's fixup only. *)
+  let fast =
+    match strategy with
+    | Scaling.Fast_estimate ->
+      table_tier ~base ~mode fmt v Fastpath.convert_shortest
+    | _ -> None
+  in
+  match fast with
   | Some (digits, k) ->
     Generate.observe_finish (Array.length digits);
     if Telemetry.Metrics.enabled () then

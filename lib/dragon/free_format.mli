@@ -20,6 +20,29 @@ val convert :
     even, the paper's fast estimator, ties between equally close outputs
     round up (as in the paper's Scheme code). *)
 
+val table_tier :
+  base:int ->
+  mode:Fp.Rounding.mode ->
+  Fp.Format_spec.t ->
+  Fp.Value.finite ->
+  (f:int ->
+  e:int ->
+  mantissa_bits:int ->
+  narrow:bool ->
+  high_ok:bool ->
+  est:int ->
+  'a option) ->
+  'a option
+(** [table_tier ~base ~mode fmt v attempt] runs one of {!Fastpath}'s
+    stopping rules ({!Fastpath.convert_shortest},
+    {!Fastpath.convert_fixed}) on [v] when the conversion qualifies for
+    the table tier, and is [None] otherwise or when the rule's verdict
+    is uncertain — the caller then runs the exact kernels.  The one gate
+    for both formats: decimal output, a binary format with a mantissa
+    below 2^53, a to-nearest mode, the tier enabled
+    ([BDPRINT_NO_FASTPATH] unset), not force-pure, no fault point
+    armed.  The attempt is timed as the [fastpath] trace stage. *)
+
 val digit_count :
   ?base:int ->
   ?mode:Fp.Rounding.mode ->

@@ -16,6 +16,9 @@ let fastpath_enabled = Fastpath.enabled
 
 let fastpath_stats () = (Fastpath.hit_count (), Fastpath.fallback_count ())
 
+let fixed_fastpath_stats () =
+  (Fastpath.fixed_hit_count (), Fastpath.fixed_fallback_count ())
+
 let print_value_exn ?(base = 10) ?mode ?strategy ?tie ?notation fmt value =
   check_base base;
   match value with
@@ -44,6 +47,9 @@ let print ?base ?mode ?strategy ?tie ?notation x =
   (* documented raising convenience; [print_value] is the total variant *)
 
 let print_fixed ?(base = 10) ?mode ?tie ?notation request x =
+  (* Arguments first, so zeros, infinities and NaNs get the same range
+     error as finite values. *)
+  Fixed_format.check_request ~base request;
   match Fp.Ieee.decompose x with
   | Value.Zero neg -> Render.zero ~neg ()
   | Value.Inf neg -> Render.infinity ~neg ()

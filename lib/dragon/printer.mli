@@ -71,9 +71,9 @@ val print_value_exn :
 
 (** {2 Fast-path dispatch}
 
-    Free-format conversions try the table-driven Q4.112 fast path
-    ({!Fastpath}) before the exact kernels; an uncertain verdict falls
-    back with byte-identical output either way. *)
+    Free- and fixed-format conversions try the table-driven Q4.112
+    fast path ({!Fastpath}) before the exact kernels; an uncertain
+    verdict falls back with byte-identical output either way. *)
 
 val set_fastpath_enabled : bool -> unit
 (** Steer the dispatch (benchmarks time the exact kernels by turning it
@@ -82,5 +82,10 @@ val set_fastpath_enabled : bool -> unit
 val fastpath_enabled : unit -> bool
 
 val fastpath_stats : unit -> int * int
-(** [(hits, fallbacks)] from the [bdprint_fastpath_{hit,fallback}_total]
-    counters; recorded only while telemetry is enabled. *)
+(** [(hits, fallbacks)] of free-format conversions, from the
+    [bdprint_fastpath_{hit,fallback}_total{format="free"}] counters;
+    recorded only while telemetry is enabled. *)
+
+val fixed_fastpath_stats : unit -> int * int
+(** The same for fixed format ([format="fixed"]), which runs the table
+    tier's position rule before its exact tier. *)

@@ -1,7 +1,7 @@
-(** Table-driven fixed-precision shortest-digit fast path.
+(** Table-driven fixed-precision digit generation.
 
-    Runs the Burger-Dybvig free-format loop on a Q4.112 fixed-point
-    frame built from an exact 53x128-bit product of the mantissa and a
+    Runs the Burger-Dybvig digit loop on a Q4.112 fixed-point frame
+    built from an exact 53x128-bit product of the mantissa and a
     truncated power of ten ({!Pow10_table}), certifying every digit and
     every stopping comparison against one-sided error intervals.  Any
     comparison the intervals cannot decide yields an {e uncertain}
@@ -9,8 +9,13 @@
     scratch/word kernels, so hits are byte-identical to the pure
     reference by construction.
 
-    The dispatcher lives in [Dragon.Free_format]; this module is kept
-    free of [Dragon] types so the dependency points one way. *)
+    One loop serves two stopping rules: {e shortest} (free format,
+    {!convert_shortest}) and {e position} (fixed format, paper §4,
+    {!convert_fixed}).
+
+    The shared gate lives in [Dragon.Free_format.table_tier]; this
+    module is kept free of [Dragon] types so the dependency points one
+    way. *)
 
 module Pow10_table : sig
   val q_min : int
@@ -57,6 +62,35 @@ val convert_shortest :
     fast path has no bignum trip sites, so running it would desynchronize
     differential fault schedules. *)
 
+val convert_fixed :
+  relative:bool ->
+  pos:int ->
+  f:int ->
+  e:int ->
+  mantissa_bits:int ->
+  narrow:bool ->
+  high_ok:bool ->
+  est:int ->
+  (int array * int * int) option
+(** [convert_fixed ~relative ~pos] is {!convert_shortest}'s position
+    rule: [pos] significant digits when [relative], else digits down to
+    the absolute position [10^pos].  [Some (digits, k, zeros)] is what
+    [Dragon.Fixed_format] would produce: the generated digits, the
+    decimal point position [k], and how many significant zeros follow
+    them before the [#] marks begin, out of [pos] positions (relative)
+    or [k - pos] (absolute).
+
+    Each side of the range widens to the half quantum where that
+    reaches the float's half gap (decided exactly from the table's
+    exponents) and becomes inclusive.  A relative request settles its
+    position where [Fixed_format.relative]'s retries do: k of the
+    unwidened range, moved up by one when widening at that position
+    reaches the next power of ten.  Uncertain, besides any undecided
+    comparison: a position at or above the value's leading digit (the
+    exact tier's single-digit case), an exact tie, and a zero run past
+    the error budget.  [|pos|] must stay below 2^20; larger requests
+    are not attempted. *)
+
 val enabled : unit -> bool
 (** Dispatch gate, true by default; [BDPRINT_NO_FASTPATH=1] in the
     environment flips the initial value. *)
@@ -66,13 +100,18 @@ val set_enabled : bool -> unit
     kernels by turning the fast path off; tests compare both paths). *)
 
 val hit_count : unit -> int
-(** Value of the [bdprint_fastpath_hit_total] counter (conversions
-    answered by the fast path).  Recorded only while telemetry is
-    enabled, like every other counter. *)
+(** Value of the [bdprint_fastpath_hit_total{format="free"}] counter
+    (free-format conversions answered by the fast path).  Recorded only
+    while telemetry is enabled, like every other counter. *)
 
 val fallback_count : unit -> int
-(** Value of the [bdprint_fastpath_fallback_total] counter (attempts
-    that returned uncertain and fell back).  The fallback {e rate} is
-    [fallback / (hit + fallback)]; conversions that never qualified for
-    an attempt (non-binary64 mantissas, directed rounding, out-of-table
-    exponents) are counted in neither. *)
+(** Value of the [bdprint_fastpath_fallback_total{format="free"}]
+    counter (attempts that returned uncertain and fell back).  The
+    fallback {e rate} is [fallback / (hit + fallback)]; conversions
+    that never qualified for an attempt (mantissas over 53 bits,
+    directed rounding) are counted in neither. *)
+
+val fixed_hit_count : unit -> int
+(** The same counters for fixed format, [format="fixed"]. *)
+
+val fixed_fallback_count : unit -> int

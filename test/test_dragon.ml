@@ -588,6 +588,26 @@ let props_fixed =
         <= 0);
   ]
 
+(* Argument checks come before the special-value shortcut: a bad base
+   or digit count is the same range error whatever the value. *)
+let test_fixed_arguments_first () =
+  let error_of base req x =
+    match Printer.print_fixed ~base req x with
+    | s -> Alcotest.failf "%h: expected a range error, got %S" x s
+    | exception Robust.Error.E (Robust.Error.Range _ as e) -> e
+    | exception Robust.Error.E e ->
+      Alcotest.failf "%h: not a range error: %s" x (Robust.Error.to_string e)
+  in
+  List.iter
+    (fun (base, req) ->
+      let expected = error_of base req 1. in
+      List.iter
+        (fun x ->
+          if error_of base req x <> expected then
+            Alcotest.failf "%h: different error from 1.0's" x)
+        [ 0.; -0.; Float.infinity; Float.nan ])
+    [ (99, Fixed_format.Relative 3); (10, Fixed_format.Relative 0) ]
+
 let test_denormal_hashes () =
   (* The smallest denormal has a single significant decimal digit. *)
   let v = decompose_pos (Int64.float_of_bits 1L) in
@@ -629,6 +649,8 @@ let () =
           Alcotest.test_case "known values" `Quick test_fixed_known;
           Alcotest.test_case "below half quantum" `Quick test_fixed_zero_case;
           Alcotest.test_case "denormal hashes" `Quick test_denormal_hashes;
+          Alcotest.test_case "arguments checked before special values"
+            `Quick test_fixed_arguments_first;
         ] );
       ("fixed-format", props_fixed);
     ]

@@ -113,33 +113,6 @@ let props =
         = Naive_fixed.convert ~ndigits:nd b64 v);
   ]
 
-let test_fast_shortest_equals_dragon () =
-  (* exhaustive-ish sweep: corpus + random + hard cases must be
-     digit-identical to the paper's printer *)
-  let check v =
-    let expected = Dragon.Free_format.convert b64 v in
-    let got = Fast_shortest.convert v in
-    if not (Dragon.Free_format.equal expected got) then
-      Alcotest.failf "mismatch on %s" (Fp.Value.to_string (Fp.Value.Finite v))
-  in
-  Array.iter
-    (fun x -> check (decompose_pos x))
-    (Workloads.Schryer.corpus ~size:30_000 ());
-  Array.iter
-    (fun x -> check (decompose_pos (Float.abs x)))
-    (Workloads.Corpus.random_finite ~seed:3 10_000);
-  Array.iter
-    (fun x -> check (decompose_pos x))
-    (Workloads.Corpus.random_denormals ~seed:4 2_000);
-  Array.iter
-    (fun x -> check (decompose_pos (Float.abs x)))
-    Workloads.Corpus.hard_cases;
-  let fast, fb = Fast_shortest.stats () in
-  Alcotest.(check bool)
-    (Printf.sprintf "fast path dominates (%d fast, %d fallback)" fast fb)
-    true
-    (fast > 9 * fb)
-
 let test_pow10_correct_exact () =
   (* the certified table must be correctly rounded everywhere *)
   let module Nat = Bignum.Nat in
@@ -185,18 +158,13 @@ let () =
           Alcotest.test_case "large powers bounded" `Quick
             test_pow10_error_bounded;
           Alcotest.test_case "to_int64_round" `Quick test_to_int64_round;
+          Alcotest.test_case "pow10_correct is correctly rounded" `Quick
+            test_pow10_correct_exact;
         ] );
       ( "gay-heuristic",
         [
           Alcotest.test_case "fast path dominates" `Quick
             test_gay_heuristic_mostly_fast;
-        ] );
-      ( "fast-shortest",
-        [
-          Alcotest.test_case "identical to the paper's printer" `Slow
-            test_fast_shortest_equals_dragon;
-          Alcotest.test_case "pow10_correct is correctly rounded" `Quick
-            test_pow10_correct_exact;
         ] );
       ("props", props);
     ]

@@ -2,11 +2,14 @@
    table re-derived entry by entry from exact Nat arithmetic, the
    128-bit product primitive cross-checked against Ext64.umul128 and
    Nat, uncertain-verdict behavior on hostile estimates, and the
-   binary32 sweep — stratified by default, every positive finite value
-   under BDPRINT_EXHAUSTIVE32=1 — asserting byte equality between the
-   fast path and the exact kernels (themselves differentially pinned to
-   the pure reference by test_fuzz) while measuring the fallback rate
-   the ISSUE caps at 5%. *)
+   differential sweeps asserting byte equality between the table tier
+   and the exact kernels (themselves differentially pinned to the pure
+   reference by test_fuzz): free format over binary32 — stratified by
+   default, every positive finite value under BDPRINT_EXHAUSTIVE32=1 —
+   with its fallback rate capped at 5%, and fixed format over binary64
+   samples and every positive binary16 value.  The table-tier side of
+   each differential turns the gate on itself, so the suite keeps its
+   meaning under BDPRINT_NO_FASTPATH=1. *)
 
 module Nat = Bignum.Nat
 module T = Fastpath.Pow10_table
@@ -128,6 +131,21 @@ let test_table_products () =
 (* ---------- uncertain verdicts on hostile inputs ---------- *)
 
 let test_uncertain_verdicts () =
+  (* position requests the kernel does not attempt: no significant
+     digits, or a position beyond its range *)
+  let fixed ~relative ~pos =
+    Fastpath.convert_fixed ~relative ~pos ~f:(1 lsl 52) ~e:(-52)
+      ~mantissa_bits:53 ~narrow:true ~high_ok:true ~est:0
+  in
+  Alcotest.(check bool) "relative 0" true (fixed ~relative:true ~pos:0 = None);
+  Alcotest.(check bool)
+    "position out of range" true
+    (fixed ~relative:false ~pos:(-(1 lsl 20)) = None);
+  (* a position at or above the leading digit is the exact tier's
+     single-digit case *)
+  Alcotest.(check bool)
+    "position above the value" true
+    (fixed ~relative:false ~pos:2 = None);
   (* estimate far outside the table *)
   Alcotest.(check bool)
     "est out of table" true
@@ -175,16 +193,20 @@ let test_fast_estimate_b10 () =
 
 (* ---------- differential sweeps ---------- *)
 
-let without_fastpath f =
+let with_gate on f =
   let was = Fastpath.enabled () in
-  Fastpath.set_enabled false;
+  Fastpath.set_enabled on;
   Fun.protect ~finally:(fun () -> Fastpath.set_enabled was) f
+
+let with_fastpath f = with_gate true f
+let without_fastpath f = with_gate false f
 
 let print_both fmt value =
   let fast =
-    match Dragon.Printer.print_value fmt value with
-    | Ok s -> s
-    | Error e -> "error: " ^ Robust.Error.to_string e
+    with_fastpath (fun () ->
+        match Dragon.Printer.print_value fmt value with
+        | Ok s -> s
+        | Error e -> "error: " ^ Robust.Error.to_string e)
   in
   let exact =
     without_fastpath (fun () ->
@@ -241,27 +263,28 @@ let test_binary32_sweep () =
     "fallback rate below 5%" true
     (float_of_int fallbacks /. float_of_int (max 1 (hits + fallbacks)) < 0.05)
 
-(* binary64 spot sweep: random payloads plus the classic boundary
-   values, fast path vs exact kernels. *)
+(* The classic binary64 boundary values. *)
+let boundaries =
+  [
+    0x0000000000000001L (* min subnormal *);
+    0x000FFFFFFFFFFFFFL (* max subnormal *);
+    0x0010000000000000L (* min normal *);
+    0x7FEFFFFFFFFFFFFFL (* max finite *);
+    0x3FF0000000000000L (* 1.0 *);
+    0x4340000000000000L (* 2^53 *);
+    0x4330000000000001L (* 2^52 + 1 *);
+    0x3FB999999999999AL (* 0.1 *);
+    0x44B52D02C7E14AF6L (* 1e23-adjacent *);
+    0x44B52D02C7E14AF7L;
+  ]
+
+(* binary64 spot sweep: random payloads plus the boundary values, fast
+   path vs exact kernels. *)
 let test_binary64_random () =
   let st = Random.State.make [| 0x6bd; 64 |] in
-  let hard =
-    [
-      0x0000000000000001L (* min subnormal *);
-      0x000FFFFFFFFFFFFFL (* max subnormal *);
-      0x0010000000000000L (* min normal *);
-      0x7FEFFFFFFFFFFFFFL (* max finite *);
-      0x3FF0000000000000L (* 1.0 *);
-      0x4340000000000000L (* 2^53 *);
-      0x4330000000000001L (* 2^52 + 1 *);
-      0x3FB999999999999AL (* 0.1 *);
-      0x44B52D02C7E14AF6L (* 1e23-adjacent *);
-      0x44B52D02C7E14AF7L;
-    ]
-  in
   List.iter
     (fun bits -> check_value b64 bits (Ieee.decompose (Int64.float_of_bits bits)))
-    hard;
+    boundaries;
   let n = ref 0 in
   while !n < 20_000 do
     let bits =
@@ -289,6 +312,222 @@ let test_budget_parity () =
         "budget actually fired" true
         (String.length fast >= 6 && String.sub fast 0 6 = "error:"))
 
+(* ---------- fixed format: the position rule ---------- *)
+
+let request_name = function
+  | Dragon.Fixed_format.Relative i -> Printf.sprintf "Relative %d" i
+  | Dragon.Fixed_format.Absolute j -> Printf.sprintf "Absolute %d" j
+
+let fixed_string ?tie fmt (v : Value.finite) req =
+  match Dragon.Fixed_format.convert ?tie fmt v req with
+  | Ok t -> Dragon.Render.fixed ~neg:v.neg ~base:10 t
+  | Error e -> "error: " ^ Robust.Error.to_string e
+
+let fixed_both ?tie fmt v req =
+  ( with_fastpath (fun () -> fixed_string ?tie fmt v req),
+    without_fastpath (fun () -> fixed_string ?tie fmt v req) )
+
+let check_fixed fmt v req =
+  let fast, exact = fixed_both fmt v req in
+  if not (String.equal fast exact) then
+    Alcotest.failf "fixed %s of %s: table tier %S, exact tier %S"
+      (request_name req)
+      (Value.to_string (Value.Finite v))
+      fast exact
+
+(* Fixed-format hits and fallbacks recorded while [f] runs. *)
+let fixed_counts f =
+  let was = Telemetry.Metrics.enabled () in
+  Telemetry.Metrics.set_enabled true;
+  let h0 = Fastpath.fixed_hit_count () and f0 = Fastpath.fixed_fallback_count () in
+  Fun.protect ~finally:(fun () -> Telemetry.Metrics.set_enabled was) f;
+  (Fastpath.fixed_hit_count () - h0, Fastpath.fixed_fallback_count () - f0)
+
+let finite x =
+  match Ieee.decompose x with
+  | Value.Finite v -> v
+  | _ -> Alcotest.failf "not finite: %h" x
+
+(* The binary64 sample: the boundary list, random finite payloads, and
+   short "human" decimals such as 0.1 or 3.75 (n / 10^p is the double
+   nearest the decimal, both operands being exact), one human decimal
+   to four random payloads as in the benchmark's value mix.  Decimals
+   that a double holds exactly (integers, 3.75) always fall back: a
+   truncated product never certifies a remainder of exactly zero. *)
+let binary64_sample =
+  lazy
+    (let st = Random.State.make [| 0x6bd; 17 |] in
+     let random =
+       List.init 2000 (fun _ ->
+           let rec draw () =
+             let bits =
+               Int64.logand (Random.State.int64 st Int64.max_int)
+                 0x7FFF_FFFF_FFFF_FFFFL
+             in
+             let x = Int64.float_of_bits bits in
+             if Float.is_finite x && x > 0. then x else draw ()
+           in
+           draw ())
+     and human =
+       List.init 500 (fun _ ->
+           float_of_int (1 + Random.State.int st 9_999_999)
+           /. (10. ** float_of_int (Random.State.int st 5)))
+     in
+     let tagged kind = List.map (fun x -> (kind, finite x)) in
+     tagged "boundaries" (List.map Int64.float_of_bits boundaries)
+     @ tagged "random" random @ tagged "human" human)
+
+let test_fixed_binary64 () =
+  let sample = Lazy.force binary64_sample in
+  let hits, fallbacks =
+    fixed_counts (fun () ->
+        List.iter
+          (fun (_, v) ->
+            List.iter
+              (fun i -> check_fixed b64 v (Dragon.Fixed_format.Relative i))
+              [ 1; 2; 6; 15; 16; 17; 20 ];
+            let k = (Dragon.Free_format.convert b64 v).Dragon.Free_format.k in
+            List.iter
+              (fun d -> check_fixed b64 v (Dragon.Fixed_format.Absolute (k - d)))
+              [ 1; 6; 17; 25 ])
+          sample)
+  in
+  let rate (h, f) = float_of_int f /. float_of_int (max 1 (h + f)) in
+  let r17 kind =
+    fixed_counts (fun () ->
+        List.iter
+          (fun (k, v) ->
+            if kind = "all" || k = kind then
+              ignore
+                (with_fastpath (fun () ->
+                     fixed_string b64 v (Dragon.Fixed_format.Relative 17))))
+          sample)
+  in
+  Printf.printf "binary64 fixed: %d values, %d hits, %d fallbacks (%.3f%%)\n"
+    (List.length sample) hits fallbacks
+    (100. *. rate (hits, fallbacks));
+  List.iter
+    (fun kind ->
+      Printf.printf "  Relative 17 fallback, %s: %.3f%%\n" kind
+        (100. *. rate (r17 kind)))
+    [ "random"; "human"; "all" ];
+  Alcotest.(check bool) "the tier was attempted" true (hits > 0);
+  Alcotest.(check bool) "Relative 17 falls back below 10%" true
+    (rate (r17 "all") < 0.10)
+
+(* Every positive finite binary16 value, where a half quantum dwarfs the
+   float gap at most positions: the widening and the relative retry are
+   exercised on nearly every request. *)
+let test_fixed_binary16 () =
+  let b16 = Format_spec.binary16 in
+  let requests =
+    List.map (fun i -> Dragon.Fixed_format.Relative i) [ 1; 2; 3; 4; 5; 12 ]
+    @ List.map (fun j -> Dragon.Fixed_format.Absolute j) [ -8; -2; 0; 3 ]
+  in
+  let hits, fallbacks =
+    fixed_counts (fun () ->
+        for bits = 1 to 0x7BFF do
+          match Ieee.decompose_bits Ieee.spec_binary16 (Int64.of_int bits) with
+          | Value.Finite v -> List.iter (check_fixed b16 v) requests
+          | _ -> Alcotest.failf "binary16 %x is not finite" bits
+        done)
+  in
+  Printf.printf "binary16 fixed: %d hits, %d fallbacks\n%!" hits fallbacks;
+  Alcotest.(check bool) "the tier was attempted" true (hits > 0)
+
+(* Outputs of the exact tier before the table tier existed, which both
+   tiers must still produce. *)
+let test_fixed_goldens () =
+  let open Dragon.Fixed_format in
+  List.iter
+    (fun (x, req, want) ->
+      let fast, exact = fixed_both b64 (finite x) req in
+      let name = Printf.sprintf "%h at %s" x (request_name req) in
+      Alcotest.(check string) (name ^ ", table tier") want fast;
+      Alcotest.(check string) (name ^ ", exact tier") want exact)
+    [
+      (0.1, Relative 17, "0.10000000000000000");
+      (5e-324, Relative 17, "5.################e-324");
+      (9.96, Relative 2, "10.0");
+      (Float.pi, Relative 6, "3.14159");
+      (Float.pi, Absolute (-4), "3.1416");
+      (1. /. 3., Relative 20, "0.33333333333333330###");
+      (1e23, Relative 17, "1.0000000000000000e23");
+      (100., Absolute (-20), "100.000000000000000#####");
+    ]
+
+(* Hits and fallbacks where the position rule does something the
+   shortest rule never does. *)
+let test_fixed_dispatch () =
+  let open Dragon.Fixed_format in
+  let hit name x req =
+    let counts =
+      fixed_counts (fun () ->
+          ignore (with_fastpath (fun () -> fixed_string b64 (finite x) req)))
+    in
+    Alcotest.(check (pair int int)) (name ^ " is a hit") (1, 0) counts
+  in
+  hit "pi at Relative 6 (widened range)" Float.pi (Relative 6);
+  hit "0.1 at Relative 17 (zero tail)" 0.1 (Relative 17);
+  hit "9.96 at Relative 2 (k moves)" 9.96 (Relative 2);
+  (* 0.125 sits exactly between 0.12 and 0.13: the tie is never
+     certifiable, and the exact tier honors ~tie *)
+  List.iter
+    (fun (tie, want) ->
+      let output = ref "" in
+      let counts =
+        fixed_counts (fun () ->
+            output :=
+              with_fastpath (fun () ->
+                  fixed_string ~tie b64 (finite 0.125) (Relative 2)))
+      in
+      Alcotest.(check (pair int int)) "the 0.125 tie falls back" (0, 1) counts;
+      Alcotest.(check string) "the tie strategy decides" want !output)
+    [
+      (Dragon.Generate.Closer_up, "0.13");
+      (Dragon.Generate.Closer_down, "0.12");
+      (Dragon.Generate.Closer_even, "0.12");
+    ]
+
+(* Output-digit budgets decide fixed requests identically on both
+   sides of the gate, errors included. *)
+let test_fixed_budget_parity () =
+  let errors = ref 0 and outputs = ref 0 in
+  let values =
+    List.map
+      (fun x ->
+        let v = finite x in
+        (x, v, (Dragon.Free_format.convert b64 v).Dragon.Free_format.k))
+      [ Float.pi; 0.1; 9.96; 5e-324; 1e23 ]
+  in
+  List.iter
+    (fun cap ->
+      let budget =
+        { (Robust.Budget.get ()) with Robust.Budget.max_output_digits = cap }
+      in
+      Robust.Budget.with_budget budget (fun () ->
+          List.iter
+            (fun (x, v, k) ->
+              List.iter
+                (fun req ->
+                  let fast, exact = fixed_both b64 v req in
+                  Alcotest.(check string)
+                    (Printf.sprintf "%h at %s, %d-digit budget" x
+                       (request_name req) cap)
+                    exact fast;
+                  if String.length fast >= 6 && String.sub fast 0 6 = "error:"
+                  then incr errors
+                  else incr outputs)
+                Dragon.Fixed_format.
+                  [
+                    Relative 1; Relative 2; Relative 17; Absolute (k - 1);
+                    Absolute (k - 3); Absolute (k - 17);
+                  ])
+            values))
+    [ 1; 2; 3; 17 ];
+  Alcotest.(check bool) "budgets fired" true (!errors > 0);
+  Alcotest.(check bool) "and admitted" true (!outputs > 0)
+
 let () =
   Alcotest.run "fastpath"
     [
@@ -314,5 +553,18 @@ let () =
             test_binary32_sweep;
           Alcotest.test_case "binary64 random + boundaries" `Slow
             test_binary64_random;
+        ] );
+      ( "fixed",
+        [
+          Alcotest.test_case "goldens from the exact tier" `Quick
+            test_fixed_goldens;
+          Alcotest.test_case "hits and tie fallbacks" `Quick
+            test_fixed_dispatch;
+          Alcotest.test_case "output-digit budget parity" `Quick
+            test_fixed_budget_parity;
+          Alcotest.test_case "binary64 sample byte-identical" `Slow
+            test_fixed_binary64;
+          Alcotest.test_case "every binary16 value byte-identical" `Slow
+            test_fixed_binary16;
         ] );
     ]

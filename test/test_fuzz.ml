@@ -252,27 +252,35 @@ let test_scratch_pure_differential () =
           Dragon.Fixed_format.Relative (1 + Random.State.int st 17)
         else Dragon.Fixed_format.Absolute (Random.State.int st 40 - 20)
       in
-      let kernel = Dragon.Fixed_format.convert b64 v req in
+      let fast = Dragon.Fixed_format.convert b64 v req in
+      let kernel =
+        without_fastpath (fun () -> Dragon.Fixed_format.convert b64 v req)
+      in
       let pure =
         with_pure (fun () -> Dragon.Fixed_format.convert b64 v req)
       in
-      let same =
-        match (kernel, pure) with
+      let same a b =
+        match (a, b) with
         | Ok a, Ok b -> Dragon.Fixed_format.equal a b
         | Error _, Error _ -> true
         | _ -> false
       in
-      if not same then
+      if not (same kernel pure) then
         Alcotest.failf "fixed-format scratch/pure mismatch on %h"
+          (Int64.float_of_bits payload);
+      if not (same fast pure) then
+        Alcotest.failf "fixed-format fastpath/pure mismatch on %h"
           (Int64.float_of_bits payload)
     | _ -> ()
   done
 
-(* The fast path only dispatches on free-format conversions, so fixed
-   format and the %e/%f/%g renderings must be bit-for-bit invariant
-   under the dispatch gate — printed with the fast path enabled and
-   disabled, every format agrees (and free format additionally agrees
-   with the pure reference via check_paths_agree above). *)
+(* Free and fixed format both dispatch through the table tier first,
+   and every tier's output is byte-identical by construction, so fixed
+   format (relative and absolute requests) and the %e/%f/%g renderings
+   must be bit-for-bit invariant under the dispatch gate — printed with
+   the fast path enabled and disabled, every format agrees (and both
+   formats additionally agree with the pure reference via the
+   differential above). *)
 let test_fastpath_format_invariance () =
   let st = Random.State.make [| seed; 9 |] in
   let done_ = ref 0 in
@@ -295,15 +303,23 @@ let test_fastpath_format_invariance () =
       check "%e" (fun () -> Dragon.Cformat.e ~precision x);
       check "%f" (fun () -> Dragon.Cformat.f ~precision x);
       check "%g" (fun () -> Dragon.Cformat.g ~precision x);
-      let req = Dragon.Fixed_format.Relative (1 + Random.State.int st 17) in
-      let fixed () =
-        match Dragon.Fixed_format.convert b64 v req with
-        | Ok r -> Dragon.Render.fixed ~neg:v.Fp.Value.neg ~base:10 r
-        | Error e -> "error: " ^ Robust.Error.to_string e
+      let relative = Dragon.Fixed_format.Relative (1 + Random.State.int st 17)
+      and absolute =
+        Dragon.Fixed_format.Absolute
+          ((Dragon.Free_format.convert b64 v).Dragon.Free_format.k
+          - Random.State.int st 26)
       in
-      let fast = fixed () and slow = without_fastpath fixed in
-      if fast <> slow then
-        Alcotest.failf "fixed format differs under fastpath gate on %h" x
+      List.iter
+        (fun req ->
+          let fixed () =
+            match Dragon.Fixed_format.convert b64 v req with
+            | Ok r -> Dragon.Render.fixed ~neg:v.Fp.Value.neg ~base:10 r
+            | Error e -> "error: " ^ Robust.Error.to_string e
+          in
+          let fast = fixed () and slow = without_fastpath fixed in
+          if fast <> slow then
+            Alcotest.failf "fixed format differs under fastpath gate on %h" x)
+        [ relative; absolute ]
     | _ -> ()
   done
 
