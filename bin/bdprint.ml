@@ -317,7 +317,9 @@ type class_counts = {
   mutable n_budget : int;
   mutable n_internal : int;
 }
-[@@lint.domain_safe "owned by the single collector thread of a stream run"]
+[@@lint.domain_safe
+  "written only by the stream's emit, which the supervisor runs one call \
+   at a time"]
 
 let new_counts () = { n_syntax = 0; n_range = 0; n_budget = 0; n_internal = 0 }
 
@@ -494,12 +496,13 @@ let run_stream ~convert ~max_errors ~deadline_ms ~show_stats ~metrics_file =
   finish_stream ~counts ~show_stats ~metrics_file
     ~interrupted:(Atomic.get interrupted)
 
-(* Parallel streaming through the supervised service.  The collector
-   domain owns stdout/stderr during the run (replies arrive in input
-   order); the main domain only reads stdin and submits, so output never
-   interleaves.  --max-errors sets a stop flag read by the submission
-   loop; lines already in flight still drain (the shutdown contract
-   forbids dropping submitted work). *)
+(* Parallel streaming through the supervised service.  [emit] owns
+   stdout/stderr during the run: the supervisor calls it one reply at a
+   time, in input order, on whichever worker domain delivered the reply
+   the stream waited for.  The main domain only reads stdin and submits,
+   so output never interleaves.  --max-errors sets a stop flag read by
+   the submission loop; lines already in flight still drain (the
+   shutdown contract forbids dropping submitted work). *)
 let run_stream_jobs ~convert ~jobs ~max_errors ~deadline_ms ~show_stats
     ~metrics_file =
   let counts = new_counts () in
@@ -557,8 +560,8 @@ let run_stream_jobs ~convert ~jobs ~max_errors ~deadline_ms ~show_stats
   | End_of_file -> ()
   | Sys_error _ -> Atomic.set interrupted true);
   let (_ : Supervisor.stats) = Supervisor.shutdown service in
-  (* counts was filled by the collector domain; shutdown joined it, so
-     the reads below are safely ordered after its writes *)
+  (* counts was filled by emit on the worker domains; shutdown joined
+     them all, so the reads below are safely ordered after its writes *)
   finish_stream ~counts ~show_stats ~metrics_file
     ~interrupted:(Atomic.get interrupted)
 
@@ -736,7 +739,7 @@ let cmd =
         \  bdprint --digits 10 --format binary32 0.333333333\n\
         \  bdprint --base 16 --notation scientific 255.9375\n\
         \  bdprint --places 20 100\n\
-        \  printf '0.1\\n1e23\\nbogus\\n' | bdprint --stdin --max-errors 5\n\
+        \  printf '0.1\\\\n1e23\\\\nbogus\\\\n' | bdprint --stdin --max-errors 5\n\
         \  bdprint --stdin --jobs 4 --stats < corpus.txt\n\
         \  bdprint --stdin --jobs 4 --metrics metrics.json < corpus.txt\n\
         \  bdprint --stdin --deadline-ms 50 < corpus.txt\n\

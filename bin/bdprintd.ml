@@ -101,8 +101,9 @@ let memo_min_us_arg =
            microseconds: the table fast path answers in about 1 us \
            (BENCH_kernel.json), cheaper to recompute than to cache, \
            while exact-kernel conversions take tens of microseconds and \
-           stay memoized.  The default sits at the measured cutover \
-           between the two populations.  0 memoizes everything.")
+           stay memoized.  The clock starts at submit, so queue wait and \
+           the supervisor handoff count too (docs/PERFORMANCE.md).  0 \
+           memoizes everything.")
 
 let deadline_arg =
   Arg.(
@@ -297,7 +298,7 @@ let cmd =
         "  bdprintd --listen 127.0.0.1:7070 --jobs 4\n\
         \  bdprintd --listen unix:/tmp/bdprintd.sock --stats\n\
         \  bdprintd --listen :0 --metrics service-metrics.json\n\
-        \  printf 'CONV 0.1\\nQUIT\\n' | nc 127.0.0.1 7070";
+        \  printf 'CONV 0.1\\\\nQUIT\\\\n' | nc 127.0.0.1 7070";
     ]
   in
   Cmd.v

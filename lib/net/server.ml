@@ -47,8 +47,8 @@ type stats = {
   supervisor : Supervisor.stats;
 }
 
-(* Per-request mailbox: the connection thread blocks on it, the
-   supervisor's collector domain posts into it. *)
+(* Per-request mailbox: the connection thread blocks on it, and the
+   supervisor domain that emits the reply posts into it. *)
 type waiter = {
   wm : Mutex.t;
   wc : Condition.t;
@@ -59,10 +59,10 @@ type waiter = {
 type phase = Running | Draining | Drained
 
 (* Request routing and accounting, shared between connection threads,
-   the accept thread and the collector domain. *)
+   the accept thread and the supervisor domains that emit replies. *)
 type core = {
   m : Mutex.t;
-  cv : Condition.t;  (** in_flight / conns_active / phase changes *)
+  cv : Condition.t;  (** drain's last release / conns_active / phase *)
   pending : (int, waiter) Hashtbl.t;  (** seq -> waiter *)
   clients : (Unix.file_descr, unit) Hashtbl.t;  (** open connections *)
   mutable phase : phase;
@@ -228,7 +228,7 @@ let rec read_line r ~max_len =
 
 (* {2 Reply routing} *)
 
-(* Runs on the collector domain; must not raise. *)
+(* Supervisor [emit]: runs on a worker or watchdog domain; must not raise. *)
 let route_reply core (r : Supervisor.reply) =
   Mutex.lock core.m;
   let w = Hashtbl.find_opt core.pending r.Supervisor.lineno in
@@ -414,7 +414,9 @@ let release_admission t =
   let c = t.core in
   Mutex.lock c.m;
   c.in_flight <- c.in_flight - 1;
-  Condition.broadcast c.cv;
+  (* only [finish_drain] waits for in_flight: waking [wait]'s thread on
+     every reply would make it compete for [c.m] and the runtime lock *)
+  if c.in_flight = 0 && c.phase <> Running then Condition.broadcast c.cv;
   Mutex.unlock c.m
 
 (* Latency is measured unconditionally: beyond the (gated) histogram it

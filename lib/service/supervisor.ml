@@ -151,10 +151,10 @@ type t = {
   slots : Semaphore.Counting.t;
   budget : Budget.t;
   m : Mutex.t;
-  c_result : Condition.t;
   buffer : (int, reply) Hashtbl.t;
   mutable submitted : int;
   mutable emitted : int;
+  mutable emitting : bool;  (** the emission token; see [emit_from] *)
   mutable closed : bool;
   mutable max_in_flight : int;
   mutable succeeded_n : int;
@@ -174,7 +174,6 @@ type t = {
   w_degraded : int array;
   w_metrics : worker_metrics array;
   mutable workers : unit Domain.t list;
-  mutable collector : unit Domain.t option;
   mutable wd_domain : unit Domain.t option;
 }
 [@@lint.guarded_by "m"]
@@ -279,11 +278,6 @@ let register_running t ~worker (job : job) =
     };
   Mutex.unlock t.m
 
-(* Delivers a worker's reply — unless the watchdog already cancelled the
-   request (answered it and replaced the worker), in which case the late
-   reply is dropped and [post] returns [false]: the abandoned worker
-   must exit instead of looping, since its replacement is already
-   running. *)
 (* Reply accounting; called with [t.m] held. *)
 let deliver_locked t ~worker (job : job) reply =
   let wm = t.w_metrics.(worker) in
@@ -312,8 +306,7 @@ let deliver_locked t ~worker (job : job) reply =
     (Telemetry.Metrics.add m_retries (reply.attempts - 1))
     [@lint.can_raise
       Invalid_argument (* attempts > 1 on this branch: the delta is positive *)]
-  end;
-  Condition.broadcast t.c_result
+  end
 
 (* Delivers a worker's reply — unless the watchdog already cancelled the
    request (answered it with a structured timeout and replaced the
@@ -331,6 +324,37 @@ let post t ~worker (job : job) reply =
   if not cancelled then deliver_locked t ~worker job reply;
   Mutex.unlock t.m;
   not cancelled
+
+(* Emission.  The reply the stream waits for is [buffer[emitted]].
+   Whoever delivers a reply (a worker after [post], a dying worker, the
+   watchdog after a wedge) then calls [emit_ready]: it takes the
+   [emitting] token under [t.m] and emits every ready reply from
+   [emitted] on.  A deliverer that finds the token taken leaves its
+   reply to the holder, which re-reads the buffer under [t.m] before it
+   lets the token go.  So [emit] runs one call at a time in submission
+   order, and a slot returns after its [emit]: "in flight" covers
+   submit to emit.  [~token] is true only in the recursion. *)
+let rec emit_from t ~token =
+  Mutex.lock t.m;
+  if t.emitting && not token then Mutex.unlock t.m
+  else
+    match Hashtbl.find_opt t.buffer t.emitted with
+    | None ->
+      t.emitting <- false;
+      Mutex.unlock t.m
+    | Some reply ->
+      t.emitting <- true;
+      Hashtbl.remove t.buffer t.emitted;
+      t.emitted <- t.emitted + 1;
+      Telemetry.Metrics.set_gauge g_queue_depth (t.submitted - t.emitted);
+      Mutex.unlock t.m;
+      (* a raising [emit] breaks its contract: drop the exception, so the
+         token moves on and no caller's crash handler ever sees it *)
+      (match t.emit reply with () -> () | exception _ -> ());
+      Semaphore.Counting.release t.slots;
+      emit_from t ~token:true
+
+let emit_ready t = emit_from t ~token:false
 
 (* The injected live-but-wedged worker (service.worker-wedge): holds the
    dequeued request without progressing for far longer than any test
@@ -376,14 +400,15 @@ let rec worker_loop t ~worker =
           { lineno = job.job_lineno; input = job.job_input; outcome; attempts }
       with exn ->
         (* Worker crash with a request in hand.  Losing the reply would
-           deadlock the collector (it waits for this seq), so the dying
-           worker answers the job through the breaker-backed degraded
-           channel, records the failure against the breaker, and only
-           then lets the exception continue killing the domain — the
-           spawn wrapper below respawns a replacement.  If the watchdog
-           cancelled the request first, the reply is already delivered
-           and a replacement already running: die quietly instead, or
-           the pool would grow by one domain per wedge-then-crash. *)
+           stall emission (every later reply waits behind this seq), so
+           the dying worker answers the job through the breaker-backed
+           degraded channel, records the failure against the breaker,
+           and only then lets the exception continue killing the domain:
+           the wrapper below emits the reply and respawns a replacement.
+           If the watchdog cancelled the request first, the reply is
+           already delivered and a replacement already running: die
+           quietly instead, or the pool would grow by one domain per
+           wedge-then-crash. *)
         Breaker.record_failure t.breaker;
         let outcome = crash_fallback t job.job_input in
         let delivered =
@@ -412,15 +437,21 @@ let rec worker_loop t ~worker =
         end;
         false
     in
-    if continue then worker_loop t ~worker
+    (* outside the crash handler: emission never re-enters it *)
+    if continue then begin
+      emit_ready t;
+      worker_loop t ~worker
+    end
 
 (* Each worker domain runs under this wrapper: an escaping exception is
-   a domain death, and the dying domain's last act is to spawn and
-   register its replacement — before the body returns, so shutdown's
-   generation-joining loop is guaranteed to observe the new domain. *)
+   a domain death.  The dying domain emits the crash reply it posted,
+   then spawns and registers its replacement — before the body returns,
+   so shutdown's generation-joining loop is guaranteed to observe the
+   new domain. *)
 let rec worker_body t ~worker () =
   try worker_loop t ~worker
   with _ ->
+    emit_ready t;
     let d = Domain.spawn (worker_body t ~worker) in
     Mutex.lock t.m;
     t.respawns_n <- t.respawns_n + 1;
@@ -478,6 +509,7 @@ let rec watchdog_loop t (p : watchdog_policy) =
           })
       victims;
     Mutex.unlock t.m;
+    if victims <> [] then emit_ready t;
     (* the dump does file I/O: after the lock, before the respawns, so
        the recording that names the wedged request is already on disk
        if a respawn itself goes wrong *)
@@ -496,34 +528,6 @@ let rec watchdog_loop t (p : watchdog_policy) =
     Unix.sleepf (float p.poll_ms /. 1000.);
     watchdog_loop t p
   end
-
-(* Single collector: emits replies in submission order (the reorder
-   point) and returns each request's backpressure slot afterwards, so
-   "in flight" covers everything from submit to emit. *)
-let rec collector_loop t =
-  Mutex.lock t.m;
-  let rec next () =
-    match Hashtbl.find_opt t.buffer t.emitted with
-    | Some reply ->
-      Hashtbl.remove t.buffer t.emitted;
-      t.emitted <- t.emitted + 1;
-      `Emit reply
-    | None ->
-      if t.closed && t.emitted = t.submitted then `Finished
-      else begin
-        Condition.wait t.c_result t.m;
-        next ()
-      end
-  in
-  let step = next () in
-  Telemetry.Metrics.set_gauge g_queue_depth (t.submitted - t.emitted);
-  Mutex.unlock t.m;
-  match step with
-  | `Finished -> ()
-  | `Emit reply ->
-    t.emit reply;
-    Semaphore.Counting.release t.slots;
-    collector_loop t
 
 let start ?(jobs = 2) ?(queue_capacity = 64) ?(retry = default_retry)
     ?(breaker = Breaker.default_policy) ?watchdog ?fallback ~emit convert =
@@ -554,10 +558,10 @@ let start ?(jobs = 2) ?(queue_capacity = 64) ?(retry = default_retry)
       slots = Semaphore.Counting.make queue_capacity;
       budget = Budget.get ();
       m = Mutex.create ();
-      c_result = Condition.create ();
       buffer = Hashtbl.create 64;
       submitted = 0;
       emitted = 0;
+      emitting = false;
       closed = false;
       max_in_flight = 0;
       succeeded_n = 0;
@@ -577,13 +581,11 @@ let start ?(jobs = 2) ?(queue_capacity = 64) ?(retry = default_retry)
       w_degraded = Array.make jobs 0;
       w_metrics = Array.init jobs worker_metrics;
       workers = [];
-      collector = None;
       wd_domain = None;
     }
   in
   t.workers <-
     List.init jobs (fun i -> Domain.spawn (worker_body t ~worker:i));
-  t.collector <- Some (Domain.spawn (fun () -> collector_loop t));
   (match watchdog with
   | Some p when p.poll_ms >= 1 ->
     t.wd_domain <- Some (Domain.spawn (fun () -> watchdog_loop t p))
@@ -681,14 +683,9 @@ let shutdown t =
         join_workers (fresh @ joined)
     in
     join_workers [];
-    t.workers <- [];
-    (* every dequeued job has been posted; wake the collector so it can
-       observe closed && fully-emitted even if nothing was submitted *)
-    Mutex.lock t.m;
-    Condition.broadcast t.c_result;
-    Mutex.unlock t.m;
-    Option.iter Domain.join t.collector;
-    t.collector <- None
+    (* every job was posted and every poster emitted before exiting, so
+       every reply has been emitted: there is nothing else to join *)
+    t.workers <- []
   end;
   stats t
 

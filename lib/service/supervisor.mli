@@ -18,9 +18,9 @@
        a breaker that degrades to a clearly-marked fallback ([%.17g] via
        the host float parser, tagged [Degraded]) instead of refusing
        service, and recovers through half-open probes.}
-    {- {e Order preservation}: replies are delivered to [emit] (on a
-       dedicated collector domain, never concurrently) in exact
-       submission order.}
+    {- {e Order preservation}: replies reach [emit] in exact submission
+       order, one call at a time, from the worker (or watchdog) domain
+       that delivered the reply the stream was waiting for.}
     {- {e Crash detection and respawn}: an exception that escapes a
        worker loop (the [service.worker-kill] fault point injects one)
        kills that domain for real; the dying worker first answers its
@@ -127,16 +127,16 @@ val start :
   emit:(reply -> unit) ->
   (string -> (string, Robust.Error.t) result) ->
   t
-(** [start ~emit convert] spawns [jobs] worker domains (default 2) and
-    one collector domain.  [watchdog] (default: none) additionally
-    spawns the wedge-detection monitor domain.  [convert] runs on worker domains — it must be
-    safe to call concurrently — and is re-guarded with
-    {!Robust.Error.catch}, so even an exception-throwing convert cannot
-    kill a worker.  [emit] receives every reply in submission order on
-    the collector domain and must not raise.  The ambient
-    {!Robust.Budget} of the starting domain is captured and installed in
-    every worker.  [fallback] defaults to host [float_of_string] +
-    [%.17g]. *)
+(** [start ~emit convert] spawns [jobs] worker domains (default 2);
+    [watchdog] (default: none) adds the wedge-detection monitor domain.
+    [convert] runs on worker domains — it must be safe to call
+    concurrently — and is re-guarded with {!Robust.Error.catch}, so
+    even an exception-throwing convert cannot kill a worker.  [emit]
+    gets every reply in submission order, one call at a time, on a
+    worker or watchdog domain; it must not raise (an exception is
+    dropped).  The ambient {!Robust.Budget} of the starting domain is
+    captured and installed in every worker.  [fallback] defaults to
+    host [float_of_string] + [%.17g]. *)
 
 val submit : t -> ?deadline_ms:int -> ?tid:int -> lineno:int -> string -> unit
 (** Enqueues a request.  Blocks while [queue_capacity] requests are in
@@ -150,9 +150,9 @@ val submit : t -> ?deadline_ms:int -> ?tid:int -> lineno:int -> string -> unit
     @raise Invalid_argument after {!shutdown}. *)
 
 val shutdown : t -> stats
-(** Closes the queue, waits for workers to drain every submitted
-    request, waits for the collector to emit every reply (in order),
-    joins all domains, and returns the final statistics.  Idempotent. *)
+(** Closes the queue, joins the watchdog and then the workers, which
+    drain and emit every submitted request (in order) before they exit,
+    and returns the final statistics.  Idempotent. *)
 
 val stats : t -> stats
 (** A consistent snapshot; callable at any time. *)

@@ -58,12 +58,13 @@ let test_errors () =
   Alcotest.(check bool) "conflicting flags fail" true (status <> 0)
 
 (* Full-pipe variant: feed stdin, capture stdout and stderr separately,
-   optionally with an environment prefix (for BDPRINT_FAULTS). *)
-let bdprint_full ?(env = "") ?(stdin = "") args =
+   optionally with an environment prefix (for BDPRINT_FAULTS).  [exe]
+   names another binary of bin/ (default bdprint). *)
+let bdprint_full ?(env = "") ?(stdin = "") ?(exe = "bdprint") args =
   let exe =
     Filename.concat
       (Filename.dirname (Filename.dirname Sys.executable_name))
-      "bin/bdprint.exe"
+      ("bin/" ^ exe ^ ".exe")
   in
   let tmp_in = Filename.temp_file "bdprint" ".in" in
   let tmp_out = Filename.temp_file "bdprint" ".out" in
@@ -379,6 +380,24 @@ exit $code
   Alcotest.(check int) "closed pipe exits 5 (--jobs)" 5
     (run_script (one "--jobs 2"))
 
+(* Both EXAMPLES sections show a literal \n inside printf '...'.  A
+   single backslash there is an invalid cmdliner escape, which replaces
+   the whole page with an error on stderr. *)
+let test_help_pages () =
+  List.iter
+    (fun (exe, example) ->
+      let status, out, err = bdprint_full ~exe "--help=plain" in
+      Alcotest.(check int) (exe ^ " --help exit") 0 status;
+      Alcotest.(check (list string)) (exe ^ " --help stderr") [] err;
+      Alcotest.(check bool)
+        (exe ^ " example keeps its \\n")
+        true
+        (List.exists (fun l -> contains l example) out))
+    [
+      ("bdprint", {|printf '0.1\n1e23\nbogus\n' | bdprint --stdin|});
+      ("bdprintd", {|printf 'CONV 0.1\nQUIT\n' | nc 127.0.0.1 7070|});
+    ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -403,5 +422,6 @@ let () =
             test_sigint_stream;
           Alcotest.test_case "SIGPIPE interrupts stream" `Quick
             test_sigpipe_stream;
+          Alcotest.test_case "help pages render" `Quick test_help_pages;
         ] );
     ]

@@ -198,7 +198,16 @@ let with_gate on f =
   Fastpath.set_enabled on;
   Fun.protect ~finally:(fun () -> Fastpath.set_enabled was) f
 
-let with_fastpath f = with_gate true f
+(* The table-tier side also turns the force-pure switch off for its
+   scope: [Free_format.table_tier] stays closed while it is on, so under
+   BDPRINT_FORCE_PURE=1 this side would print through the pure
+   reference instead. *)
+let with_fastpath f =
+  let pure = Dragon.Generate.force_pure () in
+  Dragon.Generate.set_force_pure false;
+  Fun.protect
+    ~finally:(fun () -> Dragon.Generate.set_force_pure pure)
+    (fun () -> with_gate true f)
 let without_fastpath f = with_gate false f
 
 let print_both fmt value =

@@ -174,10 +174,17 @@ let test_fixed_half_quantum () =
 (* The in-place digit-loop kernels (word-sized fast path + Scratch
    workspace) must be byte-identical to the pure-Nat reference: print
    every corpus/nasty line and a random batch through both, for free
-   format and fixed format, and compare the strings. *)
-let with_pure f =
-  Dragon.Generate.set_force_pure true;
-  Fun.protect ~finally:(fun () -> Dragon.Generate.set_force_pure false) f
+   format and fixed format, and compare the strings.  The fast and
+   kernel sides turn the force-pure switch off for their scope, so under
+   BDPRINT_FORCE_PURE=1 they still run the table tier and the kernels
+   instead of the pure reference. *)
+let with_force_pure on f =
+  let was = Dragon.Generate.force_pure () in
+  Dragon.Generate.set_force_pure on;
+  Fun.protect ~finally:(fun () -> Dragon.Generate.set_force_pure was) f
+
+let with_pure f = with_force_pure true f
+let without_pure f = with_force_pure false f
 
 let print_opt fmt input =
   match R.read fmt input with
@@ -199,8 +206,10 @@ let without_fastpath f =
    scratch/word paths keep their own differential coverage), and the
    pure-Nat reference. *)
 let check_paths_agree fmt input =
-  let fast = print_opt fmt input in
-  let kernel = without_fastpath (fun () -> print_opt fmt input) in
+  let fast = without_pure (fun () -> print_opt fmt input) in
+  let kernel =
+    without_pure (fun () -> without_fastpath (fun () -> print_opt fmt input))
+  in
   let pure = with_pure (fun () -> print_opt fmt input) in
   let str o = Option.value o ~default:"<unread>" in
   if kernel <> pure then
@@ -211,7 +220,9 @@ let check_paths_agree fmt input =
       (str fast) (str pure)
 
 let test_scratch_pure_differential () =
-  Alcotest.(check bool) "force_pure off" false (Dragon.Generate.force_pure ());
+  without_pure (fun () ->
+      Alcotest.(check bool) "force_pure off" false
+        (Dragon.Generate.force_pure ()));
   let corpus_lines =
     if Sys.file_exists "corpus" && Sys.is_directory "corpus" then
       Sys.readdir "corpus" |> Array.to_list |> List.sort String.compare
@@ -252,9 +263,12 @@ let test_scratch_pure_differential () =
           Dragon.Fixed_format.Relative (1 + Random.State.int st 17)
         else Dragon.Fixed_format.Absolute (Random.State.int st 40 - 20)
       in
-      let fast = Dragon.Fixed_format.convert b64 v req in
+      let fast =
+        without_pure (fun () -> Dragon.Fixed_format.convert b64 v req)
+      in
       let kernel =
-        without_fastpath (fun () -> Dragon.Fixed_format.convert b64 v req)
+        without_pure (fun () ->
+            without_fastpath (fun () -> Dragon.Fixed_format.convert b64 v req))
       in
       let pure =
         with_pure (fun () -> Dragon.Fixed_format.convert b64 v req)
@@ -344,7 +358,7 @@ let conv fmt input =
     | Error e -> Error (Robust.Error.to_string e))
 
 let check_faulty ~deterministic fmt input =
-  let kernel = conv fmt input in
+  let kernel = without_pure (fun () -> conv fmt input) in
   let pure = with_pure (fun () -> conv fmt input) in
   match (kernel, pure) with
   | Ok a, Ok b when a <> b ->

@@ -20,9 +20,10 @@ let convert_real input =
       ~strategy:Dragon.Scaling.Fast_estimate ~notation:Dragon.Render.Auto
       Fp.Format_spec.binary64 v
 
-(* Run a batch through a fresh service; replies are collected on the
-   collector domain and read after shutdown (joined, so safely
-   published). *)
+(* Run a batch through a fresh service; replies are collected by the
+   worker domain that emits each one (one at a time, handed on under the
+   supervisor's mutex) and read after shutdown, which joined every
+   worker, so they are safely published. *)
 let collect ?(jobs = 2) ?(capacity = 8) ?retry ?breaker ?fallback ?deadline_ms
     convert inputs =
   let replies = ref [] in
@@ -364,6 +365,126 @@ let test_shutdown_drains_everything () =
       Alcotest.(check int) "drain preserves order" (i + 1) r.S.lineno)
     replies
 
+(* The worker that delivers the reply the stream waits for emits it and
+   every ready reply after it.  Delays shrink as the line number grows,
+   so later requests finish first and pile up behind earlier ones;
+   emission must still come out 1..n, never two [emit] calls at once. *)
+let test_emission_order_later_first () =
+  let n = 64 in
+  let busy = Atomic.make false and overlaps = Atomic.make 0 in
+  let order = ref [] in
+  let emit (r : S.reply) =
+    if not (Atomic.compare_and_set busy false true) then Atomic.incr overlaps;
+    order := r.S.lineno :: !order;
+    (* widen the window a second, concurrent call would need *)
+    Unix.sleepf 0.0002;
+    Atomic.set busy false
+  in
+  let convert s =
+    Unix.sleepf (float (n - int_of_string s) *. 0.0002);
+    Ok s
+  in
+  let svc = S.start ~jobs:4 ~queue_capacity:n ~emit convert in
+  for i = 1 to n do
+    S.submit svc ~lineno:i (string_of_int i)
+  done;
+  let stats = S.shutdown svc in
+  Alcotest.(check int) "emit never entered concurrently" 0
+    (Atomic.get overlaps);
+  Alcotest.(check (list int)) "submission order" (List.init n (fun i -> i + 1))
+    (List.rev !order);
+  Alcotest.(check int) "completed" n stats.S.completed
+
+(* [emit] must not raise; when it does anyway, only that call is lost.
+   The exception never reaches the emitting worker's crash handler (no
+   crash, no second reply for the job), and the token moves on, so
+   every later reply is still emitted once and in order. *)
+let test_raising_emit_is_contained () =
+  let n = 20 in
+  let order = ref [] in
+  let emit (r : S.reply) =
+    order := r.S.lineno :: !order;
+    if r.S.lineno mod 7 = 3 then failwith "emit broke its contract"
+  in
+  let svc = S.start ~jobs:2 ~queue_capacity:n ~emit (fun s -> Ok s) in
+  for i = 1 to n do
+    S.submit svc ~lineno:i (string_of_int i)
+  done;
+  let stats = S.shutdown svc in
+  Alcotest.(check (list int)) "each reply emitted once, in order"
+    (List.init n (fun i -> i + 1))
+    (List.rev !order);
+  Alcotest.(check int) "no worker crash" 0 stats.S.crashes;
+  Alcotest.(check int) "no respawn" 0 stats.S.respawns;
+  Alcotest.(check int) "completed" n stats.S.completed
+
+(* Poll [count] until it reaches [k] (10 s at most). *)
+let await what count k =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while count () < k && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  Alcotest.(check int) what k (count ())
+
+(* The watchdog is a deliverer too: when it answers a wedged request it
+   emits that timeout reply in its place, then every reply already
+   converted behind it.  Request k is submitted alone, so it is the one
+   the fault point wedges; the rest are converted by the other worker
+   while k is stuck. *)
+let test_watchdog_emits_wedge_in_place () =
+  let n = 12 and k = 5 in
+  Faults.disarm_all ();
+  Faults.reset_call_counts ();
+  Faults.arm_at ~call:k "service.worker-wedge";
+  Fun.protect
+    ~finally:(fun () ->
+      Faults.disarm_all ();
+      Faults.reset_call_counts ())
+  @@ fun () ->
+  let replies = ref [] and emitted = Atomic.make 0 in
+  let svc =
+    S.start ~jobs:2 ~queue_capacity:n
+      ~watchdog:{ S.poll_ms = 5; grace_ms = 20; stuck_ms = 10_000 }
+      ~emit:(fun r ->
+        replies := r :: !replies;
+        Atomic.incr emitted)
+      (fun s -> Ok s)
+  in
+  (* the [k]th consult of the fault point is the [k]th dequeue *)
+  let consults () = Faults.call_count "service.worker-wedge" in
+  let submit i =
+    let deadline_ms = if i = k then Some 50 else None in
+    S.submit svc ?deadline_ms ~lineno:i (string_of_int i)
+  in
+  for i = 1 to k - 1 do
+    submit i
+  done;
+  await "consults before k" consults (k - 1);
+  submit k;
+  await "consults through k" consults k;
+  for i = k + 1 to n do
+    submit i
+  done;
+  (* shutdown stops the watchdog first: let it answer the wedge *)
+  await "emitted" (fun () -> Atomic.get emitted) n;
+  let stats = S.shutdown svc in
+  let replies = List.rev !replies in
+  Alcotest.(check (list int)) "submission order" (List.init n (fun i -> i + 1))
+    (List.map (fun (r : S.reply) -> r.S.lineno) replies);
+  List.iter
+    (fun (r : S.reply) ->
+      match r.S.outcome with
+      | S.Failed (Error.Budget { what; _ }) when r.S.lineno = k ->
+        Alcotest.(check string) "watchdog timeout" Budget.deadline_what what;
+        Alcotest.(check int) "no attempt" 0 r.S.attempts
+      | S.Done s when r.S.lineno <> k ->
+        Alcotest.(check string) "payload" (string_of_int r.S.lineno) s
+      | _ -> Alcotest.failf "unexpected outcome for line %d" r.S.lineno)
+    replies;
+  Alcotest.(check int) "one wedge" 1 stats.S.wedges;
+  Alcotest.(check int) "one respawn" 1 stats.S.respawns;
+  Alcotest.(check int) "completed" n stats.S.completed
+
 let test_submit_after_shutdown () =
   let svc = S.start ~jobs:1 ~emit:(fun _ -> ()) (fun s -> Ok s) in
   ignore (S.shutdown svc);
@@ -657,6 +778,12 @@ let () =
             test_shutdown_drains_everything;
           Alcotest.test_case "submit after shutdown" `Quick
             test_submit_after_shutdown;
+          Alcotest.test_case "emission order when later lines finish first"
+            `Quick test_emission_order_later_first;
+          Alcotest.test_case "watchdog emits a wedge in place" `Quick
+            test_watchdog_emits_wedge_in_place;
+          Alcotest.test_case "raising emit is contained" `Quick
+            test_raising_emit_is_contained;
         ] );
       ( "breaker",
         [
