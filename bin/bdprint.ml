@@ -279,7 +279,7 @@ let vet_request request =
   | None -> None
 
 let convert_one ~base ~mode ~fmt ~strategy ~notation ~request ~hex_out input =
-  let t0 = Telemetry.Trace.start () in
+  let t0 = Telemetry.Tracing.start () in
   let parsed =
     if is_hex_literal input then Reader.Hex.read ~mode fmt input
     else if
@@ -291,7 +291,7 @@ let convert_one ~base ~mode ~fmt ~strategy ~notation ~request ~hex_out input =
     then Result.map Fp.Ieee.decompose (Reader.Fast.read input)
     else Reader.read ~mode fmt input
   in
-  Telemetry.Trace.finish Telemetry.Trace.Parse t0;
+  Telemetry.Tracing.finish Telemetry.Tracing.Parse t0;
   match parsed with
   | Error _ as e -> e
   | Ok value -> (

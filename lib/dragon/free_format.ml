@@ -4,7 +4,7 @@ module Ratio = Bignum.Ratio
 
 type t = { digits : int array; k : int }
 
-module Trace = Telemetry.Trace
+module Tracing = Telemetry.Tracing
 
 (* Shortest-output length per conversion (the paper's "average 15.2
    digits" distribution), recorded at the free-format entry point. *)
@@ -58,11 +58,11 @@ let table_tier ~base ~mode fmt v attempt =
         && fmt.Fp.Format_spec.p <= 54
         && f = 1 lsl (fmt.Fp.Format_spec.p - 1)
       in
-      let t0 = Trace.start () in
+      let t0 = Tracing.start () in
       let r =
         attempt ~f ~e:v.Fp.Value.e ~mantissa_bits:bits ~narrow ~high_ok ~est
       in
-      Trace.finish Trace.Fastpath t0;
+      Tracing.finish Tracing.Fastpath t0;
       r
     | _ -> None
   end
@@ -85,18 +85,18 @@ let convert ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
       Telemetry.Metrics.observe h_digits (Array.length digits);
     { digits; k }
   | None ->
-  let t0 = Trace.start () in
+  let t0 = Tracing.start () in
   let bnd = Boundaries.of_finite ~mode fmt v in
-  Trace.finish Trace.Boundaries t0;
-  let t0 = Trace.start () in
+  Tracing.finish Tracing.Boundaries t0;
+  let t0 = Tracing.start () in
   let k, state =
     Scaling.scale strategy ~base ~b:fmt.Fp.Format_spec.b ~f:v.Fp.Value.f
       ~e:v.Fp.Value.e bnd
   in
-  Trace.finish Trace.Scale t0;
-  let t0 = Trace.start () in
+  Tracing.finish Tracing.Scale t0;
+  let t0 = Tracing.start () in
   let digits = Generate.free ~base ~tie state in
-  Trace.finish Trace.Generate t0;
+  Tracing.finish Tracing.Generate t0;
   if Telemetry.Metrics.enabled () then
     Telemetry.Metrics.observe h_digits (Array.length digits);
   { digits; k }

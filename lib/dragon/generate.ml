@@ -337,5 +337,3 @@ let free ~base ~tie bnd = (run ~base ~tie bnd).digits
 
 let free_stopped ~base ~tie bnd = run ~base ~tie bnd
 
-let free_count_only ~base bnd =
-  Array.length (free ~base ~tie:Closer_up bnd)

@@ -40,9 +40,6 @@ val free : base:int -> tie:tie -> Boundaries.t -> int array
     (2) — the incremented output would round down to [v] — yields [d+1];
     when both hold the closer one wins. *)
 
-val free_count_only : base:int -> Boundaries.t -> int
-(** Number of digits the loop would produce (used by statistics). *)
-
 type stopped = {
   digits : int array;  (** accepted digits, last one already adjusted *)
   incremented : bool;  (** whether the last digit was rounded up *)

@@ -27,9 +27,9 @@ let print_value_exn ?(base = 10) ?mode ?strategy ?tie ?notation fmt value =
   | Value.Nan -> Render.nan
   | Value.Finite v ->
     let result = Free_format.convert ~base ?mode ?strategy ?tie fmt v in
-    let t0 = Telemetry.Trace.start () in
+    let t0 = Telemetry.Tracing.start () in
     let s = Render.free ?notation ~neg:v.neg ~base result in
-    Telemetry.Trace.finish Telemetry.Trace.Render t0;
+    Telemetry.Tracing.finish Telemetry.Tracing.Render t0;
     s
 [@@lint.can_raise
   Robust.Error.E

@@ -8,9 +8,9 @@
 
    Registration ([counter]/[gauge]/[histogram], module-init time) and
    reads ([value]/[gauge_value], snapshot paths) are not recording and
-   are exempt.  [Trace.start]/[Trace.finish] are exempt by
-   construction: [Trace.start] performs the enabled check itself and
-   returns 0 when telemetry is off, which [finish] re-checks.
+   are exempt.  [Tracing.start]/[Tracing.finish] are exempt by
+   construction: [Tracing.start] performs the enabled checks itself
+   and returns 0 when telemetry is off, which [finish] re-checks.
 
    [Flight.record] is recording too: the call is internally gated, but
    its [detail] argument is almost always a [Printf.sprintf] that
@@ -18,10 +18,11 @@
    the whole call in [if Telemetry.Flight.enabled () then ...].
 
    The family also checks span pairing: a top-level definition that
-   calls [Trace.start] without [Trace.finish] leaks an open span (the
-   stage histogram never observes it), and a [finish] without a [start]
-   observes a token from someone else's clock — both are flagged unless
-   the binding carries [@lint.always_on "reason"].
+   opens a span ([Tracing.start] or [Tracing.start_for]) without
+   [Tracing.finish] leaks an open span (the stage histogram and the
+   trace ring never see it), and a [finish] without an opener observes
+   a token from someone else's clock — both are flagged unless the
+   binding carries [@lint.always_on "reason"].
 
    Deliberately ungated sites — the reader tier counters that back the
    always-available [Reader.Fast.stats] contract — carry
@@ -84,9 +85,9 @@ let count_spans expr =
         (match e.pexp_desc with
         | Pexp_apply (head, _) -> (
           match Attrs.head_path head with
-          | Some path when List.mem "Trace" path -> (
+          | Some path when List.mem "Tracing" path -> (
             match Attrs.last path with
-            | Some "start" -> incr starts
+            | Some ("start" | "start_for") -> incr starts
             | Some "finish" -> incr finishes
             | _ -> ())
           | _ -> ())
@@ -111,10 +112,10 @@ let check_span_pairing (sink : Sink.t) str =
               else
                 sink.report rule vb.pvb_loc
                   (Printf.sprintf
-                     "unpaired span: %d Trace.start against %d Trace.finish \
-                      in this definition; a started span must be finished \
-                      (or the binding annotated [@lint.always_on \
-                      \"<reason>\"])"
+                     "unpaired span: %d Tracing.start/start_for against %d \
+                      Tracing.finish in this definition; a started span \
+                      must be finished (or the binding annotated \
+                      [@lint.always_on \"<reason>\"])"
                      starts finishes))
           vbs
       | _ -> ())

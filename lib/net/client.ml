@@ -572,7 +572,7 @@ let attempt_once t ep ~deadline ~tid input =
 let attempt t ep ~deadline ~tid input =
   if tid = 0 then attempt_once t ep ~deadline ~tid input
   else begin
-    let t0 = Telemetry.Tracing.span_of tid in
+    let t0 = Telemetry.Tracing.start_for tid in
     let r = attempt_once t ep ~deadline ~tid input in
     let note =
       match r with
@@ -584,7 +584,7 @@ let attempt t ep ~deadline ~tid input =
       | R_retryable _ -> "retryable"
       | R_transport _ -> "transport"
     in
-    Telemetry.Tracing.emit ~note ~tid Telemetry.Tracing.Client_attempt t0;
+    Telemetry.Tracing.finish ~note ~tid Telemetry.Tracing.Client_attempt t0;
     r
   end
 
@@ -648,9 +648,9 @@ let attempt_maybe_hedged t ep ~deadline ~tid input =
         bump m_hedges;
         Mutex.unlock t.m;
         (* the hedge span covers the secondary attempt from launch *)
-        let h0 = Telemetry.Tracing.span_of tid in
+        let h0 = Telemetry.Tracing.start_for tid in
         let r2 = attempt t ep2 ~deadline ~tid input in
-        Telemetry.Tracing.emit ~tid Telemetry.Tracing.Client_hedge h0;
+        Telemetry.Tracing.finish ~tid Telemetry.Tracing.Client_hedge h0;
         match (hedge_read box, r2) with
         | Some (R_ok _ as r1), _ ->
           (* primary finished while the hedge ran: prefer it (its
@@ -676,9 +676,9 @@ let attempt_maybe_hedged t ep ~deadline ~tid input =
 
 let traced_delay ~tid ?note s =
   if s > 0. then begin
-    let t0 = Telemetry.Tracing.span_of tid in
+    let t0 = Telemetry.Tracing.start_for tid in
     Thread.delay s;
-    Telemetry.Tracing.emit ?note ~tid Telemetry.Tracing.Client_backoff t0
+    Telemetry.Tracing.finish ?note ~tid Telemetry.Tracing.Client_backoff t0
   end
 
 let jittered_backoff t ~attempt ~deadline ~tid =

@@ -307,17 +307,19 @@ let convert_one t ~deadline_ms ~tid input : Wire.reply * bool =
   end
   else begin
     Mutex.unlock c.m;
-    let mt0 = Telemetry.Tracing.span_of tid in
+    let mt0 = Telemetry.Tracing.start_for tid in
     match Option.bind t.memo (fun memo -> Memo.find memo input) with
     | Some out ->
-      Telemetry.Tracing.emit ~note:"hit" ~tid Telemetry.Tracing.Memo_lookup mt0;
+      Telemetry.Tracing.finish ~note:"hit" ~tid Telemetry.Tracing.Memo_lookup
+        mt0;
       Mutex.lock c.m;
       c.n_ok <- c.n_ok + 1;
       c.n_cache_hits <- c.n_cache_hits + 1;
       Mutex.unlock c.m;
       (Wire.Converted out, false)
     | None ->
-      Telemetry.Tracing.emit ~note:"miss" ~tid Telemetry.Tracing.Memo_lookup mt0;
+      Telemetry.Tracing.finish ~note:"miss" ~tid Telemetry.Tracing.Memo_lookup
+        mt0;
       Mutex.lock c.m;
       let projected = projected_wait_ms t c in
       if c.phase <> Running then begin
@@ -446,13 +448,13 @@ let timed_convert t ~deadline_ms ~tid input =
    failures to a vanished client release too — the reply was produced
    and delivery attempted, which is all drain can wait for). *)
 let write_conv_reply t fd ~tid (reply, admitted) =
-  let wt0 = Telemetry.Tracing.span_of tid in
+  let wt0 = Telemetry.Tracing.start_for tid in
   if admitted then
     Fun.protect
       ~finally:(fun () -> release_admission t)
       (fun () -> write_all fd (Wire.render_reply reply))
   else write_all fd (Wire.render_reply reply);
-  Telemetry.Tracing.emit ~tid Telemetry.Tracing.Wire_write wt0;
+  Telemetry.Tracing.finish ~tid Telemetry.Tracing.Wire_write wt0;
   reply
 
 (* {2 Statistics} *)
@@ -579,12 +581,12 @@ let handle_request t fd reader deadline_ms quit req =
   match req with
   | Wire.Conv { input; tid = wire_tid } ->
     let tid = conv_tid ~wire_tid in
-    let rt0 = Telemetry.Tracing.span_of tid in
+    let rt0 = Telemetry.Tracing.start_for tid in
     let (_ : Wire.reply) =
       write_conv_reply t fd ~tid
         (timed_convert t ~deadline_ms:!deadline_ms ~tid input)
     in
-    Telemetry.Tracing.emit ~tid Telemetry.Tracing.Request rt0
+    Telemetry.Tracing.finish ~tid Telemetry.Tracing.Request rt0
   | Wire.Batch { count = n; tid = wire_tid } ->
     let max_len = (Budget.get ()).Budget.max_input_length + 64 in
     let ok = ref 0 and failed = ref 0 and shed = ref 0 in

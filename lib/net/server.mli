@@ -60,8 +60,11 @@ type config = {
           memoization — the table fast path answers in ~1 us, cheaper
           to recompute than to cache, while exact-kernel conversions
           take tens of us (see BENCH_kernel.json) and stay memoized.
-          [0.] memoizes everything; bdprintd defaults to the measured
-          5 us cutover between the two populations. *)
+          Because the clock starts at submit, queue wait and the
+          supervisor handoff count too, and the handoff alone takes
+          longer than bdprintd's 5 us default: at that default the
+          measured skip rate is 0 (docs/PERFORMANCE.md).  [0.]
+          memoizes everything. *)
   default_deadline_ms : int option;
       (** deadline applied until a connection overrides it *)
   retry : Service.Supervisor.retry_policy;

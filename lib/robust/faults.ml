@@ -167,18 +167,11 @@ let reset_call_counts () =
 
 (* Probabilistic trips draw from a domain-local generator so worker
    domains never contend (or share a stream).  Seeding is deterministic
-   per domain-spawn order; BDPRINT_FAULTS_SEED (or its legacy alias
-   BDPRINT_FAULT_SEED) perturbs the whole run — chaos harnesses print
-   it, so a failing run can be replayed exactly. *)
+   per domain-spawn order; BDPRINT_FAULTS_SEED perturbs the whole run —
+   chaos harnesses print it, so a failing run can be replayed exactly. *)
 let seed =
-  let parse s = match int_of_string_opt s with Some n -> Some n | None -> None in
-  match
-    ( Option.bind (Sys.getenv_opt "BDPRINT_FAULTS_SEED") parse,
-      Option.bind (Sys.getenv_opt "BDPRINT_FAULT_SEED") parse )
-  with
-  | Some n, _ -> n
-  | None, Some n -> n
-  | None, None -> 0x6bd
+  let env = Sys.getenv_opt "BDPRINT_FAULTS_SEED" in
+  match Option.bind env int_of_string_opt with Some n -> n | None -> 0x6bd
 
 let domain_seq = Atomic.make 0
 

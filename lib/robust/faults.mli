@@ -29,10 +29,10 @@
     reported once on stderr at startup instead of being silently
     ignored.
 
-    Probabilistic draws are seeded from [BDPRINT_FAULTS_SEED] (legacy
-    alias [BDPRINT_FAULT_SEED]); chaos harnesses print {!seed} so any
-    failing run can be replayed exactly, and {!spec_string} renders the
-    armed set back into the grammar for logs and artifacts. *)
+    Probabilistic draws are seeded from [BDPRINT_FAULTS_SEED]; chaos
+    harnesses print {!seed} so any failing run can be replayed exactly,
+    and {!spec_string} renders the armed set back into the grammar for
+    logs and artifacts. *)
 
 val pipeline_points : string list
 (** The raising points inside the conversion pipeline — ["nat.divmod"],
@@ -154,9 +154,9 @@ val unknown_points : unit -> string list
 
 val seed : int
 (** The seed of the per-domain fault generators, from
-    [BDPRINT_FAULTS_SEED] (or the legacy [BDPRINT_FAULT_SEED]; default
-    [0x6bd]).  Chaos harnesses fold this into their own corpus
-    generators and print it, so one integer replays the whole run. *)
+    [BDPRINT_FAULTS_SEED] (default [0x6bd]).  Chaos harnesses fold this
+    into their own corpus generators and print it, so one integer
+    replays the whole run. *)
 
 (** {2 Specification parsing} *)
 

@@ -377,7 +377,7 @@ let rec worker_loop t ~worker =
        the job's trace id so the pipeline spans inside [process] land
        on the request's trace *)
     Telemetry.Tracing.adopt job.job_tid;
-    Telemetry.Tracing.emit ~tid:job.job_tid Telemetry.Tracing.Queue_wait
+    Telemetry.Tracing.finish ~tid:job.job_tid Telemetry.Tracing.Queue_wait
       job.job_t0;
     if Telemetry.Flight.enabled () then
       Telemetry.Flight.record ~req:job.seq ~kind:"service-start"
@@ -386,9 +386,9 @@ let rec worker_loop t ~worker =
       try
         if Faults.fires kill_point then raise Worker_killed;
         if Faults.fires wedge_point then wedge_stall ();
-        let st0 = Telemetry.Trace.start () in
+        let st0 = Telemetry.Tracing.start () in
         let outcome, attempts = process t job in
-        Telemetry.Trace.finish Telemetry.Trace.Worker_service st0;
+        Telemetry.Tracing.finish Telemetry.Tracing.Worker_service st0;
         if Telemetry.Flight.enabled () then
           Telemetry.Flight.record ~req:job.seq ~kind:"service-end"
             (match outcome with
@@ -611,7 +611,7 @@ let submit t ?deadline_ms ?(tid = 0) ~lineno input =
   let deadline = Option.map (fun ms -> Budget.deadline_after ~ms) deadline_ms in
   (* the queue-wait span opens here, on the submitting thread; the
      dequeuing worker closes it *)
-  let job_t0 = Telemetry.Tracing.span_of tid in
+  let job_t0 = Telemetry.Tracing.start_for tid in
   (* the semaphore already bounds in-flight work, so this put cannot
      block; Closed can only race with a concurrent shutdown *)
   try

@@ -1,4 +1,5 @@
-(* Facade: [Telemetry.Metrics], [Telemetry.Trace], [Telemetry.Snapshot].
+(* Facade: [Telemetry.Metrics], [Telemetry.Tracing], [Telemetry.Flight],
+   [Telemetry.Snapshot].
 
    The library sits below every other layer of the repository (it
    depends only on the standard library and Unix), so the reader, the
@@ -6,7 +7,6 @@
    the same process-wide registry. *)
 
 module Metrics = Metrics
-module Trace = Trace
 module Tracing = Tracing
 module Flight = Flight
 module Snapshot = Snapshot

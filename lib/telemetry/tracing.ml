@@ -1,21 +1,26 @@
-(* Request-scoped span tracing with Chrome trace-event export.
+(* Span timing and request tracing for pipeline and service stages.
 
-   A traced request gets a process-unique trace id; every pipeline and
-   service stage it crosses records a completed span ("X" phase in
-   Chrome trace-event terms) into a fixed-size global ring.  Requests
-   are *sampled* — a per-domain countdown picks one in N (default 64) —
-   so the hot loop only pays clock reads on the requests it is actually
-   following, and the ring bounds memory however long the process runs
-   (old spans are overwritten).
+   Every span site opens with [start]/[start_for] and closes with
+   [finish], which feeds two consumers:
+   - the per-stage nanosecond histograms.  Two clock reads per stage
+     on every conversion would swamp the free-format hot loop, so
+     [start] samples one span in 32 per domain: the histograms describe
+     the latency distribution, and the exact counters live in Metrics.
+   - the trace ring.  A sampled request (one in N per domain, default
+     64) gets a process-unique trace id, and every stage it crosses
+     records a completed span ("X" phase in Chrome trace-event terms)
+     into a fixed-size global ring whose old spans are overwritten.  A
+     traced span always reads the clock and is offered as the
+     histogram's trace-id exemplar.
 
    Identity travels two ways:
    - [begin_request]/[end_request] manage a domain-local current trace
      id for straight-line pipelines (the CLI stream drivers, worker
-     domains processing one job at a time).  Systhreads share their
-     domain's DLS slot, so code that multiplexes requests across
-     threads — the daemon's connection threads, the client's hedge
-     helpers — must instead carry the id explicitly through
-     [span_of]/[emit ~tid].
+     domains processing one job at a time); [start] times against it.
+     Systhreads share their domain's DLS slot, so code that multiplexes
+     requests across threads — the daemon's connection threads, the
+     client's hedge helpers — must instead carry the id explicitly
+     through [start_for]/[finish ~tid].
    - Across the wire the id rides the optional TID field of CONV/BATCH
      (see Wire), so a daemon-side span lands under the same track as
      the client spans that caused it.
@@ -34,7 +39,6 @@ type stage =
   | Client_attempt
   | Client_backoff
   | Client_hedge
-  | Wire_read
   | Wire_write
   | Queue_wait
   | Worker_service
@@ -44,8 +48,8 @@ type stage =
 
 let all =
   [ Parse; Boundaries; Scale; Generate; Render; Client_attempt;
-    Client_backoff; Client_hedge; Wire_read; Wire_write; Queue_wait;
-    Worker_service; Memo_lookup; Request; Fastpath ]
+    Client_backoff; Client_hedge; Wire_write; Queue_wait; Worker_service;
+    Memo_lookup; Request; Fastpath ]
 
 let stage_name = function
   | Parse -> "parse"
@@ -56,13 +60,48 @@ let stage_name = function
   | Client_attempt -> "client-attempt"
   | Client_backoff -> "client-backoff"
   | Client_hedge -> "client-hedge"
-  | Wire_read -> "wire-read"
   | Wire_write -> "wire-write"
   | Queue_wait -> "queue-wait"
   | Worker_service -> "worker-service"
   | Memo_lookup -> "memo-lookup"
   | Request -> "request"
   | Fastpath -> "fastpath"
+
+let index = function
+  | Parse -> 0
+  | Boundaries -> 1
+  | Scale -> 2
+  | Generate -> 3
+  | Render -> 4
+  | Client_attempt -> 5
+  | Client_backoff -> 6
+  | Client_hedge -> 7
+  | Wire_write -> 8
+  | Queue_wait -> 9
+  | Worker_service -> 10
+  | Memo_lookup -> 11
+  | Request -> 12
+  | Fastpath -> 13
+
+(* Log-linear nanosecond bounds, 100ns to 10ms: the pipeline stages
+   sit under a microsecond, a queued service round trip reaches
+   milliseconds, and the relative resolution stays roughly constant
+   across that whole span. *)
+let duration_bounds = Metrics.log_linear ~lo:100 ~hi:10_000_000 ()
+  [@@lint.domain_safe "read-only bounds template; Metrics.histogram copies it"]
+
+let hists =
+  Array.of_list
+    (List.map
+       (fun s ->
+         Metrics.histogram
+           ~labels:[ ("stage", stage_name s) ]
+           ~help:
+             "Sampled per-stage conversion latency in nanoseconds \
+              (pipeline, wire, queue and service stages)."
+           ~bounds:duration_bounds "bdprint_stage_duration_ns")
+       all)
+  [@@lint.domain_safe "array of registered histogram handles; written once at init"]
 
 type event = {
   ev_tid : int;
@@ -94,6 +133,13 @@ let next_tid = Atomic.make 1
 (* Per-domain sampling countdown, starting at 1 so the first request of
    every domain is traced (short CLI runs still produce a trace). *)
 let countdown = Domain.DLS.new_key (fun () -> ref 1)
+
+(* The histograms' own countdown, independent of request sampling:
+   one untraced span in [hist_every] per domain reads the clock, the
+   first one included. *)
+let hist_every = 32
+
+let hist_countdown = Domain.DLS.new_key (fun () -> ref 1)
 
 (* Domain-local current trace id; 0 when the current request is not
    traced.  Valid only where one request occupies the domain at a time
@@ -190,15 +236,40 @@ let end_request tid =
 (* ------------------------------------------------------------------ *)
 (* Spans *)
 
-let span_of tid = if tid <> 0 then now_ns () else 0
+let start () =
+  if enabled () && current () <> 0 then
+    (* The current request is traced: always time, so its span tree is
+       complete regardless of the histogram countdown.  The atomic-flag
+       check first keeps the common tracing-off path to one load,
+       skipping the domain-local lookup. *)
+    now_ns ()
+  else if not (Metrics.enabled ()) then 0
+  else begin
+    let r = Domain.DLS.get hist_countdown in
+    let n = !r in
+    if n <= 1 then begin
+      r := hist_every;
+      now_ns ()
+    end
+    else begin
+      r := n - 1;
+      0
+    end
+  end
 
-let span () = span_of (current ())
+let start_for tid = if tid <> 0 then now_ns () else 0
 
-let emit ?note ?tid stage t0 =
+let finish ?note ?tid stage t0 =
   if t0 <> 0 then begin
-    let tid = match tid with Some t -> t | None -> current () in
-    if tid <> 0 then
-      record ~tid ~stage ~start_ns:t0 ~dur_ns:(now_ns () - t0) ?note ()
+    let d = max 0 (now_ns () - t0) in
+    let tid =
+      match tid with
+      | Some tid -> tid
+      | None -> if enabled () then current () else 0
+    in
+    if Metrics.enabled () then
+      Metrics.observe_ex hists.(index stage) ~trace_id:tid d;
+    record ~tid ~stage ~start_ns:t0 ~dur_ns:d ?note ()
   end
 
 (* Test hook: a deterministic event for golden output, bypassing the

@@ -1,12 +1,25 @@
-(** Request-scoped span tracing with Chrome trace-event export.
+(** Span timing and request-scoped tracing, with Chrome trace-event
+    export.
 
-    One request in N ({!set_sample_every}, default 64) is assigned a
-    process-unique trace id; every stage it crosses records a completed
-    span into a fixed-size global ring (old spans are overwritten, so
-    memory stays bounded).  {!to_chrome_json} renders the ring in
-    Chrome trace-event JSON, loadable in chrome://tracing or Perfetto:
-    each trace id is its own thread track, so a request's spans nest by
-    time containment.
+    Every span site opens with {!start} (against the domain's current
+    request) or {!start_for} (against an explicit trace id) and closes
+    with {!finish}, which feeds two consumers:
+
+    - the [bdprint_stage_duration_ns] histogram family (one series per
+      stage label, log-linear nanosecond buckets), while metrics are
+      on.  Untraced spans are sampled one in 32 per domain, so the hot
+      loop pays clock reads only on sampled conversions; with
+      telemetry off a {!start} costs two atomic loads and a branch.
+    - the trace ring, when the span has a trace id.  One request in N
+      ({!set_sample_every}, default 64) is assigned a process-unique
+      trace id; every stage it crosses records a completed span into a
+      fixed-size global ring (old spans are overwritten, so memory
+      stays bounded).  A traced span always times, and its duration
+      is offered as the histogram's trace-id exemplar.
+
+    {!to_chrome_json} renders the ring in Chrome trace-event JSON,
+    loadable in chrome://tracing or Perfetto: each trace id is its own
+    thread track, so a request's spans nest by time containment.
 
     Trace id [0] means "not traced" throughout; every entry point is a
     cheap no-op for it, so call sites need no guards of their own.
@@ -16,7 +29,7 @@
     time (CLI stream drivers, supervisor worker domains).  Systhreads
     share their domain's slot, so multiplexing code — daemon connection
     threads, client hedge helpers — must carry the id explicitly via
-    {!span_of} and [emit ~tid]. *)
+    {!start_for} and [finish ~tid]. *)
 
 type stage =
   | Parse
@@ -27,7 +40,6 @@ type stage =
   | Client_attempt
   | Client_backoff
   | Client_hedge
-  | Wire_read
   | Wire_write
   | Queue_wait
   | Worker_service
@@ -42,7 +54,7 @@ val stage_name : stage -> string
 
 val enabled : unit -> bool
 (** One atomic load; disabled means {!sample} and {!begin_request}
-    return 0 and every span site stays on its 0-token no-op path. *)
+    return 0, so {!start} times only the histograms' samples. *)
 
 val set_enabled : bool -> unit
 
@@ -81,22 +93,20 @@ val adopt : int -> unit
 
 (** {2 Spans} *)
 
-val span : unit -> int
-(** Opens a span against the current id: a clock token, or 0 when the
-    current request is untraced. *)
+val start : unit -> int
+(** Opens a span against the current id: a clock token, or [0] when
+    the span is neither traced nor sampled for the histograms. *)
 
-val span_of : int -> int
-(** Opens a span against an explicit id: a clock token, or 0. *)
+val start_for : int -> int
+(** Opens a span against an explicit id: a clock token, or [0] for
+    id [0].  Never sampled for the histograms on its own. *)
 
-val emit : ?note:string -> ?tid:int -> stage -> int -> unit
-(** Closes a span opened by {!span}/{!span_of}; a [0] token is a
-    no-op.  [tid] defaults to the domain-local current id. *)
-
-val record :
-  tid:int -> stage:stage -> start_ns:int -> dur_ns:int -> ?note:string ->
-  unit -> unit
-(** Low-level ring write of a completed span; [tid = 0] is a no-op.
-    {!Trace.finish} uses this to forward pipeline-stage timings. *)
+val finish : ?note:string -> ?tid:int -> stage -> int -> unit
+(** Closes a span opened by {!start}/{!start_for}; a [0] token is a
+    no-op.  Observes the stage's histogram while metrics are on, and
+    records the span in the ring when its id is non-zero.  [tid]
+    defaults to the current id (0 while tracing is off); [note] is
+    attached to the trace event (ignored by the histograms). *)
 
 (** {2 Export} *)
 

@@ -275,8 +275,28 @@ let test_shed_retry_after_honored () =
      meaningful (~50 ms), then occupy the single admission slot *)
   check_ok "warmup" "0.1" (Client.convert c "0.1");
   let occupier = raw_connect port in
-  raw_send occupier "CONV 0.5\n";
-  Thread.delay 0.005;
+  (* the server submits only after it admits, so two submissions (the
+     warm-up and the occupier) mean the slot is taken.  The warm-up's
+     connection thread frees the slot only after it writes the reply,
+     so an occupier that arrives first is shed: send it again. *)
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  let rec occupy sheds =
+    raw_send occupier "CONV 0.5\n";
+    let rec admitted () =
+      let s = Server.stats server in
+      if s.Server.supervisor.submitted >= 2 then ()
+      else if s.Server.shed_queue_full > sheds then occupy s.shed_queue_full
+      else if Unix.gettimeofday () > deadline then
+        Alcotest.failf "occupier not admitted within 2 s (submitted %d)"
+          s.supervisor.submitted
+      else begin
+        Thread.delay 0.001;
+        admitted ()
+      end
+    in
+    admitted ()
+  in
+  occupy (Server.stats server).Server.shed_queue_full;
   (* the client gets SHED queue-full, honors the hint, retries, wins *)
   check_ok "shed then converted" "1.5" (Client.convert c "1.5");
   let s = Client.stats c in

@@ -180,26 +180,36 @@ let shed reason =
 let dump_on_crash () = Telemetry.Flight.dump ~reason:"worker-crash"
 |}
 
-(* span pairing: Trace.start without finish leaks an open span; finish
-   without start observes someone else's clock *)
+(* span pairing: a start or start_for without finish leaks an open
+   span; finish without an opener observes someone else's clock *)
 let spans_bad =
   {|
 let leak x =
-  let t0 = Telemetry.Trace.start () in
+  let t0 = Telemetry.Tracing.start () in
   t0 + x
 
-let orphan t0 = Telemetry.Trace.finish Telemetry.Trace.Parse t0
+let leak_for tid =
+  let t0 = Telemetry.Tracing.start_for tid in
+  t0 + 1
+
+let orphan t0 = Telemetry.Tracing.finish Telemetry.Tracing.Parse t0
 |}
 
 let spans_good =
   {|
 let staged x =
-  let t0 = Telemetry.Trace.start () in
+  let t0 = Telemetry.Tracing.start () in
   let r = x * 2 in
-  Telemetry.Trace.finish Telemetry.Trace.Parse t0;
+  Telemetry.Tracing.finish Telemetry.Tracing.Parse t0;
   r
 
-let deliberate_handoff () = Telemetry.Trace.start ()
+let written ~tid x =
+  let t0 = Telemetry.Tracing.start_for tid in
+  let r = x * 2 in
+  Telemetry.Tracing.finish ~tid Telemetry.Tracing.Wire_write t0;
+  r
+
+let deliberate_handoff () = Telemetry.Tracing.start ()
 [@@lint.always_on "token finished by caller"]
 |}
 
@@ -218,7 +228,7 @@ let test_telemetry () =
   check_rules "gated flight record; dump exempt" []
     (run ~filename:"fixtures/hot/loop.ml" flight_good);
   check_rules "unpaired spans"
-    [ "telemetry-gate"; "telemetry-gate" ]
+    [ "telemetry-gate"; "telemetry-gate"; "telemetry-gate" ]
     (run ~filename:"fixtures/hot/loop.ml" spans_bad);
   check_rules "paired and annotated spans" []
     (run ~filename:"fixtures/hot/loop.ml" spans_good)

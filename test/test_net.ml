@@ -426,6 +426,63 @@ let test_server_pipelined_proto_resync () =
       let s = Server.stats server in
       Alcotest.(check int) "both proto errors counted" 2 s.Server.proto_errors)
 
+(* Every span site a traced daemon request crosses lands under the wire
+   trace id, with its stage name and note: the connection thread's memo
+   lookup, wire write and request root, the queue wait that the
+   submitting thread opens and the worker closes, and the worker's
+   service and pipeline spans.  The connection thread closes wire-write
+   and request only after it writes the reply, so the PONG that follows
+   on the same connection proves both are recorded. *)
+let test_server_trace_spans () =
+  let module Tracing = Telemetry.Tracing in
+  let was = Tracing.enabled () in
+  Tracing.clear ();
+  Tracing.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Tracing.set_enabled was;
+      Tracing.clear ())
+  @@ fun () ->
+  with_server (fun _server port ->
+      let c = connect port in
+      send c "CONV TID=7 0.1\n";
+      Alcotest.(check bool) "conv" true (recv_reply c = Wire.Converted "0.1");
+      send c "PING\n";
+      Alcotest.(check bool) "pong" true (recv_reply c = Wire.Pong);
+      close c);
+  (* (stage, args tail) of every span under trace id 7; the tail is
+     [,"note":"..."] or empty *)
+  let spans =
+    String.split_on_char '\n' (Tracing.to_chrome_json ~pid:1 ())
+    |> List.filter_map (fun line ->
+           try
+             Scanf.sscanf line
+               ("{\"name\":\"%[^\"]\",\"cat\":\"bdprint\",\"ph\":\"X\","
+               ^^ "\"ts\":%_f,\"dur\":%_f,\"pid\":1,\"tid\":%d,"
+               ^^ "\"args\":{\"dom\":%_d%[^}]")
+               (fun name tid tail ->
+                 if tid = 7 then Some (name, tail) else None)
+           with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+  in
+  (* the worker takes the table tier when its gate is open, else the
+     exact tier's three stages *)
+  let tier =
+    if
+      Fastpath.enabled ()
+      && (not (Dragon.Generate.force_pure ()))
+      && not (Faults.any_armed ())
+    then [ "fastpath" ]
+    else [ "boundaries"; "scale"; "generate" ]
+  in
+  Alcotest.(check bool) "memo-lookup noted miss" true
+    (List.mem ("memo-lookup", {|,"note":"miss"|}) spans);
+  List.iter
+    (fun stage ->
+      Alcotest.(check bool) (stage ^ " under id 7") true
+        (List.mem_assoc stage spans))
+    ([ "queue-wait"; "worker-service" ] @ tier
+    @ [ "render"; "wire-write"; "request" ])
+
 (* Adaptive admission: with a known-slow service and a deadline shorter
    than the projected queue wait, the daemon refuses up front with
    [SHED overload] and a retry-after hint instead of converting a reply
@@ -797,6 +854,7 @@ let () =
           Alcotest.test_case "proto-resync" `Quick test_server_proto_resync;
           Alcotest.test_case "pipelined-proto-resync" `Quick
             test_server_pipelined_proto_resync;
+          Alcotest.test_case "trace-spans" `Quick test_server_trace_spans;
           Alcotest.test_case "shedding" `Quick test_server_shedding;
           Alcotest.test_case "overload-shed" `Quick test_server_overload_shed;
           Alcotest.test_case "memo-skip" `Quick test_server_memo_skip;

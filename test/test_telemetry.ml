@@ -232,18 +232,132 @@ let test_tracing_lifecycle () =
       Alcotest.(check bool) "sampled at 1-in-1" true (tid <> 0);
       Alcotest.(check int) "current follows begin_request" tid
         (Telemetry.Tracing.current ());
-      let t0 = Telemetry.Tracing.span () in
-      Telemetry.Tracing.emit Telemetry.Tracing.Parse t0;
+      let t0 = Telemetry.Tracing.start () in
+      Telemetry.Tracing.finish Telemetry.Tracing.Parse t0;
       Telemetry.Tracing.end_request tid;
       Alcotest.(check int) "current cleared" 0 (Telemetry.Tracing.current ());
       (* parse span + request root span *)
       Alcotest.(check int) "two spans" 2
         (Telemetry.Tracing.events_recorded ());
-      (* a disabled sampler yields 0 and spans become no-ops *)
+      (* a disabled sampler yields 0 *)
       Telemetry.Tracing.set_enabled false;
-      Alcotest.(check int) "disabled sample" 0 (Telemetry.Tracing.sample ());
-      Alcotest.(check int) "span against untraced" 0
-        (Telemetry.Tracing.span_of 0))
+      Alcotest.(check int) "disabled sample" 0 (Telemetry.Tracing.sample ()))
+
+(* ------------------------------------------------------------------ *)
+(* Span sites: one start/finish pair feeds histograms and the ring *)
+
+module Tracing = Telemetry.Tracing
+
+(* Runs [f] with the metrics and tracing switches set as given (request
+   sampling 1-in-1), restoring both and emptying the ring afterwards. *)
+let with_switches ~metrics ~tracing f =
+  let was_metrics = Metrics.enabled () and was_tracing = Tracing.enabled () in
+  Metrics.set_enabled metrics;
+  Tracing.set_enabled tracing;
+  Tracing.set_sample_every 1;
+  Tracing.clear ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled was_metrics;
+      Tracing.set_enabled was_tracing;
+      Tracing.set_sample_every 64;
+      Tracing.clear ())
+    f
+
+(* The process-wide series [bdprint_stage_duration_ns{stage=...}]. *)
+let stage_hist stage =
+  let is_series m =
+    let meta = Metrics.meta_of m in
+    meta.Metrics.name = "bdprint_stage_duration_ns"
+    && meta.Metrics.labels = [ ("stage", Tracing.stage_name stage) ]
+  in
+  match List.find_opt is_series (Metrics.list_metrics ()) with
+  | Some (Metrics.Histogram h) -> h
+  | _ -> Alcotest.failf "no histogram for stage %s" (Tracing.stage_name stage)
+
+let observations stage =
+  let _, _, count = Metrics.histogram_state (stage_hist stage) in
+  count
+
+(* The ring's events as (trace id, stage name, args tail), where the
+   tail is [,"note":"..."] or empty. *)
+let ring_events () =
+  String.split_on_char '\n' (Tracing.to_chrome_json ~pid:1 ())
+  |> List.filter_map (fun line ->
+         try
+           Scanf.sscanf line
+             ("{\"name\":\"%[^\"]\",\"cat\":\"bdprint\",\"ph\":\"X\","
+             ^^ "\"ts\":%_f,\"dur\":%_f,\"pid\":1,\"tid\":%d,"
+             ^^ "\"args\":{\"dom\":%_d%[^}]")
+             (fun name tid tail -> Some (tid, name, tail))
+         with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+
+let test_span_histogram_sampling () =
+  with_switches ~metrics:true ~tracing:false (fun () ->
+      let before = observations Tracing.Boundaries in
+      (* a fresh domain, so its first span is the countdown's first *)
+      let first, rest, again =
+        Domain.join
+          (Domain.spawn (fun () ->
+               let first = Tracing.start () in
+               let rest = List.init 31 (fun _ -> Tracing.start ()) in
+               let again = Tracing.start () in
+               Tracing.finish Tracing.Boundaries first;
+               List.iter (Tracing.finish Tracing.Boundaries) rest;
+               (first, rest, again)))
+      in
+      Alcotest.(check bool) "first span of a domain samples" true (first <> 0);
+      Alcotest.(check (list int))
+        "the next 31 do not" (List.init 31 (fun _ -> 0)) rest;
+      Alcotest.(check bool) "the 33rd samples again" true (again <> 0);
+      Alcotest.(check int) "one observation" (before + 1)
+        (observations Tracing.Boundaries);
+      Alcotest.(check int) "nothing in the ring" 0 (Tracing.events_recorded ()))
+
+let test_span_traced_request () =
+  with_switches ~metrics:true ~tracing:true (fun () ->
+      let tid = Tracing.begin_request () in
+      Alcotest.(check bool) "request traced" true (tid <> 0);
+      let before = observations Tracing.Render in
+      let t0 = Tracing.start () in
+      Alcotest.(check bool) "traced span always times" true (t0 <> 0);
+      Unix.sleepf 0.002;
+      Tracing.finish ~note:"probe" Tracing.Render t0;
+      Tracing.end_request tid;
+      let renders =
+        List.filter (fun (_, name, _) -> name = "render") (ring_events ())
+      in
+      Alcotest.(check (list (triple int string string)))
+        "one ring event with the id and note"
+        [ (tid, "render", {|,"note":"probe"|}) ]
+        renders;
+      Alcotest.(check int) "histogram observed" (before + 1)
+        (observations Tracing.Render);
+      match Metrics.exemplar_of (stage_hist Tracing.Render) with
+      | Some (_, ex) -> Alcotest.(check int) "exemplar carries the id" tid ex
+      | None -> Alcotest.fail "no exemplar on the render series")
+
+let test_span_start_for_zero () =
+  with_switches ~metrics:true ~tracing:true (fun () ->
+      Alcotest.(check int) "start_for 0" 0 (Tracing.start_for 0);
+      Tracing.finish ~tid:0 Tracing.Queue_wait (Tracing.start_for 0);
+      Alcotest.(check int) "ring untouched" 0 (Tracing.events_recorded ()))
+
+let test_span_explicit_id () =
+  with_switches ~metrics:false ~tracing:true (fun () ->
+      let current = Tracing.begin_request () in
+      let other = Tracing.fresh_tid () in
+      let t0 = Tracing.start_for other in
+      Tracing.finish ~tid:other Tracing.Wire_write t0;
+      Tracing.end_request current;
+      let wire_writes =
+        List.filter_map
+          (fun (tid, name, _) -> if name = "wire-write" then Some tid else None)
+          (ring_events ())
+      in
+      Alcotest.(check bool) "ids differ" true (other <> current);
+      Alcotest.(check (list int))
+        "lands under its own id" [ other ] wire_writes)
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder *)
@@ -477,6 +591,14 @@ let () =
           Alcotest.test_case "chrome trace-event golden" `Quick
             test_chrome_golden;
           Alcotest.test_case "request lifecycle" `Quick test_tracing_lifecycle;
+          Alcotest.test_case "histograms sample one span in 32" `Quick
+            test_span_histogram_sampling;
+          Alcotest.test_case "traced span feeds ring and exemplar" `Quick
+            test_span_traced_request;
+          Alcotest.test_case "start_for 0 is a no-op" `Quick
+            test_span_start_for_zero;
+          Alcotest.test_case "explicit id beats the current id" `Quick
+            test_span_explicit_id;
         ] );
       ( "flight",
         [
