@@ -252,14 +252,6 @@ let install_trace = function
             (fun () -> output_string oc (Telemetry.Tracing.to_chrome_json ()))
         with Sys_error _ -> ())
 
-let is_hex_literal s =
-  let s =
-    if String.length s > 0 && (s.[0] = '-' || s.[0] = '+') then
-      String.sub s 1 (String.length s - 1)
-    else s
-  in
-  String.length s >= 2 && s.[0] = '0' && (s.[1] = 'x' || s.[1] = 'X')
-
 (* Vet the fixed-format request before any conversion runs: misuse
    (--digits 0, --places 1000000) must be a clean structured error up
    front, not a per-number failure or an unbounded allocation. *)
@@ -281,7 +273,7 @@ let vet_request request =
 let convert_one ~base ~mode ~fmt ~strategy ~notation ~request ~hex_out input =
   let t0 = Telemetry.Tracing.start () in
   let parsed =
-    if is_hex_literal input then Reader.Hex.read ~mode fmt input
+    if Reader.Hex.is_literal input then Reader.Hex.read ~mode fmt input
     else if
       (* binary64 round-to-nearest-even is the certified fast reader's
          domain; it proves agreement with the exact reader, so routing

@@ -18,13 +18,9 @@ module Server = Net.Server
 
 let convert input =
   match
-    if
-      String.length input > 2
-      && (String.sub input 0 2 = "0x" || String.sub input 0 2 = "0X"
-         || (String.length input > 3
-            && input.[0] = '-'
-            && (String.sub input 1 2 = "0x" || String.sub input 1 2 = "0X")))
-    then Reader.Hex.read ~mode:Fp.Rounding.To_nearest_even Fp.Format_spec.binary64 input
+    if Reader.Hex.is_literal input then
+      Reader.Hex.read ~mode:Fp.Rounding.To_nearest_even Fp.Format_spec.binary64
+        input
     else Result.map Fp.Ieee.decompose (Reader.Fast.read input)
   with
   | Error _ as e -> e

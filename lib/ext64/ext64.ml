@@ -56,6 +56,11 @@ let of_float x =
   let m53 = Int64.of_float (Float.ldexp frac 53) in
   normalize m53 (ex - 53)
 
+(* (m + 1)·2^e, renormalized when the carry reaches 2^64 *)
+let[@inline] succ_mantissa m e =
+  let m = Int64.add m 1L in
+  if Int64.equal m 0L then { m = Int64.min_int; e = e + 1 } else { m; e }
+
 let mul a b =
   let high, low = umul128 a.m b.m in
   let e = a.e + b.e + 64 in
@@ -75,119 +80,46 @@ let mul a b =
     && (not (Int64.equal (Int64.shift_left low 1) 0L)
        || Int64.equal (Int64.logand high 1L) 1L)
   in
-  if round_up then begin
-    let high' = Int64.add high 1L in
-    if Int64.equal high' 0L then { m = Int64.min_int; e = e + 1 }
-    else { m = high'; e }
-  end
-  else { m = high; e }
+  if round_up then succ_mantissa high e else { m = high; e }
 
-(* Correctly rounded 64-bit mantissa of 10^n (n may be negative),
-   computed with exact integer arithmetic. *)
-let exact_pow10 =
-  let module Nat = Bignum.Nat in
-  let int64_of_nat n = Option.get (Nat.to_int64_unsigned_opt n) in
-  let seed n =
-    (* correctly rounded 64-bit mantissa of 10^n (n may be negative) *)
-    if n >= 0 then begin
-      let v = Nat.pow_int 10 n in
-      let bits = Nat.bit_length v in
-      if bits <= 64 then
-        normalize (Int64.shift_left (int64_of_nat v) (64 - bits)) (bits - 64)
-      else begin
-        let shifted = Nat.shift_right v (bits - 65) in
-        (* 65 bits: round on the last *)
-        let m65 = shifted in
-        let half = Nat.test_bit m65 0 in
-        let m64 = Nat.shift_right m65 1 in
-        let m64 = if half then Nat.succ m64 else m64 in
-        let m64, e =
-          if Nat.bit_length m64 = 65 then (Nat.shift_right m64 1, bits - 63)
-          else (m64, bits - 64)
-        in
-        { m = int64_of_nat m64; e }
-      end
-    end
-    else begin
-      (* 10^n = 2^(e) * (2^127-ish / 10^-n): divide with rounding *)
-      let den = Nat.pow_int 10 (-n) in
-      let dbits = Nat.bit_length den in
-      (* choose shift so the quotient has 65 bits *)
-      let shift = dbits + 64 in
-      let num = Nat.shift_left Nat.one shift in
-      let q, _ = Nat.divmod num den in
-      let qbits = Nat.bit_length q in
-      let q, shift =
-        if qbits > 65 then (Nat.shift_right q (qbits - 65), shift - (qbits - 65))
-        else (q, shift)
-      in
-      let half = Nat.test_bit q 0 in
-      let m64 = Nat.shift_right q 1 in
-      let m64 = if half then Nat.succ m64 else m64 in
-      let m64, shift =
-        if Nat.bit_length m64 = 65 then (Nat.shift_right m64 1, shift - 1)
-        else (m64, shift)
-      in
-      { m = int64_of_nat m64; e = 1 - shift }
-    end
-  in
-  seed
+module T = Fastpath.Pow10_table
 
-(* seeds for the chunk-composed model table *)
-let pos_seeds = Array.init 9 (fun i -> exact_pow10 (1 lsl i))
-  [@@lint.domain_safe "read-only lookup table built at init"]
-let neg_seeds = Array.init 9 (fun i -> exact_pow10 (-(1 lsl i)))
-  [@@lint.domain_safe "read-only lookup table built at init"]
-
-let pow10 n =
-  if n = 0 then of_int 1
-  else if abs n > 350 then invalid_arg "Ext64.pow10: out of range"
-  else begin
-    let seeds = if n > 0 then pos_seeds else neg_seeds in
-    let n = abs n in
-    let acc = ref None in
-    for i = 0 to 8 do
-      if n land (1 lsl i) <> 0 then
-        acc :=
-          (match !acc with
-          | None -> Some seeds.(i)
-          | Some a -> Some (mul a seeds.(i)))
-    done;
-    Option.get !acc
-  end
-
-(* Correctly rounded powers, memoized over the full range.  Domain-local
-   so the fill-and-publish writes never race when fast paths run on the
-   service layer's worker domains. *)
-let correct_table : t option array Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Array.make 701 None)
-
-(* Fast-path-vs-bignum split of the extended-precision tier: a memo hit
-   is two table reads; a miss runs the exact bignum computation.  Gated
-   on the telemetry switch (this sits on the reader's hot path). *)
-let pow10_path path =
-  Telemetry.Metrics.counter
-    ~labels:[ ("path", path) ]
-    ~help:"Correctly rounded 10^n lookups: per-domain memo hit vs exact \
-           bignum computation."
-    "bdprint_ext64_pow10_total"
-
-let m_pow10_memo = pow10_path "memo"
-let m_pow10_computed = pow10_path "computed"
-
+(* Correctly rounded 10^n, read off the table entry
+   10^n = (c(n) + θ)·2^γ(n) with 2^127 <= c(n) < 2^128 and θ in [0, 1):
+   the mantissa is bits 64..127 of c(n), plus one when bit 63 is set.
+   Rounding on bit 63 alone is exact because nothing below it can
+   decide a tie: 10^n sits exactly halfway between two 64-bit mantissas
+   only if n >= 0 and 5^n is exactly 65 bits long, and no power of five
+   is (5^27 has 63 bits, 5^28 has 66).  Limbs are 28 bits, least
+   significant first, so bits 64..127 are the top 20 bits of limb 2 and
+   all of limbs 3 and 4, and bit 63 is bit 7 of limb 2. *)
 let pow10_correct n =
-  if abs n > 350 then invalid_arg "Ext64.pow10_correct: out of range";
-  let i = n + 350 in
-  let correct_table = Domain.DLS.get correct_table in
-  match correct_table.(i) with
-  | Some t ->
-    if Telemetry.Metrics.enabled () then Telemetry.Metrics.incr m_pow10_memo;
-    t
-  | None ->
-    if Telemetry.Metrics.enabled () then Telemetry.Metrics.incr m_pow10_computed;
-    let t = if n = 0 then of_int 1 else exact_pow10 n in
-    correct_table.(i) <- Some t;
-    t
+  if n < T.q_min || n > T.q_max then
+    invalid_arg "Ext64.pow10_correct: out of range";
+  let i = n - T.q_min in
+  let base = T.limbs_per_entry * i in
+  let l2 = T.limbs.(base + 2) in
+  let l3 = T.limbs.(base + 3) in
+  let l4 = T.limbs.(base + 4) in
+  let m =
+    Int64.logor
+      (Int64.shift_left (Int64.of_int l4) 48)
+      (Int64.of_int ((l3 lsl 20) lor (l2 lsr 8)))
+  in
+  let e = T.exps.(i) + 64 in
+  if l2 land 0x80 = 0 then { m; e } else succ_mantissa m e
+
+(* The printf model: 10^n composed from the correctly rounded powers
+   10^(±2^i) by chunked multiplication, each product rounded (the
+   starting 10^0 is exact, and so is multiplying by it). *)
+let pow10 n =
+  if abs n > 350 then invalid_arg "Ext64.pow10: out of range";
+  let acc = ref (pow10_correct 0) in
+  for i = 0 to 8 do
+    if abs n land (1 lsl i) <> 0 then
+      acc := mul !acc (pow10_correct (if n > 0 then 1 lsl i else -(1 lsl i)))
+  done;
+  !acc
 
 let to_int64_round t =
   (* value = m * 2^e with m in [2^63, 2^64) *)

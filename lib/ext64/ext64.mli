@@ -31,15 +31,18 @@ val mul : t -> t -> t
 
 val pow10 : int -> t
 (** [10^n] for [-350 <= n <= 350], assembled by chunked multiplication of
-    correctly rounded seeds (so large powers carry a few ulps of error,
-    like the tables the mid-90s implementations shipped).  This is the
-    {e model} table used by {!Float_fixed}. *)
+    the correctly rounded powers [10^(±2^i)] from {!pow10_correct}, each
+    product rounded (so large powers carry a few ulps of error, like the
+    tables the mid-90s implementations shipped).  This is the {e model}
+    table used by {!Float_fixed}. *)
 
 val pow10_correct : int -> t
-(** [10^n] for [-350 <= n <= 350], correctly rounded to 64 bits (computed
-    with exact integer arithmetic once and memoized).  This is the table
-    the {e certified} fast paths use: with it, a scaled product carries at
-    most ~1 ulp of error, which keeps their fallback rates low. *)
+(** [10^n] for [-350 <= n <= 350], correctly rounded to 64 bits: read on
+    each call off the 128-bit entry of {!Fastpath.Pow10_table}, the same
+    table the printer's table tier uses, and rounded on its bit 63.  This
+    is the table the {e certified} fast paths use: with it, a scaled
+    product carries at most ~1 ulp of error, which keeps their fallback
+    rates low. *)
 
 val to_int64_round : t -> int64
 (** Nearest integer (ties to even).

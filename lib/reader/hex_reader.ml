@@ -6,6 +6,13 @@ module Budget = Robust.Budget
    the clamp is settled by the fast-reject gate. *)
 let exp_clamp = 2_000_000_000
 
+(* Index checks only: this runs on every CLI and daemon input, so it
+   allocates nothing. *)
+let is_literal s =
+  let len = String.length s in
+  let i = if len > 0 && (s.[0] = '-' || s.[0] = '+') then 1 else 0 in
+  len >= i + 2 && s.[i] = '0' && (s.[i + 1] = 'x' || s.[i + 1] = 'X')
+
 let read_body ?mode fmt s =
   let len = String.length s in
   Budget.check_input_length len;

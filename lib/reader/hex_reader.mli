@@ -8,6 +8,13 @@
     which makes this a convenient exact input channel for tests and
     examples. *)
 
+val is_literal : string -> bool
+(** Whether [s] starts like a hex literal: an optional [+] or [-], then
+    [0x] or [0X].  The routing test shared by [bdprint] and [bdprintd]:
+    an input that passes goes to {!read}, which reports a malformed rest
+    as a [Syntax] error ("no hex digits" for a bare [0x]).  Allocates
+    nothing. *)
+
 val read :
   ?mode:Fp.Rounding.mode ->
   Fp.Format_spec.t ->

@@ -114,7 +114,9 @@ let props =
   ]
 
 let test_pow10_correct_exact () =
-  (* the certified table must be correctly rounded everywhere *)
+  (* the certified table must be correctly rounded everywhere, and no
+     entry may sit exactly on a tie: pow10_correct rounds on one bit of
+     a truncated table entry, which is exact only when there is none *)
   let module Nat = Bignum.Nat in
   for n = -350 to 350 do
     let t = Ext64.pow10_correct n in
@@ -129,7 +131,7 @@ let test_pow10_correct_exact () =
       Ratio.compare
         (Ratio.abs (Ratio.sub approx exact))
         (Ratio.mul Ratio.half ulp)
-      > 0
+      >= 0
     then Alcotest.failf "10^%d not correctly rounded" n
   done
 

@@ -833,6 +833,53 @@ let test_server_deadline () =
         (recv_reply c = Wire.Converted "0.1");
       close c)
 
+(* {2 The bdprintd binary} *)
+
+(* bdprintd's own conversion function, not [convert_real]: a hex
+   literal must take the same route as under bdprint --stdin, which
+   prints 1.0 for "+0x1p0" and reports no hex digits in "0x". *)
+let test_daemon_hex_routing () =
+  let exe =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      "bin/bdprintd.exe"
+  in
+  let out_r, out_w = Unix.pipe () in
+  let pid =
+    Unix.create_process exe
+      [| exe; "--listen"; "127.0.0.1:0"; "--jobs"; "1" |]
+      Unix.stdin out_w Unix.stderr
+  in
+  Unix.close out_w;
+  let ic = Unix.in_channel_of_descr out_r in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error (_, _, _) -> ());
+      (try ignore (Unix.waitpid [] pid)
+       with Unix.Unix_error (_, _, _) -> ());
+      close_in_noerr ic)
+  @@ fun () ->
+  (* startup handshake: "bdprintd: listening on 127.0.0.1:PORT" *)
+  let line = input_line ic in
+  let port =
+    match String.rindex_opt line ':' with
+    | Some i ->
+      int_of_string (String.sub line (i + 1) (String.length line - i - 1))
+    | None -> Alcotest.failf "bad handshake %S" line
+  in
+  let c = connect port in
+  Fun.protect ~finally:(fun () -> close c) @@ fun () ->
+  send c "CONV +0x1p0\n";
+  (match recv_reply c with
+  | Wire.Converted "1.0" -> ()
+  | r -> Alcotest.failf "CONV +0x1p0: %s" (Wire.render_reply r));
+  send c "CONV 0x\n";
+  match recv_reply c with
+  | Wire.Failed { cls = "syntax"; detail } ->
+    Alcotest.(check string) "CONV 0x detail"
+      {|syntax error: no hex digits in "0x"|} detail
+  | r -> Alcotest.failf "CONV 0x: %s" (Wire.render_reply r)
+
 let () =
   Alcotest.run "net"
     [
@@ -863,5 +910,10 @@ let () =
           Alcotest.test_case "drain-loses-nothing" `Quick
             test_server_drain_loses_nothing;
           Alcotest.test_case "chaos" `Slow test_server_chaos;
+        ] );
+      ( "bdprintd",
+        [
+          Alcotest.test_case "hex routing matches bdprint" `Quick
+            test_daemon_hex_routing;
         ] );
     ]

@@ -244,6 +244,33 @@ let test_hex_reader () =
       | Ok _ -> Alcotest.failf "hex %S should fail" s)
     [ ""; "0x"; "1.8p1"; "0x1.8q1"; "0x1p"; "0x1p+"; "0x1.8p1x" ]
 
+(* The routing test bdprint and bdprintd share: a sign, then 0x/0X.
+   Malformed rests ("0x", "-0x") still route to the hex reader, which
+   names the problem. *)
+let test_hex_is_literal () =
+  List.iter
+    (fun (s, want) ->
+      Alcotest.(check bool) (Printf.sprintf "is_literal %S" s) want
+        (R.Hex.is_literal s))
+    [
+      ("0x1p0", true);
+      ("+0X1", true);
+      ("-0x", true);
+      ("0x", true);
+      ("1e5", false);
+      ("x0", false);
+      ("", false);
+    ];
+  let inputs = [| "0x1p0"; "+0X1"; "-0x1.8p1"; "1e5"; "" |] in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    ignore (Sys.opaque_identity (R.Hex.is_literal inputs.(i mod 5)))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "allocates nothing (%.0f words over 10000 calls)" words)
+    true (words < 100.)
+
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
@@ -547,6 +574,7 @@ let () =
           Alcotest.test_case "read_ratio" `Quick test_read_ratio;
           Alcotest.test_case "read_in_base" `Quick test_read_in_base;
           Alcotest.test_case "hex literals" `Quick test_hex_reader;
+          Alcotest.test_case "hex literal routing" `Quick test_hex_is_literal;
         ] );
       ( "robustness",
         [
