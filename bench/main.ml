@@ -298,8 +298,7 @@ let sweep () =
 (* Reader tiers and the Gay fixed-format fast path (ablations, ours) *)
 
 let reader_bench ~size () =
-  Printf.printf "%s\nReader: certified fast path vs exact (Clinger-style)\n"
-    line;
+  Printf.printf "%s\nReader: Clinger and Lemire tiers vs exact\n" line;
   let corpus = Workloads.Schryer.corpus ~size () in
   (* shortest strings: the adversarial inputs closest to boundaries *)
   let strings = Array.map Dragon.Printer.print corpus in
@@ -323,15 +322,18 @@ let reader_bench ~size () =
           strings)
   in
   let after = Reader.Fast.stats () in
+  let reader_fallbacks =
+    after.Reader.Fast.fallback - before.Reader.Fast.fallback
+  in
   Printf.printf "  exact bignum reader: %8.3f s\n" t_exact;
   Printf.printf "  tiered fast reader:  %8.3f s  (%.1fx)\n" t_fast
     (t_exact /. t_fast);
   Printf.printf
-    "  tiers on this corpus: %d hardware-exact, %d extended-certified, %d \
-     bignum fallback\n"
+    "  tiers on this corpus: %d Clinger exact, %d Lemire product, %d \
+     midpoint comparison or bignum fallback\n"
     (after.Reader.Fast.exact - before.Reader.Fast.exact)
     (after.Reader.Fast.extended - before.Reader.Fast.extended)
-    (after.Reader.Fast.fallback - before.Reader.Fast.fallback);
+    reader_fallbacks;
   (* Fixed format at 15 digits: the exact n-digit conversion, Gay's
      heuristic (a comparator that never shipped) and the shipped
      Fixed_format on its exact tier and on the table tier *)
@@ -411,7 +413,17 @@ let reader_bench ~size () =
   Printf.printf "  table tier:    %8.3f s  (%.1fx; %d hits, %d fallbacks)\n"
     t_table
     (t_exact_kernels /. t_table)
-    hits fallbacks
+    hits fallbacks;
+  (* Gate: shortest strings have at most 17 digits, so the product tier
+     answers every one of them; a single bignum fallback is a
+     regression.  The count is exact, so the gate cannot flake. *)
+  if reader_fallbacks > 0 then begin
+    Printf.eprintf
+      "FAIL: %d Schryer shortest strings reached the reader's fallback \
+       tier (want 0)\n"
+      reader_fallbacks;
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Bignum substrate microbenchmarks *)

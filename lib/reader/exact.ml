@@ -23,6 +23,53 @@ let guarded f = Result.join (Error.catch f)
 (* ------------------------------------------------------------------ *)
 (* Parsing *)
 
+(* limbs.(0 .. used-1) <- limbs·p + c in Nat's 30-bit limbs, for p and c
+   below 2^30; returns the new length.  Each product plus carry stays
+   below 2^60 + 2^30, and the final carry below p. *)
+let mul_add_limbs limbs used p c =
+  let carry = ref c in
+  for j = 0 to used - 1 do
+    let t = (limbs.(j) * p) + !carry in
+    limbs.(j) <- t land 0x3FFF_FFFF;
+    carry := t lsr 30
+  done;
+  if !carry = 0 then used
+  else begin
+    limbs.(used) <- !carry;
+    used + 1
+  end
+
+let digits_nat s first stop =
+  (* Nine digits at a time: a chunk is below 10^9 < 2^30, so k chunks
+     fit k limbs, and the limbs are multiplied up in place. *)
+  let limbs = Array.make (((stop - first) / 9) + 1) 0 in
+  let used = ref 0 and chunk = ref 0 and scale = ref 1 in
+  for i = first to stop - 1 do
+    match s.[i] with
+    | '0' .. '9' as c ->
+      chunk := (!chunk * 10) + (Char.code c - Char.code '0');
+      scale := !scale * 10;
+      if !scale = 1_000_000_000 then begin
+        used := mul_add_limbs limbs !used !scale !chunk;
+        chunk := 0;
+        scale := 1
+      end
+    | _ -> ()
+  done;
+  if !scale > 1 then used := mul_add_limbs limbs !used !scale !chunk;
+  (Nat.of_limbs_copy limbs !used)
+  [@lint.can_raise Invalid_argument] (* used <= chunks <= Array.length limbs *)
+
+(* [word] (lowercase) spelled case-insensitively by all of [s] from [pos]. *)
+let spells s pos word =
+  let n = String.length word in
+  String.length s - pos = n
+  &&
+  let rec from i =
+    i = n || (Char.lowercase_ascii s.[pos + i] = word.[i] && from (i + 1))
+  in
+  from 0
+
 let parse_body s =
   let len = String.length s in
   Budget.check_input_length len;
@@ -40,20 +87,17 @@ let parse_body s =
         false
       | _ -> false
     in
-    let rest = String.lowercase_ascii (String.sub s !pos (len - !pos)) in
-    match rest with
-    | "inf" | "infinity" -> Ok (Infinity neg)
-    | "nan" -> Ok Not_a_number
-    | _ ->
-      let digits = Buffer.create 32 in
+    if spells s !pos "inf" || spells s !pos "infinity" then Ok (Infinity neg)
+    else if spells s !pos "nan" then Ok Not_a_number
+    else begin
+      let first = !pos in
       let frac_len = ref 0 in
       let seen_digit = ref false in
       let take_digits ~counting =
         let continue = ref true in
         while !continue && !pos < len do
           match s.[!pos] with
-          | '0' .. '9' as c ->
-            Buffer.add_char digits c;
+          | '0' .. '9' ->
             seen_digit := true;
             if counting then incr frac_len;
             incr pos
@@ -66,6 +110,7 @@ let parse_body s =
         incr pos;
         take_digits ~counting:true
       end;
+      let stop = !pos in
       if not !seen_digit then error "expected digits"
       else begin
         let exp =
@@ -100,13 +145,11 @@ let parse_body s =
               (Number
                  {
                    neg;
-                   digits =
-                     ((Nat.of_string ("0" ^ Buffer.contents digits))
-                      [@lint.can_raise
-                        Invalid_argument] (* buffer holds only '0'..'9' *));
+                   digits = digits_nat s first stop;
                    exp10 = exp - !frac_len;
                  })
       end
+    end
   end
 
 let parse s = guarded (fun () -> parse_body s)
@@ -170,6 +213,11 @@ let read_ratio ?(mode = Rounding.To_nearest_even) fmt r =
   (* deliberate raising API: feeds round_fraction directly; callers that
      sit on a boundary wrap it (oracle, tests run it bare) *)]
 
+let check_scale_budget ~bits exp10 =
+  Budget.check_exponent exp10;
+  Budget.check_bignum_bits
+    (bits + int_of_float (3.33 *. float_of_int (abs exp10)) + 64)
+
 let read_decimal ?(mode = Rounding.To_nearest_even) fmt (d : decimal) =
   if Nat.is_zero d.digits then Value.Zero d.neg
   else begin
@@ -179,9 +227,7 @@ let read_decimal ?(mode = Rounding.To_nearest_even) fmt (d : decimal) =
     with
     | Some v -> v
     | None ->
-      Budget.check_exponent d.exp10;
-      Budget.check_bignum_bits
-        (bits + int_of_float (3.33 *. float_of_int (abs d.exp10)) + 64);
+      check_scale_budget ~bits d.exp10;
       let u, v =
         if d.exp10 >= 0 then (Nat.mul d.digits (Nat.pow_int 10 d.exp10), Nat.one)
         else (d.digits, Nat.pow_int 10 (-d.exp10))

@@ -35,6 +35,24 @@ val parse : string -> (parsed, Robust.Error.t) result
     representable range, and settled by the fast-reject gate); inputs
     longer than the {!Robust.Budget} cap return a budget error. *)
 
+val exp_clamp : int
+(** Two billion: {!parse} stops accumulating exponent digits at this
+    magnitude and clamps the exponent to it. *)
+
+val digits_nat : string -> int -> int -> Bignum.Nat.t
+(** [digits_nat s first stop] is the integer spelled by the decimal
+    digits of [s] from [first] up to (not including) [stop]; other
+    bytes in that span (the radix point, [_] separators) are skipped.
+    The text-to-[Nat] step of {!parse}, read nine digits at a time
+    straight from the string; {!Fast_reader} calls it on the span its
+    scanner validated. *)
+
+val check_scale_budget : bits:int -> int -> unit
+(** The budget checks {!read_decimal} makes before it builds
+    [10^|exp10|] against a [bits]-bit digit integer: the exponent
+    magnitude, then the bit size of the scaled operand.  Raises
+    [Robust.Error.E] like the {!Robust.Budget} checks it calls. *)
+
 val read_decimal :
   ?mode:Fp.Rounding.mode -> Fp.Format_spec.t -> decimal -> Fp.Value.t
 (** Correctly rounded conversion of an exact decimal into the format.

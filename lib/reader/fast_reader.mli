@@ -1,33 +1,41 @@
-(** Certified fast decimal-to-binary64 conversion (Clinger [1] style).
+(** Fast decimal-to-binary64 conversion (Clinger [1], Lemire).
 
     Clinger's reading paper — the input-side companion of Burger & Dybvig
-    — observes that most conversions don't need bignums: either the value
-    is exactly computable in hardware floats ([d × 10^k] with both parts
-    exactly representable), or an extended-precision estimate lands far
-    enough from the rounding boundary to be {e certified} correct.  Only
-    the residue of hard cases needs exact integer arithmetic.
+    — observes that most conversions don't need bignums.  [read] makes
+    three steps over the input string:
 
-    The three tiers here:
+    + an allocation-free scan takes the sign, the first 19 significant
+      digits [w], the decimal exponent [q] and whether a nonzero digit
+      past the 19th was dropped;
+    + one of two tiers answers from [w] and [q]:
+      - {b exact}: no digit dropped, [w <= 2^53] and [|q| <= 22] — one
+        hardware multiply or divide is correctly rounded by IEEE
+        semantics;
+      - {b extended}: Lemire's 128-bit product of [w] with the entry for
+        [10^q] in {!Fastpath.Pow10_table}, which Mushtak & Lemire prove
+        is always enough for binary64 and [w < 2^64] (subnormals,
+        overflow and exact ties included);
+    + {b fallback}: when dropped digits leave [w] and [w + 1] on two
+      sides of a midpoint between doubles, one exact comparison of the
+      whole decimal against that midpoint decides (Clinger's Algorithm
+      R, started from the product's answer).
 
-    + {b exact}: [|k| <= 22] and the mantissa fits 2^53 — one hardware
-      multiply or divide is correctly rounded by IEEE semantics;
-    + {b extended}: scale in {!Ext64} (64-bit mantissa), round to 53 bits
-      and accept when the dropped tail is provably far from the halfway
-      point;
-    + {b fallback}: {!Exact.read_decimal}, the exact bignum path.
+    Inputs the scanner does not take — [_] separators, [inf]/[nan],
+    syntax errors, inputs over the {!Robust.Budget} length cap or past a
+    deadline — go to {!Exact.parse}, the one source of structured
+    errors; a parsed number with separators converts through
+    {!Exact.read_decimal} (counted as {b fallback}).
 
-    Results are {e always} correctly rounded to nearest-even: the fast
-    tiers only answer when they can prove they agree with the fallback. *)
+    Results are {e always} correctly rounded to nearest-even.  A read of
+    up to 19 digits allocates only its [Ok] result. *)
 
 val read : string -> (float, Robust.Error.t) result
 (** Parse and convert to binary64, round-to-nearest-even.  Never
     raises; shares the exact reader's structured errors and fast-reject
     gate. *)
 
-val read_decimal : Exact.decimal -> float
-(** The tiered conversion on an already-parsed decimal. *)
-
 type stats = { exact : int; extended : int; fallback : int }
 
 val stats : unit -> stats
-(** Monotonic tier counters, for the ablation bench. *)
+(** Monotonic tier counters, for the ablation bench.  Zeros, [inf],
+    [nan] and errors count in no tier. *)

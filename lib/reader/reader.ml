@@ -1,5 +1,5 @@
 (* Facade of the reader library: the exact bignum reader at the top level
-   (historic API), the certified fast path under [Fast]. *)
+   (historic API), the fast binary64 reader under [Fast]. *)
 
 include Exact
 module Fast = Fast_reader

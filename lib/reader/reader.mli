@@ -1,7 +1,8 @@
 (** Accurate floating-point input.
 
     The top-level API is the exact bignum reader (see {!Exact}); the
-    Clinger-style certified fast path lives under {!Fast}. *)
+    fast binary64 reader (Clinger's exact tier, Lemire's product) lives
+    under {!Fast}. *)
 
 include module type of struct
   include Exact

@@ -113,6 +113,9 @@ let h_output_digits =
                1024; 8192 |]
     "bdprint_budget_output_digits"
 
+let observe_input_length n =
+  if Telemetry.Metrics.enabled () then Telemetry.Metrics.observe h_input_length n
+
 let observe_output_digits n =
   if Telemetry.Metrics.enabled () then
     Telemetry.Metrics.observe h_output_digits n
@@ -124,7 +127,7 @@ let observe_output_digits n =
    domain-local load and a branch. *)
 let check_input_length n =
   check_deadline ();
-  if Telemetry.Metrics.enabled () then Telemetry.Metrics.observe h_input_length n;
+  observe_input_length n;
   check "input length" (get ()).max_input_length n
 
 let check_exponent n =
@@ -140,3 +143,8 @@ let check_bignum_bits n =
   check_deadline ();
   if Telemetry.Metrics.enabled () then Telemetry.Metrics.observe h_bignum_bits n;
   check "bignum bits" (get ()).max_bignum_bits n
+
+let input_length_ok n =
+  let s = Domain.DLS.get slot in
+  n <= s.budget.max_input_length
+  && match s.deadline with None -> true | Some d -> not (expired d)

@@ -93,7 +93,19 @@ val check_exponent : int -> unit
 val check_output_digits : int -> unit
 val check_bignum_bits : int -> unit
 
+val input_length_ok : int -> bool
+(** [check_input_length]'s verdict without the raise and without the
+    observation: [true] when the length is within the cap and no
+    deadline has passed.  For a scanner that hands every rejected input
+    to a parser whose [check_input_length] builds the error. *)
+
 (** {2 Telemetry} *)
+
+val observe_input_length : int -> unit
+(** Records one parse request's input length into the
+    [bdprint_budget_input_length_bytes] histogram (a no-op while
+    telemetry is disabled), as [check_input_length] does.  For the
+    scanner that admitted the input with {!input_length_ok}. *)
 
 val observe_output_digits : int -> unit
 (** Records one conversion's final emitted-digit count into the

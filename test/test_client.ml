@@ -629,11 +629,25 @@ let test_chaos_through_client () =
   Alcotest.(check bool) "daemon restart happened" true (Atomic.get restarted);
   Alcotest.(check bool) "chaos actually bit (retries happened)" true
     (s.Client.retries > 0);
-  (* the surviving daemons healed every worker crash *)
-  let sb = Server.stats server_b in
+  (* the surviving daemons healed every worker crash.  A crashing
+     worker answers its request before it spawns its replacement, so
+     the last respawn can trail the last reply: wait for it (2 s bound)
+     before comparing. *)
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  let rec settled () =
+    let sup = (Server.stats server_b).Server.supervisor in
+    if
+      sup.Service.Supervisor.respawns >= sup.Service.Supervisor.crashes
+      || Unix.gettimeofday () > deadline
+    then sup
+    else begin
+      Thread.delay 0.001;
+      settled ()
+    end
+  in
+  let sb = settled () in
   Alcotest.(check int) "respawn healed every crash on B"
-    sb.Server.supervisor.Service.Supervisor.crashes
-    sb.Server.supervisor.Service.Supervisor.respawns;
+    sb.Service.Supervisor.crashes sb.Service.Supervisor.respawns;
   Client.close c;
   stop_vandal ();
   stop_server !server_a;

@@ -71,6 +71,59 @@ let test_table_matches_nat () =
     end
   done
 
+(* The reader's Lemire product uses c(q) + 1 for -27 <= q <= -1 and
+   c(q) elsewhere: the table of Lemire's reference implementation, which
+   Mushtak & Lemire's no-fallback proof covers.  Re-derive that table's
+   construction for every entry the product reads, and read the extreme
+   mantissas at every q through both readers. *)
+let test_product_table () =
+  let two_128 = Nat.shift_left Nat.one 128 in
+  for q = -27 to -1 do
+    (* 10^q·2^-gamma = 2^(q-gamma) / 5^-q is not an integer, so
+       c(q) + 1 is its ceiling *)
+    let gamma = T.exps.(q - T.q_min) in
+    let c = entry_nat q in
+    let quot, rem =
+      Nat.divmod (Nat.shift_left Nat.one (q - gamma)) (Nat.pow_int 5 (-q))
+    in
+    if Nat.is_zero rem then Alcotest.failf "10^%d·2^-gamma is an integer" q;
+    if not (Nat.equal c quot) then Alcotest.failf "c(%d) is not the floor" q;
+    if Nat.compare (Nat.succ c) two_128 >= 0 then
+      Alcotest.failf "c(%d) + 1 overflows 128 bits" q
+  done;
+  for q = 0 to 55 do
+    (* 5^q < 2^128, so c(q) is 10^q·2^-gamma exactly (theta = 0): the
+       product's tie rule for q <= 23 rests on it *)
+    let gamma = T.exps.(q - T.q_min) in
+    let p5 = Nat.pow_int 5 q in
+    if Nat.compare p5 two_128 >= 0 then Alcotest.failf "5^%d >= 2^128" q;
+    if not (Nat.equal (entry_nat q) (Nat.shift_left p5 (q - gamma))) then
+      Alcotest.failf "c(%d) is not exact" q
+  done;
+  for q = -342 to -28 do
+    (* the reference table: floor(2^b / 5^-q) + 1 with
+       b = 2·ceil(log2 5^-q) + 128, truncated to its top 128 bits *)
+    let p5 = Nat.pow_int 5 (-q) in
+    let b = (2 * Nat.bit_length p5) + 128 in
+    let c = Nat.succ (fst (Nat.divmod (Nat.shift_left Nat.one b) p5)) in
+    let c = Nat.shift_right c (Nat.bit_length c - 128) in
+    if not (Nat.equal (entry_nat q) c) then
+      Alcotest.failf "c(%d) differs from the reference table" q
+  done;
+  for q = -342 to 308 do
+    List.iter
+      (fun w ->
+        let s = Printf.sprintf "%se%d" w q in
+        let read r =
+          match r s with
+          | Ok x -> Int64.bits_of_float x
+          | Error e -> Alcotest.failf "%s: %s" s (Robust.Error.to_string e)
+        in
+        if not (Int64.equal (read Reader.Fast.read) (read Reader.read_float))
+        then Alcotest.failf "%s: the fast and exact readers differ" s)
+      [ "1"; "9999999999999999999" ]
+  done
+
 (* ---------- 128-bit product primitive ---------- *)
 
 let nat_of_u64 = Nat.of_int64_unsigned
@@ -544,6 +597,8 @@ let () =
         [
           Alcotest.test_case "every entry matches exact Nat" `Quick
             test_table_matches_nat;
+          Alcotest.test_case "the reader's product table" `Quick
+            test_product_table;
           Alcotest.test_case "umul128 vs Nat" `Quick test_umul128_vs_nat;
           Alcotest.test_case "64x128 table products" `Quick test_table_products;
         ] );

@@ -807,9 +807,24 @@ let test_server_chaos () =
       Alcotest.(check bool) "chaos actually happened" true
         (s.Server.supervisor.Service.Supervisor.crashes > 0
         || Atomic.get proto > 0);
+      (* a crashing worker answers its request before it spawns its
+         replacement, so the last respawn can trail the last reply:
+         wait for it (2 s bound) before comparing *)
+      let deadline = Unix.gettimeofday () +. 2.0 in
+      let rec settled () =
+        let sup = (Server.stats server).Server.supervisor in
+        if
+          sup.Service.Supervisor.respawns >= sup.Service.Supervisor.crashes
+          || Unix.gettimeofday () > deadline
+        then sup
+        else begin
+          Thread.delay 0.001;
+          settled ()
+        end
+      in
+      let sup = settled () in
       Alcotest.(check int) "respawn healed every crash"
-        s.Server.supervisor.Service.Supervisor.crashes
-        s.Server.supervisor.Service.Supervisor.respawns)
+        sup.Service.Supervisor.crashes sup.Service.Supervisor.respawns)
 
 let test_server_deadline () =
   (* a 1 ms deadline on a slow conversion fails with a budget error *)

@@ -272,6 +272,180 @@ let test_hex_is_literal () =
     true (words < 100.)
 
 (* ------------------------------------------------------------------ *)
+(* The fast reader: Lemire's product, the midpoint comparison, and
+   agreement with the exact reader *)
+
+let bits = Int64.bits_of_float
+
+let fast_eq_exact s =
+  match (R.Fast.read s, R.read_float s) with
+  | Ok x, Ok y -> Int64.equal (bits x) (bits y)
+  | Error e, Error f ->
+    String.equal (Robust.Error.to_string e) (Robust.Error.to_string f)
+  | _ -> false
+
+let check_fast_eq_exact s =
+  if not (fast_eq_exact s) then
+    Alcotest.failf "Fast.read %S: %s, exact reader: %s" s
+      (match R.Fast.read s with
+      | Ok x -> Printf.sprintf "%h" x
+      | Error e -> Robust.Error.to_string e)
+      (match R.read_float s with
+      | Ok x -> Printf.sprintf "%h" x
+      | Error e -> Robust.Error.to_string e)
+
+(* Exact ties written with a fraction have q in [-27, -1], where the
+   product must use c(q) + 1: with c(q) it reads each of these one ulp
+   off. *)
+let test_product_ties () =
+  let reads s want =
+    check_fast_eq_exact s;
+    Alcotest.(check (float 0.)) s want (Result.get_ok (R.Fast.read s))
+  in
+  reads "9007199254740995.0" 9007199254740996.;
+  reads "9007199254740995.00" 9007199254740996.;
+  reads "90071992547409950e-1" 9007199254740996.;
+  reads "4503599627370497.5" 4503599627370498.;
+  check_fast_eq_exact "130582517383569400.0";
+  (* integer midpoints (2m+1)·2^(k-53) between the doubles of binade
+     [2^k, 2^(k+1)), 53 <= k < 60, written as N.0 *)
+  let st = Random.State.make [| 0x71e5 |] in
+  for _ = 1 to 5000 do
+    let k = 53 + Random.State.int st 7 in
+    let m = (1 lsl 52) lor Random.State.full_int st (1 lsl 52) in
+    check_fast_eq_exact (Printf.sprintf "%d.0" (((2 * m) + 1) lsl (k - 53)))
+  done
+
+let random_double st =
+  let rec go () =
+    let x = Int64.float_of_bits (Random.State.bits64 st) in
+    if Float.is_finite x then x else go ()
+  in
+  go ()
+
+(* 1 to 40 digits, an optional sign and radix point, and an exponent
+   in [-350, 350] *)
+let random_digit_string st =
+  let n = 1 + Random.State.int st 40 in
+  let dot = Random.State.int st (n + 2) in
+  let b = Buffer.create 48 in
+  if Random.State.bool st then Buffer.add_char b '-';
+  for i = 0 to n - 1 do
+    if i = dot then Buffer.add_char b '.';
+    Buffer.add_char b (Char.chr (Char.code '0' + Random.State.int st 10))
+  done;
+  Buffer.add_string b (Printf.sprintf "e%d" (Random.State.int st 701 - 350));
+  Buffer.contents b
+
+let test_fast_differential () =
+  let st = Random.State.make [| 0xd1ff |] in
+  for _ = 1 to 20_000 do
+    let x = random_double st in
+    check_fast_eq_exact (Printf.sprintf "%.17g" x);
+    check_fast_eq_exact (Printf.sprintf "%.16e" x);
+    check_fast_eq_exact (Dragon.Printer.print x);
+    check_fast_eq_exact (random_digit_string st)
+  done;
+  Array.iter
+    (fun x -> check_fast_eq_exact (Dragon.Printer.print x))
+    (Workloads.Schryer.corpus ());
+  List.iter check_fast_eq_exact Robust.Gen.nasty
+
+(* Gc counter check, like [is_literal]'s: a read of up to 19 digits
+   allocates its [Ok] result (a block and a boxed float, 4 words) and
+   nothing else. *)
+let test_fast_allocation () =
+  let st = Random.State.make [| 0xa110c |] in
+  let human () =
+    let int_part = Random.State.int st 10_000 in
+    match Random.State.int st 5 with
+    | 0 -> string_of_int int_part
+    | places ->
+      Printf.sprintf "%d.%0*d" int_part places
+        (Random.State.int st (int_of_float (10. ** float_of_int places)))
+  in
+  List.iter
+    (fun (name, inputs) ->
+      let n = Array.length inputs in
+      Array.iter (fun s -> ignore (Sys.opaque_identity (R.Fast.read s))) inputs;
+      let w0 = Gc.minor_words () in
+      for i = 0 to n - 1 do
+        ignore (Sys.opaque_identity (R.Fast.read inputs.(i)))
+      done;
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f words per read" name (words /. float_of_int n))
+        true
+        (words <= (4. *. float_of_int n) +. 16.))
+    [
+      ("%.17g", Array.init 10_000 (fun _ -> Printf.sprintf "%.17g" (random_double st)));
+      ("shortest", Array.init 10_000 (fun _ -> Dragon.Printer.print (random_double st)));
+      ("human", Array.init 10_000 (fun _ -> human ()));
+    ]
+
+(* The midpoint comparison runs under the reader's guard: a fault in
+   the bignum power or a budget too small for the comparison comes back
+   as a structured error, as the bignum fallback's did. *)
+let test_fast_guard () =
+  let midpoint = "9007199254740993.0000000000000000001" in
+  let torture =
+    Array.fold_left
+      (fun a s -> if String.length s > String.length a then s else a)
+      "" (Workloads.Corpus.torture_reader_inputs ~seed:5 300)
+  in
+  Alcotest.(check (float 0.)) "straddling midpoint reads up" 9007199254740994.
+    (Result.get_ok (R.Fast.read midpoint));
+  List.iter
+    (fun s ->
+      Robust.Faults.with_fault "nat.pow" (fun () ->
+          match R.Fast.read s with
+          | Error (Robust.Error.Internal { where = "nat.pow"; _ }) -> ()
+          | Error e ->
+            Alcotest.failf "%S: expected nat.pow fault, got %s" s
+              (Robust.Error.to_string e)
+          | Ok _ -> Alcotest.failf "%S: armed nat.pow fault did not fire" s);
+      Robust.Budget.with_budget
+        { (Robust.Budget.get ()) with Robust.Budget.max_bignum_bits = 64 }
+        (fun () ->
+          match R.Fast.read s with
+          | Error (Robust.Error.Budget { what = "bignum bits"; _ }) -> ()
+          | Error e ->
+            Alcotest.failf "%S: expected a bignum budget error, got %s" s
+              (Robust.Error.to_string e)
+          | Ok _ -> Alcotest.failf "%S: bignum budget ignored" s))
+    [ midpoint; torture ]
+
+(* The budget's input-length histogram sees each read once, whether the
+   scanner admits the input or hands it to the exact parser. *)
+let test_fast_length_observed_once () =
+  let module M = Telemetry.Metrics in
+  let hist =
+    match
+      List.find_opt
+        (fun m -> (M.meta_of m).M.name = "bdprint_budget_input_length_bytes")
+        (M.list_metrics ())
+    with
+    | Some (M.Histogram h) -> h
+    | _ -> Alcotest.fail "no input-length histogram"
+  in
+  let count () =
+    let _, _, n = M.histogram_state hist in
+    n
+  in
+  let inputs =
+    [ "0.1"; "-0"; "1_000"; "inf"; "NaN"; "bogus"; ""; "1e";
+      "9007199254740993.0000000000000000001" ]
+  in
+  let was = M.enabled () in
+  M.set_enabled true;
+  let before = count () in
+  List.iter (fun s -> ignore (R.Fast.read s)) inputs;
+  let after = count () in
+  M.set_enabled was;
+  Alcotest.(check int) "one observation per read" (List.length inputs)
+    (after - before)
+
+(* ------------------------------------------------------------------ *)
 (* Properties *)
 
 let arb_decimal_string =
@@ -575,6 +749,19 @@ let () =
           Alcotest.test_case "read_in_base" `Quick test_read_in_base;
           Alcotest.test_case "hex literals" `Quick test_hex_reader;
           Alcotest.test_case "hex literal routing" `Quick test_hex_is_literal;
+        ] );
+      ( "fast",
+        [
+          Alcotest.test_case "ties the product must detect" `Quick
+            test_product_ties;
+          Alcotest.test_case "agrees with the exact reader" `Quick
+            test_fast_differential;
+          Alcotest.test_case "reads allocate only their result" `Quick
+            test_fast_allocation;
+          Alcotest.test_case "comparison runs under the guard" `Quick
+            test_fast_guard;
+          Alcotest.test_case "input length observed once" `Quick
+            test_fast_length_observed_once;
         ] );
       ( "robustness",
         [
