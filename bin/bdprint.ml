@@ -448,45 +448,99 @@ let install_stream_signals () =
    with Invalid_argument _ | Sys_error _ -> ());
   interrupted
 
+(* One read loop for both stream drivers, through the bounded line
+   reader bdprintd uses.  [line lineno input] gets each non-blank line,
+   trimmed once, and [too_long lineno bytes] each line over the
+   reader's cap, which was discarded without being stored.  A final
+   line with no newline still counts.  The reader flushes stdout before
+   each read(2), the only point where the stream can block on its
+   input, so a peer that waits for each answer gets it, while a batch
+   run writes in blocks.  The loop ends at end of input, or once
+   [stopped ()] holds: it is checked before each line and after a read
+   that SIGINT interrupted. *)
+let read_stream ~stopped ~line ~too_long =
+  let r =
+    Net.Line_reader.create ~before_read:(fun () -> flush stdout) Unix.stdin
+  in
+  let rec loop lineno =
+    if not (stopped ()) then
+      match Net.Line_reader.read r with
+      | Net.Line_reader.Eof -> ()
+      | Interrupted -> loop lineno
+      | Line s | Last s ->
+        let input = String.trim s in
+        if input <> "" then line (lineno + 1) input;
+        loop (lineno + 1)
+      | Too_long { bytes; _ } ->
+        too_long (lineno + 1) bytes;
+        loop (lineno + 1)
+  in
+  loop 0
+
+(* The reader's own input-length error, with the length the line reader
+   counted. *)
+let too_long_error bytes =
+  Error.budget ~what:"input length"
+    ~limit:(Budget.get ()).Budget.max_input_length ~got:bytes
+
+(* A failed line goes to stderr once everything printed before it has
+   left stdout, so [2>&1] keeps input order.  True when it is the line
+   that reaches --max-errors. *)
+let report_error ~counts ~max_errors ~aborted lineno e =
+  count_error counts e;
+  record_error e;
+  flush stdout;
+  Printf.eprintf "error: line %d: %s\n%!" lineno (Error.to_string e);
+  match max_errors with
+  | Some cap when total_errors counts >= cap && not aborted ->
+    Printf.eprintf
+      "error: aborting after %d failed line(s) (--max-errors %d)\n%!"
+      (total_errors counts) cap;
+    true
+  | _ -> false
+
 let run_stream ~convert ~max_errors ~deadline_ms ~show_stats ~metrics_file =
   let counts = new_counts () in
-  let lineno = ref 0 in
   let aborted = ref false in
   let interrupted = install_stream_signals () in
+  let report lineno = function
+    | Ok out ->
+      Telemetry.Metrics.incr m_ok;
+      print_string out;
+      print_char '\n'
+    | Error e ->
+      if report_error ~counts ~max_errors ~aborted:!aborted lineno e then
+        aborted := true
+  in
   Telemetry.Metrics.set_gauge g_jobs 1;
   (try
-     while (not !aborted) && not (Atomic.get interrupted) do
-       let line = input_line stdin in
-       incr lineno;
-       if String.trim line <> "" then begin
+     read_stream
+       ~stopped:(fun () -> !aborted || Atomic.get interrupted)
+       ~line:(fun lineno input ->
          Telemetry.Metrics.incr m_conversions;
          let tid = Telemetry.Tracing.begin_request () in
-         (match with_line_deadline deadline_ms convert (String.trim line) with
-         | Ok out ->
-           Telemetry.Metrics.incr m_ok;
-           print_string out;
-           print_newline ()
-         | Error e ->
-           count_error counts e;
-           record_error e;
-           Printf.eprintf "error: line %d: %s\n%!" !lineno (Error.to_string e);
-           (match max_errors with
-           | Some cap when total_errors counts >= cap ->
-             Printf.eprintf
-               "error: aborting after %d failed line(s) (--max-errors %d)\n%!"
-               (total_errors counts) cap;
-             aborted := true
-           | _ -> ()));
-         Telemetry.Tracing.end_request tid
-       end
-     done
-   with
-  | End_of_file -> ()
-  | Sys_error _ ->
-    (* broken stdout pipe (SIGPIPE ignored above) or stdin error *)
-    Atomic.set interrupted true);
+         report lineno (with_line_deadline deadline_ms convert input);
+         Telemetry.Tracing.end_request tid)
+       ~too_long:(fun lineno bytes ->
+         Telemetry.Metrics.incr m_conversions;
+         report lineno (Error (too_long_error bytes)))
+   with Sys_error _ | Unix.Unix_error _ ->
+     (* broken stdout pipe (SIGPIPE ignored above) or stdin error *)
+     Atomic.set interrupted true);
   finish_stream ~counts ~show_stats ~metrics_file
     ~interrupted:(Atomic.get interrupted)
+
+(* Under --jobs an over-long line's error must still reach stderr in its
+   place, so the line goes through the queue, as a '\n' and its length.
+   No line holds a '\n', so no input is mistaken for one, and emit
+   answers the job with the sequential driver's error, whatever a
+   worker made of it. *)
+let too_long_job bytes = "\n" ^ string_of_int bytes
+
+let too_long_bytes job =
+  if String.starts_with ~prefix:"\n" job then
+    int_of_string_opt (String.sub job 1 (String.length job - 1))
+  else None
 
 (* Parallel streaming through the supervised service.  [emit] owns
    stdout/stderr during the run: the supervisor calls it one reply at a
@@ -494,63 +548,66 @@ let run_stream ~convert ~max_errors ~deadline_ms ~show_stats ~metrics_file =
    the stream waited for.  The main domain only reads stdin and submits,
    so output never interleaves.  --max-errors sets a stop flag read by
    the submission loop; lines already in flight still drain (the
-   shutdown contract forbids dropping submitted work). *)
+   shutdown contract forbids dropping submitted work).
+
+   Output is flushed when emit has caught up with every line submitted
+   so far, besides the reader's flush before each read: a reply that
+   lands after the main domain blocked on stdin leaves stdout all the
+   same. *)
 let run_stream_jobs ~convert ~jobs ~max_errors ~deadline_ms ~show_stats
     ~metrics_file =
   let counts = new_counts () in
   let stop = Atomic.make false in
   let interrupted = install_stream_signals () in
+  let submitted = Atomic.make 0 in
+  let emitted = ref 0 in
   let emit (reply : Supervisor.reply) =
     Telemetry.Metrics.incr m_conversions;
-    match reply.Supervisor.outcome with
-    | Supervisor.Done out -> (
-      Telemetry.Metrics.incr m_ok;
-      try
+    incr emitted;
+    let outcome =
+      match too_long_bytes reply.Supervisor.input with
+      | Some bytes -> Supervisor.Failed (too_long_error bytes)
+      | None -> reply.Supervisor.outcome
+    in
+    try
+      (match outcome with
+      | Supervisor.Done out ->
+        Telemetry.Metrics.incr m_ok;
         print_string out;
-        print_newline ()
-      with Sys_error _ ->
-        (* downstream consumer closed the pipe: stop submitting; lines
-           already in flight still drain (emitted, writes no-op) *)
-        Atomic.set interrupted true)
-    | Supervisor.Degraded out -> (
-      (* breaker-open fallback: correct to 17 significant digits but not
-         the pipeline's output — keep the tag machine-visible *)
-      Telemetry.Metrics.incr m_degraded;
-      try Printf.printf "degraded:%s\n" out
-      with Sys_error _ -> Atomic.set interrupted true)
-    | Supervisor.Failed e ->
-      count_error counts e;
-      record_error e;
-      Printf.eprintf "error: line %d: %s\n%!" reply.Supervisor.lineno
-        (Error.to_string e);
-      (match max_errors with
-      | Some cap when total_errors counts >= cap && not (Atomic.get stop) ->
-        Printf.eprintf
-          "error: aborting after %d failed line(s) (--max-errors %d)\n%!"
-          (total_errors counts) cap;
-        Atomic.set stop true
-      | _ -> ())
+        print_char '\n'
+      | Supervisor.Degraded out ->
+        (* breaker-open fallback: correct to 17 significant digits but
+           not the pipeline's output — keep the tag machine-visible *)
+        Telemetry.Metrics.incr m_degraded;
+        Printf.printf "degraded:%s\n" out
+      | Supervisor.Failed e ->
+        if
+          report_error ~counts ~max_errors ~aborted:(Atomic.get stop)
+            reply.Supervisor.lineno e
+        then Atomic.set stop true);
+      if !emitted = Atomic.get submitted then flush stdout
+    with Sys_error _ ->
+      (* downstream consumer closed the pipe: stop submitting; lines
+         already in flight still drain (emitted, writes no-op) *)
+      Atomic.set interrupted true
   in
   let queue_capacity = max 64 (8 * jobs) in
   Telemetry.Metrics.set_gauge g_jobs jobs;
   Telemetry.Metrics.set_gauge g_queue_capacity queue_capacity;
   let service = Supervisor.start ~jobs ~queue_capacity ~emit convert in
-  let lineno = ref 0 in
+  let submit ?tid lineno input =
+    Atomic.incr submitted;
+    Supervisor.submit service ?deadline_ms ?tid ~lineno input
+  in
   (try
-     while (not (Atomic.get stop)) && not (Atomic.get interrupted) do
-       let line = input_line stdin in
-       incr lineno;
-       if String.trim line <> "" then begin
+     read_stream
+       ~stopped:(fun () -> Atomic.get stop || Atomic.get interrupted)
+       ~line:(fun lineno input ->
          (* the worker that dequeues the job adopts this id, so the
             sampling decision happens here on the submitting domain *)
-         let tid = Telemetry.Tracing.sample () in
-         Supervisor.submit service ?deadline_ms ~tid ~lineno:!lineno
-           (String.trim line)
-       end
-     done
-   with
-  | End_of_file -> ()
-  | Sys_error _ -> Atomic.set interrupted true);
+         submit ~tid:(Telemetry.Tracing.sample ()) lineno input)
+       ~too_long:(fun lineno bytes -> submit lineno (too_long_job bytes))
+   with Sys_error _ | Unix.Unix_error _ -> Atomic.set interrupted true);
   let (_ : Supervisor.stats) = Supervisor.shutdown service in
   (* counts was filled by emit on the worker domains; shutdown joined
      them all, so the reads below are safely ordered after its writes *)

@@ -1,5 +1,4 @@
 module Error = Robust.Error
-module Budget = Robust.Budget
 module Faults = Robust.Faults
 module Supervisor = Service.Supervisor
 
@@ -160,71 +159,6 @@ let write_all fd s =
     write_chunk fd b half (len - half)
   end
   else write_chunk fd b 0 len
-
-type line = Line of string | Too_long | Closed
-
-(* Bounded line reader: buffered reads, lines capped at [max_len] bytes.
-   An over-long line is discarded up to its newline (resynchronising the
-   stream) and reported as [Too_long], so a hostile frame cannot make the
-   daemon buffer unboundedly or misparse the next frame. *)
-type reader = {
-  rfd : Unix.file_descr;
-  rbuf : Bytes.t;
-  mutable rpos : int;
-  mutable rlen : int;
-  line_buf : Buffer.t;
-}
-[@@lint.domain_safe "one reader per connection thread, never shared"]
-
-let make_reader fd =
-  { rfd = fd; rbuf = Bytes.create 8192; rpos = 0; rlen = 0; line_buf = Buffer.create 128 }
-
-let rec refill r =
-  match Unix.read r.rfd r.rbuf 0 (Bytes.length r.rbuf) with
-  | 0 -> false
-  | n ->
-    r.rpos <- 0;
-    r.rlen <- n;
-    true
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> refill r
-  | exception Unix.Unix_error (_, _, _) -> false
-
-let rec discard_to_nl r =
-  if r.rpos >= r.rlen then if refill r then discard_to_nl r else false
-  else
-    match Bytes.index_from_opt r.rbuf r.rpos '\n' with
-    | Some i when i < r.rlen ->
-      r.rpos <- i + 1;
-      true
-    | _ ->
-      r.rpos <- r.rlen;
-      discard_to_nl r
-
-let rec read_line r ~max_len =
-  if r.rpos >= r.rlen then begin
-    if refill r then read_line r ~max_len
-    else begin
-      (* EOF with a partial line buffered: the frame never completed *)
-      Buffer.clear r.line_buf;
-      Closed
-    end
-  end
-  else
-    match Bytes.index_from_opt r.rbuf r.rpos '\n' with
-    | Some i when i < r.rlen ->
-      Buffer.add_subbytes r.line_buf r.rbuf r.rpos (i - r.rpos);
-      r.rpos <- i + 1;
-      let s = Buffer.contents r.line_buf in
-      Buffer.clear r.line_buf;
-      if String.length s > max_len then Too_long else Line s
-    | _ ->
-      Buffer.add_subbytes r.line_buf r.rbuf r.rpos (r.rlen - r.rpos);
-      r.rpos <- r.rlen;
-      if Buffer.length r.line_buf > max_len then begin
-        Buffer.clear r.line_buf;
-        if discard_to_nl r then Too_long else Closed
-      end
-      else read_line r ~max_len
 
 (* {2 Reply routing} *)
 
@@ -588,20 +522,14 @@ let handle_request t fd reader deadline_ms quit req =
     in
     Telemetry.Tracing.finish ~tid Telemetry.Tracing.Request rt0
   | Wire.Batch { count = n; tid = wire_tid } ->
-    let max_len = (Budget.get ()).Budget.max_input_length + 64 in
     let ok = ref 0 and failed = ref 0 and shed = ref 0 in
     let aborted = ref false in
     let i = ref 0 in
     while (not !aborted) && !i < n do
-      incr i;
-      (match read_line reader ~max_len with
-      | Closed ->
-        aborted := true;
-        quit := true
-      | Too_long ->
-        incr failed;
-        proto_error t fd "frame-too-long"
+      match Line_reader.read reader with
+      | Line_reader.Interrupted -> ()
       | Line input -> (
+        incr i;
         let tid = conv_tid ~wire_tid in
         match
           write_conv_reply t fd ~tid
@@ -609,7 +537,16 @@ let handle_request t fd reader deadline_ms quit req =
         with
         | Wire.Converted _ | Wire.Degraded _ -> incr ok
         | Wire.Shed _ -> incr shed
-        | _ -> incr failed))
+        | _ -> incr failed)
+      | Too_long { terminated = true; _ } ->
+        incr i;
+        incr failed;
+        proto_error t fd "frame-too-long"
+      | Last _ | Too_long { terminated = false; _ } | Eof ->
+        (* the connection closed mid-batch: an unfinished frame is
+           dropped *)
+        aborted := true;
+        quit := true
     done;
     if not !aborted then
       write_all fd
@@ -638,19 +575,21 @@ let handle_request t fd reader deadline_ms quit req =
 
 let handle_conn t fd =
   let c = t.core in
-  let reader = make_reader fd in
+  let reader = Line_reader.create fd in
   let deadline_ms = ref t.cfg.default_deadline_ms in
-  let max_len = (Budget.get ()).Budget.max_input_length + 64 in
   let quit = ref false in
   (try
      while not !quit do
-       match read_line reader ~max_len with
-       | Closed -> quit := true
-       | Too_long -> proto_error t fd "frame-too-long"
+       match Line_reader.read reader with
+       | Line_reader.Interrupted -> ()
        | Line line -> (
          match Wire.parse_request line with
          | Error reason -> proto_error t fd reason
          | Ok req -> handle_request t fd reader deadline_ms quit req)
+       | Too_long { terminated = true; _ } -> proto_error t fd "frame-too-long"
+       | Last _ | Too_long { terminated = false; _ } | Eof ->
+         (* an unterminated final frame never completed: drop it *)
+         quit := true
      done
    with _ ->
      (* a write to a vanished client (EPIPE/ECONNRESET): drop the

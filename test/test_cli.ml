@@ -380,6 +380,219 @@ exit $code
   Alcotest.(check int) "closed pipe exits 5 (--jobs)" 5
     (run_script (one "--jobs 2"))
 
+(* SIGINT must stop a stream that waits on an open, empty stdin: the
+   reader returns on EINTR instead of retrying the read.  The FIFO
+   stays open, so only the signal can end the stream, and a watchdog
+   kills bdprint if it is still running 2 s later. *)
+let test_sigint_idle_stream () =
+  let one driver_args =
+    Printf.sprintf
+      {|
+set -e
+exe=%s
+dir=$(mktemp -d)
+trap 'rm -rf "$dir"' EXIT
+mkfifo "$dir/in"
+"$exe" --stdin %s < "$dir/in" > "$dir/out" 2> "$dir/err" &
+pid=$!
+exec 3> "$dir/in"
+printf '0.1\n' >&3
+# the answer is flushed just before bdprint blocks on the next read
+i=0
+until grep -q '^0.1$' "$dir/out"; do
+  i=$((i + 1))
+  [ $i -le 50 ] || exit 95
+  sleep 0.1
+done
+sleep 0.2
+kill -INT $pid
+(sleep 2; kill -KILL $pid) > /dev/null 2>&1 &
+watchdog=$!
+set +e
+wait $pid
+code=$?
+kill $watchdog 2>/dev/null
+exec 3>&-
+exit $code
+|}
+      (Filename.quote (cli_exe ()))
+      driver_args
+  in
+  Alcotest.(check int) "idle stream exits 5 on SIGINT (sequential)" 5
+    (run_script (one ""));
+  Alcotest.(check int) "idle stream exits 5 on SIGINT (--jobs)" 5
+    (run_script (one "--jobs 2"))
+
+(* A stdin that cannot be read interrupts the stream; it is not a
+   clean, empty one. *)
+let test_unreadable_stdin () =
+  List.iter
+    (fun driver_args ->
+      Alcotest.(check int) ("stdin is a directory " ^ driver_args) 5
+        (Sys.command
+           (Printf.sprintf "%s --stdin %s < %s 2>/dev/null"
+              (Filename.quote (cli_exe ())) driver_args
+              Filename.current_dir_name)))
+    [ ""; "--jobs 2" ]
+
+(* The next line on [fd] within [timeout] seconds, read a byte at a
+   time so that nothing is buffered past it. *)
+let read_line_within fd ~timeout =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let b = Buffer.create 64 and byte = Bytes.create 1 in
+  let rec go () =
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0. then None
+    else
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> None
+      | _ -> (
+        match Unix.read fd byte 0 1 with
+        | 0 -> None
+        | _ when Bytes.get byte 0 = '\n' -> Some (Buffer.contents b)
+        | _ ->
+          Buffer.add_char b (Bytes.get byte 0);
+          go ())
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+  in
+  go ()
+
+(* An interactive peer writes one line and waits for its answer before
+   it writes the next.  bdprint writes stdout in blocks, so each answer
+   must be flushed before bdprint blocks on stdin again, by either
+   driver; a build that missed it would fail here on a 5 s timeout
+   rather than hang. *)
+let test_coprocess () =
+  let script =
+    [ ("0.1", `Out "0.1"); ("", `Blank); ("bogus", `Err); ("1e23", `Out "1e23");
+      ("1e999999999", `Out "inf"); ("   ", `Blank); ("2.5", `Out "2.5");
+      ("-0", `Out "-0"); ("nan", `Out "nan"); ("0x1.8p+1", `Out "3.0");
+      ("1e-400", `Out "0"); ("123456789012345678901234567890",
+        `Out "1.2345678901234568e29"); ("abc", `Err); ("5e-324", `Out "5e-324");
+      ("1.7976931348623157e308", `Out "1.7976931348623157e308");
+      ("0.3", `Out "0.3"); ("inf", `Out "inf"); ("-1.5", `Out "-1.5");
+      ("12", `Out "12.0"); ("1e", `Err); ("0.1", `Out "0.1");
+      ("1_000", `Out "1000.0") ]
+  in
+  let old_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let one args =
+    let in_r, in_w = Unix.pipe ~cloexec:true () in
+    let out_r, out_w = Unix.pipe ~cloexec:true () in
+    let err_r, err_w = Unix.pipe ~cloexec:true () in
+    let pid =
+      Unix.create_process (cli_exe ())
+        (Array.of_list ("bdprint" :: "--stdin" :: args))
+        in_r out_w err_w
+    in
+    List.iter Unix.close [ in_r; out_w; err_w ];
+    let reaped = ref false in
+    Fun.protect
+      ~finally:(fun () ->
+        if not !reaped then begin
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error (_, _, _) -> ());
+          ignore (Unix.waitpid [] pid)
+        end;
+        List.iter
+          (fun fd -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
+          [ in_w; out_r; err_r ])
+      (fun () ->
+        let name = "bdprint --stdin " ^ String.concat " " args in
+        List.iteri
+          (fun i (input, expect) ->
+            let line = input ^ "\n" in
+            ignore (Unix.write_substring in_w line 0 (String.length line));
+            let answer fd = read_line_within fd ~timeout:5. in
+            match expect with
+            | `Blank -> ()
+            | `Out out ->
+              Alcotest.(check (option string))
+                (Printf.sprintf "%s: answer to %S" name input)
+                (Some out) (answer out_r)
+            | `Err ->
+              let prefix = Printf.sprintf "error: line %d: syntax" (i + 1) in
+              let got = answer err_r in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: error for %S, got %s" name input
+                   (Option.value got ~default:"nothing in 5 s"))
+                true
+                (match got with Some l -> contains l prefix | None -> false))
+          script;
+        Unix.close in_w;
+        let _, status = Unix.waitpid [] pid in
+        reaped := true;
+        Alcotest.(check bool) (name ^ ": exits 2") true (status = Unix.WEXITED 2);
+        Alcotest.(check (option string)) (name ^ ": no extra output") None
+          (read_line_within out_r ~timeout:0.))
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.set_signal Sys.sigpipe old_sigpipe)
+    (fun () ->
+      one [];
+      one [ "--jobs"; "2" ])
+
+(* Errors go to stderr after the answers before them left stdout, so
+   [2>&1] keeps input order; a final line with no newline converts. *)
+let test_output_order () =
+  List.iter
+    (fun driver_args ->
+      let tmp = Filename.temp_file "bdprint" ".out" in
+      let status =
+        Sys.command
+          (Printf.sprintf "printf '0.1\\nbogus\\n2.5' | %s --stdin %s > %s 2>&1"
+             (Filename.quote (cli_exe ())) driver_args (Filename.quote tmp))
+      in
+      let ic = open_in tmp in
+      let merged = In_channel.input_all ic in
+      close_in ic;
+      Sys.remove tmp;
+      Alcotest.(check int) ("exit " ^ driver_args) 2 status;
+      Alcotest.(check string) ("merged order " ^ driver_args)
+        "0.1\n\
+         error: line 2: syntax error: expected digits at index 0 in \"bogus\"\n\
+         2.5\n\
+         error: 1 input line(s) failed\n"
+        merged)
+    [ ""; "--jobs 2" ]
+
+(* A line over the input-length cap is counted and discarded, never
+   held: bdprint gives the same budget error as a line that reached the
+   reader's own check, goes on with the next line, and its heap stays
+   far below the line's 2M words. *)
+let test_overlong_line () =
+  let line = String.make (16 * 1024 * 1024) '1' in
+  let error =
+    "error: line 1: budget exceeded: input length: 16777216 > limit 65536"
+  in
+  let top_heap_words err =
+    List.find_map
+      (fun l -> Scanf.sscanf_opt l "top_heap_words: %d" Fun.id)
+      err
+  in
+  List.iter
+    (fun driver_args ->
+      let args = "--stdin " ^ driver_args in
+      let stdin = line ^ "\n0.1\n" in
+      let status, out, err = bdprint_full ~stdin args in
+      Alcotest.(check int) ("budget exit " ^ args) 3 status;
+      Alcotest.(check (list string)) ("next line converts " ^ args) [ "0.1" ] out;
+      Alcotest.(check (list string)) ("stderr " ^ args)
+        [ error; "error: 1 input line(s) failed" ]
+        err;
+      let _, _, err = bdprint_full ~env:"OCAMLRUNPARAM=v=0x400" ~stdin args in
+      (match top_heap_words err with
+      | Some w ->
+        Alcotest.(check bool)
+          (Printf.sprintf "top_heap_words %d < 1M (%s)" w args)
+          true (w < 1_000_000)
+      | None -> Alcotest.fail "no GC statistics on stderr");
+      let status, out, err = bdprint_full ~stdin:line args in
+      Alcotest.(check int) ("unterminated: budget exit " ^ args) 3 status;
+      Alcotest.(check (list string)) ("unterminated: no output " ^ args) [] out;
+      Alcotest.(check (list string)) ("unterminated: stderr " ^ args)
+        [ error; "error: 1 input line(s) failed" ]
+        err)
+    [ ""; "--jobs 2" ]
+
 (* Both EXAMPLES sections show a literal \n inside printf '...'.  A
    single backslash there is an invalid cmdliner escape, which replaces
    the whole page with an error on stderr. *)
@@ -422,6 +635,16 @@ let () =
             test_sigint_stream;
           Alcotest.test_case "SIGPIPE interrupts stream" `Quick
             test_sigpipe_stream;
+          Alcotest.test_case "SIGINT interrupts idle stream" `Quick
+            test_sigint_idle_stream;
+          Alcotest.test_case "unreadable stdin interrupts stream" `Quick
+            test_unreadable_stdin;
+          Alcotest.test_case "co-process gets every answer" `Quick
+            test_coprocess;
+          Alcotest.test_case "merged output keeps input order" `Quick
+            test_output_order;
+          Alcotest.test_case "over-long line is not held" `Quick
+            test_overlong_line;
           Alcotest.test_case "help pages render" `Quick test_help_pages;
         ] );
     ]
