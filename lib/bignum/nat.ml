@@ -36,20 +36,23 @@ let of_int n =
   else if n < base * base then [| n land mask; n lsr base_bits |]
   else [| n land mask; (n lsr base_bits) land mask; n lsr (2 * base_bits) |]
 
-let to_int_opt a =
+let to_int_or ~default a =
   match Array.length a with
-  | 0 -> Some 0
-  | 1 -> Some a.(0)
-  | 2 -> Some ((a.(1) lsl base_bits) lor a.(0))
+  | 0 -> 0
+  | 1 -> a.(0)
+  | 2 -> (a.(1) lsl base_bits) lor a.(0)
   | 3 when a.(2) < 1 lsl (Sys.int_size - 1 - (2 * base_bits)) ->
     (* keep the result strictly within the non-negative int range *)
-    Some ((a.(2) lsl (2 * base_bits)) lor (a.(1) lsl base_bits) lor a.(0))
-  | _ -> None
+    (a.(2) lsl (2 * base_bits)) lor (a.(1) lsl base_bits) lor a.(0)
+  | _ -> default
+
+let to_int_opt a =
+  let i = to_int_or ~default:(-1) a in
+  if i < 0 then None else Some i
 
 let to_int_exn a =
-  match to_int_opt a with
-  | Some i -> i
-  | None -> failwith "Nat.to_int_exn: overflow"
+  let i = to_int_or ~default:(-1) a in
+  if i < 0 then failwith "Nat.to_int_exn: overflow" else i
 
 let compare a b =
   let la = Array.length a and lb = Array.length b in

@@ -25,6 +25,11 @@ val of_int : int -> t
 val to_int_opt : t -> int option
 (** [to_int_opt n] is [Some i] when [n] fits in a native [int]. *)
 
+val to_int_or : default:int -> t -> int
+(** [to_int_or ~default n] is [n] when it fits in a native [int], else
+    [default]: {!to_int_opt} without the [Some], for hot paths that read
+    a mantissa as an int. *)
+
 val to_int_exn : t -> int
 (** Like {!to_int_opt} but raises [Failure] on overflow. *)
 

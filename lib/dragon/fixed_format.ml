@@ -140,32 +140,7 @@ let decimal_digit = function
   | 4 -> Digit 4 | 5 -> Digit 5 | 6 -> Digit 6 | 7 -> Digit 7
   | 8 -> Digit 8 | 9 -> Digit 9 | d -> Digit d
 
-(* The table tier's position rule (see {!Fastpath.convert_fixed}),
-   after the request and budget checks: [None] sends the request to the
-   exact tier below. *)
-let table_tier ~base ~mode fmt v request =
-  let relative, pos =
-    match request with Relative i -> (true, i) | Absolute j -> (false, j)
-  in
-  match
-    Free_format.table_tier ~base ~mode fmt v
-      (Fastpath.convert_fixed ~relative ~pos)
-  with
-  | None -> None
-  | Some (generated, k, zeros) ->
-    let n = Array.length generated in
-    Generate.observe_finish n;
-    let total = if relative then pos else k - pos in
-    let digits = Array.make total Hash in
-    for i = 0 to n - 1 do
-      digits.(i) <- decimal_digit generated.(i)
-    done;
-    Array.fill digits n zeros (Digit 0);
-    Some { digits; k }
-
-let convert_exn ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
-    ?(tie = Generate.Closer_up) fmt (v : Value.finite) request =
-  check_request ~base request;
+let vet ~base fmt (v : Value.finite) request =
   match request with
   | Absolute j ->
     let k = estimate_k ~base fmt v in
@@ -173,27 +148,65 @@ let convert_exn ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
       (* the whole value sits strictly below half the quantum: the
          rounded output is a single zero digit at position j, decided
          without scaling anything by base^|j| *)
-      { digits = [| Digit 0 |]; k = j + 1 }
+      Some { digits = [| Digit 0 |]; k = j + 1 }
     else begin
       (* [k - j] is within one of the digit span the conversion will
          materialize; vet it against the budget before the bignum work *)
       Robust.Budget.check_output_digits (k - j);
-      match table_tier ~base ~mode fmt v request with
-      | Some t -> t
-      | None -> absolute ~base ~mode ~tie fmt v j
+      None
     end
-  | Relative i -> (
+  | Relative i ->
     Robust.Budget.check_output_digits i;
-    match table_tier ~base ~mode fmt v request with
-    | Some t -> t
-    | None ->
-      (* The position of the first digit can shift when the quantum
-         expansion rounds the value up to the next power of the base
-         (paper, end of Section 4), so estimate from the unexpanded
-         range and refine. *)
-      let bnd = Boundaries.of_finite ~mode fmt v in
-      let k0, _ = Scaling.scale_on_high ~base bnd in
-      relative ~base ~mode ~tie fmt v i ~attempts:2 ~guess:k0)
+    None
+
+(* The table tier's position rule (see {!Fastpath.convert_fixed}). *)
+let table_tier buf ~base ~mode fmt (v : Value.finite) request =
+  let f =
+    if Free_format.tier_open ~base ~mode fmt then Free_format.tier_mantissa v
+    else 0
+  in
+  if f = 0 then -1
+  else begin
+    let relative = match request with Relative _ -> true | Absolute _ -> false
+    and pos = match request with Relative i -> i | Absolute j -> j in
+    Free_format.fixed_tier buf ~mode fmt ~f ~e:v.e ~relative ~pos
+  end
+
+let exact ~base ~mode ~tie fmt (v : Value.finite) = function
+  | Absolute j -> absolute ~base ~mode ~tie fmt v j
+  | Relative i ->
+    (* The position of the first digit can shift when the quantum
+       expansion rounds the value up to the next power of the base
+       (paper, end of Section 4), so estimate from the unexpanded
+       range and refine. *)
+    let bnd = Boundaries.of_finite ~mode fmt v in
+    let k0, _ = Scaling.scale_on_high ~base bnd in
+    relative ~base ~mode ~tie fmt v i ~attempts:2 ~guess:k0
+
+let convert_exn ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
+    ?(tie = Generate.Closer_up) fmt (v : Value.finite) request =
+  check_request ~base request;
+  match vet ~base fmt v request with
+  | Some t -> t
+  | None ->
+    let buf = Fastpath.lend Fastpath.max_digits in
+    let r = table_tier buf ~base ~mode fmt v request in
+    if r < 0 then begin
+      Fastpath.give_back buf;
+      exact ~base ~mode ~tie fmt v request
+    end
+    else begin
+      let n = Fastpath.digit_count r and k = Fastpath.point r in
+      let total = match request with Relative i -> i | Absolute j -> k - j in
+      let digits = Array.make total Hash in
+      for i = 0 to n - 1 do
+        digits.(i) <- decimal_digit (Char.code (Bytes.get buf i) - 48)
+      done;
+      Fastpath.give_back buf;
+      Generate.observe_finish n;
+      Array.fill digits n (Fastpath.zero_count r) (Digit 0);
+      { digits; k }
+    end
 
 let convert ?base ?mode ?tie fmt (v : Value.finite) request =
   Robust.Error.catch (fun () -> convert_exn ?base ?mode ?tie fmt v request)

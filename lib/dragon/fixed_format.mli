@@ -40,9 +40,9 @@ val convert :
     the value short-circuits to the single rounded zero digit.
 
     Valid decimal requests on binary formats with mantissas below 2^53
-    run on the table tier first ({!Free_format.table_tier} with
-    {!Fastpath.convert_fixed}), whose output is byte-identical by
-    construction; an uncertain verdict falls back to the exact tier.
+    run on the table tier first ({!Free_format.fixed_tier}), whose
+    output is byte-identical by construction; an uncertain verdict
+    falls back to the exact tier.
     There, scaling always uses the estimator seeded on the range's
     upper bound ({!Scaling.scale_on_high}), which stays within one of
     the true scale factor even when the quantum dwarfs the value. *)
@@ -58,6 +58,29 @@ val convert_exn :
 (** {!convert} for call sites with statically valid arguments (tests,
     examples, internal drivers).
     @raise Robust.Error.E on what [convert] would report as [Error]. *)
+
+(** {2 The two tiers}
+
+    {!convert_exn} vets the request, then runs the table tier with the
+    exact tier behind it; {!Printer} runs the same steps so a hit goes
+    from the kernel's digits straight to text. *)
+
+val vet : base:int -> Fp.Format_spec.t -> Fp.Value.finite -> request -> t option
+(** The budget vetting that precedes both tiers: [Some t] answers an
+    [Absolute] position far above the value (one rounded zero digit)
+    without either tier.
+    @raise Robust.Error.E when the request's digit span exceeds the
+    output-digit cap. *)
+
+val exact :
+  base:int ->
+  mode:Fp.Rounding.mode ->
+  tie:Generate.tie ->
+  Fp.Format_spec.t ->
+  Fp.Value.finite ->
+  request ->
+  t
+(** The exact tier alone, on a vetted request. *)
 
 val check_request : base:int -> request -> unit
 (** The argument checks {!convert} makes before looking at the value.

@@ -25,73 +25,78 @@ let h_digits =
    kernels.  The tier stands aside while faults are armed (it has no
    bignum trip sites to mirror) and under force-pure (it is not the
    differential anchor).  Bignum-bit budgets are deliberately not
-   consulted on this path — it allocates no bignum at all — while
-   deadlines and the output-digit budget keep the reference loop's
-   per-digit cadence inside the kernel.  [attempt] is the stopping
-   rule's entry point; the span it runs in is the [fastpath] stage. *)
-let table_tier ~base ~mode fmt v attempt =
-  if
-    base = 10
-    && fmt.Fp.Format_spec.b = 2
-    && Fastpath.enabled ()
-    && (not (Generate.force_pure ()))
-    && (not (Robust.Faults.any_armed ()))
-    && Fp.Rounding.is_nearest mode
-  then begin
-    let f_nat = v.Fp.Value.f in
-    match Nat.to_int_opt f_nat with
-    | Some f when f > 0 && f < 1 lsl 53 ->
-      let bits = Nat.bit_length f_nat in
-      let est = Scaling.fast_estimate_b10 ~bits ~e:v.Fp.Value.e in
-      (* [Rounding.boundary_ok]'s high flag, without the tuple. *)
-      let high_ok =
-        match mode with
-        | Fp.Rounding.To_nearest_even -> f land 1 = 0
-        | Fp.Rounding.To_nearest_away -> false
-        | _ -> true (* To_nearest_toward_zero; is_nearest already held *)
-      in
-      (* [Gaps.gap_low_is_narrow] in machine integers: the low gap is
-         halved iff f sits on the normalization boundary b^(p-1), which
-         for b = 2 and f < 2^53 can only happen when p <= 54. *)
-      let narrow =
-        v.Fp.Value.e > fmt.Fp.Format_spec.emin
-        && fmt.Fp.Format_spec.p <= 54
-        && f = 1 lsl (fmt.Fp.Format_spec.p - 1)
-      in
-      let t0 = Tracing.start () in
-      let r =
-        attempt ~f ~e:v.Fp.Value.e ~mantissa_bits:bits ~narrow ~high_ok ~est
-      in
-      Tracing.finish Tracing.Fastpath t0;
-      r
-    | _ -> None
-  end
-  else None
+   consulted on this path — it allocates no bignum at all — while the
+   kernel checks the deadline once per attempt and the output-digit cap
+   at every digit. *)
+let tier_open ~base ~mode (fmt : Fp.Format_spec.t) =
+  base = 10 && fmt.b = 2
+  && Fastpath.enabled ()
+  && (not (Generate.force_pure ()))
+  && (not (Robust.Faults.any_armed ()))
+  && Fp.Rounding.is_nearest mode
 
-let convert ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
-    ?(strategy = Scaling.Fast_estimate) ?(tie = Generate.Closer_up) fmt v =
-  if base < 2 || base > 36 then invalid_arg "Free_format.convert: base";
-  (* The shortest rule certifies the default estimator's fixup only. *)
-  let fast =
-    match strategy with
-    | Scaling.Fast_estimate ->
-      table_tier ~base ~mode fmt v Fastpath.convert_shortest
-    | _ -> None
+let tier_mantissa (v : Fp.Value.finite) =
+  let f = Nat.to_int_or ~default:0 v.f in
+  if f < 1 lsl 53 then f else 0
+
+(* [Rounding.boundary_ok]'s high flag, without the tuple. *)
+let high_ok mode f =
+  match mode with
+  | Fp.Rounding.To_nearest_even -> f land 1 = 0
+  | Fp.Rounding.To_nearest_away -> false
+  | _ -> true (* To_nearest_toward_zero; is_nearest already held *)
+
+(* [Gaps.gap_low_is_narrow] in machine integers: the low gap is halved
+   iff f sits on the normalization boundary b^(p-1), which for b = 2 and
+   f < 2^53 can only happen when p <= 54. *)
+let narrow (fmt : Fp.Format_spec.t) ~f ~e =
+  e > fmt.emin && fmt.p <= 54 && f = 1 lsl (fmt.p - 1)
+
+(* The bit length of 0 < f < 2^53, read off the exponent field of its
+   double, which holds it exactly. *)
+let bit_length f =
+  let bits = Int64.to_int (Int64.bits_of_float (float_of_int f)) in
+  ((bits lsr 52) land 0x7ff) - 1022
+
+(* Each rule's attempt is timed as the [fastpath] trace stage. *)
+let shortest_tier buf ~mode fmt ~f ~e =
+  let bits = bit_length f in
+  let t0 = Tracing.start () in
+  let r =
+    Fastpath.convert_shortest buf ~f ~e ~mantissa_bits:bits
+      ~narrow:(narrow fmt ~f ~e) ~high_ok:(high_ok mode f)
+      ~est:(Scaling.fast_estimate_b10 ~bits ~e)
   in
-  match fast with
-  | Some (digits, k) ->
-    Generate.observe_finish (Array.length digits);
-    if Telemetry.Metrics.enabled () then
-      Telemetry.Metrics.observe h_digits (Array.length digits);
-    { digits; k }
-  | None ->
+  Tracing.finish Tracing.Fastpath t0;
+  r
+
+let fixed_tier buf ~mode fmt ~f ~e ~relative ~pos =
+  let bits = bit_length f in
+  let t0 = Tracing.start () in
+  let r =
+    Fastpath.convert_fixed buf ~relative ~pos ~f ~e ~mantissa_bits:bits
+      ~narrow:(narrow fmt ~f ~e) ~high_ok:(high_ok mode f)
+      ~est:(Scaling.fast_estimate_b10 ~bits ~e)
+  in
+  Tracing.finish Tracing.Fastpath t0;
+  r
+
+let table_tier buf ~base ~mode fmt (v : Fp.Value.finite) =
+  let f = if tier_open ~base ~mode fmt then tier_mantissa v else 0 in
+  if f = 0 then -1
+  else shortest_tier buf ~mode fmt ~f ~e:v.e
+
+let observe_hit n =
+  Generate.observe_finish n;
+  if Telemetry.Metrics.enabled () then Telemetry.Metrics.observe h_digits n
+
+let exact ~base ~mode ~strategy ~tie fmt (v : Fp.Value.finite) =
   let t0 = Tracing.start () in
   let bnd = Boundaries.of_finite ~mode fmt v in
   Tracing.finish Tracing.Boundaries t0;
   let t0 = Tracing.start () in
   let k, state =
-    Scaling.scale strategy ~base ~b:fmt.Fp.Format_spec.b ~f:v.Fp.Value.f
-      ~e:v.Fp.Value.e bnd
+    Scaling.scale strategy ~base ~b:fmt.Fp.Format_spec.b ~f:v.f ~e:v.e bnd
   in
   Tracing.finish Tracing.Scale t0;
   let t0 = Tracing.start () in
@@ -100,6 +105,30 @@ let convert ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
   if Telemetry.Metrics.enabled () then
     Telemetry.Metrics.observe h_digits (Array.length digits);
   { digits; k }
+
+let convert ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
+    ?(strategy = Scaling.Fast_estimate) ?(tie = Generate.Closer_up) fmt v =
+  if base < 2 || base > 36 then invalid_arg "Free_format.convert: base";
+  (* The shortest rule certifies the default estimator's fixup only. *)
+  match strategy with
+  | Scaling.Fast_estimate ->
+    let buf = Fastpath.lend Fastpath.max_digits in
+    let r = table_tier buf ~base ~mode fmt v in
+    if r < 0 then begin
+      Fastpath.give_back buf;
+      exact ~base ~mode ~strategy ~tie fmt v
+    end
+    else begin
+      let n = Fastpath.digit_count r in
+      let digits = Array.make n 0 in
+      for i = 0 to n - 1 do
+        digits.(i) <- Char.code (Bytes.get buf i) - 48
+      done;
+      Fastpath.give_back buf;
+      observe_hit n;
+      { digits; k = Fastpath.point r }
+    end
+  | _ -> exact ~base ~mode ~strategy ~tie fmt v
 
 let digit_count ?base ?mode ?strategy fmt v =
   Array.length (convert ?base ?mode ?strategy fmt v).digits

@@ -20,28 +20,62 @@ val convert :
     even, the paper's fast estimator, ties between equally close outputs
     round up (as in the paper's Scheme code). *)
 
-val table_tier :
-  base:int ->
+(** {2 The two tiers}
+
+    {!convert} is the table tier ({!Fastpath}) with the exact tier
+    behind it.  These pieces let {!Printer} and {!Fixed_format} go from
+    the kernel's digits straight to text on a hit, and straight to the
+    exact tier on a miss. *)
+
+val tier_open : base:int -> mode:Fp.Rounding.mode -> Fp.Format_spec.t -> bool
+(** The table tier's one gate for both formats, before the value is
+    looked at: decimal output, a binary format, a to-nearest mode, the
+    tier enabled ([BDPRINT_NO_FASTPATH] unset), not force-pure, no
+    fault point armed. *)
+
+val tier_mantissa : Fp.Value.finite -> int
+(** The mantissa as a native int when it is below 2^53 (the kernels'
+    range), else 0; allocates nothing. *)
+
+val shortest_tier :
+  Bytes.t ->
   mode:Fp.Rounding.mode ->
   Fp.Format_spec.t ->
-  Fp.Value.finite ->
-  (f:int ->
+  f:int ->
   e:int ->
-  mantissa_bits:int ->
-  narrow:bool ->
-  high_ok:bool ->
-  est:int ->
-  'a option) ->
-  'a option
-(** [table_tier ~base ~mode fmt v attempt] runs one of {!Fastpath}'s
-    stopping rules ({!Fastpath.convert_shortest},
-    {!Fastpath.convert_fixed}) on [v] when the conversion qualifies for
-    the table tier, and is [None] otherwise or when the rule's verdict
-    is uncertain — the caller then runs the exact kernels.  The one gate
-    for both formats: decimal output, a binary format with a mantissa
-    below 2^53, a to-nearest mode, the tier enabled
-    ([BDPRINT_NO_FASTPATH] unset), not force-pure, no fault point
-    armed.  The attempt is timed as the [fastpath] trace stage. *)
+  int
+(** [shortest_tier buf ~mode fmt ~f ~e] runs
+    {!Fastpath.convert_shortest} on v = f·2^e, [0 < f < 2^53], once
+    {!tier_open} has passed: the packed verdict, with the ASCII digits
+    in [buf] when it is non-negative.  Timed as the [fastpath] trace
+    stage. *)
+
+val fixed_tier :
+  Bytes.t ->
+  mode:Fp.Rounding.mode ->
+  Fp.Format_spec.t ->
+  f:int ->
+  e:int ->
+  relative:bool ->
+  pos:int ->
+  int
+(** {!shortest_tier} for {!Fastpath.convert_fixed}'s position rule. *)
+
+val observe_hit : int -> unit
+(** What a table-tier hit of [n] digits records: the digit-loop and
+    output-digit histograms ({!Generate.observe_finish}) and
+    [bdprint_free_format_digits]. *)
+
+val exact :
+  base:int ->
+  mode:Fp.Rounding.mode ->
+  strategy:Scaling.strategy ->
+  tie:Generate.tie ->
+  Fp.Format_spec.t ->
+  Fp.Value.finite ->
+  t
+(** The exact tier alone: boundaries, scaling and digit generation,
+    each timed as its trace stage. *)
 
 val digit_count :
   ?base:int ->

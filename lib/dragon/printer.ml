@@ -19,18 +19,83 @@ let fastpath_stats () = (Fastpath.hit_count (), Fastpath.fallback_count ())
 let fixed_fastpath_stats () =
   (Fastpath.fixed_hit_count (), Fastpath.fixed_fallback_count ())
 
-let print_value_exn ?(base = 10) ?mode ?strategy ?tie ?notation fmt value =
+(* The table tier's shortest digits of f·2^e laid out, or [""] when
+   the verdict is uncertain: the kernel writes its digits into the
+   lent buffer and the layout reads them from there.  (A budget error
+   from the kernel gives the buffer back itself.) *)
+let free_hit ~mode ~notation fmt ~neg ~f ~e =
+  let buf = Fastpath.lend Fastpath.max_digits in
+  let r = Free_format.shortest_tier buf ~mode fmt ~f ~e in
+  if r < 0 then begin
+    Fastpath.give_back buf;
+    ""
+  end
+  else begin
+    let n = Fastpath.digit_count r in
+    let t0 = Telemetry.Tracing.start () in
+    let s = Render.layout ~notation ~neg ~k:(Fastpath.point r) ~base:10 buf n in
+    Fastpath.give_back buf;
+    Telemetry.Tracing.finish Telemetry.Tracing.Render t0;
+    Free_format.observe_hit n;
+    s
+  end
+
+(* The same for the position rule, whose output spans [total]
+   positions: digits, significant zeros, then [#] marks. *)
+let fixed_hit ~mode ~notation fmt ~neg ~f ~e ~relative ~pos =
+  let buf = Fastpath.lend Fastpath.max_digits in
+  let r = Free_format.fixed_tier buf ~mode fmt ~f ~e ~relative ~pos in
+  if r < 0 then begin
+    Fastpath.give_back buf;
+    ""
+  end
+  else begin
+    let n = Fastpath.digit_count r and k = Fastpath.point r in
+    let total = if relative then pos else k - pos in
+    let zeros = Fastpath.zero_count r in
+    let src = Render.marks buf ~digits:n ~zeros ~total in
+    let s = Render.layout ~notation ~neg ~k ~base:10 src total in
+    Fastpath.give_back buf;
+    Generate.observe_finish n;
+    s
+  end
+
+(* Free format on a decomposed value: the table tier unless [tried]
+   (it has already missed on this value), then the exact tier. *)
+let free_value ~tried ~base ~mode ~strategy ~tie ~notation fmt value =
   check_base base;
   match value with
   | Value.Zero neg -> Render.zero ~neg ()
   | Value.Inf neg -> Render.infinity ~neg ()
   | Value.Nan -> Render.nan
   | Value.Finite v ->
-    let result = Free_format.convert ~base ?mode ?strategy ?tie fmt v in
-    let t0 = Telemetry.Tracing.start () in
-    let s = Render.free ?notation ~neg:v.neg ~base result in
-    Telemetry.Tracing.finish Telemetry.Tracing.Render t0;
-    s
+    (* The shortest rule certifies the default estimator's fixup only. *)
+    let f =
+      match strategy with
+      | Scaling.Fast_estimate
+        when (not tried) && Free_format.tier_open ~base ~mode fmt ->
+        Free_format.tier_mantissa v
+      | _ -> 0
+    in
+    let s =
+      if f = 0 then ""
+      else
+        free_hit ~mode ~notation fmt ~neg:v.neg ~f ~e:v.e
+    in
+    if String.length s > 0 then s
+    else begin
+      let result = Free_format.exact ~base ~mode ~strategy ~tie fmt v in
+      let t0 = Telemetry.Tracing.start () in
+      let s = Render.free ~notation ~neg:v.neg ~base result in
+      Telemetry.Tracing.finish Telemetry.Tracing.Render t0;
+      s
+    end
+[@@lint.can_raise Robust.Error.E]
+
+let print_value_exn ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
+    ?(strategy = Scaling.Fast_estimate) ?(tie = Generate.Closer_up)
+    ?(notation = Render.Auto) fmt value =
+  free_value ~tried:false ~base ~mode ~strategy ~tie ~notation fmt value
 [@@lint.can_raise
   Robust.Error.E
   (* the [_exn] suffix is the contract: budget/range failures raise;
@@ -40,27 +105,101 @@ let print_value ?base ?mode ?strategy ?tie ?notation fmt value =
   Robust.Error.catch (fun () ->
       print_value_exn ?base ?mode ?strategy ?tie ?notation fmt value)
 
-let print ?base ?mode ?strategy ?tie ?notation x =
-  print_value_exn ?base ?mode ?strategy ?tie ?notation Format_spec.binary64
-    (Fp.Ieee.decompose x)
-  [@@lint.can_raise Robust.Error.E]
-  (* documented raising convenience; [print_value] is the total variant *)
+(* A binary64 datum's fields, read from its bits: [frac_field] the
+   52-bit fraction, [exp_field] the biased exponent.  [fields] drops
+   the sign bit; [Float.sign_bit] reads it. *)
+let frac_mask = (1 lsl 52) - 1
+let[@inline] fields x = Int64.to_int (Int64.bits_of_float x)
+let[@inline] frac_field b = b land frac_mask
+let[@inline] exp_field b = (b lsr 52) land 0x7ff
 
-let print_fixed ?(base = 10) ?mode ?tie ?notation request x =
+(* Infinities, NaNs and both zeros. *)
+let[@inline] special b = exp_field b = 0x7ff || b = 0
+
+(* The table tier's [f] and [e] for a finite non-zero datum: the
+   hidden bit joins the fraction except in denormals, whose exponent is
+   that of the smallest normal binade. *)
+let[@inline] mantissa b =
+  if exp_field b = 0 then frac_field b else frac_field b lor (1 lsl 52)
+
+let[@inline] exponent b = max (exp_field b) 1 - 1075
+
+let print ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
+    ?(strategy = Scaling.Fast_estimate) ?(tie = Generate.Closer_up)
+    ?(notation = Render.Auto) x =
+  let b = fields x in
+  let tried =
+    match strategy with
+    | Scaling.Fast_estimate ->
+      (not (special b))
+      && Free_format.tier_open ~base ~mode Format_spec.binary64
+    | _ -> false
+  in
+  let s =
+    if not tried then ""
+    else
+      free_hit ~mode ~notation Format_spec.binary64 ~neg:(Float.sign_bit x)
+        ~f:(mantissa b) ~e:(exponent b)
+  in
+  if String.length s > 0 then s
+  else
+    free_value ~tried ~base ~mode ~strategy ~tie ~notation Format_spec.binary64
+      (Fp.Ieee.decompose x)
+[@@lint.can_raise Robust.Error.E]
+(* documented raising convenience; [print_value] is the total variant *)
+
+let print_fixed ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
+    ?(tie = Generate.Closer_up) ?(notation = Render.Auto) request x =
   (* Arguments first, so zeros, infinities and NaNs get the same range
      error as finite values. *)
   Fixed_format.check_request ~base request;
-  match Fp.Ieee.decompose x with
-  | Value.Zero neg -> Render.zero ~neg ()
-  | Value.Inf neg -> Render.infinity ~neg ()
-  | Value.Nan -> Render.nan
-  | Value.Finite v ->
-    let result =
-      (Fixed_format.convert_exn ~base ?mode ?tie Format_spec.binary64 v request)
-      [@lint.can_raise Robust.Error.E]
-      (* documented raising convenience; stream drivers use the catch wrapper *)
-    in
-    Render.fixed ?notation ~neg:v.neg ~base result
+  let fmt = Format_spec.binary64 in
+  let b = fields x in
+  (* A relative request reads the bits directly; [tried] once its table
+     tier has missed. *)
+  let tried =
+    match request with
+    | Fixed_format.Relative _ ->
+      (not (special b)) && Free_format.tier_open ~base ~mode fmt
+    | Fixed_format.Absolute _ -> false
+  in
+  let s =
+    match request with
+    | Fixed_format.Relative i when tried ->
+      (* [Fixed_format.vet] of a relative request *)
+      Robust.Budget.check_output_digits i;
+      fixed_hit ~mode ~notation fmt ~neg:(Float.sign_bit x) ~f:(mantissa b)
+        ~e:(exponent b) ~relative:true ~pos:i
+    | _ -> ""
+  in
+  if String.length s > 0 then s
+  else begin
+    match Fp.Ieee.decompose x with
+    | Value.Zero neg -> Render.zero ~neg ()
+    | Value.Inf neg -> Render.infinity ~neg ()
+    | Value.Nan -> Render.nan
+    | Value.Finite v ->
+      let vetted =
+        if tried then None else Fixed_format.vet ~base fmt v request
+      in
+      let s =
+        match (request, vetted) with
+        | Fixed_format.Absolute j, None
+          when Free_format.tier_open ~base ~mode fmt ->
+          let f = Free_format.tier_mantissa v in
+          if f = 0 then ""
+          else
+            fixed_hit ~mode ~notation fmt ~neg:v.neg ~f ~e:v.e ~relative:false
+              ~pos:j
+        | _ -> ""
+      in
+      if String.length s > 0 then s
+      else
+        Render.fixed ~notation ~neg:v.neg ~base
+          (match vetted with
+          | Some t -> t
+          | None -> Fixed_format.exact ~base ~mode ~tie fmt v request)
+  end
 [@@lint.can_raise
   Robust.Error.E
   (* documented raising convenience; stream drivers use the catch wrapper *)]
@@ -68,46 +207,55 @@ let print_fixed ?(base = 10) ?mode ?tie ?notation request x =
 let shortest x = print x
   [@@lint.can_raise Robust.Error.E] (* forwards [print]'s contract *)
 
+let hex_digits = "0123456789abcdef"
+
+(* The decimal digits of [0 <= q < 10000] into [dst], ending at [last]. *)
+let rec put_decimal dst last q =
+  Bytes.unsafe_set dst last (Char.unsafe_chr (48 + (q mod 10)));
+  if q >= 10 then put_decimal dst (last - 1) (q / 10)
+
+(* C17 [%a]-style text from the bits: sign, "0x", the leading digit
+   (the hidden bit, 0 for denormals and zero), a point and the 52-bit
+   fraction as 13 nibbles with trailing zeros dropped, and the binary
+   exponent of the leading digit ([p-1022] for denormals, [p+0] for
+   zero), in one [Bytes] of the exact length. *)
 let print_hex x =
-  match Fp.Ieee.decompose x with
-  | Value.Zero neg -> if neg then "-0x0p+0" else "0x0p+0"
-  | Value.Inf neg -> Render.infinity ~neg ()
-  | Value.Nan -> Render.nan
-  | Value.Finite v ->
-    (* canonical binary64: p-exponent e+52, integer part the hidden bit,
-       13 hex digits of fraction with trailing zeros stripped *)
-    let f =
-      (Bignum.Nat.to_int_exn v.Value.f)
-      [@lint.can_raise Invalid_argument] (* binary64 mantissa < 2^53 always fits *)
-    in
-    let int_part = f lsr 52 in
-    let frac = f land ((1 lsl 52) - 1) in
-    let buf = Buffer.create 24 in
-    if v.Value.neg then Buffer.add_char buf '-';
-    Buffer.add_string buf (Printf.sprintf "0x%d" int_part);
+  let b = fields x in
+  let frac = frac_field b and ef = exp_field b in
+  if ef = 0x7ff then
+    if frac = 0 then Render.infinity ~neg:(Float.sign_bit x) () else Render.nan
+  else begin
+    let nibbles = ref 0 in
     if frac <> 0 then begin
-      Buffer.add_char buf '.';
-      let nibbles = ref [] in
-      let rest = ref frac in
-      for _ = 1 to 13 do
-        nibbles := !rest land 0xF :: !nibbles;
-        rest := !rest lsr 4
-      done;
-      let digits = Array.of_list !nibbles in
-      let last = ref 12 in
-      while digits.(!last) = 0 do
-        decr last
-      done;
-      for i = 0 to !last do
-        Buffer.add_char buf "0123456789abcdef".[digits.(i)]
+      nibbles := 13;
+      while (frac lsr (4 * (13 - !nibbles))) land 0xf = 0 do
+        decr nibbles
       done
     end;
-    Buffer.add_string buf (Printf.sprintf "p%+d" (v.Value.e + 52));
-    Buffer.contents buf
-[@@lint.can_raise
-  Invalid_argument
-  (* [decompose] validates its bit pattern; any float is in range, so
-     this never fires from the public signature *)]
+    let nibbles = !nibbles in
+    let p = if ef = 0 then if frac = 0 then 0 else -1022 else ef - 1023 in
+    let q = abs p in
+    let sign = if Float.sign_bit x then 1 else 0
+    and point = if nibbles = 0 then 0 else 1
+    and width =
+      if q >= 1000 then 4 else if q >= 100 then 3 else if q >= 10 then 2 else 1
+    in
+    let at = sign + 3 + point + nibbles in
+    let dst = Bytes.create (at + 2 + width) in
+    if sign = 1 then Bytes.unsafe_set dst 0 '-';
+    Bytes.unsafe_set dst sign '0';
+    Bytes.unsafe_set dst (sign + 1) 'x';
+    Bytes.unsafe_set dst (sign + 2) (if ef = 0 then '0' else '1');
+    if point = 1 then Bytes.unsafe_set dst (sign + 3) '.';
+    for i = 0 to nibbles - 1 do
+      Bytes.unsafe_set dst (sign + 4 + i)
+        (String.unsafe_get hex_digits ((frac lsr (4 * (12 - i))) land 0xf))
+    done;
+    Bytes.unsafe_set dst at 'p';
+    Bytes.unsafe_set dst (at + 1) (if p < 0 then '-' else '+');
+    put_decimal dst (at + 1 + width) q;
+    Bytes.unsafe_to_string dst
+  end
 
 let print_exact ?(base = 10) ?notation x =
   match Fp.Ieee.decompose x with

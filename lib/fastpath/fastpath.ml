@@ -45,12 +45,22 @@
    which is precisely the correctly-rounded boundary case the exact
    fallback exists for.
 
+   Output.  The digits go straight into the caller's [Bytes] as ASCII,
+   most significant first, and the verdict comes back as one packed
+   int (digit count, point and zero count), so a hit allocates nothing
+   here.
+
    Faults and budgets.  The fast path stands aside entirely while any
    fault point is armed ({!Robust.Faults.any_armed} is checked by the
    dispatcher) because it cannot reproduce the reference pipeline's
    trip sites; it {e does} honor per-request deadlines and digit
-   budgets by consulting {!Robust.Budget.check_output_digits} with the
-   same per-digit cadence as the reference loop. *)
+   budgets.  Each attempt checks the deadline once and reads the
+   output-digit cap once; the loop compares its digit count with that
+   int and calls {!Robust.Budget.check_output_digits} only past it, so
+   a capped conversion fails at the same digit with the same error as
+   the reference loop.  An attempt emits at most 17 digits, so a
+   deadline that expires during one goes unseen for at most that
+   attempt, well under a microsecond. *)
 
 module Metrics = Telemetry.Metrics
 module Pow10_table = Pow10_table
@@ -124,18 +134,21 @@ let fixed_hit_count () = Metrics.value m_fixed_hit
 let fixed_fallback_count () = Metrics.value m_fixed_fallback
 
 (* Per-domain scratch: three 8-limb windows (the scaling entry, the
-   product and a half quantum's entry) and the digit buffer, reused
-   across conversions so a hit allocates only its result. *)
+   product and a half quantum's entry) and a text buffer for the
+   digits and their layout, reused across conversions.  [busy] while
+   one conversion holds the pool: a kernel run, or a caller that has
+   borrowed [text] with [lend] (and then runs the kernel on it). *)
 type pool = {
   winc : int array;  (* 5 table limbs + zero padding *)
   winp : int array;  (* 7 product limbs + zero padding *)
   winh : int array;  (* 5 table limbs + zero padding *)
-  digits : int array;
+  text : Bytes.t;
   mutable busy : bool;
 }
 [@@lint.domain_safe
   "only reachable through Domain.DLS; [busy] guards same-domain \
-   reentrancy (metrics callbacks), not cross-domain sharing"]
+   reentrancy (metrics callbacks, finalisers, threads), not \
+   cross-domain sharing"]
 
 let pool_key =
   Domain.DLS.new_key (fun () ->
@@ -143,7 +156,7 @@ let pool_key =
         winc = Array.make 8 0;
         winp = Array.make 8 0;
         winh = Array.make 8 0;
-        digits = Array.make (max_digits + 2) 0;
+        text = Bytes.create 64;
         busy = false;
       })
 
@@ -273,20 +286,26 @@ let[@lint.no_alloc] rec tail_zeros ~high_ok ~n:(n [@lint.width 5])
   end
 [@@lint.certified_width 62]
 
+(* Digit [d] as ASCII at [buf.[n - 1]]; a buffer shorter than
+   [max_digits] fails here, bounds-checked. *)
+let[@inline] [@lint.no_alloc] put buf (n [@lint.width 5]) (d [@lint.width 4]) =
+  Bytes.set buf (n - 1) (Char.unsafe_chr (48 + d))
+[@@lint.certified_width 62]
+
 (* The certified digit loop, shared by both stopping rules.  [tag] is
    k + 1024 under the shortest rule; the position rule adds the total
    number of positions k - j as [total lsl 12].  Returns
-   (z lsl 24) lor (n lsl 12) lor (k + 1024) with the n digits in
-   [digits] and z significant zeros after them (always 0 under the
-   shortest rule), or [uncertain].  All comparisons are between
-   one-sided intervals [a, a+err): "a_true op b_true certainly" demands
-   the op hold across both intervals. *)
-let[@lint.no_alloc] rec loop (digits [@lint.width 4]) ~high_ok
-    ~tag:(tag [@lint.width 34]) (n [@lint.width 5]) (yh [@lint.width 61])
-    (yl [@lint.width 56]) (mph [@lint.width 61]) (mpl [@lint.width 56])
-    (mmh [@lint.width 61]) (mml [@lint.width 56]) (errv [@lint.width 58])
-    (errm [@lint.width 58]) =
-  Robust.Budget.check_output_digits n;
+   (z lsl 24) lor (n lsl 12) lor (k + 1024) with the n digits in [buf]
+   and z significant zeros after them (always 0 under the shortest
+   rule), or [uncertain].  [cap] is the output-digit budget, read once
+   per attempt.  All comparisons are between one-sided intervals
+   [a, a+err): "a_true op b_true certainly" demands the op hold across
+   both intervals. *)
+let[@lint.no_alloc] rec loop buf ~cap ~high_ok ~tag:(tag [@lint.width 34])
+    (n [@lint.width 5]) (yh [@lint.width 61]) (yl [@lint.width 56])
+    (mph [@lint.width 61]) (mpl [@lint.width 56]) (mmh [@lint.width 61])
+    (mml [@lint.width 56]) (errv [@lint.width 58]) (errm [@lint.width 58]) =
+  if n > cap then Robust.Budget.check_output_digits n;
   let d = yh lsr 56 in
   if d > 9 then uncertain
   else begin
@@ -308,7 +327,7 @@ let[@lint.no_alloc] rec loop (digits [@lint.width 4]) ~high_ok
       else if tc1_false && tc2_false then begin
         if n >= max_digits then uncertain
         else begin
-          Array.unsafe_set digits (n - 1) d;
+          put buf n d;
           (* On the continue branch tc2 is certainly false: fraction +
              m⁺ < 1 frame unit, so each scaled hi part is below 2^57
              (mask57 identities) and the errors stay below 2·10^17 <
@@ -322,7 +341,7 @@ let[@lint.no_alloc] rec loop (digits [@lint.width 4]) ~high_ok
           let m10 = mml * 10 in
           let mmh = ((mmh land mask57) * 10) + (m10 lsr 56)
           and mml = m10 land mask56 in
-          loop digits ~high_ok ~tag (n + 1) yh yl mph mpl mmh mml
+          loop buf ~cap ~high_ok ~tag (n + 1) yh yl mph mpl mmh mml
             ((10 * errv) land mask58)
             ((10 * errm) land mask58)
         end
@@ -346,7 +365,7 @@ let[@lint.no_alloc] rec loop (digits [@lint.width 4]) ~high_ok
         (* An estimate off by two surfaces here as a digit past 9. *)
         if last < 0 || last > 9 then uncertain
         else begin
-          Array.unsafe_set digits (n - 1) last;
+          put buf n last;
           let total = tag lsr 12 in
           if total = 0 then (n lsl 12) lor tag
           else begin
@@ -372,11 +391,10 @@ let[@lint.no_alloc] rec loop (digits [@lint.width 4]) ~high_ok
    Y = v·10^(1-k)·2^112 so the first digit is floor(Y).  After the
    fixup (k = est + 1) that is X itself; otherwise X and m± are scaled
    by ten first. *)
-let[@lint.no_alloc] start (digits [@lint.width 4]) ~high_ok
-    ~tag:(tag [@lint.width 34]) ~fixup (xh [@lint.width 61]) (xl [@lint.width 56])
-    (mph [@lint.width 61]) (mpl [@lint.width 56]) (mmh [@lint.width 61])
-    (mml [@lint.width 56]) =
-  if fixup then loop digits ~high_ok ~tag 1 xh xl mph mpl mmh mml err0 err0
+let[@lint.no_alloc] start buf ~cap ~high_ok ~tag:(tag [@lint.width 34]) ~fixup
+    (xh [@lint.width 61]) (xl [@lint.width 56]) (mph [@lint.width 61])
+    (mpl [@lint.width 56]) (mmh [@lint.width 61]) (mml [@lint.width 56]) =
+  if fixup then loop buf ~cap ~high_ok ~tag 1 xh xl mph mpl mmh mml err0 err0
   else begin
     (* Estimate not too low: X + m⁺ < 1 frame unit, and m⁻ ≤ m⁺ or a
        half quantum below X, so every hi part here is below 2^57 and
@@ -390,7 +408,7 @@ let[@lint.no_alloc] start (digits [@lint.width 4]) ~high_ok
     let m10 = mml * 10 in
     let mmh = ((mmh land mask57) * 10) + (m10 lsr 56)
     and mml = m10 land mask56 in
-    loop digits ~high_ok ~tag 1 yh yl mph mpl mmh mml (10 * err0) (10 * err0)
+    loop buf ~cap ~high_ok ~tag 1 yh yl mph mpl mmh mml (10 * err0) (10 * err0)
   end
 [@@lint.certified_width 62]
 
@@ -463,7 +481,7 @@ let[@lint.no_alloc] k_at (winh [@lint.width 28]) ~e:(e [@lint.width_signed 12])
    widening is monotone in j, and H ≤ 10^k0 / 2 there keeps the range
    below 10^(k0+1) — with v still above its half quantum, so the exact
    tier's second retry confirms the guess. *)
-let[@lint.no_alloc] position (winh [@lint.width 28]) (digits [@lint.width 4])
+let[@lint.no_alloc] position (winh [@lint.width 28]) buf ~cap
     ~e:(e [@lint.width_signed 12]) ~narrow ~high_ok
     ~est:(est [@lint.width_signed 11]) ~kbit0:(kbit0 [@lint.width 1])
     ~relative ~pos:(pos [@lint.width_signed 21]) (xh [@lint.width 60])
@@ -485,14 +503,14 @@ let[@lint.no_alloc] position (winh [@lint.width 28]) (digits [@lint.width 4])
       let tag = ((kbit + nh) lsl 12) + (k + 1024) in
       let fixup = kbit = 1 in
       if not (widens j (if narrow then e - 1 else e)) then
-        start digits ~high_ok ~tag ~fixup xh xl mph mpl mmh mml
+        start buf ~cap ~high_ok ~tag ~fixup xh xl mph mpl mmh mml
       else begin
         let s = half_shift winh nh in
         if s < 0 then uncertain
         else begin
           let hh = window60 winh (s + 56) and hl = window56 winh s in
           let wp = widens j e in
-          start digits ~high_ok:(high_ok || wp) ~tag ~fixup xh xl
+          start buf ~cap ~high_ok:(high_ok || wp) ~tag ~fixup xh xl
             (if wp then hh else mph)
             (if wp then hl else mpl)
             hh hl
@@ -506,8 +524,8 @@ type rule = Shortest | Absolute | Relative
 
 (* The frame, the certified estimate fixup and the stopping rule's
    loop.  Returns the loop's encoding or [uncertain]. *)
-let[@lint.no_alloc] run p ~f:(f [@lint.width 53]) ~lf:(lf [@lint.width 6])
-    ~e:(e [@lint.width_signed 12]) ~narrow ~high_ok
+let[@lint.no_alloc] run p buf ~cap ~f:(f [@lint.width 53])
+    ~lf:(lf [@lint.width 6]) ~e:(e [@lint.width_signed 12]) ~narrow ~high_ok
     ~est:(est [@lint.width_signed 11]) ~rule ~pos:(pos [@lint.width_signed 21])
     =
   let q = -est in
@@ -524,8 +542,7 @@ let[@lint.no_alloc] run p ~f:(f [@lint.width 53]) ~lf:(lf [@lint.width 6])
     if t < lf + 12 || t > 81 then uncertain
     else begin
       let (winc [@lint.width 28]) = p.winc
-      and (winp [@lint.width 28]) = p.winp
-      and (digits [@lint.width 4]) = p.digits in
+      and (winp [@lint.width 28]) = p.winp in
       load_entry winc q;
       fill_product winp winc f;
       let xh = window60 winp (t + 56) and xl = window56 winp t in
@@ -546,11 +563,11 @@ let[@lint.no_alloc] run p ~f:(f [@lint.width 53]) ~lf:(lf [@lint.width 6])
         match rule with
         | Shortest ->
           let k = if too_low_true then est + 1 else est in
-          start digits ~high_ok ~tag:(k + 1024) ~fixup:too_low_true xh xl mph
-            mpl mmh mml
+          start buf ~cap ~high_ok ~tag:(k + 1024) ~fixup:too_low_true xh xl
+            mph mpl mmh mml
         | Absolute | Relative ->
           let (winh [@lint.width 28]) = p.winh in
-          position winh digits ~e ~narrow ~high_ok ~est
+          position winh buf ~cap ~e ~narrow ~high_ok ~est
             ~kbit0:(if too_low_true then 1 else 0)
             ~relative:(rule = Relative) ~pos xh xl mph mpl mmh mml
       end
@@ -558,16 +575,28 @@ let[@lint.no_alloc] run p ~f:(f [@lint.width 53]) ~lf:(lf [@lint.width 6])
   end
 [@@lint.certified_width 62]
 
-(* One kernel run on this domain's pool, or [busy] when re-entered. *)
-let attempt p ~f ~e ~mantissa_bits ~narrow ~high_ok ~est ~rule ~pos =
-  if p.busy then busy
+(* One kernel run on this domain's pool.  A caller holding the pool
+   through [lend] passes its [text] and runs at once; any other buffer
+   takes the pool for the run, or gets [busy] when it is held
+   (re-entered from the same domain).  An exception (a budget error)
+   frees the pool either way, so a lent buffer goes back with it.  The
+   deadline is checked and the digit cap read here, once per attempt;
+   the loop only compares its count with the cap. *)
+let attempt buf ~f ~e ~mantissa_bits ~narrow ~high_ok ~est ~rule ~pos =
+  let p = Domain.DLS.get pool_key in
+  let lent = buf == p.text in
+  if p.busy && not lent then busy
   else begin
     p.busy <- true;
     (* Not [Fun.protect]: the two closures it allocates are measurable
-       at this call rate.  [run] only raises via the budget hooks. *)
-    match run p ~f ~lf:mantissa_bits ~e ~narrow ~high_ok ~est ~rule ~pos with
+       at this call rate.  Only the budget hooks raise. *)
+    match
+      Robust.Budget.check_deadline ();
+      let cap = (Robust.Budget.get ()).Robust.Budget.max_output_digits in
+      run p buf ~cap ~f ~lf:mantissa_bits ~e ~narrow ~high_ok ~est ~rule ~pos
+    with
     | r ->
-      p.busy <- false;
+      if not lent then p.busy <- false;
       r
     | exception ex ->
       let bt = Printexc.get_raw_backtrace () in
@@ -575,44 +604,42 @@ let attempt p ~f ~e ~mantissa_bits ~narrow ~high_ok ~est ~rule ~pos =
       Printexc.raise_with_backtrace ex bt
   end
 
-(* Attempt a certified shortest conversion of v = f·2^e.  [mantissa_bits]
-   is bit_length f, [est] the caller's Fast_estimate of ceil(log10 v) —
-   passed in (not recomputed) so the fixup arithmetic is grounded in the
-   {e same} estimate the reference path would use.  Returns the digits
-   (most significant first, no trailing zeros beyond what the loop
-   emitted) and the decimal point position k, or [None] when any step
-   is uncertain. *)
-let convert_shortest ~f ~e ~mantissa_bits ~narrow ~high_ok ~est =
+let lend n =
   let p = Domain.DLS.get pool_key in
-  let r =
-    attempt p ~f ~e ~mantissa_bits ~narrow ~high_ok ~est ~rule:Shortest ~pos:0
-  in
-  if r < 0 then begin
-    if r = uncertain && Metrics.enabled () then Metrics.incr m_fallback;
-    None
-  end
+  if p.busy || n > Bytes.length p.text then Bytes.create (max n max_digits)
   else begin
-    if Metrics.enabled () then Metrics.incr m_hit;
-    let n = r lsr 12 and k = (r land 0xfff) - 1024 in
-    Some (Array.sub p.digits 0 n, k)
+    p.busy <- true;
+    p.text
   end
+
+let give_back b =
+  let p = Domain.DLS.get pool_key in
+  if b == p.text then p.busy <- false
+
+let digit_count r = (r lsr 12) land 0xfff
+let point r = (r land 0xfff) - 1024
+let zero_count r = r lsr 24
+
+let convert_shortest buf ~f ~e ~mantissa_bits ~narrow ~high_ok ~est =
+  let r =
+    attempt buf ~f ~e ~mantissa_bits ~narrow ~high_ok ~est ~rule:Shortest
+      ~pos:0
+  in
+  if Metrics.enabled () then
+    if r >= 0 then Metrics.incr m_hit
+    else if r = uncertain then Metrics.incr m_fallback;
+  r
 
 let pos_limit = 1 lsl 20
 
-let convert_fixed ~relative ~pos ~f ~e ~mantissa_bits ~narrow ~high_ok ~est =
-  if pos <= -pos_limit || pos >= pos_limit then None
+let convert_fixed buf ~relative ~pos ~f ~e ~mantissa_bits ~narrow ~high_ok
+    ~est =
+  if pos <= -pos_limit || pos >= pos_limit then uncertain
   else begin
-    let p = Domain.DLS.get pool_key in
     let rule = if relative then Relative else Absolute in
-    let r = attempt p ~f ~e ~mantissa_bits ~narrow ~high_ok ~est ~rule ~pos in
-    if r < 0 then begin
-      if r = uncertain && Metrics.enabled () then
-        Metrics.incr m_fixed_fallback;
-      None
-    end
-    else begin
-      if Metrics.enabled () then Metrics.incr m_fixed_hit;
-      let n = (r lsr 12) land 0xfff and k = (r land 0xfff) - 1024 in
-      Some (Array.sub p.digits 0 n, k, r lsr 24)
-    end
+    let r = attempt buf ~f ~e ~mantissa_bits ~narrow ~high_ok ~est ~rule ~pos in
+    if Metrics.enabled () then
+      if r >= 0 then Metrics.incr m_fixed_hit
+      else if r = uncertain then Metrics.incr m_fixed_fallback;
+    r
   end

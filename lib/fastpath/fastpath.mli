@@ -5,7 +5,7 @@
     truncated power of ten ({!Pow10_table}), certifying every digit and
     every stopping comparison against one-sided error intervals.  Any
     comparison the intervals cannot decide yields an {e uncertain}
-    verdict ([None]) and the caller falls back to the exact
+    verdict (a negative int) and the caller falls back to the exact
     scratch/word kernels, so hits are byte-identical to the pure
     reference by construction.
 
@@ -32,18 +32,28 @@ module Pow10_table : sig
       re-derived from exact Nat arithmetic by test_fastpath. *)
 end
 
+val max_digits : int
+(** 17: the most digits one attempt writes, and so the least a buffer
+    passed to {!convert_shortest} or {!convert_fixed} must hold. *)
+
 val convert_shortest :
+  Bytes.t ->
   f:int ->
   e:int ->
   mantissa_bits:int ->
   narrow:bool ->
   high_ok:bool ->
   est:int ->
-  (int array * int) option
-(** [convert_shortest ~f ~e ~mantissa_bits ~narrow ~high_ok ~est] is
-    [Some (digits, k)] — most-significant first, decimal point position
-    [k], exactly what [Generate.free] would produce — when every digit
-    and the stopping decision are certified, [None] otherwise.
+  int
+(** [convert_shortest buf ~f ~e ~mantissa_bits ~narrow ~high_ok ~est]
+    writes the certified shortest digits of v = f·2^e into [buf] as
+    ASCII, most significant first — exactly what [Generate.free] would
+    produce — and returns the packed verdict: {!digit_count} digits and
+    decimal point position {!point}.  The verdict is negative when any
+    step is uncertain or the kernel is busy (re-entered on this domain);
+    [buf] then holds nothing of use.  [buf] should hold
+    {!max_digits} bytes; a digit past its end raises
+    [Invalid_argument].
 
     [f] is the mantissa (must fit 53 bits; the caller checks),
     [mantissa_bits] its bit length, [e] the binary exponent, [narrow]
@@ -56,13 +66,21 @@ val convert_shortest :
     when a comparison lands on exact equality, which the one-sided
     intervals can never certify, so those inputs always fall back.
 
-    Honors {!Robust.Budget.check_output_digits} with the reference
-    loop's per-digit cadence.  May not be called while any fault point
-    is armed (the dispatcher checks {!Robust.Faults.any_armed}): the
-    fast path has no bignum trip sites, so running it would desynchronize
-    differential fault schedules. *)
+    Budgets: each attempt checks the deadline once
+    ({!Robust.Budget.check_deadline}) and reads the output-digit cap
+    once; the loop compares its count with that cap and calls
+    {!Robust.Budget.check_output_digits} only past it, so a capped
+    conversion raises at the same digit, with the same error, as the
+    reference loop.  The exact tier keeps its check on every digit; an
+    attempt is at most 17 digits, so a deadline that expires during one
+    goes unseen for well under a microsecond.  May not be called while
+    any fault point is armed (the dispatcher checks
+    {!Robust.Faults.any_armed}): the fast path has no bignum trip
+    sites, so running it would desynchronize differential fault
+    schedules. *)
 
 val convert_fixed :
+  Bytes.t ->
   relative:bool ->
   pos:int ->
   f:int ->
@@ -71,14 +89,15 @@ val convert_fixed :
   narrow:bool ->
   high_ok:bool ->
   est:int ->
-  (int array * int * int) option
-(** [convert_fixed ~relative ~pos] is {!convert_shortest}'s position
-    rule: [pos] significant digits when [relative], else digits down to
-    the absolute position [10^pos].  [Some (digits, k, zeros)] is what
-    [Dragon.Fixed_format] would produce: the generated digits, the
-    decimal point position [k], and how many significant zeros follow
+  int
+(** [convert_fixed buf ~relative ~pos] is {!convert_shortest}'s
+    position rule: [pos] significant digits when [relative], else
+    digits down to the absolute position [10^pos].  A non-negative
+    verdict is what [Dragon.Fixed_format] would produce: the
+    {!digit_count} generated digits in [buf], the decimal point
+    position {!point}, and {!zero_count} significant zeros that follow
     them before the [#] marks begin, out of [pos] positions (relative)
-    or [k - pos] (absolute).
+    or [point - pos] (absolute).
 
     Each side of the range widens to the half quantum where that
     reaches the float's half gap (decided exactly from the table's
@@ -90,6 +109,32 @@ val convert_fixed :
     exact tier's single-digit case), an exact tie, and a zero run past
     the error budget.  [|pos|] must stay below 2^20; larger requests
     are not attempted. *)
+
+val lend : int -> Bytes.t
+(** [lend n]: this domain's 64-byte text buffer when [n] fits it and
+    the domain's kernel pool is free, else a fresh buffer of at least
+    [max n max_digits] bytes.  While lent, the buffer holds the pool: a
+    kernel run on it goes ahead, one on any other buffer gets the busy
+    verdict, and so does a nested conversion (a finaliser, another
+    thread of the domain).  For the digits of one conversion and their
+    layout; pass it back with {!give_back}, also on an exception, or
+    the domain's table tier stays shut.  A budget error raised by
+    {!convert_shortest} or {!convert_fixed} on a lent buffer gives it
+    back itself. *)
+
+val give_back : Bytes.t -> unit
+(** Returns a buffer from {!lend}; a fresh one is simply dropped. *)
+
+val digit_count : int -> int
+(** The number of digits a non-negative verdict wrote. *)
+
+val point : int -> int
+(** The decimal point position [k] of a non-negative verdict: the value
+    is [0.d1 d2 ... × 10^k]. *)
+
+val zero_count : int -> int
+(** The significant zeros after the digits of a {!convert_fixed}
+    verdict (0 for {!convert_shortest}). *)
 
 val enabled : unit -> bool
 (** Dispatch gate, true by default; [BDPRINT_NO_FASTPATH=1] in the

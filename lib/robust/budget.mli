@@ -19,9 +19,10 @@
     per-request {e deadline}: when one is set ({!set_deadline} /
     {!with_deadline}), every [check_*] call first verifies that the
     wall clock has not passed it, and raises a [Budget] error with
-    [what = ]{!deadline_what} if it has.  Because the digit loops call a
-    check on every iteration, a request that has run out of time is cut
-    off within one unit of work. *)
+    [what = ]{!deadline_what} if it has.  Because the exact digit loops
+    call a check on every iteration, a request that has run out of time
+    is cut off within one unit of work; the table tier checks the
+    deadline once per attempt of at most 17 digits. *)
 
 type t = {
   max_input_length : int;  (** bytes of input text accepted by parsers *)

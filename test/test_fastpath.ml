@@ -184,40 +184,41 @@ let test_table_products () =
 (* ---------- uncertain verdicts on hostile inputs ---------- *)
 
 let test_uncertain_verdicts () =
+  let buf = Bytes.create Fastpath.max_digits in
   (* position requests the kernel does not attempt: no significant
      digits, or a position beyond its range *)
   let fixed ~relative ~pos =
-    Fastpath.convert_fixed ~relative ~pos ~f:(1 lsl 52) ~e:(-52)
+    Fastpath.convert_fixed buf ~relative ~pos ~f:(1 lsl 52) ~e:(-52)
       ~mantissa_bits:53 ~narrow:true ~high_ok:true ~est:0
   in
-  Alcotest.(check bool) "relative 0" true (fixed ~relative:true ~pos:0 = None);
+  Alcotest.(check bool) "relative 0" true (fixed ~relative:true ~pos:0 < 0);
   Alcotest.(check bool)
     "position out of range" true
-    (fixed ~relative:false ~pos:(-(1 lsl 20)) = None);
+    (fixed ~relative:false ~pos:(-(1 lsl 20)) < 0);
   (* a position at or above the leading digit is the exact tier's
      single-digit case *)
   Alcotest.(check bool)
     "position above the value" true
-    (fixed ~relative:false ~pos:2 = None);
+    (fixed ~relative:false ~pos:2 < 0);
   (* estimate far outside the table *)
   Alcotest.(check bool)
     "est out of table" true
-    (Fastpath.convert_shortest ~f:5 ~e:0 ~mantissa_bits:3 ~narrow:false
+    (Fastpath.convert_shortest buf ~f:5 ~e:0 ~mantissa_bits:3 ~narrow:false
        ~high_ok:true ~est:400
-    = None);
+    < 0);
   (* estimate inconsistent with the value: the frame check must refuse
      rather than emit digits *)
   Alcotest.(check bool)
     "est off by a mile" true
-    (Fastpath.convert_shortest ~f:5 ~e:0 ~mantissa_bits:3 ~narrow:false
+    (Fastpath.convert_shortest buf ~f:5 ~e:0 ~mantissa_bits:3 ~narrow:false
        ~high_ok:true ~est:25
-    = None);
+    < 0);
   (* a mantissa lying about its bit length must be refused, not trusted *)
   Alcotest.(check bool)
     "bad bit length" true
-    (Fastpath.convert_shortest ~f:(1 lsl 52) ~e:0 ~mantissa_bits:1
+    (Fastpath.convert_shortest buf ~f:(1 lsl 52) ~e:0 ~mantissa_bits:1
        ~narrow:false ~high_ok:true ~est:16
-    = None)
+    < 0)
 
 (* ---------- monomorphized estimator agreement ---------- *)
 
@@ -373,6 +374,112 @@ let test_budget_parity () =
       Alcotest.(check bool)
         "budget actually fired" true
         (String.length fast >= 6 && String.sub fast 0 6 = "error:"))
+
+(* The kernel reads the digit cap once per attempt and compares it on
+   every digit: a cap one short of a 17-digit output fails at the 17th
+   digit, with the exact tier's error, on both sides of the gate. *)
+let test_cap_parity () =
+  let cap16 =
+    { (Robust.Budget.get ()) with Robust.Budget.max_output_digits = 16 }
+  in
+  let got side name = function
+    | Error (Robust.Error.Budget { what = "output digits"; got; limit = 16 }) ->
+      got
+    | Error e ->
+      Alcotest.failf "%s, %s: %s" name side (Robust.Error.to_string e)
+    | Ok s -> Alcotest.failf "%s, %s: printed %s" name side s
+  in
+  let x = 0.1 +. 0.2 in
+  let calls =
+    [
+      ("print_value", fun () -> Dragon.Printer.print_value b64 (Ieee.decompose x));
+      ("print", fun () -> Robust.Error.catch (fun () -> Dragon.Printer.print x));
+      ( "print_fixed (Relative 17)",
+        fun () ->
+          Robust.Error.catch (fun () ->
+              Dragon.Printer.print_fixed (Dragon.Fixed_format.Relative 17) x) );
+    ]
+  in
+  Robust.Budget.with_budget cap16 (fun () ->
+      List.iter
+        (fun (side, run) ->
+          List.iter
+            (fun (name, f) ->
+              Alcotest.(check int)
+                (name ^ ", " ^ side) 17
+                (got side name (run f)))
+            calls)
+        [ ("table tier", with_fastpath); ("exact tier", without_fastpath) ])
+
+(* The deadline is checked once per attempt: an expired one fails a
+   conversion on both sides of the gate. *)
+let test_deadline_parity () =
+  let what = function
+    | Error (Robust.Error.Budget { what; _ }) -> what
+    | Error e -> Robust.Error.to_string e
+    | Ok s -> "printed " ^ s
+  in
+  let calls =
+    [
+      ("print_value", fun () -> Dragon.Printer.print_value b64 (Ieee.decompose 0.3));
+      ( "print_fixed",
+        fun () ->
+          Robust.Error.catch (fun () ->
+              Dragon.Printer.print_fixed (Dragon.Fixed_format.Relative 17) 0.3) );
+    ]
+  in
+  List.iter
+    (fun (side, run) ->
+      List.iter
+        (fun (name, f) ->
+          Alcotest.(check string)
+            (name ^ ", " ^ side) Robust.Budget.deadline_what
+            (what (run (fun () -> Robust.Budget.with_deadline ~ms:0 f))))
+        calls)
+    [ ("table tier", with_fastpath); ("exact tier", without_fastpath) ]
+
+(* A table-tier hit goes from the mantissa to one string: averaged over
+   the hits among Schryer values, [print] and [print_fixed] allocate
+   their result and the boxed float argument, and [print_value] adds
+   only [Error.catch]'s closure and its [Ok] to its result. *)
+let test_hit_allocation () =
+  with_fastpath (fun () ->
+      let xs = Workloads.Schryer.corpus ~size:20_000 () in
+      let hits count f =
+        let was = Telemetry.Metrics.enabled () in
+        Telemetry.Metrics.set_enabled true;
+        let hit x =
+          let h0 = count () in
+          ignore (f x);
+          count () > h0
+        in
+        let r = List.filter hit (Array.to_list xs) in
+        Telemetry.Metrics.set_enabled was;
+        Array.of_list r
+      in
+      let relative17 = Dragon.Fixed_format.Relative 17 in
+      let free_hits = hits Fastpath.hit_count Dragon.Printer.print in
+      let fixed_hits =
+        hits Fastpath.fixed_hit_count (Dragon.Printer.print_fixed relative17)
+      in
+      let values = Array.map Ieee.decompose free_hits in
+      let per_call name inputs limit f =
+        Array.iter (fun x -> ignore (Sys.opaque_identity (f x))) inputs;
+        let w0 = Gc.minor_words () in
+        Array.iter (fun x -> ignore (Sys.opaque_identity (f x))) inputs;
+        let n = Array.length inputs in
+        let words = (Gc.minor_words () -. w0) /. float_of_int n in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %.1f words per hit over %d hits, at most %d" name
+             words n limit)
+          true
+          (n > 10_000 && words <= float_of_int limit)
+      in
+      per_call "print" free_hits 8 (fun x -> Dragon.Printer.print x);
+      per_call "print_fixed (Relative 17)" fixed_hits 8 (fun x ->
+          Dragon.Printer.print_fixed relative17 x);
+      per_call "print_value" values 20 (fun v ->
+          Dragon.Printer.print_value b64 v))
 
 (* ---------- fixed format: the position rule ---------- *)
 
@@ -608,6 +715,12 @@ let () =
             test_uncertain_verdicts;
           Alcotest.test_case "output-digit budget parity" `Quick
             test_budget_parity;
+          Alcotest.test_case "a cap of 16 fails at digit 17" `Quick
+            test_cap_parity;
+          Alcotest.test_case "expired deadline on both sides" `Quick
+            test_deadline_parity;
+          Alcotest.test_case "a hit allocates only its result" `Quick
+            test_hit_allocation;
           Alcotest.test_case "monomorphized estimator agreement" `Quick
             test_fast_estimate_b10;
         ] );

@@ -52,6 +52,132 @@ let test_render_fixed () =
     (Render.fixed ~notation:Render.Scientific ~base:10
        (mk [ d 1; d 2; d 3; h; h ] 6))
 
+(* The list-based layout that [Render] used before it laid text out
+   into one [Bytes], kept as the oracle for the new one. *)
+let oracle_layout ~notation ~neg ~k ~base chars =
+  let n = List.length chars in
+  let buf = Buffer.create (n + 8) in
+  if neg then Buffer.add_char buf '-';
+  let positional =
+    match notation with
+    | Render.Positional -> true
+    | Render.Scientific -> false
+    | Render.Auto -> k > -6 && k - n <= 21 && k <= 21
+  in
+  if positional then begin
+    if k <= 0 then begin
+      Buffer.add_string buf "0.";
+      for _ = 1 to -k do
+        Buffer.add_char buf '0'
+      done;
+      List.iter (Buffer.add_char buf) chars
+    end
+    else begin
+      List.iteri
+        (fun i c ->
+          if i = k then Buffer.add_char buf '.';
+          Buffer.add_char buf c)
+        chars;
+      for _ = n to k - 1 do
+        Buffer.add_char buf '0'
+      done;
+      if k >= n then Buffer.add_string buf ".0"
+    end
+  end
+  else begin
+    (match chars with
+    | [] -> Buffer.add_char buf '0'
+    | first :: rest ->
+      Buffer.add_char buf first;
+      if rest <> [] then begin
+        Buffer.add_char buf '.';
+        List.iter (Buffer.add_char buf) rest
+      end);
+    Buffer.add_char buf (if base <= 14 then 'e' else '^');
+    Buffer.add_string buf (string_of_int (k - 1))
+  end;
+  Buffer.contents buf
+
+(* Every base either side of the marker switch (14/15) and 36, every
+   notation and sign, 0-24 digits (digit 35 among them in base 36), and
+   k over -30..30 and the exponent widths' edges.  The grid holds the
+   edges of [use_positional]: k = -5/-6, k - n = 21/22 and k = 21/22. *)
+let test_render_layout_oracle () =
+  let ks =
+    List.init 61 (fun i -> i - 30)
+    @ List.concat_map (fun k -> [ k; -k ]) [ 99; 100; 999; 1000; 100_000 ]
+  in
+  let chars_of digits =
+    List.map (fun d -> "0123456789abcdefghijklmnopqrstuvwxyz".[d]) digits
+  in
+  let check name want got =
+    if not (String.equal want got) then
+      Alcotest.failf "%s: oracle %S, layout %S" name want got
+  in
+  List.iter
+    (fun base ->
+      List.iter
+        (fun notation ->
+          List.iter
+            (fun neg ->
+              for n = 0 to 24 do
+                let digits =
+                  List.init n (fun i -> abs ((base - 1 - (7 * i)) mod base))
+                in
+                let chars = chars_of digits in
+                List.iter
+                  (fun k ->
+                    let name =
+                      Printf.sprintf "base %d, %d digits, k = %d" base n k
+                    in
+                    check ("free " ^ name)
+                      (oracle_layout ~notation ~neg ~k ~base chars)
+                      (Render.free ~notation ~neg ~base
+                         { Free_format.digits = Array.of_list digits; k });
+                    (* the same digits followed by zero runs and # tails *)
+                    List.iter
+                      (fun (zeros, hashes) ->
+                        let fixed =
+                          List.map (fun d -> Fixed_format.Digit d) digits
+                          @ List.init zeros (fun _ -> Fixed_format.Digit 0)
+                          @ List.init hashes (fun _ -> Fixed_format.Hash)
+                        in
+                        let fchars =
+                          chars @ List.init zeros (fun _ -> '0')
+                          @ List.init hashes (fun _ -> '#')
+                        in
+                        check
+                          (Printf.sprintf "fixed %s, %d zeros, %d marks" name
+                             zeros hashes)
+                          (oracle_layout ~notation ~neg ~k ~base fchars)
+                          (Render.fixed ~notation ~neg ~base
+                             { Fixed_format.digits = Array.of_list fixed; k }))
+                      (if n mod 4 = 1 then [ (0, 1); (2, 0); (1, 3); (3, 30) ]
+                       else []))
+                  ks
+              done)
+            [ false; true ])
+        [ Render.Auto; Render.Scientific; Render.Positional ])
+    [ 2; 10; 14; 15; 16; 36 ];
+  (* a count outside the source raises, whatever the notation and k *)
+  List.iter
+    (fun notation ->
+      List.iter
+        (fun (n, k) ->
+          let src = Bytes.of_string "12" in
+          match Render.layout ~notation ~neg:true ~k ~base:10 src n with
+          | s -> Alcotest.failf "layout of %d chars at k = %d gave %S" n k s
+          | exception Invalid_argument _ -> ())
+        [ (-1, 0); (-1, 1); (-3, -2); (-1, 5); (3, 0); (3, 2); (3, 1); (3, 9) ])
+    [ Render.Auto; Render.Scientific; Render.Positional ];
+  (* digit 35 and the empty output in scientific notation *)
+  Alcotest.(check string) "digit 35" "z.z^0"
+    (Render.free ~notation:Render.Scientific ~base:36
+       { Free_format.digits = [| 35; 35 |]; k = 1 });
+  Alcotest.(check string) "no digits" "0e4"
+    (Render.free ~notation:Render.Scientific ~base:10
+       { Free_format.digits = [||]; k = 5 })
+
 (* ------------------------------------------------------------------ *)
 (* Float-level API *)
 
@@ -257,6 +383,8 @@ let () =
         [
           Alcotest.test_case "free" `Quick test_render_free;
           Alcotest.test_case "fixed" `Quick test_render_fixed;
+          Alcotest.test_case "layout matches the list-based oracle" `Quick
+            test_render_layout_oracle;
         ] );
       ( "printer-api",
         [

@@ -271,6 +271,43 @@ let test_hex_is_literal () =
     (Printf.sprintf "allocates nothing (%.0f words over 10000 calls)" words)
     true (words < 100.)
 
+(* [print_hex] reads its text off the bits; it must match the host's
+   [%h] byte for byte on every kind of finite double, either sign. *)
+let test_print_hex_vs_host () =
+  let check x =
+    let ours = Dragon.Printer.print_hex x and host = Printf.sprintf "%h" x in
+    if not (String.equal ours host) then
+      Alcotest.failf "print_hex %Lx: %S, host %%h %S" (Int64.bits_of_float x)
+        ours host
+  in
+  let both x =
+    check x;
+    check (-.x)
+  in
+  List.iter both
+    [
+      0.; Float.min_float (* smallest normal *);
+      Int64.float_of_bits 1L (* smallest denormal *);
+      Int64.float_of_bits 0x000F_FFFF_FFFF_FFFFL (* largest denormal *);
+      Int64.float_of_bits 0x0008_0000_0000_0000L; Float.max_float; 1.; 0.1;
+      Float.pi; 1e23; Float.epsilon;
+    ];
+  Alcotest.(check string)
+    "negative zero" "-0x0p+0"
+    (Dragon.Printer.print_hex (-0.));
+  for p = -1074 to 1023 do
+    both (Float.ldexp 1. p)
+  done;
+  let st = Random.State.make [| 0x4e; 16 |] in
+  let n = ref 0 in
+  while !n < 10_000 do
+    let x = Int64.float_of_bits (Random.State.bits64 st) in
+    if Float.is_finite x then begin
+      incr n;
+      check x
+    end
+  done
+
 (* ------------------------------------------------------------------ *)
 (* The fast reader: Lemire's product, the midpoint comparison, and
    agreement with the exact reader *)
@@ -749,6 +786,8 @@ let () =
           Alcotest.test_case "read_in_base" `Quick test_read_in_base;
           Alcotest.test_case "hex literals" `Quick test_hex_reader;
           Alcotest.test_case "hex literal routing" `Quick test_hex_is_literal;
+          Alcotest.test_case "print_hex matches host %h" `Quick
+            test_print_hex_vs_host;
         ] );
       ( "fast",
         [
