@@ -721,12 +721,12 @@ let service_bench ~size () =
 (* ------------------------------------------------------------------ *)
 (* Daemon: open/closed-loop load generator against bdprintd (E11).
 
-   Targets BDPRINTD_ADDR (host:port, an externally started daemon — the
-   CI smoke job's mode) or, absent that, an in-process Net.Server on an
-   ephemeral port.  Every reply is verified against a fault-free
-   client-side conversion (OK must match exactly, DEG must read back to
-   the same value), so a chaos-faulted run proves zero wrong outputs
-   under worker kills.  Latency percentiles and the daemon's
+   Targets BDPRINTD_ADDR (an externally started daemon, in bdprint
+   --connect's address grammar — the CI smoke job's mode) or, absent
+   that, an in-process Net.Server on an ephemeral port.  Every reply is
+   verified against a fault-free client-side conversion (OK must match
+   exactly, DEG must read back to the same value), so a chaos-faulted
+   run proves zero wrong outputs under worker kills.  Latency percentiles and the daemon's
    shed/degraded/cache counters land in BENCH_service.json; any wrong
    output makes the bench exit non-zero. *)
 
@@ -773,20 +773,14 @@ let daemon_bench ~size () =
     (fun s -> if not (Hashtbl.mem expected s) then Hashtbl.add expected s (convert s))
     inputs;
   List.iter (fun (p, pr) -> Faults.arm ~probability:pr p) armed;
-  let in_process, host, port =
-    (* the address is vetted through the client's typed parser before
-       any socket is opened: a malformed BDPRINTD_ADDR exits 2 with a
+  let in_process, target =
+    (* the address is vetted through the shared typed parser before any
+       socket is opened: a malformed BDPRINTD_ADDR exits 2 with a
        structured range error instead of a late Failure mid-bench *)
     match Sys.getenv_opt "BDPRINTD_ADDR" with
     | Some addr -> (
-      match Net.Client.parse_addr addr with
-      | Result.Ok (Net.Client.Tcp (h, p)) -> (None, h, p)
-      | Result.Ok (Net.Client.Unix_path _) ->
-        Printf.eprintf "error: %s\n%!"
-          (Robust.Error.to_string
-             (Robust.Error.range ~what:"BDPRINTD_ADDR"
-                "the daemon bench needs a TCP address (HOST:PORT)"));
-        exit 2
+      match Net.Addr.parse addr with
+      | Result.Ok a -> (None, a)
       | Result.Error e ->
         Printf.eprintf "error: %s\n%!" (Robust.Error.to_string e);
         exit 2)
@@ -796,63 +790,41 @@ let daemon_bench ~size () =
           Server.start
             ~config:{ Server.default_config with Server.jobs = 3 }
             ~convert
-            (Server.Tcp ("127.0.0.1", 0))
+            (Net.Addr.Tcp ("127.0.0.1", 0))
         with
         | Result.Ok s -> s
         | Result.Error e ->
           failwith ("daemon bench: " ^ Robust.Error.to_string e)
       in
-      (Some server, "127.0.0.1", Option.get (Server.port server))
+      (Some server, Net.Addr.Tcp ("127.0.0.1", Option.get (Server.port server)))
   in
-  Printf.printf "(%d requests against %s:%d%s)\n\n" size host port
+  Printf.printf "(%d requests against %s%s)\n\n" size
+    (Net.Addr.to_string target)
     (if in_process = None then " [external daemon]" else " [in-process]");
-  (* minimal blocking line client *)
+  let sockaddr =
+    match Net.Addr.sockaddr target with
+    | Result.Ok a -> a
+    | Result.Error msg -> failwith ("daemon bench: " ^ msg)
+  in
+  (* minimal blocking line client over the shared reader and writer *)
   let module C = struct
-    type t = {
-      fd : Unix.file_descr;
-      buf : Bytes.t;
-      mutable pos : int;
-      mutable len : int;
-      acc : Buffer.t;
-    }
+    type t = { fd : Unix.file_descr; reader : Net.Line_reader.t }
 
     let connect () =
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.connect fd
-        (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.0;
-      { fd; buf = Bytes.create 8192; pos = 0; len = 0; acc = Buffer.create 64 }
-
-    let send t s =
-      let b = Bytes.of_string s in
-      let rec go off len =
-        if len > 0 then begin
-          let n = Unix.write t.fd b off len in
-          go (off + n) (len - n)
-        end
+      let fd =
+        Unix.socket (Unix.domain_of_sockaddr sockaddr) Unix.SOCK_STREAM 0
       in
-      go 0 (Bytes.length b)
+      Unix.connect fd sockaddr;
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.0;
+      { fd; reader = Net.Line_reader.create fd }
+
+    let send t s = Net.Line_reader.write t.fd s 0 (String.length s)
 
     let rec line t =
-      if t.pos >= t.len then begin
-        let n = Unix.read t.fd t.buf 0 (Bytes.length t.buf) in
-        if n = 0 then failwith "daemon closed the connection";
-        t.pos <- 0;
-        t.len <- n;
-        line t
-      end
-      else
-        match Bytes.index_from_opt t.buf t.pos '\n' with
-        | Some i when i < t.len ->
-          Buffer.add_subbytes t.acc t.buf t.pos (i - t.pos);
-          t.pos <- i + 1;
-          let s = Buffer.contents t.acc in
-          Buffer.clear t.acc;
-          s
-        | _ ->
-          Buffer.add_subbytes t.acc t.buf t.pos (t.len - t.pos);
-          t.pos <- t.len;
-          line t
+      match Net.Line_reader.read t.reader with
+      | Net.Line_reader.Line s -> s
+      | Interrupted -> line t
+      | Last _ | Too_long _ | Eof -> failwith "daemon closed the connection"
 
     let close t = try Unix.close t.fd with Unix.Unix_error (_, _, _) -> ()
   end in
@@ -994,7 +966,7 @@ let daemon_bench ~size () =
   Printf.fprintf oc
     {|{
   "benchmark": "bdprintd load generation",
-  "target": "%s:%d",
+  "target": "%s",
   "mode": "%s",
   "threads": %d,
   "requests": %d,
@@ -1006,7 +978,7 @@ let daemon_bench ~size () =
               "crashes": %d, "respawns": %d, "breaker_trips": %d }
 }
 |}
-    host port
+    (Net.Addr.to_string target)
     (if in_process = None then "external" else "in-process")
     threads total_requests (threads * per_thread) closed_wall
     (float_of_int (threads * per_thread) /. closed_wall)

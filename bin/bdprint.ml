@@ -188,7 +188,11 @@ let connect_arg =
            endpoint ejection/readmission and honored SHED retry-after \
            hints.  When every endpoint is unreachable the conversion \
            falls back to the local in-process pipeline, so the stream \
-           still completes.  A malformed address is a typed range error \
+           still completes.  The daemon prints shortest binary64 \
+           decimals under nearest-even only, so $(b,--base), $(b,--mode), \
+           $(b,--format), $(b,--notation), $(b,--digits), $(b,--places) \
+           and $(b,--hex) with a non-default value are refused.  A \
+           malformed address or a refused flag is a typed range error \
            (exit 2) reported before any socket is opened.  Remote \
            degraded replies are printed with the same 'degraded:' prefix \
            as $(b,--jobs) in $(b,--stdin) mode.")
@@ -621,7 +625,7 @@ let run_stream_jobs ~convert ~jobs ~max_errors ~deadline_ms ~show_stats
    final fallback tier. *)
 let connect_client ~local ~hedge_ms ~show_stats spec =
   let addrs =
-    match Client.parse_addrs spec with
+    match Net.Addr.parse_list spec with
     | Result.Ok addrs -> addrs
     | Result.Error e ->
       Printf.eprintf "error: %s\n%!" (Error.to_string e);
@@ -651,6 +655,24 @@ let connect_client ~local ~hedge_ms ~show_stats spec =
           s.Client.sheds_honored s.Client.hedges s.Client.hedge_wins
           s.Client.ejections s.Client.readmissions s.Client.reconnects);
   client
+
+(* A CONV request carries its input alone, and bdprintd answers it with
+   the default conversion: shortest binary64 decimal under nearest-even.
+   So --connect refuses any other conversion setting, naming the first
+   one set.  --strategy stays allowed: every strategy prints the same
+   digits. *)
+let connect_conflict ~base ~mode ~fmt ~notation ~digits ~places ~hex_out =
+  List.find_map
+    (fun (set, flag) -> if set then Some flag else None)
+    [
+      (base <> 10, "--base");
+      (mode <> Fp.Rounding.To_nearest_even, "--mode");
+      (fmt <> Fp.Format_spec.binary64, "--format");
+      (notation <> Dragon.Render.Auto, "--notation");
+      (digits <> None, "--digits");
+      (places <> None, "--places");
+      (hex_out, "--hex");
+    ]
 
 let run base mode fmt strategy notation digits places hex_out use_stdin
     max_errors jobs show_stats deadline_ms metrics_file connect hedge_ms
@@ -712,6 +734,19 @@ let run base mode fmt strategy notation digits places hex_out use_stdin
           match connect with
           | None -> (convert, deadline_ms)
           | Some spec ->
+            (match
+               connect_conflict ~base ~mode ~fmt ~notation ~digits ~places
+                 ~hex_out
+             with
+            | Some flag ->
+              Printf.eprintf "error: %s\n%!"
+                (Error.to_string
+                   (Error.range ~what:"--connect"
+                      (flag
+                     ^ " is not served: bdprintd prints shortest binary64 \
+                        decimals under nearest-even")));
+              exit 2
+            | None -> ());
             let client =
               connect_client ~local:convert ~hedge_ms ~show_stats spec
             in

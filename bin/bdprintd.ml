@@ -3,7 +3,7 @@
    Fronts the supervised conversion service (worker domains, retries,
    circuit breaker, degraded fallback, crash respawn) with the Wire
    line protocol over a Unix-domain or TCP socket: bounded admission
-   with explicit SHED replies, per-connection deadlines, a sharded
+   with explicit SHED replies, per-connection deadlines, a bounded
    hot-value cache, and graceful drain on SIGTERM/SIGINT — accepted
    requests finish, --metrics files flush, then a clean exit 0.
 
@@ -31,34 +31,17 @@ let convert input =
 
 let listen_conv =
   let parse s =
-    match String.index_opt s ':' with
-    | Some 4 when String.sub s 0 4 = "unix" ->
-      let p = String.sub s 5 (String.length s - 5) in
-      if p = "" then Result.Error (`Msg "unix: needs a socket path")
-      else Result.Ok (Server.Unix_path p)
-    | Some i ->
-      let host = String.sub s 0 i in
-      let host = if host = "" then "127.0.0.1" else host in
-      let port = String.sub s (i + 1) (String.length s - i - 1) in
-      (match int_of_string_opt port with
-      | Some p when p >= 0 && p <= 65535 -> Result.Ok (Server.Tcp (host, p))
-      | _ -> Result.Error (`Msg (Printf.sprintf "bad port %S" port)))
-    | None -> (
-      match int_of_string_opt s with
-      | Some p when p >= 0 && p <= 65535 ->
-        Result.Ok (Server.Tcp ("127.0.0.1", p))
-      | _ -> Result.Error (`Msg (Printf.sprintf "bad listen address %S" s)))
+    Result.map_error
+      (fun e -> `Msg (Error.to_string e))
+      (Net.Addr.parse ~listen:true s)
   in
-  let print ppf = function
-    | Server.Unix_path p -> Format.fprintf ppf "unix:%s" p
-    | Server.Tcp (h, p) -> Format.fprintf ppf "%s:%d" h p
-  in
+  let print ppf a = Format.pp_print_string ppf (Net.Addr.to_string a) in
   Arg.conv (parse, print)
 
 let listen_arg =
   Arg.(
     value
-    & opt listen_conv (Server.Tcp ("127.0.0.1", 0))
+    & opt listen_conv (Net.Addr.Tcp ("127.0.0.1", 0))
     & info [ "l"; "listen" ] ~docv:"ADDR"
         ~doc:
           "Listen address: $(b,HOST:PORT), $(b,:PORT), $(b,PORT) (TCP; port \
@@ -82,24 +65,6 @@ let cache_arg =
     value & opt int 4096
     & info [ "cache-size" ] ~docv:"N"
         ~doc:"Hot-value cache capacity in entries; 0 disables the cache.")
-
-let cache_shards_arg =
-  Arg.(
-    value & opt int 8
-    & info [ "cache-shards" ] ~docv:"N" ~doc:"Cache shard count.")
-
-let memo_min_us_arg =
-  Arg.(
-    value & opt float 5.0
-    & info [ "memo-min-us" ] ~docv:"US"
-        ~doc:
-          "Skip memoizing conversions that complete in under $(docv) \
-           microseconds: the table fast path answers in about 1 us \
-           (BENCH_kernel.json), cheaper to recompute than to cache, \
-           while exact-kernel conversions take tens of microseconds and \
-           stay memoized.  The clock starts at submit, so queue wait and \
-           the supervisor handoff count too (docs/PERFORMANCE.md).  0 \
-           memoizes everything.")
 
 let deadline_arg =
   Arg.(
@@ -185,14 +150,14 @@ let flush_metrics metrics_file =
 
 let print_final_stats (s : Server.stats) =
   Printf.eprintf
-    "bdprintd: served %d requests on %d connections: %d ok (%d cached, %d \
-     memo-skips), %d degraded, %d failed, %d shed (%d queue-full, %d \
-     overload, %d draining), %d protocol errors\n\
+    "bdprintd: served %d requests on %d connections: %d ok (%d cached), %d \
+     degraded, %d failed, %d shed (%d queue-full, %d overload, %d \
+     draining), %d protocol errors\n\
      bdprintd: workers: %d submitted, %d crashes, %d wedges, %d respawns, \
      breaker=%s trips=%d\n\
      %!"
     s.Server.requests s.Server.connections s.Server.replies_ok
-    s.Server.cache_hits s.Server.cache_skips s.Server.replies_degraded
+    s.Server.cache_hits s.Server.replies_degraded
     s.Server.replies_failed
     (s.Server.shed_queue_full + s.Server.shed_overload + s.Server.shed_draining)
     s.Server.shed_queue_full s.Server.shed_overload s.Server.shed_draining
@@ -203,12 +168,11 @@ let print_final_stats (s : Server.stats) =
     s.Server.supervisor.Service.Supervisor.breaker_state
     s.Server.supervisor.Service.Supervisor.breaker_trips
 
-let run listen jobs admission cache_size cache_shards memo_min_us deadline_ms
-    stuck_ms show_stats metrics_file trace_file flight_file =
+let run listen jobs admission cache_size deadline_ms stuck_ms show_stats
+    metrics_file trace_file flight_file =
   if jobs < 1 then `Error (false, "--jobs must be at least 1")
   else if admission < 1 then `Error (false, "--admission must be at least 1")
   else if cache_size < 0 then `Error (false, "--cache-size must be >= 0")
-  else if memo_min_us < 0. then `Error (false, "--memo-min-us must be >= 0")
   else if (match deadline_ms with Some ms -> ms < 0 | None -> false) then
     `Error (false, "--deadline-ms must be >= 0")
   else if stuck_ms < 0 then `Error (false, "--stuck-ms must be >= 0")
@@ -241,8 +205,6 @@ let run listen jobs admission cache_size cache_shards memo_min_us deadline_ms
         Server.jobs;
         admission_capacity = admission;
         cache_capacity = cache_size;
-        cache_shards;
-        memo_min_us;
         default_deadline_ms = deadline_ms;
         watchdog;
       }
@@ -302,7 +264,7 @@ let cmd =
     Term.(
       ret
         (const run $ listen_arg $ jobs_arg $ admission_arg $ cache_arg
-       $ cache_shards_arg $ memo_min_us_arg $ deadline_arg $ stuck_ms_arg
-       $ stats_arg $ metrics_arg $ trace_arg $ flight_arg))
+       $ deadline_arg $ stuck_ms_arg $ stats_arg $ metrics_arg $ trace_arg
+       $ flight_arg))
 
 let () = exit (Cmd.eval cmd)

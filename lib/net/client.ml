@@ -2,60 +2,6 @@ module Error = Robust.Error
 module Budget = Robust.Budget
 module Faults = Robust.Faults
 
-type addr = Tcp of string * int | Unix_path of string
-
-let addr_to_string = function
-  | Unix_path p -> "unix:" ^ p
-  | Tcp (h, p) -> Printf.sprintf "%s:%d" h p
-
-(* {2 Address parsing}
-
-   Validated up front with a typed [Range] error, so a malformed
-   BDPRINTD_ADDR or --connect argument dies with exit 2 at startup
-   instead of a late socket exception mid-stream. *)
-
-let parse_addr s =
-  let s = String.trim s in
-  let err detail = Result.Error (Error.range ~what:"address" detail) in
-  if s = "" then err "empty address"
-  else
-    match String.index_opt s ':' with
-    | Some 4 when String.sub s 0 4 = "unix" ->
-      let p = String.sub s 5 (String.length s - 5) in
-      if p = "" then err (Printf.sprintf "%S: unix: needs a socket path" s)
-      else Result.Ok (Unix_path p)
-    | Some i ->
-      let host = String.sub s 0 i in
-      let host = if host = "" then "127.0.0.1" else host in
-      let port = String.sub s (i + 1) (String.length s - i - 1) in
-      (match int_of_string_opt port with
-      | Some p when p >= 1 && p <= 65535 -> Result.Ok (Tcp (host, p))
-      | _ -> err (Printf.sprintf "%S: port must be 1..65535" s))
-    | None -> (
-      match int_of_string_opt s with
-      | Some p when p >= 1 && p <= 65535 -> Result.Ok (Tcp ("127.0.0.1", p))
-      | _ ->
-        err
-          (Printf.sprintf "%S: expected HOST:PORT, :PORT, PORT or unix:PATH" s))
-
-let parse_addrs s =
-  let parts =
-    String.split_on_char ',' s
-    |> List.map String.trim
-    |> List.filter (fun x -> x <> "")
-  in
-  if parts = [] then
-    Result.Error (Error.range ~what:"address" "no addresses given")
-  else
-    List.fold_left
-      (fun acc part ->
-        match (acc, parse_addr part) with
-        | (Result.Error _ as e), _ -> e
-        | _, (Result.Error _ as e) -> e
-        | Result.Ok addrs, Result.Ok a -> Result.Ok (a :: addrs))
-      (Result.Ok []) parts
-    |> Result.map List.rev
-
 (* {2 Configuration} *)
 
 type config = {
@@ -87,7 +33,7 @@ let default_config =
     pool_size = 2;
   }
 
-type tier = Remote of addr | Local
+type tier = Remote of Addr.t | Local
 
 type outcome = {
   output : string;
@@ -113,21 +59,20 @@ type stats = {
 
 (* {2 Internal state} *)
 
-(* One pooled connection: a buffered line reader over the socket plus
-   the DEADLINE value last installed on the server side of this
-   connection (the server's deadline is per-connection state). *)
+(* One pooled connection: a line reader over the socket, the time by
+   which the current attempt's replies must have arrived, and the
+   DEADLINE value last installed on the server side of this connection
+   (the server's deadline is per-connection state). *)
 type conn = {
   fd : Unix.file_descr;
-  cbuf : Bytes.t;
-  mutable cpos : int;
-  mutable clen : int;
-  clbuf : Buffer.t;
+  reader : Line_reader.t;
+  read_by : float ref;
   mutable conn_deadline_ms : int;  (** 0 = none installed *)
 }
 [@@lint.domain_safe "a conn is owned by exactly one attempt at a time"]
 
 type endpoint = {
-  ep_addr : addr;
+  ep_addr : Addr.t;
   mutable pool : conn list;  (** idle connections; guarded by [t.m] *)
   mutable consec : int;  (** consecutive transport failures *)
   mutable ejected_until : float;  (** 0. = healthy; else parole time *)
@@ -235,21 +180,21 @@ let fail_transport msg = (raise (Transport msg)) [@lint.can_raise Transport]
 
 let close_fd fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
 
-let resolve_host host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (
-    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with Not_found | Invalid_argument _ ->
-      fail_transport ("cannot resolve " ^ host))
+(* A reply longer than this fails the attempt, whatever the budget:
+   a hostile daemon cannot make the client buffer without bound. *)
+let max_reply_len = 1 lsl 20
 
 let connect_conn cfg addr =
-  let domain, sockaddr =
-    match addr with
-    | Unix_path p -> (Unix.PF_UNIX, Unix.ADDR_UNIX p)
-    | Tcp (h, p) -> (Unix.PF_INET, Unix.ADDR_INET (resolve_host h, p))
+  let sockaddr =
+    match Addr.sockaddr addr with
+    | Result.Ok a -> a
+    | Result.Error msg -> fail_transport msg
   in
   let fd =
-    try Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0
+    try
+      Unix.socket ~cloexec:true
+        (Unix.domain_of_sockaddr sockaddr)
+        Unix.SOCK_STREAM 0
     with Unix.Unix_error (e, _, _) ->
       fail_transport ("socket: " ^ Unix.error_message e)
   in
@@ -258,12 +203,17 @@ let connect_conn cfg addr =
     Unix.setsockopt_float fd Unix.SO_RCVTIMEO to_s;
     Unix.setsockopt_float fd Unix.SO_SNDTIMEO to_s;
     Unix.connect fd sockaddr;
+    (* SO_RCVTIMEO bounds each read(2); [read_by] bounds them together,
+       so a peer that streams bytes without a newline cannot hold an
+       attempt past its timeout *)
+    let read_by = ref (Unix.gettimeofday () +. to_s) in
+    let before_read () =
+      if Unix.gettimeofday () > !read_by then fail_transport "read timeout"
+    in
     {
       fd;
-      cbuf = Bytes.create 8192;
-      cpos = 0;
-      clen = 0;
-      clbuf = Buffer.create 128;
+      reader = Line_reader.create ~before_read ~max_len:max_reply_len fd;
+      read_by;
       conn_deadline_ms = 0;
     }
   with
@@ -274,57 +224,24 @@ let connect_conn cfg addr =
     close_fd fd;
     (raise e) [@lint.can_raise Transport]
 
-let rec cwrite fd b off len =
-  if len > 0 then begin
-    let n =
-      match Unix.write fd b off len with
-      | n -> n
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> 0
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        fail_transport "write timeout"
-      | exception Unix.Unix_error (e, _, _) ->
-        fail_transport ("write: " ^ Unix.error_message e)
-    in
-    cwrite fd b (off + n) (len - n)
-  end
+let send conn s =
+  match Line_reader.write conn.fd s 0 (String.length s) with
+  | () -> ()
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+    fail_transport "write timeout"
+  | exception Unix.Unix_error (e, _, _) ->
+    fail_transport ("write: " ^ Unix.error_message e)
 
-let send conn s = cwrite conn.fd (Bytes.of_string s) 0 (String.length s)
-
-let rec crefill conn =
-  match Unix.read conn.fd conn.cbuf 0 (Bytes.length conn.cbuf) with
-  | 0 -> fail_transport "connection closed"
-  | n ->
-    conn.cpos <- 0;
-    conn.clen <- n
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> crefill conn
+let rec recv_line conn =
+  match Line_reader.read conn.reader with
+  | Line_reader.Line s -> s
+  | Last _ | Eof -> fail_transport "connection closed"
+  | Too_long _ -> fail_transport "reply frame too long"
+  | Interrupted -> recv_line conn
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
     fail_transport "read timeout"
   | exception Unix.Unix_error (e, _, _) ->
     fail_transport ("read: " ^ Unix.error_message e)
-
-let max_reply_len = 1 lsl 20
-
-let rec recv_line conn =
-  if conn.cpos >= conn.clen then begin
-    crefill conn;
-    recv_line conn
-  end
-  else
-    match Bytes.index_from_opt conn.cbuf conn.cpos '\n' with
-    | Some i when i < conn.clen ->
-      Buffer.add_subbytes conn.clbuf conn.cbuf conn.cpos (i - conn.cpos);
-      conn.cpos <- i + 1;
-      let s = Buffer.contents conn.clbuf in
-      Buffer.clear conn.clbuf;
-      s
-    | _ ->
-      Buffer.add_subbytes conn.clbuf conn.cbuf conn.cpos (conn.clen - conn.cpos);
-      conn.cpos <- conn.clen;
-      if Buffer.length conn.clbuf > max_reply_len then begin
-        Buffer.clear conn.clbuf;
-        fail_transport "reply frame too long"
-      end
-      else recv_line conn
 
 let recv_reply conn =
   match Wire.parse_reply_line (recv_line conn) with
@@ -512,6 +429,7 @@ let attempt_once t ep ~deadline ~tid input =
       in
       Unix.setsockopt_float conn.fd Unix.SO_RCVTIMEO timeout_s;
       Unix.setsockopt_float conn.fd Unix.SO_SNDTIMEO timeout_s;
+      conn.read_by := Unix.gettimeofday () +. timeout_s;
       let dl_ms =
         match deadline with
         | None -> 0
@@ -836,7 +754,7 @@ let endpoint_states t =
   let s =
     Array.to_list
       (Array.map
-         (fun ep -> (addr_to_string ep.ep_addr, now >= ep.ejected_until))
+         (fun ep -> (Addr.to_string ep.ep_addr, now >= ep.ejected_until))
          t.eps)
   in
   Mutex.unlock t.m;

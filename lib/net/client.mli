@@ -45,24 +45,6 @@
     domains; all shared state sits behind one mutex held only for
     pointer-sized bookkeeping (never across I/O). *)
 
-type addr =
-  | Tcp of string * int
-  | Unix_path of string  (** Unix-domain socket at this path *)
-
-val addr_to_string : addr -> string
-
-val parse_addr : string -> (addr, Robust.Error.t) result
-(** Parses one endpoint address using the same grammar bdprintd's
-    [--listen] accepts: [HOST:PORT], [:PORT] and bare [PORT] (host
-    defaulting to 127.0.0.1), or [unix:PATH].  Malformed input is a
-    typed [Range] error (exit code 2), reported before any socket is
-    touched. *)
-
-val parse_addrs : string -> (addr list, Robust.Error.t) result
-(** Parses a comma-separated endpoint list ([ADDR[,ADDR...]]), skipping
-    empty segments; errors on the first malformed address or on an
-    empty list. *)
-
 type config = {
   connect_timeout_ms : int;  (** per-connect bound (default 1000) *)
   request_timeout_ms : int;
@@ -87,7 +69,7 @@ type config = {
 val default_config : config
 
 type tier =
-  | Remote of addr  (** answered by this endpoint *)
+  | Remote of Addr.t  (** answered by this endpoint *)
   | Local  (** answered by the in-process fallback *)
 
 type outcome = {
@@ -117,7 +99,7 @@ type t
 val create :
   ?config:config ->
   ?local:(string -> (string, Robust.Error.t) result) ->
-  addr list ->
+  Addr.t list ->
   t
 (** [create addrs] builds a client over the given endpoints (failover
     order = list order, then round-robin).  [local] is the in-process

@@ -27,13 +27,19 @@ type t = {
    length. *)
 let slack = 64
 
-let create ?(before_read = ignore) fd =
-  let limit = (Robust.Budget.get ()).Robust.Budget.max_input_length in
+let create ?(before_read = ignore) ?max_len fd =
+  let max_len =
+    match max_len with
+    | Some n -> n
+    | None ->
+      let limit = (Robust.Budget.get ()).Robust.Budget.max_input_length in
+      if limit > max_int - slack then max_int else limit + slack
+  in
   {
     fd;
     buf = Bytes.create size;
     pos = size;
-    max_len = (if limit > max_int - slack then max_int else limit + slack);
+    max_len;
     before_read;
     head = Buffer.create 128;
     dropped = 0;
@@ -100,4 +106,13 @@ let rec read r =
       r.pos <- size - n;
       read r
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> Interrupted
+  end
+
+let rec write fd s off len =
+  if len > 0 then begin
+    let n =
+      try Unix.write_substring fd s off len
+      with Unix.Unix_error (Unix.EINTR, _, _) -> 0
+    in
+    write fd s (off + n) (len - n)
   end

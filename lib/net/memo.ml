@@ -1,9 +1,8 @@
-type shard = {
+type t = {
   m : Mutex.t;
   tbl : (string, string) Hashtbl.t;
-  ring : string array;  (** insertion order, for FIFO eviction *)
-  mutable pos : int;
-  mutable filled : int;
+  ring : string array;  (** keys in insertion order, for FIFO eviction *)
+  mutable pos : int;  (** the slot the next new key takes *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -12,9 +11,6 @@ type shard = {
 }
 [@@lint.guarded_by "m"]
 
-type t = { shards : shard array; per_shard : int }
-[@@lint.domain_safe "each shard is guarded by its own mutex"]
-
 type stats = {
   hits : int;
   misses : int;
@@ -22,7 +18,6 @@ type stats = {
   evictions : int;
   insertions : int;
   replacements : int;
-  shards : int;
   capacity : int;
 }
 
@@ -36,113 +31,76 @@ let m_misses =
 
 let m_evictions =
   Telemetry.Metrics.counter
-    ~help:"Hot-value cache FIFO evictions (insertions into a full shard)."
+    ~help:"Hot-value cache FIFO evictions (insertions into a full cache)."
     "bdprintd_cache_evictions_total"
 
-let create ?(shards = 8) ~capacity () =
+let create ~capacity =
   (if capacity < 1 then invalid_arg "Memo.create: capacity < 1")
   [@lint.can_raise Invalid_argument];
-  let shards = max 1 shards in
-  let per_shard = max 1 (capacity / shards) in
   {
-    shards =
-      Array.init shards (fun _ ->
-          {
-            m = Mutex.create ();
-            tbl = Hashtbl.create (min per_shard 64);
-            ring = Array.make per_shard "";
-            pos = 0;
-            filled = 0;
-            hits = 0;
-            misses = 0;
-            evictions = 0;
-            insertions = 0;
-            replacements = 0;
-          });
-    per_shard;
+    m = Mutex.create ();
+    tbl = Hashtbl.create (min capacity 64);
+    ring = Array.make capacity "";
+    pos = 0;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+    insertions = 0;
+    replacements = 0;
   }
 
-let shard_of (t : t) key = t.shards.(Hashtbl.hash key mod Array.length t.shards)
-
 let find t key =
-  let s = shard_of t key in
-  Mutex.lock s.m;
-  let r = Hashtbl.find_opt s.tbl key in
+  Mutex.lock t.m;
+  let r = Hashtbl.find_opt t.tbl key in
   (match r with
-  | Some _ -> s.hits <- s.hits + 1
-  | None -> s.misses <- s.misses + 1);
-  Mutex.unlock s.m;
+  | Some _ -> t.hits <- t.hits + 1
+  | None -> t.misses <- t.misses + 1);
+  Mutex.unlock t.m;
   (if Telemetry.Metrics.enabled () then
      Telemetry.Metrics.incr (match r with Some _ -> m_hits | None -> m_misses));
   r
 
+(* Every key in [tbl] owns one ring slot, so the table is full exactly
+   when it has as many keys as the ring has slots, and then the slot at
+   [pos] holds the oldest key. *)
 let add t key value =
-  let s = shard_of t key in
-  Mutex.lock s.m;
+  Mutex.lock t.m;
   let evicted =
-    if Hashtbl.mem s.tbl key then begin
+    if Hashtbl.mem t.tbl key then begin
       (* replace in place: the ring slot it already owns stays valid *)
-      Hashtbl.replace s.tbl key value;
-      s.replacements <- s.replacements + 1;
+      Hashtbl.replace t.tbl key value;
+      t.replacements <- t.replacements + 1;
       false
     end
     else begin
-      let evict = s.filled = t.per_shard in
-      if evict then begin
-        Hashtbl.remove s.tbl s.ring.(s.pos);
-        s.evictions <- s.evictions + 1
-      end
-      else s.filled <- s.filled + 1;
-      s.insertions <- s.insertions + 1;
-      s.ring.(s.pos) <- key;
-      s.pos <- (s.pos + 1) mod t.per_shard;
-      Hashtbl.replace s.tbl key value;
-      evict
+      let full = Hashtbl.length t.tbl = Array.length t.ring in
+      if full then begin
+        Hashtbl.remove t.tbl t.ring.(t.pos);
+        t.evictions <- t.evictions + 1
+      end;
+      t.insertions <- t.insertions + 1;
+      t.ring.(t.pos) <- key;
+      t.pos <- (t.pos + 1) mod Array.length t.ring;
+      Hashtbl.add t.tbl key value;
+      full
     end
   in
-  Mutex.unlock s.m;
+  Mutex.unlock t.m;
   if evicted && Telemetry.Metrics.enabled () then
     Telemetry.Metrics.incr m_evictions
 
-let stats (t : t) =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.m;
-      let r =
-        {
-          acc with
-          hits = acc.hits + s.hits;
-          misses = acc.misses + s.misses;
-          entries = acc.entries + Hashtbl.length s.tbl;
-          evictions = acc.evictions + s.evictions;
-          insertions = acc.insertions + s.insertions;
-          replacements = acc.replacements + s.replacements;
-        }
-      in
-      Mutex.unlock s.m;
-      r)
+let stats t =
+  Mutex.lock t.m;
+  let s =
     {
-      hits = 0;
-      misses = 0;
-      entries = 0;
-      evictions = 0;
-      insertions = 0;
-      replacements = 0;
-      shards = Array.length t.shards;
-      capacity = Array.length t.shards * t.per_shard;
+      hits = t.hits;
+      misses = t.misses;
+      entries = Hashtbl.length t.tbl;
+      evictions = t.evictions;
+      insertions = t.insertions;
+      replacements = t.replacements;
+      capacity = Array.length t.ring;
     }
-    t.shards
-
-let per_shard_capacity (t : t) = t.per_shard
-
-(* Per-shard live entry counts, each read under its shard's mutex: the
-   concurrency invariant tests assert every element stays within
-   [per_shard_capacity]. *)
-let shard_entries (t : t) =
-  Array.map
-    (fun s ->
-      Mutex.lock s.m;
-      let n = Hashtbl.length s.tbl in
-      Mutex.unlock s.m;
-      n)
-    t.shards
+  in
+  Mutex.unlock t.m;
+  s

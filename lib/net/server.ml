@@ -2,14 +2,10 @@ module Error = Robust.Error
 module Faults = Robust.Faults
 module Supervisor = Service.Supervisor
 
-type listen = Unix_path of string | Tcp of string * int
-
 type config = {
   jobs : int;
   admission_capacity : int;
   cache_capacity : int;
-  cache_shards : int;
-  memo_min_us : float;
   default_deadline_ms : int option;
   retry : Supervisor.retry_policy;
   breaker : Service.Breaker.policy;
@@ -21,8 +17,6 @@ let default_config =
     jobs = 2;
     admission_capacity = 256;
     cache_capacity = 4096;
-    cache_shards = 8;
-    memo_min_us = 0.;
     default_deadline_ms = None;
     retry = Supervisor.default_retry;
     breaker = Service.Breaker.default_policy;
@@ -35,7 +29,6 @@ type stats = {
   requests : int;
   replies_ok : int;
   cache_hits : int;
-  cache_skips : int;
   replies_degraded : int;
   replies_failed : int;
   shed_queue_full : int;
@@ -72,7 +65,6 @@ type core = {
   mutable n_requests : int;
   mutable n_ok : int;
   mutable n_cache_hits : int;
-  mutable n_cache_skips : int;
   mutable n_deg : int;
   mutable n_failed : int;
   mutable n_shed_full : int;
@@ -89,7 +81,7 @@ type core = {
 
 type t = {
   cfg : config;
-  spec : listen;
+  spec : Addr.t;
   core : core;
   sock : Unix.file_descr;
   addr_str : string;
@@ -124,41 +116,25 @@ let m_connections =
   Telemetry.Metrics.counter ~help:"Connections accepted."
     "bdprintd_connections_total"
 
-let m_cache_skips =
-  Telemetry.Metrics.counter
-    ~help:"Memoization skipped: the conversion completed faster than \
-           memo_min_us, so recomputing is cheaper than caching."
-    "bdprintd_cache_skips_total"
-
 let m_proto_errors =
   Telemetry.Metrics.counter
     ~help:"Malformed frames answered ERR proto." "bdprintd_proto_errors_total"
 
 (* {2 Socket helpers} *)
 
-let rec write_chunk fd b off len =
-  if len > 0 then begin
-    let n =
-      try Unix.write fd b off len
-      with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-    in
-    write_chunk fd b (off + n) (len - n)
-  end
-
 (* The two write-path fault points: [net.slow-client] stalls before the
    write (a client not keeping up), [net.partial-write] splits it into
-   two short writes — exercising the resumption loop above. *)
+   two short writes — exercising the peer's reassembly of a reply. *)
 let write_all fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
+  let len = String.length s in
   if Faults.fires "net.slow-client" then Thread.delay 0.002;
   if len > 1 && Faults.fires "net.partial-write" then begin
     let half = len / 2 in
-    write_chunk fd b 0 half;
+    Line_reader.write fd s 0 half;
     Thread.delay 0.001;
-    write_chunk fd b half (len - half)
+    Line_reader.write fd s half (len - half)
   end
-  else write_chunk fd b 0 len
+  else Line_reader.write fd s 0 len
 
 (* {2 Reply routing} *)
 
@@ -291,7 +267,6 @@ let convert_one t ~deadline_ms ~tid input : Wire.reply * bool =
         if Telemetry.Flight.enabled () then
           Telemetry.Flight.record ~req:seq ~kind:"admit" input;
         let reply =
-          let ct0 = Unix.gettimeofday () in
           match Supervisor.submit t.sup ?deadline_ms ~tid ~lineno:seq input with
           | () ->
             Mutex.lock w.wm;
@@ -299,26 +274,9 @@ let convert_one t ~deadline_ms ~tid input : Wire.reply * bool =
             Mutex.unlock w.wm;
             (match r.Supervisor.outcome with
             | Supervisor.Done out ->
-              (* Requests the table fast path answers in ~1 us are
-                 cheaper to recompute than to cache (a memo insert costs
-                 a hash, a mutex and eviction pressure on genuinely slow
-                 entries), so sub-threshold conversions skip
-                 memoization.  The clock starts at submit, so queue wait
-                 counts: under load everything memoizes again, which is
-                 exactly when the cache pays. *)
-              let skip =
-                Option.is_some t.memo
-                && t.cfg.memo_min_us > 0.
-                && (Unix.gettimeofday () -. ct0) *. 1e6 < t.cfg.memo_min_us
-              in
-              if skip then begin
-                if Telemetry.Metrics.enabled () then
-                  Telemetry.Metrics.incr m_cache_skips
-              end
-              else Option.iter (fun memo -> Memo.add memo input out) t.memo;
+              Option.iter (fun memo -> Memo.add memo input out) t.memo;
               Mutex.lock c.m;
               c.n_ok <- c.n_ok + 1;
-              if skip then c.n_cache_skips <- c.n_cache_skips + 1;
               Mutex.unlock c.m;
               Wire.Converted out
             | Supervisor.Degraded out ->
@@ -402,7 +360,6 @@ let empty_cache_stats =
       evictions = 0;
       insertions = 0;
       replacements = 0;
-      shards = 0;
       capacity = 0;
     }
 
@@ -417,7 +374,6 @@ let stats t =
       requests = c.n_requests;
       replies_ok = c.n_ok;
       cache_hits = c.n_cache_hits;
-      cache_skips = c.n_cache_skips;
       replies_degraded = c.n_deg;
       replies_failed = c.n_failed;
       shed_queue_full = c.n_shed_full;
@@ -462,7 +418,9 @@ let stats_json t =
   field "shed_overload" s.shed_overload;
   field "shed_draining" s.shed_draining;
   field "proto_errors" s.proto_errors;
-  field "cache_skips" s.cache_skips;
+  (* Always 0 since the memo stopped skipping fast conversions; the
+     field stays because perfbench's traced daemon run reads it. *)
+  field "cache_skips" 0;
   field "cache_entries" s.cache.Memo.entries;
   field "cache_misses" s.cache.Memo.misses;
   field "cache_evictions" s.cache.Memo.evictions;
@@ -629,8 +587,8 @@ let finish_drain t =
   Condition.broadcast c.cv;
   Mutex.unlock c.m;
   match t.spec with
-  | Unix_path p -> ( try Sys.remove p with Sys_error _ -> ())
-  | Tcp _ -> ()
+  | Addr.Unix_path p -> ( try Sys.remove p with Sys_error _ -> ())
+  | Addr.Tcp _ -> ()
 
 let rec accept_loop t =
   if Atomic.get t.stop then finish_drain t
@@ -657,7 +615,6 @@ let rec accept_loop t =
 (* {2 Lifecycle} *)
 
 let drain t = Atomic.set t.stop true
-let draining t = Atomic.get t.stop
 
 let wait t =
   let c = t.core in
@@ -672,38 +629,32 @@ let wait t =
 let address t = t.addr_str
 let port t = t.tcp_port
 
-let resolve_host host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
+let listen_on addr =
+  let sock =
+    Unix.socket ~cloexec:true (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0
+  in
+  (try
+     (match addr with
+     | Unix.ADDR_INET _ -> Unix.setsockopt sock Unix.SO_REUSEADDR true
+     | Unix.ADDR_UNIX _ -> ());
+     Unix.bind sock addr;
+     Unix.listen sock 64
+   with e ->
+     (try Unix.close sock with Unix.Unix_error (_, _, _) -> ());
+     (raise e) [@lint.can_raise Unix_error]);
+  sock
 
 let start ?(config = default_config) ~convert spec =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
-  match
-    let domain, addr, tcp =
-      match spec with
-      | Unix_path p -> (Unix.PF_UNIX, Unix.ADDR_UNIX p, false)
-      | Tcp (host, port) ->
-        (Unix.PF_INET, Unix.ADDR_INET (resolve_host host, port), true)
-    in
-    let sock = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
-    (try
-       if tcp then Unix.setsockopt sock Unix.SO_REUSEADDR true;
-       Unix.bind sock addr;
-       Unix.listen sock 64
-     with e ->
-       (try Unix.close sock with Unix.Unix_error (_, _, _) -> ());
-       (raise e) [@lint.can_raise Unix_error]);
-    sock
-  with
+  match Result.map listen_on (Addr.sockaddr spec) with
   | exception Unix.Unix_error (err, fn, arg) ->
     Result.Error
       (Error.internal ~where:"net.server"
          (Printf.sprintf "cannot listen: %s(%s): %s" fn arg
             (Unix.error_message err)))
-  | exception Not_found ->
-    Result.Error (Error.internal ~where:"net.server" "cannot resolve host")
-  | sock ->
+  | Result.Error msg -> Result.Error (Error.internal ~where:"net.server" msg)
+  | Result.Ok sock ->
     let addr_str, tcp_port =
       match Unix.getsockname sock with
       | Unix.ADDR_UNIX p -> (p, None)
@@ -724,7 +675,6 @@ let start ?(config = default_config) ~convert spec =
         n_requests = 0;
         n_ok = 0;
         n_cache_hits = 0;
-        n_cache_skips = 0;
         n_deg = 0;
         n_failed = 0;
         n_shed_full = 0;
@@ -743,9 +693,7 @@ let start ?(config = default_config) ~convert spec =
     in
     let memo =
       if config.cache_capacity > 0 then
-        Some
-          (Memo.create ~shards:(max 1 config.cache_shards)
-             ~capacity:config.cache_capacity ())
+        Some (Memo.create ~capacity:config.cache_capacity)
       else None
     in
     let t =

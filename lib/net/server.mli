@@ -36,35 +36,19 @@
        [service.worker-kill] fault) are detected by the supervisor,
        answered through the breaker-backed [%.17g] degraded fallback and
        healed by automatic respawn — the daemon itself never dies.}
-    {- {e Hot-value cache}: a domain-sharded bounded memo table
-       ({!Memo}) in front of the pipeline; only exact pipeline outputs
-       are cached, so hits are always correct.}
+    {- {e Hot-value cache}: a bounded FIFO memo table ({!Memo}) in
+       front of the pipeline; every exact pipeline output is cached and
+       nothing else, so hits are always correct.}
     {- {e Graceful drain}: {!drain} (wired to SIGTERM/SIGINT by
        [bdprintd]) stops accepting, answers new conversion requests with
        [SHED draining], finishes every admitted request, shuts the
        supervisor down, and wakes {!wait} — losing no accepted
        request.}} *)
 
-type listen =
-  | Unix_path of string  (** Unix-domain socket at this path *)
-  | Tcp of string * int  (** host, port; port 0 binds an ephemeral port *)
-
 type config = {
   jobs : int;  (** supervisor worker domains *)
   admission_capacity : int;  (** max in-flight conversion requests *)
-  cache_capacity : int;  (** total memo entries; 0 disables the cache *)
-  cache_shards : int;
-  memo_min_us : float;
-      (** conversions that complete faster than this (microseconds,
-          measured from supervisor submit to completion) skip
-          memoization — the table fast path answers in ~1 us, cheaper
-          to recompute than to cache, while exact-kernel conversions
-          take tens of us (see BENCH_kernel.json) and stay memoized.
-          Because the clock starts at submit, queue wait and the
-          supervisor handoff count too, and the handoff alone takes
-          longer than bdprintd's 5 us default: at that default the
-          measured skip rate is 0 (docs/PERFORMANCE.md).  [0.]
-          memoizes everything. *)
+  cache_capacity : int;  (** memo entries; 0 disables the cache *)
   default_deadline_ms : int option;
       (** deadline applied until a connection overrides it *)
   retry : Service.Supervisor.retry_policy;
@@ -74,9 +58,8 @@ type config = {
 }
 
 val default_config : config
-(** 2 jobs, 256 admissions, 4096-entry cache in 8 shards, memoize
-    everything ([memo_min_us = 0.]), no default deadline, default
-    supervisor retry/breaker/watchdog policies. *)
+(** 2 jobs, 256 admissions, a 4096-entry cache, no default deadline,
+    default supervisor retry/breaker/watchdog policies. *)
 
 type stats = {
   connections : int;  (** accepted since start *)
@@ -84,10 +67,6 @@ type stats = {
   requests : int;  (** conversion requests (CONV + batch items) *)
   replies_ok : int;  (** includes cache hits *)
   cache_hits : int;
-  cache_skips : int;
-      (** memoizations skipped because the conversion beat
-          [memo_min_us]; also the gated
-          [bdprintd_cache_skips_total] counter *)
   replies_degraded : int;
   replies_failed : int;
   shed_queue_full : int;
@@ -104,11 +83,12 @@ type t
 val start :
   ?config:config ->
   convert:(string -> (string, Robust.Error.t) result) ->
-  listen ->
+  Addr.t ->
   (t, Robust.Error.t) result
-(** Binds the listener, spawns the supervisor pool and the accept
-    thread, and returns immediately.  Binding failures (address in use,
-    bad path) surface as [Error (Internal _)].  [convert] runs on
+(** Binds the listener (TCP port 0 binds an ephemeral port), spawns the
+    supervisor pool and the accept thread, and returns immediately.
+    Binding failures (address in use, bad path, a host that does not
+    resolve) surface as [Error (Internal _)].  [convert] runs on
     worker domains and must be safe to call concurrently.  SIGPIPE is
     set to ignore: client disconnects surface as [EPIPE] writes handled
     per connection. *)
@@ -124,8 +104,6 @@ val drain : t -> unit
 (** Requests graceful shutdown; returns immediately (async-signal-safe:
     only sets a flag the accept loop polls).  Idempotent. *)
 
-val draining : t -> bool
-
 val wait : t -> stats
 (** Blocks until a requested drain completes — listener closed, every
     admitted request answered and written, supervisor shut down, idle
@@ -136,4 +114,6 @@ val stats : t -> stats
 
 val stats_json : t -> string
 (** The [STATS] payload: a flat JSON object (stable keys, documented in
-    docs/SERVICE.md). *)
+    docs/SERVICE.md).  Its [cache_skips] key is always 0: the memo no
+    longer skips fast conversions, and the key stays for perfbench's
+    traced daemon run, which reads it. *)

@@ -56,15 +56,3 @@ let close t =
   Condition.broadcast t.data;
   Condition.broadcast t.room;
   Mutex.unlock t.m
-
-let length t =
-  Mutex.lock t.m;
-  let n = Queue.length t.q in
-  Mutex.unlock t.m;
-  n
-
-let is_closed t =
-  Mutex.lock t.m;
-  let c = t.closed in
-  Mutex.unlock t.m;
-  c

@@ -22,6 +22,3 @@ val take : 'a t -> 'a option
 
 val close : 'a t -> unit
 (** Idempotent.  Wakes all blocked producers and consumers. *)
-
-val length : 'a t -> int
-val is_closed : 'a t -> bool

@@ -688,21 +688,3 @@ let shutdown t =
     t.workers <- []
   end;
   stats t
-
-let breaker_state t = Breaker.state_name t.breaker
-
-let pp_stats ppf (s : stats) =
-  Format.fprintf ppf
-    "stats: submitted=%d completed=%d ok=%d degraded=%d retries=%d@\n\
-     stats: errors: syntax=%d range=%d budget=%d internal=%d@\n\
-     stats: jobs=%d queue-capacity=%d max-in-flight=%d breaker=%s trips=%d \
-     crashes=%d respawns=%d wedges=%d"
-    s.submitted s.completed s.succeeded s.degraded s.retries s.syntax_failures
-    s.range_failures s.budget_failures s.internal_failures s.jobs s.capacity
-    s.max_in_flight s.breaker_state s.breaker_trips s.crashes s.respawns
-    s.wedges;
-  Array.iter
-    (fun w ->
-      Format.fprintf ppf "@\nstats: worker[%d] processed=%d retried=%d degraded=%d"
-        w.worker w.processed w.retried w.degraded)
-    s.workers

@@ -156,8 +156,3 @@ val shutdown : t -> stats
 
 val stats : t -> stats
 (** A consistent snapshot; callable at any time. *)
-
-val breaker_state : t -> string
-
-val pp_stats : Format.formatter -> stats -> unit
-(** Multi-line [stats: ...] rendering used by [bdprint --stats]. *)

@@ -82,20 +82,6 @@ let clear () =
 (* ------------------------------------------------------------------ *)
 (* Rendering *)
 
-let json_escape v =
-  let buf = Buffer.create (String.length v) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    v;
-  Buffer.contents buf
-
 let events () =
   Array.to_list rings
   |> List.concat_map (fun r -> Array.to_list r.slots)
@@ -107,8 +93,8 @@ let events_recorded () = List.length (events ())
 let event_line ev =
   Printf.sprintf
     "{\"seq\":%d,\"t_us\":%d,\"dom\":%d,\"req\":%d,\"kind\":\"%s\",\"detail\":\"%s\"}"
-    ev.f_seq ev.f_t_us ev.f_dom ev.f_req (json_escape ev.f_kind)
-    (json_escape ev.f_detail)
+    ev.f_seq ev.f_t_us ev.f_dom ev.f_req (Metrics.json_escape ev.f_kind)
+    (Metrics.json_escape ev.f_detail)
 
 let to_jsonl ?reason () =
   let buf = Buffer.create 4096 in
@@ -118,7 +104,7 @@ let to_jsonl ?reason () =
     Buffer.add_string buf
       (Printf.sprintf
          "{\"flight_dump\":true,\"reason\":\"%s\",\"t_us\":%d,\"events\":%d}\n"
-         (json_escape r) (now_us ()) (List.length evs))
+         (Metrics.json_escape r) (now_us ()) (List.length evs))
   | None -> ());
   List.iter
     (fun ev ->

@@ -237,3 +237,17 @@ let reset_all ?(registry = default) () =
         Atomic.set h.h_count 0;
         Atomic.set h.h_exemplar None)
     registry.items
+
+let json_escape v =
+  let buf = Buffer.create (String.length v) in
+  String.iter
+    (function
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    v;
+  Buffer.contents buf

@@ -129,3 +129,11 @@ val histogram_state : histogram -> int array * int * int
 
 val reset_all : ?registry:registry -> unit -> unit
 (** Zeroes every metric in the registry (tests and benchmarks). *)
+
+(** {2 Rendering} *)
+
+val json_escape : string -> string
+(** [json_escape v] is [v] made safe for the inside of a JSON string
+    literal: quotes, backslashes and control bytes are escaped.  The one escaper of the telemetry
+    exports ({!Snapshot.to_json}, the Chrome trace JSON and the flight
+    recorder's JSONL). *)

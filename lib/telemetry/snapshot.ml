@@ -179,20 +179,6 @@ let to_prometheus t =
 (* ------------------------------------------------------------------ *)
 (* JSON *)
 
-let json_escape v =
-  let buf = Buffer.create (String.length v) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    v;
-  Buffer.contents buf
-
 let to_json t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n  \"metrics\": [";
@@ -202,14 +188,15 @@ let to_json t =
       Buffer.add_string buf "\n    {";
       Buffer.add_string buf
         (Printf.sprintf "\"name\": \"%s\", \"type\": \"%s\""
-           (json_escape s.name) (type_name s.value));
+           (Metrics.json_escape s.name) (type_name s.value));
       if s.labels <> [] then begin
         Buffer.add_string buf ", \"labels\": {";
         List.iteri
           (fun j (k, v) ->
             if j > 0 then Buffer.add_string buf ", ";
             Buffer.add_string buf
-              (Printf.sprintf "\"%s\": \"%s\"" (json_escape k) (json_escape v)))
+              (Printf.sprintf "\"%s\": \"%s\"" (Metrics.json_escape k)
+                 (Metrics.json_escape v)))
           s.labels;
         Buffer.add_char buf '}'
       end;

@@ -3,7 +3,7 @@
 
    The library sits below every other layer of the repository (it
    depends only on the standard library and Unix), so the reader, the
-   dragon core, ext64, robust and the service layer can all record into
+   dragon core, robust and the service layer can all record into
    the same process-wide registry. *)
 
 module Metrics = Metrics

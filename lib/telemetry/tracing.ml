@@ -299,20 +299,6 @@ let events () =
       | c -> c)
     evs
 
-let json_escape v =
-  let buf = Buffer.create (String.length v) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    v;
-  Buffer.contents buf
-
 (* Microseconds with nanosecond precision kept as three decimals —
    Chrome's [ts]/[dur] unit is the microsecond. *)
 let micros ns = Printf.sprintf "%d.%03d" (ns / 1000) (ns mod 1000)
@@ -330,7 +316,9 @@ let to_chrome_json ?pid () =
            (stage_name ev.ev_stage) (micros ev.ev_start_ns)
            (micros ev.ev_dur_ns) pid ev.ev_tid ev.ev_dom
            (if String.equal ev.ev_note "" then ""
-            else Printf.sprintf ",\"note\":\"%s\"" (json_escape ev.ev_note))))
+            else
+              Printf.sprintf ",\"note\":\"%s\""
+                (Metrics.json_escape ev.ev_note))))
     (events ());
   Buffer.add_string buf
     (Printf.sprintf "\n],\"displayTimeUnit\":\"ns\",\"otherData\":{\"dropped\":%d}}\n"

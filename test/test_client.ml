@@ -1,11 +1,14 @@
 (* Tests for the resilient daemon client (Net.Client): typed address
-   parsing, connection pooling, retry/failover, endpoint ejection and
-   HEALTHZ readmission, honored SHED retry-after hints, hedged requests,
+   parsing (Net.Addr, shared with bdprintd --listen), connection
+   pooling, its reads through Net.Line_reader (split, over-long, cut and
+   endless replies), retry/failover, endpoint ejection and HEALTHZ
+   readmission, honored SHED retry-after hints, hedged requests,
    the local fallback tier, a 10k-request end-to-end chaos run through
    the client (worker kills, a worker wedge, slow/partial/malformed
    server writes, a daemon restart) asserting zero wrong conversions,
    and kill -9 failover across real bdprintd subprocesses. *)
 
+module Addr = Net.Addr
 module Client = Net.Client
 module Server = Net.Server
 module Wire = Net.Wire
@@ -34,7 +37,7 @@ let quick_config =
 
 let start_server ?(config = Server.default_config) ?(port = 0)
     ?(convert = convert_real) () =
-  match Server.start ~config ~convert (Server.Tcp ("127.0.0.1", port)) with
+  match Server.start ~config ~convert (Addr.Tcp ("127.0.0.1", port)) with
   | Result.Ok s -> s
   | Result.Error e -> Alcotest.failf "server start: %s" (Error.to_string e)
 
@@ -42,7 +45,7 @@ let stop_server s =
   Server.drain s;
   ignore (Server.wait s)
 
-let server_addr s = Client.Tcp ("127.0.0.1", Option.get (Server.port s))
+let server_addr s = Addr.Tcp ("127.0.0.1", Option.get (Server.port s))
 
 (* a TCP port that refuses connections: bind ephemeral, then close *)
 let dead_port () =
@@ -63,19 +66,19 @@ let check_ok name expected = function
 (* {2 Address parsing} *)
 
 let test_parse_addr () =
-  let ok s = Result.get_ok (Client.parse_addr s) in
+  let ok s = Result.get_ok (Addr.parse s) in
   Alcotest.(check bool) "host:port" true
-    (ok "example.com:7070" = Client.Tcp ("example.com", 7070));
+    (ok "example.com:7070" = Addr.Tcp ("example.com", 7070));
   Alcotest.(check bool) ":port" true
-    (ok ":7070" = Client.Tcp ("127.0.0.1", 7070));
+    (ok ":7070" = Addr.Tcp ("127.0.0.1", 7070));
   Alcotest.(check bool) "bare port" true
-    (ok "7070" = Client.Tcp ("127.0.0.1", 7070));
+    (ok "7070" = Addr.Tcp ("127.0.0.1", 7070));
   Alcotest.(check bool) "unix path" true
-    (ok "unix:/tmp/bd.sock" = Client.Unix_path "/tmp/bd.sock");
+    (ok "unix:/tmp/bd.sock" = Addr.Unix_path "/tmp/bd.sock");
   Alcotest.(check bool) "trimmed" true
-    (ok "  :7070 " = Client.Tcp ("127.0.0.1", 7070));
-  let err s =
-    match Client.parse_addr s with
+    (ok "  :7070 " = Addr.Tcp ("127.0.0.1", 7070));
+  let err ?listen s =
+    match Addr.parse ?listen s with
     | Result.Error e -> Alcotest.(check string) "range class" "range" (Error.category e)
     | Result.Ok _ -> Alcotest.failf "%S should not parse" s
   in
@@ -87,23 +90,39 @@ let test_parse_addr () =
   err "0";
   err "unix:";
   Alcotest.(check string) "round-trip" "127.0.0.1:7070"
-    (Client.addr_to_string (ok ":7070"))
+    (Addr.to_string (ok ":7070"));
+  (* a listen address may ask for an ephemeral port; a connect address
+     may not, and neither takes an empty socket path *)
+  let listen s = Result.get_ok (Addr.parse ~listen:true s) in
+  Alcotest.(check bool) "listen 0" true
+    (listen "0" = Addr.Tcp ("127.0.0.1", 0));
+  Alcotest.(check bool) "listen :0" true
+    (listen ":0" = Addr.Tcp ("127.0.0.1", 0));
+  Alcotest.(check bool) "listen host:0" true
+    (listen "127.0.0.1:0" = Addr.Tcp ("127.0.0.1", 0));
+  err ":0";
+  err ~listen:true "unix:";
+  err ~listen:true "70000";
+  err ~listen:true "host:65536";
+  err ~listen:true "nonsense"
 
 let test_parse_addrs () =
   Alcotest.(check bool) "list" true
-    (Result.get_ok (Client.parse_addrs "7070, :7071,host:7072")
+    (Result.get_ok (Addr.parse_list "7070, :7071,host:7072")
     = [
-        Client.Tcp ("127.0.0.1", 7070);
-        Client.Tcp ("127.0.0.1", 7071);
-        Client.Tcp ("host", 7072);
+        Addr.Tcp ("127.0.0.1", 7070);
+        Addr.Tcp ("127.0.0.1", 7071);
+        Addr.Tcp ("host", 7072);
       ]);
   Alcotest.(check bool) "skips empty segments" true
-    (Result.get_ok (Client.parse_addrs "7070,,7071")
-    = [ Client.Tcp ("127.0.0.1", 7070); Client.Tcp ("127.0.0.1", 7071) ]);
+    (Result.get_ok (Addr.parse_list "7070,,7071")
+    = [ Addr.Tcp ("127.0.0.1", 7070); Addr.Tcp ("127.0.0.1", 7071) ]);
   Alcotest.(check bool) "empty list rejected" true
-    (Result.is_error (Client.parse_addrs " , ,"));
+    (Result.is_error (Addr.parse_list " , ,"));
   Alcotest.(check bool) "one bad addr poisons the list" true
-    (Result.is_error (Client.parse_addrs "7070,bogus,7071"))
+    (Result.is_error (Addr.parse_list "7070,bogus,7071"));
+  Alcotest.(check bool) "no ephemeral port in a connect list" true
+    (Result.is_error (Addr.parse_list "7070,0"))
 
 (* {2 Basic conversation and pooling} *)
 
@@ -160,7 +179,7 @@ let test_determinative_errors () =
 let test_local_fallback_tier () =
   let c =
     Client.create ~config:quick_config ~local:convert_real
-      [ Client.Tcp ("127.0.0.1", dead_port ()) ]
+      [ Addr.Tcp ("127.0.0.1", dead_port ()) ]
   in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   (match Client.convert c "0.1" with
@@ -175,7 +194,7 @@ let test_local_fallback_tier () =
 let test_no_fallback_typed_error () =
   let c =
     Client.create ~config:quick_config
-      [ Client.Tcp ("127.0.0.1", dead_port ()) ]
+      [ Addr.Tcp ("127.0.0.1", dead_port ()) ]
   in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   match Client.convert c "0.1" with
@@ -186,7 +205,7 @@ let test_no_fallback_typed_error () =
 let test_failover_and_ejection () =
   let server = start_server () in
   Fun.protect ~finally:(fun () -> stop_server server) @@ fun () ->
-  let dead = Client.Tcp ("127.0.0.1", dead_port ()) in
+  let dead = Addr.Tcp ("127.0.0.1", dead_port ()) in
   let c = Client.create ~config:quick_config [ dead; server_addr server ] in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   for i = 1 to 8 do
@@ -207,7 +226,7 @@ let test_readmission_after_restart () =
   let port = dead_port () in
   let c =
     Client.create ~config:quick_config ~local:convert_real
-      [ Client.Tcp ("127.0.0.1", port) ]
+      [ Addr.Tcp ("127.0.0.1", port) ]
   in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   (* endpoint down: local fallback, endpoint ejected *)
@@ -225,7 +244,7 @@ let test_readmission_after_restart () =
   | Result.Ok o ->
     Alcotest.(check string) "remote again" "0.5" o.Client.output;
     Alcotest.(check bool) "remote tier" true
-      (o.Client.tier = Client.Remote (Client.Tcp ("127.0.0.1", port)))
+      (o.Client.tier = Client.Remote (Addr.Tcp ("127.0.0.1", port)))
   | Result.Error e -> Alcotest.failf "readmitted convert: %s" (Error.to_string e));
   Alcotest.(check int) "readmission counted" 1
     (Client.stats c).Client.readmissions
@@ -268,7 +287,7 @@ let test_shed_retry_after_honored () =
   let c =
     Client.create
       ~config:{ quick_config with Client.max_attempts = 10 }
-      [ Client.Tcp ("127.0.0.1", port) ]
+      [ Addr.Tcp ("127.0.0.1", port) ]
   in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   (* warm the daemon's service-time EWMA so its retry-after hints are
@@ -476,7 +495,7 @@ let test_malformed_reply_recovery () =
   let port, stop = start_vandal () in
   Fun.protect ~finally:stop @@ fun () ->
   let c =
-    Client.create ~config:quick_config [ Client.Tcp ("127.0.0.1", port) ]
+    Client.create ~config:quick_config [ Addr.Tcp ("127.0.0.1", port) ]
   in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   (* first reply is garbage: the client drops the connection, retries on
@@ -486,6 +505,133 @@ let test_malformed_reply_recovery () =
   Alcotest.(check bool) "a retry happened" true (s.Client.retries >= 1);
   Alcotest.(check bool) "a reconnect happened" true (s.Client.reconnects >= 2);
   check_ok "clean afterwards" "0.5" (Client.convert c "0.5")
+
+(* {2 Reading replies}
+
+   The client reads through Net.Line_reader under its own 1 MiB reply
+   cap.  A scripted peer reads the first request of its k-th connection
+   (counting from 0), runs [script k] on the socket, and then closes
+   it. *)
+
+let start_scripted script =
+  (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
+   with Invalid_argument _ | Sys_error _ -> ());
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt lfd Unix.SO_REUSEADDR true;
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 16;
+  let port =
+    match Unix.getsockname lfd with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  let serve k cfd =
+    (try
+       match Net.Line_reader.read (Net.Line_reader.create cfd) with
+       | Net.Line_reader.Line _ -> script k cfd
+       | _ -> ()
+     with Unix.Unix_error (_, _, _) -> ());
+    try Unix.close cfd with Unix.Unix_error (_, _, _) -> ()
+  in
+  let accept_loop () =
+    let rec go k =
+      let cfd, _ = Unix.accept lfd in
+      ignore (Thread.create (serve k) cfd);
+      go (k + 1)
+    in
+    try go 0 with Unix.Unix_error (_, _, _) -> ()
+  in
+  let th = Thread.create accept_loop () in
+  let stop () =
+    (try Unix.shutdown lfd Unix.SHUTDOWN_ALL
+     with Unix.Unix_error (_, _, _) -> ());
+    (try Unix.close lfd with Unix.Unix_error (_, _, _) -> ());
+    Thread.join th
+  in
+  (port, stop)
+
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i =
+    i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1))
+  in
+  go 0
+
+(* The first connection's reply fails the one attempt with [message];
+   the next request opens a fresh connection and gets its answer. *)
+let check_bad_reply_then_recovery ?(config = quick_config) ~first ~message
+    () =
+  let port, stop =
+    start_scripted (function
+      | 0 -> first
+      | _ -> fun fd -> raw_send fd "OK 0.5\n")
+  in
+  Fun.protect ~finally:stop @@ fun () ->
+  let c =
+    Client.create
+      ~config:{ config with Client.max_attempts = 1 }
+      [ Addr.Tcp ("127.0.0.1", port) ]
+  in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  (match Client.convert c "0.5" with
+  | Result.Error e ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%S names %S" (Error.to_string e) message)
+      true
+      (contains (Error.to_string e) message)
+  | Result.Ok o -> Alcotest.failf "bad reply accepted as %S" o.Client.output);
+  check_ok "fresh connection answers" "0.5" (Client.convert c "0.5");
+  Alcotest.(check int) "two sockets" 2 (Client.stats c).Client.reconnects
+
+let test_reply_too_long () =
+  let reply = "OK " ^ String.make ((1 lsl 20) + 16) '7' ^ "\n" in
+  check_bad_reply_then_recovery
+    ~first:(fun fd -> raw_send fd reply)
+    ~message:"reply frame too long" ()
+
+let test_reply_cut_short () =
+  check_bad_reply_then_recovery
+    ~first:(fun fd -> raw_send fd "OK 0.")
+    ~message:"connection closed" ()
+
+(* A reply line that never ends is discarded past the cap without being
+   held, and the attempt's timeout ends it: each read(2) returns in
+   time, but together they may not outlast the attempt. *)
+let test_reply_without_end () =
+  let chunk = String.make 65536 '7' in
+  check_bad_reply_then_recovery
+    ~config:{ quick_config with Client.request_timeout_ms = 300 }
+    ~first:(fun fd ->
+      raw_send fd "OK ";
+      while true do
+        raw_send fd chunk
+      done)
+    ~message:"read timeout" ()
+
+(* Every reply of the in-process daemon reaches the client in two
+   writes, a millisecond apart; every answer must still be whole. *)
+let test_split_replies () =
+  Faults.reset_trip_counts ();
+  Faults.arm ~probability:1.0 "net.partial-write";
+  Fun.protect
+    ~finally:(fun () ->
+      Faults.disarm_all ();
+      Faults.reset_trip_counts ())
+  @@ fun () ->
+  let server = start_server () in
+  Fun.protect ~finally:(fun () -> stop_server server) @@ fun () ->
+  let c = Client.create ~config:quick_config [ server_addr server ] in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let inputs = [ "0.1"; "1e23"; "-2.5"; "5e-324"; "1.7976931348623157e308" ] in
+  List.iter
+    (fun input ->
+      for _ = 1 to 4 do
+        check_ok input input (Client.convert c input)
+      done)
+    inputs;
+  Alcotest.(check int) "every reply was split" 20
+    (Faults.trip_count "net.partial-write");
+  Alcotest.(check int) "no retries" 0 (Client.stats c).Client.retries
 
 (* {2 End-to-end chaos through the client}
 
@@ -552,8 +698,8 @@ let test_chaos_through_client () =
         }
       ~local:convert_real
       [
-        Client.Tcp ("127.0.0.1", vandal_port);
-        Client.Tcp ("127.0.0.1", port_a);
+        Addr.Tcp ("127.0.0.1", vandal_port);
+        Addr.Tcp ("127.0.0.1", port_a);
         server_addr server_b;
       ]
   in
@@ -699,7 +845,7 @@ let test_kill9_failover () =
       ~config:{ quick_config with Client.eject_cooldown_ms = 10_000 }
       ~local:convert_real
       [
-        Client.Tcp ("127.0.0.1", port_a); Client.Tcp ("127.0.0.1", port_b);
+        Addr.Tcp ("127.0.0.1", port_a); Addr.Tcp ("127.0.0.1", port_b);
       ]
   in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
@@ -768,7 +914,66 @@ let test_connect_addr_exit_codes () =
   Alcotest.(check string) "fallback output" "0.5" out;
   (* --hedge-ms without --connect is a usage error *)
   Alcotest.(check bool) "hedge-ms needs connect" true
-    (run "--hedge-ms 5 0.5" <> 0)
+    (run "--hedge-ms 5 0.5" <> 0);
+  (* bdprintd prints only the default conversion, so --connect refuses
+     any other setting: exit 2 naming the flag, before any socket opens
+     (the local fallback would otherwise answer with exit 0) *)
+  let dead = dead_port () in
+  let err_file = Filename.temp_file "bdprint_connect" ".err" in
+  let refused ?(stdin = false) flags flag =
+    let st =
+      Sys.command
+        (Printf.sprintf "%s %s --connect 127.0.0.1:%d %s %s >/dev/null 2>%s"
+           (if stdin then "printf '0.1\\n2.5\\n' |" else "")
+           (bdprint_exe ()) dead flags
+           (if stdin then "--stdin" else "0.1")
+           err_file)
+    in
+    let ic = open_in err_file in
+    let err = input_line ic in
+    close_in ic;
+    Alcotest.(check int) (flags ^ " exit") 2 st;
+    Alcotest.(check bool) (flags ^ " names " ^ flag) true (contains err flag)
+  in
+  refused "--base 16" "--base";
+  refused "--digits 3" "--digits";
+  refused "--places 2" "--places";
+  refused "--hex" "--hex";
+  refused "--notation scientific" "--notation";
+  refused "--format binary32" "--format";
+  refused "--mode up" "--mode";
+  refused ~stdin:true "--digits 3" "--digits";
+  Sys.remove err_file;
+  (* the defaults spelled out, and any strategy, still go through *)
+  Alcotest.(check int) "explicit defaults" 0
+    (run
+       (Printf.sprintf
+          "--connect 127.0.0.1:%d --base 10 --mode even --format binary64 \
+           --notation auto --strategy gay 0.5"
+          dead))
+
+(* bdprintd --listen reads the same grammar as --connect, plus port 0
+   for an ephemeral port *)
+let test_listen_addr () =
+  let err_file = Filename.temp_file "bdprintd_listen" ".err" in
+  let st =
+    Sys.command
+      (Printf.sprintf "%s --listen 70000 >/dev/null 2>%s" (bdprintd_exe ())
+         err_file)
+  in
+  let ic = open_in err_file in
+  let err = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove err_file;
+  Alcotest.(check bool) "port out of range refused" true (st <> 0);
+  (* cmdliner may wrap the message, so its two halves are checked apart *)
+  Alcotest.(check bool) "with the range error's text" true
+    (contains err "range error: address: \"70000\": port must be"
+    && contains err "0..65535");
+  let pid, ic, port = spawn_daemon () in
+  reap pid;
+  close_in_noerr ic;
+  Alcotest.(check bool) "127.0.0.1:0 binds an ephemeral port" true (port > 0)
 
 let () =
   Alcotest.run "client"
@@ -799,6 +1004,13 @@ let () =
           Alcotest.test_case "malformed reply recovery" `Quick
             test_malformed_reply_recovery;
         ] );
+      ( "reader",
+        [
+          Alcotest.test_case "split replies" `Quick test_split_replies;
+          Alcotest.test_case "reply over the cap" `Quick test_reply_too_long;
+          Alcotest.test_case "reply cut short" `Quick test_reply_cut_short;
+          Alcotest.test_case "reply without end" `Quick test_reply_without_end;
+        ] );
       ( "chaos",
         [
           Alcotest.test_case "10k through the client" `Slow
@@ -809,5 +1021,6 @@ let () =
         [
           Alcotest.test_case "--connect exit codes" `Quick
             test_connect_addr_exit_codes;
+          Alcotest.test_case "bdprintd --listen" `Quick test_listen_addr;
         ] );
     ]

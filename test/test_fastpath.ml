@@ -13,6 +13,7 @@
 
 module Nat = Bignum.Nat
 module T = Fastpath.Pow10_table
+module Ext64 = Baselines.Ext64
 open Fp
 
 let b32 = Format_spec.binary32

@@ -1,5 +1,6 @@
 (* Tests for the networked conversion daemon (lib/net): the Wire
-   protocol grammar, the sharded Memo cache (bounds under concurrency),
+   protocol grammar, the Memo cache (FIFO order, bounds under
+   concurrency),
    and the Server engine end-to-end over real TCP sockets — verbs,
    explicit load shedding, protocol-error resynchronisation, graceful
    drain (no accepted request lost), and a chaos run with the network
@@ -119,7 +120,7 @@ let test_wire_replies () =
 (* {2 Memo} *)
 
 let test_memo_basic () =
-  let m = Memo.create ~shards:2 ~capacity:8 () in
+  let m = Memo.create ~capacity:8 in
   Alcotest.(check (option string)) "miss" None (Memo.find m "a");
   Memo.add m "a" "1";
   Alcotest.(check (option string)) "hit" (Some "1") (Memo.find m "a");
@@ -129,7 +130,7 @@ let test_memo_basic () =
   Alcotest.(check int) "hits" 2 s.Memo.hits;
   Alcotest.(check int) "misses" 1 s.Memo.misses;
   Alcotest.(check int) "replace does not grow" 1 s.Memo.entries;
-  (* overflow each shard: entries stay bounded, evictions counted *)
+  (* overflow the cache: entries stay bounded, evictions counted *)
   for i = 0 to 99 do
     Memo.add m (string_of_int i) (string_of_int i)
   done;
@@ -137,8 +138,31 @@ let test_memo_basic () =
   Alcotest.(check bool) "bounded" true (s.Memo.entries <= s.Memo.capacity);
   Alcotest.(check bool) "evicted" true (s.Memo.evictions > 0)
 
+(* FIFO over the whole table: after 100 distinct keys, a 64-entry cache
+   holds exactly the last 64, and replacing a key keeps its place in the
+   eviction order. *)
+let test_memo_last_n () =
+  let m = Memo.create ~capacity:64 in
+  for i = 0 to 99 do
+    Memo.add m (string_of_int i) (string_of_int i)
+  done;
+  let present i = Memo.find m (string_of_int i) <> None in
+  for i = 0 to 99 do
+    Alcotest.(check bool) (Printf.sprintf "key %d" i) (i >= 36) (present i)
+  done;
+  (* 36 is now the oldest key: replacing it must not save it *)
+  Memo.add m "36" "new";
+  Alcotest.(check (option string)) "replaced" (Some "new") (Memo.find m "36");
+  Memo.add m "100" "100";
+  Alcotest.(check bool) "replaced key still evicted first" false (present 36);
+  Alcotest.(check bool) "next oldest kept" true (present 37);
+  let s = Memo.stats m in
+  Alcotest.(check int) "full" 64 s.Memo.entries;
+  Alcotest.(check int) "evictions" 37 s.Memo.evictions;
+  Alcotest.(check int) "replacements" 1 s.Memo.replacements
+
 let test_memo_concurrent () =
-  let m = Memo.create ~shards:4 ~capacity:64 () in
+  let m = Memo.create ~capacity:64 in
   let worker seed () =
     let st = Random.State.make [| seed |] in
     for _ = 1 to 20_000 do
@@ -162,14 +186,14 @@ let test_memo_concurrent () =
     | None -> ()
   done
 
-(* Invariants under 8-domain contention: the per-shard bound must hold
+(* Invariants under 8-domain contention: the capacity bound must hold
    at every moment (sampled live by a prowler domain while writers
    hammer the cache), and once writers are quiescent the counters must
    reconcile exactly: finds = hits + misses, adds = insertions +
    replacements, insertions = entries + evictions. *)
 let test_memo_invariants_concurrent () =
-  let m = Memo.create ~shards:4 ~capacity:32 () in
-  let cap = Memo.per_shard_capacity m in
+  let cap = 32 in
+  let m = Memo.create ~capacity:cap in
   let writers = 8 in
   let per_writer = 25_000 in
   let finds = Atomic.make 0 in
@@ -179,9 +203,7 @@ let test_memo_invariants_concurrent () =
   let prowler =
     Domain.spawn (fun () ->
         while not (Atomic.get stop) do
-          Array.iter
-            (fun n -> if n > cap then Atomic.incr overflow_seen)
-            (Memo.shard_entries m)
+          if (Memo.stats m).Memo.entries > cap then Atomic.incr overflow_seen
         done)
   in
   let worker seed () =
@@ -206,7 +228,7 @@ let test_memo_invariants_concurrent () =
   List.iter Domain.join ds;
   Atomic.set stop true;
   Domain.join prowler;
-  Alcotest.(check int) "per-shard bound held at every sample" 0
+  Alcotest.(check int) "bound held at every sample" 0
     (Atomic.get overflow_seen);
   let s = Memo.stats m in
   Alcotest.(check int) "finds reconcile" (Atomic.get finds)
@@ -215,7 +237,7 @@ let test_memo_invariants_concurrent () =
     (s.Memo.insertions + s.Memo.replacements);
   Alcotest.(check int) "insertions reconcile" s.Memo.insertions
     (s.Memo.entries + s.Memo.evictions);
-  Alcotest.(check int) "full at quiescence" (4 * cap) s.Memo.entries
+  Alcotest.(check int) "full at quiescence" cap s.Memo.entries
 
 (* {2 Server client harness} *)
 
@@ -304,7 +326,7 @@ let recv_reply c =
 
 let with_server ?config ?(convert = convert_real) f =
   let server =
-    match Server.start ?config ~convert (Server.Tcp ("127.0.0.1", 0)) with
+    match Server.start ?config ~convert (Net.Addr.Tcp ("127.0.0.1", 0)) with
     | Result.Ok s -> s
     | Result.Error e -> Alcotest.failf "server start: %s" (Error.to_string e)
   in
@@ -524,33 +546,33 @@ let test_server_overload_shed () =
       Alcotest.(check bool) "overload shed counted" true
         (s.Server.shed_overload >= 1))
 
-(* Memoization skip: with memo_min_us set above any realistic service
-   time, every conversion is "too fast to be worth caching" — repeats
-   recompute (no cache hits), the skip counter advances, and the STATS
-   dump carries the new field.  The inverse (memo_min_us = 0 memoizes
-   everything) is the library default every other test runs under. *)
+(* Every exact output is memoized: a repeat is a cache hit.  STATS keeps
+   its cache_skips key at a constant 0, which perfbench's traced daemon
+   run reads. *)
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
   go 0
 
-let test_server_memo_skip () =
-  let config = { Server.default_config with Server.memo_min_us = 1e9 } in
-  with_server ~config (fun server port ->
+let test_server_memo_hit () =
+  with_server (fun server port ->
       let c = connect port in
-      send c "CONV 0.1\nCONV 0.1\n";
+      send c "CONV 0.1\n";
       Alcotest.(check bool) "a" true (recv_reply c = Wire.Converted "0.1");
+      send c "CONV 0.1\n";
       Alcotest.(check bool) "b" true (recv_reply c = Wire.Converted "0.1");
       send c "STATS\n";
       (match recv_reply c with
       | Wire.Payload { verb = "STATS"; body } ->
         Alcotest.(check bool) "stats carries cache_skips" true
-          (contains body "\"cache_skips\":2")
+          (contains body "\"cache_skips\":0");
+        Alcotest.(check bool) "stats counts the hit" true
+          (contains body "\"cache_hits\":1")
       | r -> Alcotest.failf "bad STATS: %s" (Wire.render_reply r));
       close c;
       let s = Server.stats server in
-      Alcotest.(check int) "no cache hits" 0 s.Server.cache_hits;
-      Alcotest.(check int) "both skipped" 2 s.Server.cache_skips)
+      Alcotest.(check int) "second is a cache hit" 1 s.Server.cache_hits;
+      Alcotest.(check int) "one entry" 1 s.Server.cache.Memo.entries)
 
 (* Watchdog: a wedged worker (alive but stalled far past the request's
    deadline) must not capture its request forever — the watchdog answers
@@ -906,6 +928,8 @@ let () =
       ( "memo",
         [
           Alcotest.test_case "basic" `Quick test_memo_basic;
+          Alcotest.test_case "holds exactly its last N keys" `Quick
+            test_memo_last_n;
           Alcotest.test_case "concurrent" `Quick test_memo_concurrent;
           Alcotest.test_case "invariants-8-domains" `Quick
             test_memo_invariants_concurrent;
@@ -919,7 +943,7 @@ let () =
           Alcotest.test_case "trace-spans" `Quick test_server_trace_spans;
           Alcotest.test_case "shedding" `Quick test_server_shedding;
           Alcotest.test_case "overload-shed" `Quick test_server_overload_shed;
-          Alcotest.test_case "memo-skip" `Quick test_server_memo_skip;
+          Alcotest.test_case "memo-hit" `Quick test_server_memo_hit;
           Alcotest.test_case "worker-wedge" `Quick test_server_worker_wedge;
           Alcotest.test_case "deadline" `Quick test_server_deadline;
           Alcotest.test_case "drain-loses-nothing" `Quick

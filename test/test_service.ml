@@ -183,7 +183,6 @@ let test_bqueue () =
   drain ();
   Domain.join producer;
   Alcotest.(check (list int)) "FIFO order" [ 1; 2; 3; 4; 5 ] (List.rev !got);
-  Alcotest.(check bool) "closed" true (B.is_closed q);
   Alcotest.(check bool) "put after close raises" true
     (match B.put q 6 with exception B.Closed -> true | () -> false);
   Alcotest.(check (option int)) "take after close drained" None (B.take q)
