@@ -10,10 +10,11 @@
    with per-request deadlines, retries and a circuit breaker); [--stats]
    reports queue/retry/breaker counters on exit and [--metrics FILE]
    dumps the full telemetry registry as JSON (FILE) plus Prometheus text
-   (FILE with a .prom suffix).  Streaming exit codes are per failure
-   class: 2 syntax/range, 3 budget (incl. deadline), 4 internal — and 5
-   when SIGINT or a closed output pipe cut the stream short (partial
-   results and --metrics still flush). *)
+   (FILE with a .prom suffix).  Exit codes, one-shot and streaming, are
+   per failure class: 2 syntax/range (out-of-domain flags included), 3
+   budget (incl. deadline), 4 internal — and 5 when SIGINT or a closed
+   output pipe cut the stream short (partial results and --metrics
+   still flush). *)
 
 open Cmdliner
 module Error = Robust.Error
@@ -242,19 +243,8 @@ let install_trace = function
   | None -> ()
   | Some file ->
     Telemetry.Tracing.set_enabled true;
-    (match Sys.getenv_opt "BDPRINT_TRACE_SAMPLE" with
-    | Some n -> (
-      match int_of_string_opt n with
-      | Some n when n >= 1 -> Telemetry.Tracing.set_sample_every n
-      | _ -> ())
-    | None -> ());
-    at_exit (fun () ->
-        try
-          let oc = open_out file in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () -> output_string oc (Telemetry.Tracing.to_chrome_json ()))
-        with Sys_error _ -> ())
+    Telemetry.Tracing.sample_every_from_env "BDPRINT_TRACE_SAMPLE";
+    at_exit (fun () -> Telemetry.Tracing.write_chrome_json file)
 
 (* Vet the fixed-format request before any conversion runs: misuse
    (--digits 0, --places 1000000) must be a clean structured error up
@@ -377,11 +367,6 @@ let g_queue_capacity =
     ~help:"Bounded submission-queue capacity (0 = sequential driver)."
     "bdprint_stream_queue_capacity"
 
-let prom_path json_path =
-  if Filename.check_suffix json_path ".json" then
-    Filename.chop_suffix json_path ".json" ^ ".prom"
-  else json_path ^ ".prom"
-
 (* One exit path for both stream drivers: snapshot the registry once,
    render --stats from it (so sequential and parallel print identical
    fields), dump --metrics files, exit with the class code — or with the
@@ -401,17 +386,7 @@ let finish_stream ~counts ~show_stats ~metrics_file ~interrupted =
       with Unix.Unix_error (_, _, _) -> ()));
   let snap = Telemetry.Snapshot.take () in
   if show_stats then Format.eprintf "%a@.%!" Telemetry.Snapshot.pp_stream snap;
-  (match metrics_file with
-  | None -> ()
-  | Some file ->
-    let write path contents =
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc contents)
-    in
-    write file (Telemetry.Snapshot.to_json snap);
-    write (prom_path file) (Telemetry.Snapshot.to_prometheus snap));
+  Option.iter (Telemetry.Snapshot.write_files snap) metrics_file;
   let errors = total_errors counts in
   if errors > 0 then
     Printf.eprintf "error: %d input line(s) failed\n%!" errors;
@@ -487,14 +462,16 @@ let too_long_error bytes =
   Error.budget ~what:"input length"
     ~limit:(Budget.get ()).Budget.max_input_length ~got:bytes
 
-(* A failed line goes to stderr once everything printed before it has
-   left stdout, so [2>&1] keeps input order.  True when it is the line
-   that reaches --max-errors. *)
-let report_error ~counts ~max_errors ~aborted lineno e =
+(* A failed input goes to stderr once everything printed before it has
+   left stdout, so [2>&1] keeps input order; a stream names its line.
+   True when it is the failure that reaches --max-errors. *)
+let report_error ~counts ~max_errors ~aborted ?lineno e =
   count_error counts e;
   record_error e;
   flush stdout;
-  Printf.eprintf "error: line %d: %s\n%!" lineno (Error.to_string e);
+  (match lineno with
+  | Some n -> Printf.eprintf "error: line %d: %s\n%!" n (Error.to_string e)
+  | None -> Printf.eprintf "error: %s\n%!" (Error.to_string e));
   match max_errors with
   | Some cap when total_errors counts >= cap && not aborted ->
     Printf.eprintf
@@ -502,6 +479,14 @@ let report_error ~counts ~max_errors ~aborted lineno e =
       (total_errors counts) cap;
     true
   | _ -> false
+
+(* A request refused before any conversion (an out-of-domain flag, a
+   malformed address): reported like a failed input, exit with its
+   class code. *)
+let refuse e =
+  let counts = new_counts () in
+  ignore (report_error ~counts ~max_errors:None ~aborted:false e);
+  exit (class_exit_code counts)
 
 let run_stream ~convert ~max_errors ~deadline_ms ~show_stats ~metrics_file =
   let counts = new_counts () in
@@ -513,7 +498,7 @@ let run_stream ~convert ~max_errors ~deadline_ms ~show_stats ~metrics_file =
       print_string out;
       print_char '\n'
     | Error e ->
-      if report_error ~counts ~max_errors ~aborted:!aborted lineno e then
+      if report_error ~counts ~max_errors ~aborted:!aborted ~lineno e then
         aborted := true
   in
   Telemetry.Metrics.set_gauge g_jobs 1;
@@ -587,7 +572,7 @@ let run_stream_jobs ~convert ~jobs ~max_errors ~deadline_ms ~show_stats
       | Supervisor.Failed e ->
         if
           report_error ~counts ~max_errors ~aborted:(Atomic.get stop)
-            reply.Supervisor.lineno e
+            ~lineno:reply.Supervisor.lineno e
         then Atomic.set stop true);
       if !emitted = Atomic.get submitted then flush stdout
     with Sys_error _ ->
@@ -627,9 +612,7 @@ let connect_client ~local ~hedge_ms ~show_stats spec =
   let addrs =
     match Net.Addr.parse_list spec with
     | Result.Ok addrs -> addrs
-    | Result.Error e ->
-      Printf.eprintf "error: %s\n%!" (Error.to_string e);
-      exit 2
+    | Result.Error e -> refuse e
   in
   let config = { Client.default_config with Client.hedge_ms } in
   let client = Client.create ~config ~local addrs in
@@ -678,18 +661,11 @@ let run base mode fmt strategy notation digits places hex_out use_stdin
     max_errors jobs show_stats deadline_ms metrics_file connect hedge_ms
     trace numbers =
   if base < 2 || base > 36 then
-    `Error
-      ( false,
-        Error.to_string
-          (Error.range ~what:"base" (Printf.sprintf "%d not in 2..36" base)) )
+    refuse (Error.range ~what:"base" (Printf.sprintf "%d not in 2..36" base))
   else if (match jobs with Some j -> j < 1 | None -> false) then
-    `Error
-      ( false,
-        Error.to_string (Error.range ~what:"--jobs" "must be at least 1") )
+    refuse (Error.range ~what:"--jobs" "must be at least 1")
   else if (match deadline_ms with Some ms -> ms < 0 | None -> false) then
-    `Error
-      ( false,
-        Error.to_string (Error.range ~what:"--deadline-ms" "must be >= 0") )
+    refuse (Error.range ~what:"--deadline-ms" "must be >= 0")
   else if (not use_stdin) && jobs <> None then
     `Error (false, "--jobs requires --stdin")
   else if (not use_stdin) && deadline_ms <> None then
@@ -701,10 +677,7 @@ let run base mode fmt strategy notation digits places hex_out use_stdin
   else if connect = None && hedge_ms <> None then
     `Error (false, "--hedge-ms requires --connect")
   else if (match hedge_ms with Some h -> h < 1 | None -> false) then
-    `Error
-      ( false,
-        Error.to_string (Error.range ~what:"--hedge-ms" "must be at least 1")
-      )
+    refuse (Error.range ~what:"--hedge-ms" "must be at least 1")
   else begin
     (* Flip the registry on before the service spawns workers so every
        domain observes the same switch state from its first conversion. *)
@@ -721,7 +694,7 @@ let run base mode fmt strategy notation digits places hex_out use_stdin
     | Result.Error e -> `Error (false, e)
     | Result.Ok request -> (
       match vet_request request with
-      | Some e -> `Error (false, Error.to_string e)
+      | Some e -> refuse e
       | None -> (
         let convert =
           convert_one ~base ~mode ~fmt ~strategy ~notation ~request ~hex_out
@@ -739,13 +712,11 @@ let run base mode fmt strategy notation digits places hex_out use_stdin
                  ~hex_out
              with
             | Some flag ->
-              Printf.eprintf "error: %s\n%!"
-                (Error.to_string
-                   (Error.range ~what:"--connect"
-                      (flag
-                     ^ " is not served: bdprintd prints shortest binary64 \
-                        decimals under nearest-even")));
-              exit 2
+              refuse
+                (Error.range ~what:"--connect"
+                   (flag
+                  ^ " is not served: bdprintd prints shortest binary64 \
+                     decimals under nearest-even"))
             | None -> ());
             let client =
               connect_client ~local:convert ~hedge_ms ~show_stats spec
@@ -773,16 +744,17 @@ let run base mode fmt strategy notation digits places hex_out use_stdin
               ~metrics_file)
         | false, [] -> `Error (true, "missing NUMBER argument (or --stdin)")
         | false, numbers ->
-          let ok = ref true in
+          let counts = new_counts () in
           List.iter
             (fun input ->
               match convert input with
+              | Ok out ->
+                print_string out;
+                print_char '\n'
               | Error e ->
-                ok := false;
-                Printf.eprintf "error: %s\n" (Error.to_string e)
-              | Ok out -> Printf.printf "%s\n" out)
+                ignore (report_error ~counts ~max_errors:None ~aborted:false e))
             numbers;
-          if !ok then `Ok () else `Error (false, "some inputs failed")))
+          exit (class_exit_code counts)))
   end
 
 let cmd =
@@ -805,11 +777,12 @@ let cmd =
          1e999999999 convert to the correctly rounded extreme (0 or inf) \
          in constant time.";
       `P
-        "With --stdin the exit code reflects the most severe failure \
-         class seen on the stream: 0 clean, 2 syntax/range, 3 budget \
-         (including --deadline-ms timeouts), 4 internal, 5 interrupted \
-         (SIGINT or closed output pipe; partial results and --metrics \
-         flush before exiting).  With --jobs N \
+        "The exit code reflects the most severe failure class seen, \
+         one-shot or with --stdin, out-of-domain flags included: 0 clean, \
+         2 syntax/range, 3 budget (including --deadline-ms timeouts), 4 \
+         internal, 5 interrupted stream (SIGINT or closed output pipe; \
+         partial results and --metrics flush before exiting).  Command-line \
+         parse and usage errors exit 124.  With --jobs N \
          the stream runs through a supervised parallel worker pool: \
          bounded submission queue with backpressure, per-line deadlines, \
          automatic retry of transient internal failures with capped \

@@ -129,25 +129,6 @@ let flight_arg =
            to $(docv) as JSONL — a black-box dump identifying the \
            poisoned request.")
 
-let prom_path json_path =
-  if Filename.check_suffix json_path ".json" then
-    Filename.chop_suffix json_path ".json" ^ ".prom"
-  else json_path ^ ".prom"
-
-let flush_metrics metrics_file =
-  match metrics_file with
-  | None -> ()
-  | Some file ->
-    let snap = Telemetry.Snapshot.take () in
-    let write path contents =
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc contents)
-    in
-    write file (Telemetry.Snapshot.to_json snap);
-    write (prom_path file) (Telemetry.Snapshot.to_prometheus snap)
-
 let print_final_stats (s : Server.stats) =
   Printf.eprintf
     "bdprintd: served %d requests on %d connections: %d ok (%d cached), %d \
@@ -178,16 +159,10 @@ let run listen jobs admission cache_size deadline_ms stuck_ms show_stats
   else if stuck_ms < 0 then `Error (false, "--stuck-ms must be >= 0")
   else begin
     if show_stats || metrics_file <> None then Telemetry.set_enabled true;
-    (match trace_file with
-    | None -> ()
-    | Some _ ->
+    if trace_file <> None then begin
       Telemetry.Tracing.set_enabled true;
-      (match Sys.getenv_opt "BDPRINTD_TRACE_SAMPLE" with
-      | Some n -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 -> Telemetry.Tracing.set_sample_every n
-        | _ -> ())
-      | None -> ()));
+      Telemetry.Tracing.sample_every_from_env "BDPRINTD_TRACE_SAMPLE"
+    end;
     (match flight_file with
     | None -> ()
     | Some file ->
@@ -201,7 +176,6 @@ let run listen jobs admission cache_size deadline_ms stuck_ms show_stats
     in
     let config =
       {
-        Server.default_config with
         Server.jobs;
         admission_capacity = admission;
         cache_capacity = cache_size;
@@ -220,16 +194,10 @@ let run listen jobs admission cache_size deadline_ms stuck_ms show_stats
       Printf.printf "bdprintd: listening on %s\n%!" (Server.address server);
       let final = Server.wait server in
       if show_stats then print_final_stats final;
-      flush_metrics metrics_file;
-      (match trace_file with
-      | None -> ()
-      | Some file -> (
-        try
-          let oc = open_out file in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () -> output_string oc (Telemetry.Tracing.to_chrome_json ()))
-        with Sys_error _ -> ()));
+      Option.iter
+        (fun file -> Telemetry.Snapshot.write_files (Telemetry.Snapshot.take ()) file)
+        metrics_file;
+      Option.iter Telemetry.Tracing.write_chrome_json trace_file;
       Printf.eprintf "bdprintd: drained cleanly\n%!";
       `Ok ()
   end

@@ -7,8 +7,6 @@ type config = {
   admission_capacity : int;
   cache_capacity : int;
   default_deadline_ms : int option;
-  retry : Supervisor.retry_policy;
-  breaker : Service.Breaker.policy;
   watchdog : Supervisor.watchdog_policy option;
 }
 
@@ -18,8 +16,6 @@ let default_config =
     admission_capacity = 256;
     cache_capacity = 4096;
     default_deadline_ms = None;
-    retry = Supervisor.default_retry;
-    breaker = Service.Breaker.default_policy;
     watchdog = Some Supervisor.default_watchdog;
   }
 
@@ -39,14 +35,18 @@ type stats = {
   supervisor : Supervisor.stats;
 }
 
-(* Per-request mailbox: the connection thread blocks on it, and the
-   supervisor domain that emits the reply posts into it. *)
-type waiter = {
-  wm : Mutex.t;
-  wc : Condition.t;
-  mutable result : Supervisor.reply option;  (** guarded by [wm] *)
+(* One connection, made at accept.  It has at most one conversion in
+   flight, since its thread waits for each reply before it reads on, so
+   one waiter serves all its requests: the thread sleeps on [ready]
+   under [core.m], and the supervisor domain that emits the reply (its
+   [lineno] is [id]) posts it into [reply]. *)
+type conn = {
+  id : int;
+  fd : Unix.file_descr;
+  ready : Condition.t;
+  mutable reply : Supervisor.reply option;
 }
-[@@lint.guarded_by "wm"]
+[@@lint.guarded_by "m"]
 
 type phase = Running | Draining | Drained
 
@@ -55,11 +55,9 @@ type phase = Running | Draining | Drained
 type core = {
   m : Mutex.t;
   cv : Condition.t;  (** drain's last release / conns_active / phase *)
-  pending : (int, waiter) Hashtbl.t;  (** seq -> waiter *)
-  clients : (Unix.file_descr, unit) Hashtbl.t;  (** open connections *)
+  clients : (int, conn) Hashtbl.t;  (** open connections, by id *)
   mutable phase : phase;
   mutable in_flight : int;  (** admitted, reply not yet produced *)
-  mutable next_seq : int;
   mutable conns_total : int;
   mutable conns_active : int;
   mutable n_requests : int;
@@ -138,27 +136,25 @@ let write_all fd s =
 
 (* {2 Reply routing} *)
 
-(* Supervisor [emit]: runs on a worker or watchdog domain; must not raise. *)
+(* Supervisor [emit]: runs on a worker or watchdog domain; must not
+   raise.  The reply's [lineno] names its connection. *)
 let route_reply core (r : Supervisor.reply) =
   Mutex.lock core.m;
-  let w = Hashtbl.find_opt core.pending r.Supervisor.lineno in
-  Hashtbl.remove core.pending r.Supervisor.lineno;
+  let conn = Hashtbl.find_opt core.clients r.Supervisor.lineno in
+  (match conn with Some conn -> conn.reply <- Some r | None -> ());
   Mutex.unlock core.m;
-  match w with
-  | None -> ()
-  | Some w ->
-    Mutex.lock w.wm;
-    w.result <- Some r;
-    Condition.signal w.wc;
-    Mutex.unlock w.wm
+  (* after the unlock, so the woken thread does not wait for [core.m] *)
+  match conn with Some conn -> Condition.signal conn.ready | None -> ()
 
-let rec await w =
-  (* called with [w.wm] held *)
-  match w.result with
-  | Some r -> r
+(* The connection's reply, once posted; called with [core.m] held. *)
+let rec await core conn =
+  match conn.reply with
+  | Some r ->
+    conn.reply <- None;
+    r
   | None ->
-    Condition.wait w.wc w.wm;
-    await w
+    Condition.wait conn.ready core.m;
+    await core conn
 
 let count_shed () =
   if Telemetry.Metrics.enabled () then Telemetry.Metrics.incr m_shed
@@ -199,110 +195,83 @@ let shed_overload c ~deadline_ms:d ~projected =
   Wire.Shed
     { reason = "overload"; retry_after_ms = Some (int_of_float (ceil hint)) }
 
-(* One conversion request, through shedding, cache, supervisor and
-   accounting.  Returns the reply to write plus whether the request
-   holds an admission slot; the caller must {!release} the slot only
-   AFTER writing the reply — drain's in-flight wait keys off it, and
-   releasing before the write would let drain shut the client down
-   between computing a reply and delivering it (losing an accepted
-   request).  Never raises. *)
-let convert_one t ~deadline_ms ~tid input : Wire.reply * bool =
+(* Latency is measured unconditionally: beyond the (gated) histogram it
+   feeds the admission controller's EWMA, which must stay live with
+   telemetry off.  Only admitted requests update the EWMA — sheds and
+   cache hits say nothing about service time. *)
+let ewma_alpha = 0.2
+
+(* One conversion request on [conn], through cache, shedding,
+   supervisor and accounting; [t0] is its arrival time.  Returns the
+   reply to write plus whether the request holds an admission slot;
+   the caller must {!release_admission} only AFTER writing the reply —
+   drain's in-flight wait keys off it, and releasing before the write
+   would let drain shut the client down between computing a reply and
+   delivering it (losing an accepted request).  Never raises. *)
+let convert_one t conn ~t0 ~deadline_ms ~tid input : Wire.reply * bool =
   let c = t.core in
+  let mt0 = Telemetry.Tracing.start_for tid in
+  let hit = Option.bind t.memo (fun memo -> Memo.find memo input) in
+  Telemetry.Tracing.finish
+    ~note:(if Option.is_some hit then "hit" else "miss")
+    ~tid Telemetry.Tracing.Memo_lookup mt0;
   Mutex.lock c.m;
   c.n_requests <- c.n_requests + 1;
-  if c.phase <> Running then begin
-    let reply = shed_drain c in
+  let refused =
+    if c.phase <> Running then Some (shed_drain c)
+    else if Option.is_some hit then None
+    else if c.in_flight >= t.cfg.admission_capacity then Some (shed_full t c)
+    else
+      (* adaptive admission: shed when the projected queue wait alone
+         already exceeds the request's deadline — converting would only
+         burn a worker on a reply that arrives dead *)
+      let projected = projected_wait_ms t c in
+      match deadline_ms with
+      | Some d when projected > float d ->
+        Some (shed_overload c ~deadline_ms:d ~projected)
+      | Some _ | None -> None
+  in
+  match (refused, hit) with
+  | Some reply, _ ->
     Mutex.unlock c.m;
     (reply, false)
-  end
-  else begin
+  | None, Some out ->
+    c.n_ok <- c.n_ok + 1;
+    c.n_cache_hits <- c.n_cache_hits + 1;
     Mutex.unlock c.m;
-    let mt0 = Telemetry.Tracing.start_for tid in
-    match Option.bind t.memo (fun memo -> Memo.find memo input) with
-    | Some out ->
-      Telemetry.Tracing.finish ~note:"hit" ~tid Telemetry.Tracing.Memo_lookup
-        mt0;
+    (Wire.Converted out, false)
+  | None, None -> (
+    c.in_flight <- c.in_flight + 1;
+    Mutex.unlock c.m;
+    match Supervisor.submit t.sup ?deadline_ms ~tid ~lineno:conn.id input with
+    | () ->
       Mutex.lock c.m;
-      c.n_ok <- c.n_ok + 1;
-      c.n_cache_hits <- c.n_cache_hits + 1;
+      let r = await c conn in
+      (match r.Supervisor.outcome with
+      | Supervisor.Done _ -> c.n_ok <- c.n_ok + 1
+      | Supervisor.Degraded _ -> c.n_deg <- c.n_deg + 1
+      | Supervisor.Failed _ -> c.n_failed <- c.n_failed + 1);
+      let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+      c.ewma_ms <-
+        (if c.ewma_ms <= 0. then elapsed_ms
+         else c.ewma_ms +. (ewma_alpha *. (elapsed_ms -. c.ewma_ms)));
       Mutex.unlock c.m;
-      (Wire.Converted out, false)
-    | None ->
-      Telemetry.Tracing.finish ~note:"miss" ~tid Telemetry.Tracing.Memo_lookup
-        mt0;
+      ( (match r.Supervisor.outcome with
+        | Supervisor.Done out ->
+          Option.iter (fun memo -> Memo.add memo input out) t.memo;
+          Wire.Converted out
+        | Supervisor.Degraded out -> Wire.Degraded out
+        | Supervisor.Failed e ->
+          Wire.Failed { cls = Error.category e; detail = Error.to_string e }),
+        true )
+    | exception _ ->
+      (* the supervisor refused the submission (can only happen if it
+         was shut down under us, which drain's in-flight wait rules out
+         — defensive, not expected) *)
       Mutex.lock c.m;
-      let projected = projected_wait_ms t c in
-      if c.phase <> Running then begin
-        (* drain began between the two checks: still shed explicitly *)
-        let reply = shed_drain c in
-        Mutex.unlock c.m;
-        (reply, false)
-      end
-      else if c.in_flight >= t.cfg.admission_capacity then begin
-        let reply = shed_full t c in
-        Mutex.unlock c.m;
-        (reply, false)
-      end
-      else begin
-        (* adaptive admission: shed when the projected queue wait alone
-           already exceeds the request's deadline — converting would
-           only burn a worker on a reply that arrives dead *)
-        let overloaded =
-          match deadline_ms with
-          | Some d when projected > float d -> Some d
-          | Some _ | None -> None
-        in
-        match overloaded with
-        | Some d ->
-          let reply = shed_overload c ~deadline_ms:d ~projected in
-          Mutex.unlock c.m;
-          (reply, false)
-        | None ->
-        c.in_flight <- c.in_flight + 1;
-        let seq = c.next_seq in
-        c.next_seq <- seq + 1;
-        let w = { wm = Mutex.create (); wc = Condition.create (); result = None } in
-        Hashtbl.replace c.pending seq w;
-        Mutex.unlock c.m;
-        if Telemetry.Flight.enabled () then
-          Telemetry.Flight.record ~req:seq ~kind:"admit" input;
-        let reply =
-          match Supervisor.submit t.sup ?deadline_ms ~tid ~lineno:seq input with
-          | () ->
-            Mutex.lock w.wm;
-            let r = await w in
-            Mutex.unlock w.wm;
-            (match r.Supervisor.outcome with
-            | Supervisor.Done out ->
-              Option.iter (fun memo -> Memo.add memo input out) t.memo;
-              Mutex.lock c.m;
-              c.n_ok <- c.n_ok + 1;
-              Mutex.unlock c.m;
-              Wire.Converted out
-            | Supervisor.Degraded out ->
-              Mutex.lock c.m;
-              c.n_deg <- c.n_deg + 1;
-              Mutex.unlock c.m;
-              Wire.Degraded out
-            | Supervisor.Failed e ->
-              Mutex.lock c.m;
-              c.n_failed <- c.n_failed + 1;
-              Mutex.unlock c.m;
-              Wire.Failed
-                { cls = Error.category e; detail = Error.to_string e })
-          | exception _ ->
-            (* the supervisor refused the submission (can only happen if
-               it was shut down under us, which drain's in-flight wait
-               rules out — defensive, not expected) *)
-            Mutex.lock c.m;
-            Hashtbl.remove c.pending seq;
-            let reply = shed_drain c in
-            Mutex.unlock c.m;
-            reply
-        in
-        (reply, true)
-      end
-  end
+      let reply = shed_drain c in
+      Mutex.unlock c.m;
+      (reply, true))
 
 let release_admission t =
   let c = t.core in
@@ -313,27 +282,12 @@ let release_admission t =
   if c.in_flight = 0 && c.phase <> Running then Condition.broadcast c.cv;
   Mutex.unlock c.m
 
-(* Latency is measured unconditionally: beyond the (gated) histogram it
-   feeds the admission controller's EWMA, which must stay live with
-   telemetry off.  Only admitted requests update the EWMA — sheds and
-   cache hits say nothing about service time. *)
-let ewma_alpha = 0.2
-
-let timed_convert t ~deadline_ms ~tid input =
+let timed_convert t conn ~deadline_ms ~tid input =
   let t0 = Unix.gettimeofday () in
-  let ((_, admitted) as reply) = convert_one t ~deadline_ms ~tid input in
-  let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-  if admitted then begin
-    let c = t.core in
-    Mutex.lock c.m;
-    c.ewma_ms <-
-      (if c.ewma_ms <= 0. then elapsed_ms
-       else c.ewma_ms +. (ewma_alpha *. (elapsed_ms -. c.ewma_ms)));
-    Mutex.unlock c.m
-  end;
+  let reply = convert_one t conn ~t0 ~deadline_ms ~tid input in
   if Telemetry.Metrics.enabled () then
     Telemetry.Metrics.observe_ex m_latency ~trace_id:tid
-      (int_of_float (elapsed_ms *. 1e3));
+      (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
   reply
 
 (* Write a conversion reply, then release its admission slot (write
@@ -469,14 +423,15 @@ let health_info t =
 let conv_tid ~wire_tid =
   if wire_tid <> 0 then wire_tid else Telemetry.Tracing.sample ()
 
-let handle_request t fd reader deadline_ms quit req =
+let handle_request t conn reader deadline_ms quit req =
+  let fd = conn.fd in
   match req with
   | Wire.Conv { input; tid = wire_tid } ->
     let tid = conv_tid ~wire_tid in
     let rt0 = Telemetry.Tracing.start_for tid in
     let (_ : Wire.reply) =
       write_conv_reply t fd ~tid
-        (timed_convert t ~deadline_ms:!deadline_ms ~tid input)
+        (timed_convert t conn ~deadline_ms:!deadline_ms ~tid input)
     in
     Telemetry.Tracing.finish ~tid Telemetry.Tracing.Request rt0
   | Wire.Batch { count = n; tid = wire_tid } ->
@@ -491,7 +446,8 @@ let handle_request t fd reader deadline_ms quit req =
         let tid = conv_tid ~wire_tid in
         match
           write_conv_reply t fd ~tid
-            (timed_convert t ~deadline_ms:!deadline_ms ~tid (String.trim input))
+            (timed_convert t conn ~deadline_ms:!deadline_ms ~tid
+               (String.trim input))
         with
         | Wire.Converted _ | Wire.Degraded _ -> incr ok
         | Wire.Shed _ -> incr shed
@@ -531,8 +487,8 @@ let handle_request t fd reader deadline_ms quit req =
     write_all fd (Wire.render_reply Wire.Bye);
     quit := true
 
-let handle_conn t fd =
-  let c = t.core in
+let handle_conn t conn =
+  let c = t.core and fd = conn.fd in
   let reader = Line_reader.create fd in
   let deadline_ms = ref t.cfg.default_deadline_ms in
   let quit = ref false in
@@ -543,7 +499,7 @@ let handle_conn t fd =
        | Line line -> (
          match Wire.parse_request line with
          | Error reason -> proto_error t fd reason
-         | Ok req -> handle_request t fd reader deadline_ms quit req)
+         | Ok req -> handle_request t conn reader deadline_ms quit req)
        | Too_long { terminated = true; _ } -> proto_error t fd "frame-too-long"
        | Last _ | Too_long { terminated = false; _ } | Eof ->
          (* an unterminated final frame never completed: drop it *)
@@ -554,7 +510,7 @@ let handle_conn t fd =
         connection; all accounting already happened reply-side *)
      ());
   Mutex.lock c.m;
-  Hashtbl.remove c.clients fd;
+  Hashtbl.remove c.clients conn.id;
   c.conns_active <- c.conns_active - 1;
   Condition.broadcast c.cv;
   Mutex.unlock c.m;
@@ -580,8 +536,8 @@ let finish_drain t =
   c.phase <- Drained;
   (* wake connection threads blocked in read: close() alone would not *)
   Hashtbl.iter
-    (fun fd () ->
-      try Unix.shutdown fd Unix.SHUTDOWN_ALL
+    (fun _ conn ->
+      try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL
       with Unix.Unix_error (_, _, _) -> ())
     c.clients;
   Condition.broadcast c.cv;
@@ -600,13 +556,16 @@ let rec accept_loop t =
       | fd, _ ->
         let c = t.core in
         Mutex.lock c.m;
+        let conn =
+          { id = c.conns_total; fd; ready = Condition.create (); reply = None }
+        in
         c.conns_total <- c.conns_total + 1;
         c.conns_active <- c.conns_active + 1;
-        Hashtbl.replace c.clients fd ();
+        Hashtbl.replace c.clients conn.id conn;
         Mutex.unlock c.m;
         if Telemetry.Metrics.enabled () then
           Telemetry.Metrics.incr m_connections;
-        ignore (Thread.create (fun () -> handle_conn t fd) ())
+        ignore (Thread.create (fun () -> handle_conn t conn) ())
       | exception Unix.Unix_error (_, _, _) -> ())
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
     accept_loop t
@@ -665,11 +624,9 @@ let start ?(config = default_config) ~convert spec =
       {
         m = Mutex.create ();
         cv = Condition.create ();
-        pending = Hashtbl.create 64;
         clients = Hashtbl.create 16;
         phase = Running;
         in_flight = 0;
-        next_seq = 0;
         conns_total = 0;
         conns_active = 0;
         n_requests = 0;
@@ -687,7 +644,6 @@ let start ?(config = default_config) ~convert spec =
     let sup =
       Supervisor.start ~jobs:(max 1 config.jobs)
         ~queue_capacity:(max 1 config.admission_capacity)
-        ~retry:config.retry ~breaker:config.breaker
         ?watchdog:config.watchdog
         ~emit:(route_reply core) convert
     in

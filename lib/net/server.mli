@@ -7,6 +7,13 @@
     {!Service.Supervisor} worker domains — so a slow or stalled client
     can never block another client or a worker.
 
+    A connection has at most one conversion in flight: its thread waits
+    for each reply, within a [BATCH] too, before it reads on.  So each
+    connection owns one waiter, made at accept and kept with its socket
+    under the daemon's one mutex.  A missed request goes to the
+    supervisor labelled with the connection's id, and the supervisor
+    domain that emits the reply posts it to that waiter.
+
     {b Survival properties} (the daemon's headline feature):
 
     {ul
@@ -51,15 +58,14 @@ type config = {
   cache_capacity : int;  (** memo entries; 0 disables the cache *)
   default_deadline_ms : int option;
       (** deadline applied until a connection overrides it *)
-  retry : Service.Supervisor.retry_policy;
-  breaker : Service.Breaker.policy;
   watchdog : Service.Supervisor.watchdog_policy option;
       (** wedge-detection monitor; [None] disables it *)
 }
 
 val default_config : config
 (** 2 jobs, 256 admissions, a 4096-entry cache, no default deadline,
-    default supervisor retry/breaker/watchdog policies. *)
+    the default watchdog.  The supervisor runs its default retry and
+    breaker policies. *)
 
 type stats = {
   connections : int;  (** accepted since start *)

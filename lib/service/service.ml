@@ -1,5 +1,4 @@
-(* Facade: [Service.Supervisor], [Service.Breaker], [Service.Bqueue]. *)
+(* Facade: [Service.Supervisor], [Service.Breaker]. *)
 
-module Bqueue = Bqueue
 module Breaker = Breaker
 module Supervisor = Supervisor

@@ -20,13 +20,6 @@ type outcome = Done of string | Degraded of string | Failed of Error.t
 
 type reply = { lineno : int; input : string; outcome : outcome; attempts : int }
 
-type worker_stats = {
-  worker : int;
-  processed : int;
-  retried : int;
-  degraded : int;
-}
-
 type stats = {
   submitted : int;
   completed : int;
@@ -45,7 +38,6 @@ type stats = {
   max_in_flight : int;
   capacity : int;
   jobs : int;
-  workers : worker_stats array;
 }
 
 (* Service metrics are recorded unconditionally: one atomic op per
@@ -117,28 +109,33 @@ let worker_metrics i =
         "Breaker-fallback (degraded) replies per worker domain." i;
   }
 
-type job = {
+(* One request from [submit] until its reply is emitted.  The job is
+   fixed at submit; the rest is written under [t.m]: [worker] and
+   [started] when a worker takes the job (the watchdog's heartbeat),
+   and [reply] once one is delivered.  Only the worker holding the job
+   and the watchdog deliver, so a reply already there when the worker
+   delivers is the cancelled flag: the watchdog answered in the wedged
+   worker's place, and the worker drops its late reply and exits
+   instead of looping. *)
+type slot = {
   seq : int;
   job_lineno : int;
   job_input : string;
   deadline : Budget.deadline option;
   job_tid : int;  (* trace id (0 = untraced); see Telemetry.Tracing *)
   job_t0 : int;  (* queue-wait span token captured at submit *)
-}
-
-(* Heartbeat slot for one dequeued request: registered when a worker
-   takes the job, removed when its reply is posted.  The watchdog scans
-   these; marking [cancelled] means the watchdog has already answered
-   the request and replaced the worker, so the wedged worker's eventual
-   reply must be dropped and the worker must exit instead of looping. *)
-type running = {
-  r_job : job;
-  r_worker : int;
-  r_started : float;
-  mutable r_cancelled : bool;
+  mutable worker : int;  (* -1 while queued *)
+  mutable started : float;
+  mutable reply : reply option;
 }
 [@@lint.guarded_by "m"]
 
+(* Every request in flight, from [submit] to the return of its [emit],
+   is in [slots], at its seq modulo [capacity]: [submit] waits on [room]
+   while [capacity] are in flight, so the seqs in flight are a run of
+   at most [capacity] from [emitted] and never share an index.  The
+   ones no worker has taken yet are also in [queue], where workers wait
+   on [work]. *)
 type t = {
   jobs : int;
   capacity : int;
@@ -147,13 +144,14 @@ type t = {
   retry : retry_policy;
   breaker : Breaker.t;
   emit : reply -> unit;
-  queue : job Bqueue.t;
-  slots : Semaphore.Counting.t;
   budget : Budget.t;
   m : Mutex.t;
-  buffer : (int, reply) Hashtbl.t;
+  work : Condition.t;  (** [queue] gained a job, or the service closed *)
+  room : Condition.t;  (** a request left flight, or the service closed *)
+  slots : slot option array;
+  queue : slot Queue.t;
   mutable submitted : int;
-  mutable emitted : int;
+  mutable emitted : int;  (** requests whose [emit] has returned *)
   mutable emitting : bool;  (** the emission token; see [emit_from] *)
   mutable closed : bool;
   mutable max_in_flight : int;
@@ -167,11 +165,7 @@ type t = {
   mutable crashes_n : int;
   mutable respawns_n : int;
   mutable wedges_n : int;
-  running : (int, running) Hashtbl.t;  (** seq -> heartbeat slot *)
   wd_stop : bool Atomic.t;
-  w_processed : int array;
-  w_retried : int array;
-  w_degraded : int array;
   w_metrics : worker_metrics array;
   mutable workers : unit Domain.t list;
   mutable wd_domain : unit Domain.t option;
@@ -216,13 +210,13 @@ let remaining_s = function
 (* Supervised execution of one request: breaker admission, cooperative
    deadline, capped-exponential retry for Internal-class failures.
    Returns the outcome and the number of convert attempts made. *)
-let process t (job : job) =
+let process t (s : slot) =
   Budget.set t.budget;
-  Budget.set_deadline job.deadline;
+  Budget.set_deadline s.deadline;
   Fun.protect ~finally:(fun () -> Budget.set_deadline None) @@ fun () ->
   let fallback_outcome () =
-    match Error.catch (fun () -> t.fallback job.job_input) with
-    | Ok (Ok s) -> Degraded s
+    match Error.catch (fun () -> t.fallback s.job_input) with
+    | Ok (Ok out) -> Degraded out
     | Ok (Error e) | Error e -> Failed e
   in
   match Breaker.admit t.breaker with
@@ -235,19 +229,19 @@ let process t (job : job) =
       if is_probe then Breaker.record_failure t.breaker
     in
     let rec attempt n backoff =
-      match job.deadline with
+      match s.deadline with
       | Some d when Budget.expired d ->
         timed_out ();
         (Failed (Budget.deadline_error d), n)
       | _ -> (
-        match run_convert t job.job_input with
-        | Ok s ->
+        match run_convert t s.job_input with
+        | Ok out ->
           Breaker.record_success t.breaker;
-          (Done s, n + 1)
+          (Done out, n + 1)
         | Error (Error.Internal _ as e) ->
           if n < t.retry.max_retries then begin
             let pause =
-              Float.min (backoff /. 1000.) (remaining_s job.deadline)
+              Float.min (backoff /. 1000.) (remaining_s s.deadline)
             in
             if pause > 0. then Unix.sleepf pause;
             attempt (n + 1)
@@ -267,28 +261,15 @@ let process t (job : job) =
     in
     attempt 0 t.retry.backoff_ms
 
-let register_running t ~worker (job : job) =
-  Mutex.lock t.m;
-  Hashtbl.replace t.running job.seq
-    {
-      r_job = job;
-      r_worker = worker;
-      r_started = Unix.gettimeofday ();
-      r_cancelled = false;
-    };
-  Mutex.unlock t.m
-
 (* Reply accounting; called with [t.m] held. *)
-let deliver_locked t ~worker (job : job) reply =
+let deliver_locked t ~worker (s : slot) reply =
   let wm = t.w_metrics.(worker) in
   Telemetry.Metrics.incr wm.mw_processed;
-  Hashtbl.replace t.buffer job.seq reply;
-  t.w_processed.(worker) <- t.w_processed.(worker) + 1;
+  s.reply <- Some reply;
   (match reply.outcome with
   | Done _ -> t.succeeded_n <- t.succeeded_n + 1
   | Degraded _ ->
     t.degraded_n <- t.degraded_n + 1;
-    t.w_degraded.(worker) <- t.w_degraded.(worker) + 1;
     Telemetry.Metrics.incr wm.mw_degraded
   | Failed e -> (
     match e with
@@ -301,60 +282,82 @@ let deliver_locked t ~worker (job : job) reply =
     | Error.Internal _ -> t.fail_internal <- t.fail_internal + 1));
   if reply.attempts > 1 then begin
     t.retries_n <- t.retries_n + (reply.attempts - 1);
-    t.w_retried.(worker) <- t.w_retried.(worker) + 1;
     Telemetry.Metrics.incr wm.mw_retried;
     (Telemetry.Metrics.add m_retries (reply.attempts - 1))
     [@lint.can_raise
       Invalid_argument (* attempts > 1 on this branch: the delta is positive *)]
   end
 
-(* Delivers a worker's reply — unless the watchdog already cancelled the
-   request (answered it with a structured timeout and replaced the
-   worker), in which case the late reply is dropped and [post] returns
-   [false]: the abandoned worker must exit instead of looping, since its
-   replacement is already running. *)
-let post t ~worker (job : job) reply =
-  Mutex.lock t.m;
-  let cancelled =
-    match Hashtbl.find_opt t.running job.seq with
-    | Some r when r.r_cancelled -> true
-    | _ -> false
-  in
-  Hashtbl.remove t.running job.seq;
-  if not cancelled then deliver_locked t ~worker job reply;
-  Mutex.unlock t.m;
-  not cancelled
+(* Emission.  The reply the stream waits for is the one in the slot of
+   seq [emitted].  Whoever delivers a reply (a worker, a dying worker,
+   the watchdog after a wedge) then tries to claim the [emitting] token
+   under [t.m]; the claimant emits every ready reply from [emitted] on,
+   each outside [t.m].  A deliverer that finds the token taken leaves
+   its reply to the holder, which claims the next reply under [t.m]
+   after each [emit].  So [emit] runs one call at a time in submission
+   order, and a request leaves flight, freeing its slot for one waiting
+   [submit], only once its [emit] has returned. *)
 
-(* Emission.  The reply the stream waits for is [buffer[emitted]].
-   Whoever delivers a reply (a worker after [post], a dying worker, the
-   watchdog after a wedge) then calls [emit_ready]: it takes the
-   [emitting] token under [t.m] and emits every ready reply from
-   [emitted] on.  A deliverer that finds the token taken leaves its
-   reply to the holder, which re-reads the buffer under [t.m] before it
-   lets the token go.  So [emit] runs one call at a time in submission
-   order, and a slot returns after its [emit]: "in flight" covers
-   submit to emit.  [~token] is true only in the recursion. *)
-let rec emit_from t ~token =
-  Mutex.lock t.m;
-  if t.emitting && not token then Mutex.unlock t.m
+(* Under [t.m]: the token and the reply the stream waits for, if the
+   token is free and that reply is there. *)
+let claim_locked t =
+  if t.emitting then None
   else
-    match Hashtbl.find_opt t.buffer t.emitted with
-    | None ->
-      t.emitting <- false;
-      Mutex.unlock t.m
-    | Some reply ->
+    match t.slots.(t.emitted mod t.capacity) with
+    | Some { reply = Some reply; _ } ->
       t.emitting <- true;
-      Hashtbl.remove t.buffer t.emitted;
-      t.emitted <- t.emitted + 1;
-      Telemetry.Metrics.set_gauge g_queue_depth (t.submitted - t.emitted);
-      Mutex.unlock t.m;
-      (* a raising [emit] breaks its contract: drop the exception, so the
-         token moves on and no caller's crash handler ever sees it *)
-      (match t.emit reply with () -> () | exception _ -> ());
-      Semaphore.Counting.release t.slots;
-      emit_from t ~token:true
+      Some reply
+    | Some _ | None -> None
 
-let emit_ready t = emit_from t ~token:false
+(* Emits [reply] and every ready reply after it, holding the token;
+   called without [t.m]. *)
+let rec emit_from t reply =
+  (* a raising [emit] breaks its contract: drop the exception, so the
+     token moves on and no caller's crash handler sees it *)
+  (match t.emit reply with () -> () | exception _ -> ());
+  Mutex.lock t.m;
+  t.slots.(t.emitted mod t.capacity) <- None;
+  t.emitted <- t.emitted + 1;
+  Telemetry.Metrics.set_gauge g_queue_depth (t.submitted - t.emitted);
+  t.emitting <- false;
+  let next = claim_locked t in
+  Mutex.unlock t.m;
+  Condition.signal t.room;
+  Option.iter (emit_from t) next
+
+(* Delivers a worker's reply and emits what is ready — unless the
+   watchdog already answered the request, in which case the late reply
+   is dropped and [deliver] returns [false]: the abandoned worker must
+   exit instead of looping, since its replacement is already running. *)
+let deliver t ~worker (s : slot) reply =
+  Mutex.lock t.m;
+  let live = Option.is_none s.reply in
+  let ready =
+    if live then begin
+      deliver_locked t ~worker s reply;
+      claim_locked t
+    end
+    else None
+  in
+  Mutex.unlock t.m;
+  Option.iter (emit_from t) ready;
+  live
+
+(* The next queued request, with its heartbeat set; [None] once the
+   service is shut down and the queue is empty. *)
+let take t ~worker =
+  Mutex.lock t.m;
+  while Queue.is_empty t.queue && not t.closed do
+    Condition.wait t.work t.m
+  done;
+  let next = Queue.take_opt t.queue in
+  (match next with
+  | Some s ->
+    s.worker <- worker;
+    s.started <- Unix.gettimeofday ()
+  | None -> ());
+  Mutex.unlock t.m;
+  next
 
 (* The injected live-but-wedged worker (service.worker-wedge): holds the
    dequeued request without progressing for far longer than any test
@@ -368,115 +371,108 @@ let wedge_stall () =
     Unix.sleepf 0.01
   done
 
+(* Worker crash with a request in hand.  Losing the reply would stall
+   emission (every later reply waits behind this seq), so the dying
+   worker records the failure against the breaker, answers the job
+   through the breaker-backed degraded channel, and only then lets the
+   exception continue killing the domain: [worker_body] respawns a
+   replacement.  If the watchdog cancelled the request first, the reply
+   is already delivered and a replacement already running: return, so
+   the worker dies quietly instead, or the pool would grow by one
+   domain per wedge-then-crash. *)
+let crash t ~worker (s : slot) exn =
+  Breaker.record_failure t.breaker;
+  let outcome = crash_fallback t s.job_input in
+  if
+    deliver t ~worker s
+      { lineno = s.job_lineno; input = s.job_input; outcome; attempts = 0 }
+  then begin
+    Mutex.lock t.m;
+    t.crashes_n <- t.crashes_n + 1;
+    Mutex.unlock t.m;
+    Telemetry.Metrics.incr m_crashes;
+    (* the post-mortem: name the request the worker died holding, then
+       dump every ring before the domain unwinds *)
+    if Telemetry.Flight.enabled () then begin
+      Telemetry.Flight.record ~req:s.seq ~kind:"crash"
+        (Printf.sprintf "worker=%d exn=%s input=%s" worker
+           (Printexc.to_string exn) s.job_input);
+      Telemetry.Flight.dump ~reason:"worker-crash"
+    end;
+    (raise exn) [@lint.can_raise Worker_killed]
+  end
+
 let rec worker_loop t ~worker =
-  match Bqueue.take t.queue with
+  match take t ~worker with
   | None -> ()
-  | Some job ->
-    register_running t ~worker job;
+  | Some s -> (
     (* the queue-wait span closes at dequeue; the worker then adopts
        the job's trace id so the pipeline spans inside [process] land
        on the request's trace *)
-    Telemetry.Tracing.adopt job.job_tid;
-    Telemetry.Tracing.finish ~tid:job.job_tid Telemetry.Tracing.Queue_wait
-      job.job_t0;
+    Telemetry.Tracing.adopt s.job_tid;
+    Telemetry.Tracing.finish ~tid:s.job_tid Telemetry.Tracing.Queue_wait
+      s.job_t0;
     if Telemetry.Flight.enabled () then
-      Telemetry.Flight.record ~req:job.seq ~kind:"service-start"
-        (Printf.sprintf "worker=%d input=%s" worker job.job_input);
-    let continue =
+      Telemetry.Flight.record ~req:s.seq ~kind:"service-start"
+        (Printf.sprintf "worker=%d input=%s" worker s.job_input);
+    let reply =
       try
         if Faults.fires kill_point then raise Worker_killed;
         if Faults.fires wedge_point then wedge_stall ();
         let st0 = Telemetry.Tracing.start () in
-        let outcome, attempts = process t job in
+        let outcome, attempts = process t s in
         Telemetry.Tracing.finish Telemetry.Tracing.Worker_service st0;
         if Telemetry.Flight.enabled () then
-          Telemetry.Flight.record ~req:job.seq ~kind:"service-end"
+          Telemetry.Flight.record ~req:s.seq ~kind:"service-end"
             (match outcome with
             | Done _ -> "ok"
             | Degraded _ -> "degraded"
             | Failed e -> "failed " ^ Error.category e);
         Telemetry.Tracing.adopt 0;
-        post t ~worker job
-          { lineno = job.job_lineno; input = job.job_input; outcome; attempts }
+        Some { lineno = s.job_lineno; input = s.job_input; outcome; attempts }
       with exn ->
-        (* Worker crash with a request in hand.  Losing the reply would
-           stall emission (every later reply waits behind this seq), so
-           the dying worker answers the job through the breaker-backed
-           degraded channel, records the failure against the breaker,
-           and only then lets the exception continue killing the domain:
-           the wrapper below emits the reply and respawns a replacement.
-           If the watchdog cancelled the request first, the reply is
-           already delivered and a replacement already running: die
-           quietly instead, or the pool would grow by one domain per
-           wedge-then-crash. *)
-        Breaker.record_failure t.breaker;
-        let outcome = crash_fallback t job.job_input in
-        let delivered =
-          post t ~worker job
-            {
-              lineno = job.job_lineno;
-              input = job.job_input;
-              outcome;
-              attempts = 0;
-            }
-        in
-        if delivered then begin
-          Mutex.lock t.m;
-          t.crashes_n <- t.crashes_n + 1;
-          Mutex.unlock t.m;
-          Telemetry.Metrics.incr m_crashes;
-          (* the post-mortem: name the request the worker died holding,
-             then dump every ring before the domain unwinds *)
-          if Telemetry.Flight.enabled () then begin
-            Telemetry.Flight.record ~req:job.seq ~kind:"crash"
-              (Printf.sprintf "worker=%d exn=%s input=%s" worker
-                 (Printexc.to_string exn) job.job_input);
-            Telemetry.Flight.dump ~reason:"worker-crash"
-          end;
-          (raise exn) [@lint.can_raise Worker_killed]
-        end;
-        false
+        crash t ~worker s exn;
+        None
     in
     (* outside the crash handler: emission never re-enters it *)
-    if continue then begin
-      emit_ready t;
-      worker_loop t ~worker
-    end
+    match reply with
+    | Some reply when deliver t ~worker s reply -> worker_loop t ~worker
+    | Some _ | None -> ())
 
 (* Each worker domain runs under this wrapper: an escaping exception is
-   a domain death.  The dying domain emits the crash reply it posted,
-   then spawns and registers its replacement — before the body returns,
-   so shutdown's generation-joining loop is guaranteed to observe the
-   new domain. *)
+   a domain death.  The dying domain spawns and registers its
+   replacement before the body returns, so shutdown's
+   generation-joining loop is guaranteed to observe the new domain. *)
 let rec worker_body t ~worker () =
-  try worker_loop t ~worker
-  with _ ->
-    emit_ready t;
-    let d = Domain.spawn (worker_body t ~worker) in
-    Mutex.lock t.m;
-    t.respawns_n <- t.respawns_n + 1;
-    t.workers <- d :: t.workers;
-    Mutex.unlock t.m;
-    Telemetry.Metrics.incr m_respawns
+  try worker_loop t ~worker with _ -> respawn t ~worker
+
+and respawn t ~worker =
+  let d = Domain.spawn (worker_body t ~worker) in
+  Mutex.lock t.m;
+  t.respawns_n <- t.respawns_n + 1;
+  t.workers <- d :: t.workers;
+  Mutex.unlock t.m;
+  Telemetry.Metrics.incr m_respawns
 
 (* {2 Watchdog} *)
 
-(* A request is wedged when its worker is still alive (the crash path
-   would have answered it) yet it has been held past its deadline plus
-   [grace_ms] — or past [stuck_ms] when it carries no deadline.  OCaml
+(* A request is wedged when a worker still holds it undelivered (the
+   crash path would have answered it) past its deadline plus
+   [grace_ms], or past [stuck_ms] when it carries no deadline.  OCaml
    domains cannot be killed, so "cancel" means: answer the request with
-   a structured timeout, mark the slot so the worker's eventual late
-   reply is dropped and the worker exits on wake, and spawn a
-   replacement so the pool never shrinks. *)
-let wedged now (p : watchdog_policy) (r : running) =
-  (not r.r_cancelled)
+   a structured timeout in the worker's place (the reply in the slot
+   makes the worker drop its own late one and exit on wake), and spawn
+   a replacement so the pool never shrinks. *)
+let wedged now (p : watchdog_policy) (s : slot) =
+  s.worker >= 0
+  && Option.is_none s.reply
   &&
-  match r.r_job.deadline with
+  match s.deadline with
   | Some d -> now > d.Budget.expires_at +. (float p.grace_ms /. 1000.)
-  | None -> now -. r.r_started > float p.stuck_ms /. 1000.
+  | None -> now -. s.started > float p.stuck_ms /. 1000.
 
-let wedge_error (r : running) =
-  match r.r_job.deadline with
+let wedge_error (s : slot) =
+  match s.deadline with
   | Some d -> Budget.deadline_error d
   | None ->
     Error.internal ~where:"service.watchdog"
@@ -487,44 +483,42 @@ let rec watchdog_loop t (p : watchdog_policy) =
     let now = Unix.gettimeofday () in
     Mutex.lock t.m;
     let victims =
-      Hashtbl.fold
-        (fun _ r acc -> if wedged now p r then r :: acc else acc)
-        t.running []
+      Array.fold_left
+        (fun acc -> function
+          | Some s when wedged now p s -> s :: acc
+          | Some _ | None -> acc)
+        [] t.slots
     in
     List.iter
-      (fun r ->
-        r.r_cancelled <- true;
+      (fun (s : slot) ->
         t.wedges_n <- t.wedges_n + 1;
         Telemetry.Metrics.incr m_wedges;
         if Telemetry.Flight.enabled () then
-          Telemetry.Flight.record ~req:r.r_job.seq ~kind:"wedge"
-            (Printf.sprintf "worker=%d held-s=%.3f input=%s" r.r_worker
-               (now -. r.r_started) r.r_job.job_input);
-        deliver_locked t ~worker:r.r_worker r.r_job
+          Telemetry.Flight.record ~req:s.seq ~kind:"wedge"
+            (Printf.sprintf "worker=%d held-s=%.3f input=%s" s.worker
+               (now -. s.started) s.job_input);
+        deliver_locked t ~worker:s.worker s
           {
-            lineno = r.r_job.job_lineno;
-            input = r.r_job.job_input;
-            outcome = Failed (wedge_error r);
+            lineno = s.job_lineno;
+            input = s.job_input;
+            outcome = Failed (wedge_error s);
             attempts = 0;
           })
       victims;
+    let ready = if victims = [] then None else claim_locked t in
     Mutex.unlock t.m;
-    if victims <> [] then emit_ready t;
-    (* the dump does file I/O: after the lock, before the respawns, so
-       the recording that names the wedged request is already on disk
-       if a respawn itself goes wrong *)
-    if victims <> [] && Telemetry.Flight.enabled () then
-      Telemetry.Flight.dump ~reason:"worker-wedge";
-    (* replacements outside the lock: Domain.spawn is heavyweight *)
-    List.iter
-      (fun r ->
-        let d = Domain.spawn (worker_body t ~worker:r.r_worker) in
-        Mutex.lock t.m;
-        t.respawns_n <- t.respawns_n + 1;
-        t.workers <- d :: t.workers;
-        Mutex.unlock t.m;
-        Telemetry.Metrics.incr m_respawns)
-      victims;
+    Option.iter (emit_from t) ready;
+    if victims <> [] then begin
+      (* the dump does file I/O: after the lock, before the respawns, so
+         the recording that names the wedged request is already on disk
+         if a respawn itself goes wrong *)
+      if Telemetry.Flight.enabled () then
+        Telemetry.Flight.dump ~reason:"worker-wedge";
+      (* replacements outside the lock: Domain.spawn is heavyweight *)
+      List.iter
+        (fun (s : slot) -> respawn t ~worker:s.worker)
+        victims
+    end;
     Unix.sleepf (float p.poll_ms /. 1000.);
     watchdog_loop t p
   end
@@ -551,14 +545,12 @@ let start ?(jobs = 2) ?(queue_capacity = 64) ?(retry = default_retry)
          [@lint.can_raise
            Invalid_argument (* startup policy validation: abort loudly *)]);
       emit;
-      queue =
-        ((Bqueue.create ~capacity:queue_capacity)
-         [@lint.can_raise
-           Invalid_argument (* startup capacity validation: abort loudly *)]);
-      slots = Semaphore.Counting.make queue_capacity;
       budget = Budget.get ();
       m = Mutex.create ();
-      buffer = Hashtbl.create 64;
+      work = Condition.create ();
+      room = Condition.create ();
+      slots = Array.make queue_capacity None;
+      queue = Queue.create ();
       submitted = 0;
       emitted = 0;
       emitting = false;
@@ -574,11 +566,7 @@ let start ?(jobs = 2) ?(queue_capacity = 64) ?(retry = default_retry)
       crashes_n = 0;
       respawns_n = 0;
       wedges_n = 0;
-      running = Hashtbl.create 32;
       wd_stop = Atomic.make false;
-      w_processed = Array.make jobs 0;
-      w_retried = Array.make jobs 0;
-      w_degraded = Array.make jobs 0;
       w_metrics = Array.init jobs worker_metrics;
       workers = [];
       wd_domain = None;
@@ -593,34 +581,44 @@ let start ?(jobs = 2) ?(queue_capacity = 64) ?(retry = default_retry)
   t
 
 let submit t ?deadline_ms ?(tid = 0) ~lineno input =
-  Semaphore.Counting.acquire t.slots;
   Mutex.lock t.m;
+  while (not t.closed) && t.submitted - t.emitted >= t.capacity do
+    Condition.wait t.room t.m
+  done;
   if t.closed then begin
     Mutex.unlock t.m;
-    Semaphore.Counting.release t.slots;
     (invalid_arg "Supervisor.submit: service is shut down")
     [@lint.can_raise Invalid_argument] (* documented: submit-after-shutdown is a caller bug *)
   end;
   let seq = t.submitted in
+  (* the deadline runs from admission; the queue-wait span opens here,
+     on the submitting thread, and the dequeuing worker closes it *)
+  let s =
+    {
+      seq;
+      job_lineno = lineno;
+      job_input = input;
+      deadline = Option.map (fun ms -> Budget.deadline_after ~ms) deadline_ms;
+      job_tid = tid;
+      job_t0 = Telemetry.Tracing.start_for tid;
+      worker = -1;
+      started = 0.;
+      reply = None;
+    }
+  in
   t.submitted <- seq + 1;
+  t.slots.(seq mod t.capacity) <- Some s;
+  Queue.push s t.queue;
   let in_flight = t.submitted - t.emitted in
   if in_flight > t.max_in_flight then t.max_in_flight <- in_flight;
   Telemetry.Metrics.set_gauge g_queue_depth in_flight;
   Telemetry.Metrics.max_gauge g_max_in_flight in_flight;
+  (* under [t.m], so the admit precedes the request's service-start *)
+  if Telemetry.Flight.enabled () then
+    Telemetry.Flight.record ~req:seq ~kind:"admit" input;
   Mutex.unlock t.m;
-  let deadline = Option.map (fun ms -> Budget.deadline_after ~ms) deadline_ms in
-  (* the queue-wait span opens here, on the submitting thread; the
-     dequeuing worker closes it *)
-  let job_t0 = Telemetry.Tracing.start_for tid in
-  (* the semaphore already bounds in-flight work, so this put cannot
-     block; Closed can only race with a concurrent shutdown *)
-  try
-    Bqueue.put t.queue
-      { seq; job_lineno = lineno; job_input = input; deadline;
-        job_tid = tid; job_t0 }
-  with Bqueue.Closed ->
-    (invalid_arg "Supervisor.submit: service is shut down")
-    [@lint.can_raise Invalid_argument] (* documented: submit/shutdown race is a caller bug *)
+  (* after the unlock, so the woken worker does not wait for [t.m] *)
+  Condition.signal t.work
 
 let stats t =
   Mutex.lock t.m;
@@ -643,14 +641,6 @@ let stats t =
       max_in_flight = t.max_in_flight;
       capacity = t.capacity;
       jobs = t.jobs;
-      workers =
-        Array.init t.jobs (fun i ->
-            {
-              worker = i;
-              processed = t.w_processed.(i);
-              retried = t.w_retried.(i);
-              degraded = t.w_degraded.(i);
-            });
     }
   in
   Mutex.unlock t.m;
@@ -660,6 +650,10 @@ let shutdown t =
   Mutex.lock t.m;
   let already = t.closed in
   t.closed <- true;
+  (* workers drain the queue before they see it closed; a [submit]
+     waiting for room gives up *)
+  Condition.broadcast t.work;
+  Condition.broadcast t.room;
   Mutex.unlock t.m;
   if not already then begin
     (* stop the watchdog first: a cancellation after the generation-join
@@ -667,7 +661,6 @@ let shutdown t =
     Atomic.set t.wd_stop true;
     Option.iter Domain.join t.wd_domain;
     t.wd_domain <- None;
-    Bqueue.close t.queue;
     (* Workers can crash and respawn while draining, so join by
        generations until no unjoined domain remains: a dying domain
        registers its replacement before it exits, so once a join
@@ -683,8 +676,8 @@ let shutdown t =
         join_workers (fresh @ joined)
     in
     join_workers [];
-    (* every job was posted and every poster emitted before exiting, so
-       every reply has been emitted: there is nothing else to join *)
+    (* every job was delivered and every deliverer emitted before
+       exiting, so every reply has been emitted: nothing else to join *)
     t.workers <- []
   end;
   stats t

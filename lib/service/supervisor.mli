@@ -40,7 +40,15 @@
        one domain spawn, never a stuck connection or a shrinking pool.}
     {- {e Graceful shutdown}: {!shutdown} drains the queue — every
        submitted request is emitted exactly once — then joins all
-       domains and reports final statistics.}} *)
+       domains and reports final statistics.}}
+
+    One mutex guards all of it.  Each request is one slot from
+    {!submit} until its [emit] returns: the job, the worker and start
+    time once a worker takes it (the watchdog's heartbeat), and the
+    reply — which, when the watchdog put it there first, is the
+    cancellation the wedged worker finds.  Waiting jobs sit in a queue
+    under the same mutex; workers sleep on one condition and a blocked
+    {!submit} on another. *)
 
 type retry_policy = {
   max_retries : int;  (** additional attempts after the first *)
@@ -79,13 +87,6 @@ type reply = {
   attempts : int;  (** convert attempts made; 0 for breaker fallbacks *)
 }
 
-type worker_stats = {
-  worker : int;  (** worker domain index, [0 .. jobs-1] *)
-  processed : int;  (** replies produced by this worker *)
-  retried : int;  (** requests that needed at least one retry *)
-  degraded : int;  (** breaker-fallback replies *)
-}
-
 type stats = {
   submitted : int;
   completed : int;
@@ -112,7 +113,6 @@ type stats = {
   max_in_flight : int;  (** high-water mark of submitted-not-yet-emitted *)
   capacity : int;
   jobs : int;
-  workers : worker_stats array;  (** per-worker breakdown, indexed by domain *)
 }
 
 type t
@@ -140,13 +140,18 @@ val start :
 
 val submit : t -> ?deadline_ms:int -> ?tid:int -> lineno:int -> string -> unit
 (** Enqueues a request.  Blocks while [queue_capacity] requests are in
-    flight (backpressure).  [deadline_ms] grants a wall-clock budget
+    flight (backpressure), counted from submission until their [emit]
+    returns.  [lineno] is the caller's label, handed back in the
+    request's {!reply}.  [deadline_ms] grants a wall-clock budget
     measured from submission — queue wait counts, so a 0 ms deadline
     fails with a structured timeout without converting.  [tid]
     (default 0 = untraced) is the request's {!Telemetry.Tracing} id:
     the queue-wait span opens at submission, and the worker that
     dequeues the job adopts the id so its pipeline spans land on the
-    request's trace.
+    request's trace.  With the flight recorder on, the request's
+    ["admit"] event is recorded here, under the same [req] as its
+    ["service-start"], ["service-end"], ["crash"] and ["wedge"]
+    events.
     @raise Invalid_argument after {!shutdown}. *)
 
 val shutdown : t -> stats

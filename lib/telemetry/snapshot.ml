@@ -230,6 +230,21 @@ let to_json t =
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf
 
+let prom_path path =
+  if Filename.check_suffix path ".json" then
+    Filename.chop_suffix path ".json" ^ ".prom"
+  else path ^ ".prom"
+
+let write_file path contents =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc contents)
+
+let write_files t path =
+  write_file path (to_json t);
+  write_file (prom_path path) (to_prometheus t)
+
 (* ------------------------------------------------------------------ *)
 (* The shared "stats:" pretty-printer (bdprint --stats).
 

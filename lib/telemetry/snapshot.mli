@@ -59,6 +59,13 @@ val to_json : t -> string
 (** A JSON object [{"metrics": [...]}]; histogram buckets are
     cumulative, mirroring the Prometheus rendering. *)
 
+val write_files : t -> string -> unit
+(** [write_files snap path] writes {!to_json} to [path] and
+    {!to_prometheus} beside it: to [path] with its [.json] suffix
+    replaced by [.prom], or with [.prom] appended — the
+    [--metrics FILE] dump of bdprint and bdprintd.
+    @raise Sys_error when a file cannot be written. *)
+
 val pp_stream : Format.formatter -> t -> unit
 (** The [bdprint --stats] rendering.  Sequential and parallel stream
     runs fill the same metric names and share this one printer, so both

@@ -127,6 +127,11 @@ let set_sample_every n =
   if n < 1 then invalid_arg "Tracing.set_sample_every: need >= 1";
   Atomic.set sample_every n
 
+let sample_every_from_env var =
+  match Option.bind (Sys.getenv_opt var) int_of_string_opt with
+  | Some n when n >= 1 -> Atomic.set sample_every n
+  | Some _ | None -> ()
+
 (* Trace id 0 means "not traced" everywhere; ids start at 1. *)
 let next_tid = Atomic.make 1
 
@@ -324,3 +329,11 @@ let to_chrome_json ?pid () =
     (Printf.sprintf "\n],\"displayTimeUnit\":\"ns\",\"otherData\":{\"dropped\":%d}}\n"
        (dropped ()));
   Buffer.contents buf
+
+let write_chrome_json path =
+  try
+    let oc = open_out path in
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () -> output_string oc (to_chrome_json ()))
+  with Sys_error _ -> ()

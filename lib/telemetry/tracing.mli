@@ -62,6 +62,12 @@ val set_sample_every : int -> unit
 (** Trace every Nth request per domain (default 64); [1] traces all.
     @raise Invalid_argument on [n < 1]. *)
 
+val sample_every_from_env : string -> unit
+(** [sample_every_from_env var] applies {!set_sample_every} to the
+    value of the environment variable [var] ([BDPRINT_TRACE_SAMPLE],
+    [BDPRINTD_TRACE_SAMPLE]) when it is an integer of at least 1, and
+    otherwise leaves the interval as it is. *)
+
 (** {2 Request lifecycle} *)
 
 val begin_request : unit -> int
@@ -121,6 +127,11 @@ val to_chrome_json : ?pid:int -> unit -> string
 (** The ring as Chrome trace-event JSON ("X" complete events, one
     thread track per trace id), sorted by start time.  [pid] defaults
     to the process id; tests pin it for golden output. *)
+
+val write_chrome_json : string -> unit
+(** Writes {!to_chrome_json} to a file — the [--trace FILE] export of
+    bdprint and bdprintd.  A file that cannot be written is skipped:
+    a trace must never turn a finished run into a failed one. *)
 
 val clear : unit -> unit
 (** Empties the ring and resets the drop count (tests, TRACE verb). *)

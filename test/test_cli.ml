@@ -554,6 +554,45 @@ let test_output_order () =
         merged)
     [ ""; "--jobs 2" ]
 
+(* Out-of-domain flags and failed one-shot inputs exit with their
+   failure class, like a stream, after one "error: ..." line; only
+   cmdliner's own parse and usage errors exit 124.  A failed argument's
+   error follows the output of the arguments before it. *)
+let test_one_shot_exit_codes () =
+  List.iter
+    (fun (args, code, stderr) ->
+      let status, _, err = bdprint_full args in
+      Alcotest.(check int) ("exit " ^ args) code status;
+      Alcotest.(check (list string)) ("stderr " ^ args) [ stderr ] err)
+    [
+      ("--base 99 0.1", 2, "error: range error: base: 99 not in 2..36");
+      ("--digits 0 0.1", 2, "error: range error: --digits: 0 < 1");
+      ( "--digits 100000 0.1",
+        3,
+        "error: budget exceeded: --digits: 100000 > limit 20000" );
+      ("--stdin --jobs 0", 2, "error: range error: --jobs: must be at least 1");
+      ( "bogus",
+        2,
+        "error: syntax error: expected digits at index 0 in \"bogus\"" );
+      ("--jobs 2 0.1", 124, "bdprint: --jobs requires --stdin");
+    ];
+  let tmp = Filename.temp_file "bdprint" ".out" in
+  let status =
+    Sys.command
+      (Printf.sprintf "%s 0.1 bogus 2.5 > %s 2>&1"
+         (Filename.quote (cli_exe ())) (Filename.quote tmp))
+  in
+  let ic = open_in tmp in
+  let merged = In_channel.input_all ic in
+  close_in ic;
+  Sys.remove tmp;
+  Alcotest.(check int) "merged exit" 2 status;
+  Alcotest.(check string) "merged order"
+    "0.1\n\
+     error: syntax error: expected digits at index 0 in \"bogus\"\n\
+     2.5\n"
+    merged
+
 (* A line over the input-length cap is counted and discarded, never
    held: bdprint gives the same budget error as a line that reached the
    reader's own check, goes on with the next line, and its heap stays
@@ -641,6 +680,8 @@ let () =
             test_unreadable_stdin;
           Alcotest.test_case "co-process gets every answer" `Quick
             test_coprocess;
+          Alcotest.test_case "one-shot and flag exit codes" `Quick
+            test_one_shot_exit_codes;
           Alcotest.test_case "merged output keeps input order" `Quick
             test_output_order;
           Alcotest.test_case "over-long line is not held" `Quick

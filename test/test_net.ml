@@ -10,6 +10,7 @@
 module Wire = Net.Wire
 module Memo = Net.Memo
 module Server = Net.Server
+module Line_reader = Net.Line_reader
 module Error = Robust.Error
 module Faults = Robust.Faults
 
@@ -241,70 +242,41 @@ let test_memo_invariants_concurrent () =
 
 (* {2 Server client harness} *)
 
-type client = {
-  fd : Unix.file_descr;
-  rbuf : Bytes.t;
-  mutable rpos : int;
-  mutable rlen : int;
-  acc : Buffer.t;
-}
+(* A test client reads and writes through the daemon's own line reader
+   and write loop. *)
+type client = { fd : Unix.file_descr; reader : Line_reader.t }
 
 let connect port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
-  { fd; rbuf = Bytes.create 4096; rpos = 0; rlen = 0; acc = Buffer.create 64 }
+  { fd; reader = Line_reader.create fd }
 
 let close c = try Unix.close c.fd with Unix.Unix_error (_, _, _) -> ()
 
-let send c s =
-  let b = Bytes.of_string s in
-  let rec go off len =
-    if len > 0 then begin
-      let n = Unix.write c.fd b off len in
-      go (off + n) (len - n)
-    end
-  in
-  go 0 (Bytes.length b)
+let send c s = Line_reader.write c.fd s 0 (String.length s)
 
 exception Closed_by_server
 
-let refill c =
-  let n = Unix.read c.fd c.rbuf 0 (Bytes.length c.rbuf) in
-  if n = 0 then raise Closed_by_server;
-  c.rpos <- 0;
-  c.rlen <- n
-
 let rec recv_line c =
-  if c.rpos >= c.rlen then begin
-    refill c;
-    recv_line c
-  end
-  else
-    match Bytes.index_from_opt c.rbuf c.rpos '\n' with
-    | Some i when i < c.rlen ->
-      Buffer.add_subbytes c.acc c.rbuf c.rpos (i - c.rpos);
-      c.rpos <- i + 1;
-      let s = Buffer.contents c.acc in
-      Buffer.clear c.acc;
-      s
-    | _ ->
-      Buffer.add_subbytes c.acc c.rbuf c.rpos (c.rlen - c.rpos);
-      c.rpos <- c.rlen;
-      recv_line c
+  match Line_reader.read c.reader with
+  | Line_reader.Line s -> s
+  | Interrupted -> recv_line c
+  | Too_long { bytes; _ } -> Alcotest.failf "reply line of %d bytes" bytes
+  | Last _ | Eof -> raise Closed_by_server
 
-let rec recv_bytes c n =
-  if n = 0 then ()
-  else if c.rpos < c.rlen then begin
-    let take = min n (c.rlen - c.rpos) in
-    Buffer.add_subbytes c.acc c.rbuf c.rpos take;
-    c.rpos <- c.rpos + take;
-    recv_bytes c (n - take)
-  end
-  else begin
-    refill c;
-    recv_bytes c n
-  end
+(* A payload body is [n] bytes and a newline: whole lines, until that
+   many bytes are consumed. *)
+let recv_body c n =
+  let rec go lines consumed =
+    if consumed > n then (List.rev lines, consumed)
+    else
+      let line = recv_line c in
+      go (line :: lines) (consumed + String.length line + 1)
+  in
+  let lines, consumed = go [] 0 in
+  Alcotest.(check int) "payload trailing newline" (n + 1) consumed;
+  String.concat "\n" lines
 
 let recv_reply c =
   let line = recv_line c in
@@ -316,12 +288,7 @@ let recv_reply c =
       | Some n -> n
       | None -> Alcotest.failf "payload header without length: %S" line
     in
-    recv_bytes c n;
-    let body = Buffer.contents c.acc in
-    Buffer.clear c.acc;
-    let nl = recv_line c in
-    Alcotest.(check string) "payload trailing newline" "" nl;
-    Wire.Payload { verb; body }
+    Wire.Payload { verb; body = recv_body c n }
   | Ok r -> r
 
 let with_server ?config ?(convert = convert_real) f =
@@ -848,6 +815,67 @@ let test_server_chaos () =
       Alcotest.(check int) "respawn healed every crash"
         sup.Service.Supervisor.crashes sup.Service.Supervisor.respawns)
 
+(* The flight recorder's admit event comes from the supervisor, under
+   the seq its service-start, service-end and crash events carry.  Two
+   connections convert at once, so their requests interleave on the
+   way in; every service-start still has the admit of its own input. *)
+let test_server_flight_admit_ids () =
+  let module Flight = Telemetry.Flight in
+  Flight.clear ();
+  Flight.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Flight.set_enabled false;
+      Flight.clear ())
+  @@ fun () ->
+  let per_conn = 30 in
+  let config = { Server.default_config with Server.cache_capacity = 0 } in
+  with_server ~config (fun _server port ->
+      let client k () =
+        let c = connect port in
+        for i = 1 to per_conn do
+          let input = Printf.sprintf "%d.%d" k i in
+          send c ("CONV " ^ input ^ "\n");
+          match recv_reply c with
+          | Wire.Converted _ -> ()
+          | r -> Alcotest.failf "CONV %s: %s" input (Wire.render_reply r)
+        done;
+        close c
+      in
+      List.iter Thread.join
+        (List.init 2 (fun k -> Thread.create (client (k + 1)) ())));
+  let events =
+    String.split_on_char '\n' (Flight.to_jsonl ())
+    |> List.filter_map (fun line ->
+           try
+             Scanf.sscanf line
+               "{\"seq\":%_d,\"t_us\":%_d,\"dom\":%_d,\"req\":%d,\"kind\":\"%[^\"]\",\"detail\":\"%[^\"]\"}"
+               (fun req kind detail -> Some (req, kind, detail))
+           with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+  in
+  let admits =
+    List.filter_map
+      (fun (req, kind, input) -> if kind = "admit" then Some (req, input) else None)
+      events
+  in
+  let starts =
+    List.filter_map
+      (fun (req, kind, detail) ->
+        if kind = "service-start" then
+          Scanf.sscanf_opt detail "worker=%_d input=%s" (fun input -> (req, input))
+        else None)
+      events
+  in
+  Alcotest.(check int) "one service-start per request" (2 * per_conn)
+    (List.length starts);
+  List.iter
+    (fun (req, input) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "service-start req=%d input=%s has its admit" req input)
+        true
+        (List.mem (req, input) admits))
+    starts
+
 let test_server_deadline () =
   (* a 1 ms deadline on a slow conversion fails with a budget error *)
   let slow input =
@@ -946,6 +974,8 @@ let () =
           Alcotest.test_case "memo-hit" `Quick test_server_memo_hit;
           Alcotest.test_case "worker-wedge" `Quick test_server_worker_wedge;
           Alcotest.test_case "deadline" `Quick test_server_deadline;
+          Alcotest.test_case "flight admit ids" `Quick
+            test_server_flight_admit_ids;
           Alcotest.test_case "drain-loses-nothing" `Quick
             test_server_drain_loses_nothing;
           Alcotest.test_case "chaos" `Slow test_server_chaos;

@@ -1,11 +1,10 @@
 (* Unit tests for the supervised parallel conversion service
-   (lib/service) and the fault-spec machinery it leans on: bounded
-   queue, order preservation, backpressure, retry masking of transient
+   (lib/service) and the fault-spec machinery it leans on: order
+   preservation, backpressure, retry masking of transient
    internal failures, fail-fast classes, deadlines, graceful drain, and
    the circuit breaker's open/degrade/probe/close cycle. *)
 
 module S = Service.Supervisor
-module B = Service.Bqueue
 module Error = Robust.Error
 module Budget = Robust.Budget
 module Faults = Robust.Faults
@@ -158,36 +157,6 @@ let test_probabilistic_arming () =
   | Error e -> Alcotest.fail (Error.to_string e)
 
 (* ------------------------------------------------------------------ *)
-(* Bounded queue *)
-
-let test_bqueue () =
-  let q = B.create ~capacity:2 in
-  (* a producer pushing past the capacity blocks until the consumer
-     drains; the join below proves it completes without deadlock *)
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 1 to 5 do
-          B.put q i
-        done;
-        B.close q)
-  in
-  let got = ref [] in
-  let rec drain () =
-    match B.take q with
-    | Some x ->
-      got := x :: !got;
-      Unix.sleepf 0.002;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Domain.join producer;
-  Alcotest.(check (list int)) "FIFO order" [ 1; 2; 3; 4; 5 ] (List.rev !got);
-  Alcotest.(check bool) "put after close raises" true
-    (match B.put q 6 with exception B.Closed -> true | () -> false);
-  Alcotest.(check (option int)) "take after close drained" None (B.take q)
-
-(* ------------------------------------------------------------------ *)
 (* Service basics *)
 
 let test_order_preserved () =
@@ -222,6 +191,23 @@ let test_backpressure_bound () =
        stats.S.max_in_flight)
     true
     (stats.S.max_in_flight <= 4)
+
+(* Waiting jobs leave the queue in submission order: with one worker,
+   convert sees the inputs in the order they were submitted, also while
+   [submit] blocks at the capacity of 2. *)
+let test_one_worker_takes_in_order () =
+  let seen = ref [] in
+  let convert s =
+    seen := s :: !seen;
+    Unix.sleepf 0.0005;
+    Ok s
+  in
+  let inputs = List.init 30 (fun i -> string_of_int i) in
+  let replies, stats = collect ~jobs:1 ~capacity:2 convert inputs in
+  Alcotest.(check int) "all drained" 30 (List.length replies);
+  Alcotest.(check (list string)) "FIFO order" inputs (List.rev !seen);
+  Alcotest.(check bool) "in-flight bounded by capacity" true
+    (stats.S.max_in_flight <= 2)
 
 let test_real_pipeline_parallel () =
   let inputs =
@@ -757,12 +743,13 @@ let () =
           Alcotest.test_case "probabilistic arming" `Quick
             test_probabilistic_arming;
         ] );
-      ("bqueue", [ Alcotest.test_case "bounded queue" `Quick test_bqueue ]);
       ( "supervisor",
         [
           Alcotest.test_case "order preserved" `Quick test_order_preserved;
           Alcotest.test_case "backpressure bound" `Quick
             test_backpressure_bound;
+          Alcotest.test_case "one worker takes jobs in order" `Quick
+            test_one_worker_takes_in_order;
           Alcotest.test_case "real pipeline parallel" `Quick
             test_real_pipeline_parallel;
           Alcotest.test_case "retry masks transient" `Quick
