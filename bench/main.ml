@@ -11,7 +11,8 @@
    - reader:   certified fast paths vs exact (reader tiers, fixed
                format on the table tier beside Gay's heuristic, shortest
                form on the table tier; ours, E9)
-   - service:  sequential vs supervised parallel streaming (ours, E10)
+   - daemon:   bdprintd load generator, in-process or at BDPRINTD_ADDR
+               (ours, E11; writes BENCH_service.json)
    - bignum:   substrate microbenchmarks (ours, E8)
    - kernel:   allocation-free digit loop vs pure-Nat reference
                (throughput + Gc.minor_words per conversion; writes
@@ -656,73 +657,6 @@ let kernel_bench ~size () =
     [ ("free format", scr_t /. fast_t); ("fixed format", fx_scr_t /. fx_fast_t) ]
 
 (* ------------------------------------------------------------------ *)
-(* Service layer: sequential vs supervised parallel throughput (E10) *)
-
-let service_bench ~size () =
-  Printf.printf
-    "%s\nService: sequential vs supervised parallel throughput (wall clock)\n"
-    line;
-  Printf.printf
-    "(read + shortest print round trip on %d Schryer doubles; %d core(s))\n\n"
-    size
-    (Domain.recommended_domain_count ());
-  let strings = Array.map Dragon.Printer.print (Workloads.Schryer.corpus ~size ()) in
-  let convert input =
-    match
-      Reader.read ~mode:Fp.Rounding.To_nearest_even Fp.Format_spec.binary64
-        input
-    with
-    | Error _ as e -> e
-    | Ok v ->
-      Dragon.Printer.print_value ~base:10 ~mode:Fp.Rounding.To_nearest_even
-        ~strategy:Dragon.Scaling.Fast_estimate ~notation:Dragon.Render.Auto
-        Fp.Format_spec.binary64 v
-  in
-  (* the supervisor adds queueing and reordering, so compare wall time,
-     not CPU time *)
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let sequential () =
-    Array.iter
-      (fun s ->
-        match convert s with
-        | Ok out -> sink := !sink + String.length out
-        | Error _ -> ())
-      strings
-  in
-  let supervised jobs () =
-    let svc =
-      Service.Supervisor.start ~jobs ~queue_capacity:256
-        ~emit:(fun r ->
-          match r.Service.Supervisor.outcome with
-          | Service.Supervisor.Done out -> sink := !sink + String.length out
-          | _ -> ())
-        convert
-    in
-    Array.iteri (fun i s -> Service.Supervisor.submit svc ~lineno:(i + 1) s)
-      strings;
-    ignore (Service.Supervisor.shutdown svc)
-  in
-  ignore (wall sequential);
-  let t_seq = wall sequential in
-  let rate t = float_of_int size /. t in
-  Printf.printf "  %-22s %10.3f s %12.0f lines/s %8s\n" "sequential" t_seq
-    (rate t_seq) "1.00";
-  List.iter
-    (fun jobs ->
-      let t = wall (supervised jobs) in
-      Printf.printf "  %-22s %10.3f s %12.0f lines/s %8.2f\n"
-        (Printf.sprintf "service --jobs %d" jobs)
-        t (rate t) (t_seq /. t))
-    [ 1; 2; 4 ];
-  Printf.printf
-    "\n  (ratio > 1 means faster than sequential; on a single-core host the\n\
-    \   service measures supervision overhead, not parallel speedup)\n"
-
-(* ------------------------------------------------------------------ *)
 (* Daemon: open/closed-loop load generator against bdprintd (E11).
 
    Targets BDPRINTD_ADDR (an externally started daemon, in bdprint
@@ -1200,9 +1134,7 @@ let () =
   if has "ablation" then ablation ~size:(pick 50_000) ();
   if has "sweep" then sweep ();
   if has "reader" then reader_bench ~size:(pick 30_000) ();
-  if has "service" then service_bench ~size:(pick 30_000) ();
-  if has "service" || List.mem "daemon" !sections then
-    daemon_bench ~size:(pick 20_000) ();
+  if has "daemon" then daemon_bench ~size:(pick 20_000) ();
   if has "telemetry" then telemetry_bench ~size:(pick 20_000) ();
   if has "bignum" then bignum_bench ();
   if has "kernel" then kernel_bench ~size:(pick 8_000) ();

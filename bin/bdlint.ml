@@ -189,8 +189,9 @@ let ratchet_diff_json regressions =
 (* ------------------------------------------------------------------ *)
 
 (* Feed per-rule counts through the telemetry layer and dump the
-   snapshot as JSON plus Prometheus text (FILE with a .prom suffix),
-   mirroring [bdprint --metrics]. *)
+   snapshot through the writer [bdprint --metrics] uses: JSON to FILE,
+   Prometheus text to FILE with its .json suffix replaced by .prom (or
+   .prom appended). *)
 let export_metrics file outcome =
   let registry = Telemetry.Metrics.create_registry () in
   let series help name rule n =
@@ -215,11 +216,7 @@ let export_metrics file outcome =
       "bdlint_files_scanned"
   in
   Telemetry.Metrics.set_gauge files outcome.Lint.Engine.files;
-  let snap = Telemetry.Snapshot.take ~registry () in
-  write_out (Some file) (Telemetry.Snapshot.to_json snap);
-  write_out
-    (Some (Filename.remove_extension file ^ ".prom"))
-    (Telemetry.Snapshot.to_prometheus snap)
+  Telemetry.Snapshot.write_files (Telemetry.Snapshot.take ~registry ()) file
 
 let run paths manifest_file format output metrics quiet changed baseline
     write_baseline baseline_diff =
@@ -337,8 +334,8 @@ let metrics_arg =
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
           "Export per-rule finding/suppression counts as a telemetry \
-           snapshot: JSON to FILE and Prometheus text to FILE with a .prom \
-           suffix.")
+           snapshot: JSON to FILE and Prometheus text next to it (FILE \
+           with its .json suffix replaced by .prom, or .prom appended).")
 
 let quiet_arg =
   Arg.(

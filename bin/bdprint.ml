@@ -5,21 +5,18 @@
    Robustness: every failure is a structured Robust.Error — syntax,
    range, budget or internal — and with [--stdin] the tool is a streaming
    filter that reports per-line errors on stderr without aborting the
-   stream ([--max-errors N] bounds the tolerance).  [--jobs N] runs the
-   stream through the supervised parallel service (order-preserving,
-   with per-request deadlines, retries and a circuit breaker); [--stats]
-   reports queue/retry/breaker counters on exit and [--metrics FILE]
-   dumps the full telemetry registry as JSON (FILE) plus Prometheus text
-   (FILE with a .prom suffix).  Exit codes, one-shot and streaming, are
-   per failure class: 2 syntax/range (out-of-domain flags included), 3
-   budget (incl. deadline), 4 internal — and 5 when SIGINT or a closed
-   output pipe cut the stream short (partial results and --metrics
-   still flush). *)
+   stream ([--max-errors N] bounds the tolerance, [--deadline-ms MS]
+   gives each line a wall-clock deadline).  [--stats] reports the
+   stream's counters on exit and [--metrics FILE] dumps the full
+   telemetry registry as JSON (FILE) plus Prometheus text (FILE with a
+   .prom suffix).  Exit codes, one-shot and streaming, are per failure
+   class: 2 syntax/range (out-of-domain flags included), 3 budget (incl.
+   deadline), 4 internal — and 5 when SIGINT or a closed output pipe
+   cut the stream short (partial results and --metrics still flush). *)
 
 open Cmdliner
 module Error = Robust.Error
 module Budget = Robust.Budget
-module Supervisor = Service.Supervisor
 module Client = Net.Client
 
 let mode_conv =
@@ -146,25 +143,13 @@ let max_errors =
           "With $(b,--stdin), stop after $(docv) failed lines (default: \
            never stop; every line is attempted).")
 
-let jobs_flag =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "With $(b,--stdin), convert lines on $(docv) parallel worker \
-           domains through the supervised service: bounded queue with \
-           backpressure, automatic retry of transient internal failures, \
-           circuit breaker with a clearly-marked degraded fallback, and \
-           output in input order.")
-
 let stats_flag =
   Arg.(
     value & flag
     & info [ "stats" ]
         ~doc:
-          "With $(b,--stdin), print service statistics on exit to stderr: \
-           per-error-class counts, retries, queue depth and breaker state.")
+          "With $(b,--stdin), print stream statistics on exit to stderr: \
+           lines submitted and converted, and per-error-class counts.")
 
 let deadline_ms =
   Arg.(
@@ -194,9 +179,9 @@ let connect_arg =
            $(b,--format), $(b,--notation), $(b,--digits), $(b,--places) \
            and $(b,--hex) with a non-default value are refused.  A \
            malformed address or a refused flag is a typed range error \
-           (exit 2) reported before any socket is opened.  Remote \
-           degraded replies are printed with the same 'degraded:' prefix \
-           as $(b,--jobs) in $(b,--stdin) mode.")
+           (exit 2) reported before any socket is opened.  In \
+           $(b,--stdin) mode a remote degraded reply is printed with a \
+           'degraded:' prefix.")
 
 let hedge_ms_arg =
   Arg.(
@@ -233,9 +218,8 @@ let trace_file =
            in 64 is traced; BDPRINT_TRACE_SAMPLE=N overrides the \
            interval (1 traces every request).  Each traced request is \
            its own thread track, so its spans — parse, scale, generate, \
-           render, and with $(b,--connect) or $(b,--jobs) the \
-           client-attempt, backoff, queue-wait and worker spans — nest \
-           by time containment.")
+           render, and with $(b,--connect) the client-attempt and \
+           backoff spans — nest by time containment.")
 
 (* Tracing rides the same at_exit flush discipline as --metrics: even a
    stream cut short by SIGINT still leaves a loadable trace file. *)
@@ -293,19 +277,17 @@ let convert_one ~base ~mode ~fmt ~strategy ~notation ~request ~hex_out input =
       | Error _ as e -> e
       | Ok t -> Ok (Dragon.Render.fixed ~notation ~neg:v.Fp.Value.neg ~base t)))
 
-(* Per-class error accounting shared by the sequential and parallel
-   stream drivers; the stream exit code reflects the most severe class
-   seen (docs/ROBUSTNESS.md taxonomy): 4 internal, 3 budget (incl.
-   deadline timeouts), 2 syntax/range, 0 clean. *)
+(* Per-class error accounting for the stream and one-shot inputs; the
+   exit code reflects the most severe class seen (docs/ROBUSTNESS.md
+   taxonomy): 4 internal, 3 budget (incl. deadline timeouts), 2
+   syntax/range, 0 clean. *)
 type class_counts = {
   mutable n_syntax : int;
   mutable n_range : int;
   mutable n_budget : int;
   mutable n_internal : int;
 }
-[@@lint.domain_safe
-  "written only by the stream's emit, which the supervisor runs one call \
-   at a time"]
+[@@lint.domain_safe "written and read only by the main domain"]
 
 let new_counts () = { n_syntax = 0; n_range = 0; n_budget = 0; n_internal = 0 }
 
@@ -323,9 +305,7 @@ let class_exit_code c =
   else if c.n_syntax + c.n_range > 0 then 2
   else 0
 
-(* Stream-level counters: both drivers (sequential and supervised
-   parallel) feed the same registry metrics, so --stats and --metrics
-   report identical fields whichever driver ran. *)
+(* Stream-level counters, read back by --stats and --metrics. *)
 let m_conversions =
   Telemetry.Metrics.counter
     ~help:"Input lines submitted for conversion (all outcomes)."
@@ -334,11 +314,10 @@ let m_conversions =
 let result_counter r =
   Telemetry.Metrics.counter
     ~labels:[ ("result", r) ]
-    ~help:"Converted lines by result: pipeline output or degraded fallback."
+    ~help:"Converted lines by result."
     "bdprint_conversion_results_total"
 
 let m_ok = result_counter "ok"
-let m_degraded = result_counter "degraded"
 
 let error_counter cls =
   Telemetry.Metrics.counter
@@ -357,19 +336,8 @@ let record_error = function
   | Error.Budget _ -> Telemetry.Metrics.incr m_err_budget
   | Error.Internal _ -> Telemetry.Metrics.incr m_err_internal
 
-let g_jobs =
-  Telemetry.Metrics.gauge
-    ~help:"Worker domains converting the stream (1 = sequential driver)."
-    "bdprint_stream_jobs"
-
-let g_queue_capacity =
-  Telemetry.Metrics.gauge
-    ~help:"Bounded submission-queue capacity (0 = sequential driver)."
-    "bdprint_stream_queue_capacity"
-
-(* One exit path for both stream drivers: snapshot the registry once,
-   render --stats from it (so sequential and parallel print identical
-   fields), dump --metrics files, exit with the class code — or with the
+(* The stream's exit path: snapshot the registry once, render --stats
+   from it, dump --metrics files, exit with the class code — or with the
    distinct code 5 when the stream was cut short by SIGINT or a closed
    output pipe, so callers can tell "clean but partial" from "complete".
    Metrics flush on the interrupted path too: a cut-short run still
@@ -399,8 +367,8 @@ let finish_stream ~counts ~show_stats ~metrics_file ~interrupted =
   end;
   exit (class_exit_code counts)
 
-(* Sequential deadline support: same pre-flight + cooperative-check
-   semantics as the service workers. *)
+(* Per-line deadlines: a pre-flight check, then the cooperative checks
+   inside the digit loops, as in the service workers. *)
 let with_line_deadline deadline_ms convert input =
   match deadline_ms with
   | None -> convert input
@@ -427,11 +395,11 @@ let install_stream_signals () =
    with Invalid_argument _ | Sys_error _ -> ());
   interrupted
 
-(* One read loop for both stream drivers, through the bounded line
-   reader bdprintd uses.  [line lineno input] gets each non-blank line,
-   trimmed once, and [too_long lineno bytes] each line over the
-   reader's cap, which was discarded without being stored.  A final
-   line with no newline still counts.  The reader flushes stdout before
+(* The stream's read loop, through the bounded line reader bdprintd
+   uses.  [line lineno input] gets each non-blank line, trimmed once,
+   and [too_long lineno bytes] each line over the reader's cap, which
+   was discarded without being stored.  A final line with no newline
+   still counts.  The reader flushes stdout before
    each read(2), the only point where the stream can block on its
    input, so a peer that waits for each answer gets it, while a batch
    run writes in blocks.  The loop ends at end of input, or once
@@ -501,7 +469,6 @@ let run_stream ~convert ~max_errors ~deadline_ms ~show_stats ~metrics_file =
       if report_error ~counts ~max_errors ~aborted:!aborted ~lineno e then
         aborted := true
   in
-  Telemetry.Metrics.set_gauge g_jobs 1;
   (try
      read_stream
        ~stopped:(fun () -> !aborted || Atomic.get interrupted)
@@ -516,90 +483,6 @@ let run_stream ~convert ~max_errors ~deadline_ms ~show_stats ~metrics_file =
    with Sys_error _ | Unix.Unix_error _ ->
      (* broken stdout pipe (SIGPIPE ignored above) or stdin error *)
      Atomic.set interrupted true);
-  finish_stream ~counts ~show_stats ~metrics_file
-    ~interrupted:(Atomic.get interrupted)
-
-(* Under --jobs an over-long line's error must still reach stderr in its
-   place, so the line goes through the queue, as a '\n' and its length.
-   No line holds a '\n', so no input is mistaken for one, and emit
-   answers the job with the sequential driver's error, whatever a
-   worker made of it. *)
-let too_long_job bytes = "\n" ^ string_of_int bytes
-
-let too_long_bytes job =
-  if String.starts_with ~prefix:"\n" job then
-    int_of_string_opt (String.sub job 1 (String.length job - 1))
-  else None
-
-(* Parallel streaming through the supervised service.  [emit] owns
-   stdout/stderr during the run: the supervisor calls it one reply at a
-   time, in input order, on whichever worker domain delivered the reply
-   the stream waited for.  The main domain only reads stdin and submits,
-   so output never interleaves.  --max-errors sets a stop flag read by
-   the submission loop; lines already in flight still drain (the
-   shutdown contract forbids dropping submitted work).
-
-   Output is flushed when emit has caught up with every line submitted
-   so far, besides the reader's flush before each read: a reply that
-   lands after the main domain blocked on stdin leaves stdout all the
-   same. *)
-let run_stream_jobs ~convert ~jobs ~max_errors ~deadline_ms ~show_stats
-    ~metrics_file =
-  let counts = new_counts () in
-  let stop = Atomic.make false in
-  let interrupted = install_stream_signals () in
-  let submitted = Atomic.make 0 in
-  let emitted = ref 0 in
-  let emit (reply : Supervisor.reply) =
-    Telemetry.Metrics.incr m_conversions;
-    incr emitted;
-    let outcome =
-      match too_long_bytes reply.Supervisor.input with
-      | Some bytes -> Supervisor.Failed (too_long_error bytes)
-      | None -> reply.Supervisor.outcome
-    in
-    try
-      (match outcome with
-      | Supervisor.Done out ->
-        Telemetry.Metrics.incr m_ok;
-        print_string out;
-        print_char '\n'
-      | Supervisor.Degraded out ->
-        (* breaker-open fallback: correct to 17 significant digits but
-           not the pipeline's output — keep the tag machine-visible *)
-        Telemetry.Metrics.incr m_degraded;
-        Printf.printf "degraded:%s\n" out
-      | Supervisor.Failed e ->
-        if
-          report_error ~counts ~max_errors ~aborted:(Atomic.get stop)
-            ~lineno:reply.Supervisor.lineno e
-        then Atomic.set stop true);
-      if !emitted = Atomic.get submitted then flush stdout
-    with Sys_error _ ->
-      (* downstream consumer closed the pipe: stop submitting; lines
-         already in flight still drain (emitted, writes no-op) *)
-      Atomic.set interrupted true
-  in
-  let queue_capacity = max 64 (8 * jobs) in
-  Telemetry.Metrics.set_gauge g_jobs jobs;
-  Telemetry.Metrics.set_gauge g_queue_capacity queue_capacity;
-  let service = Supervisor.start ~jobs ~queue_capacity ~emit convert in
-  let submit ?tid lineno input =
-    Atomic.incr submitted;
-    Supervisor.submit service ?deadline_ms ?tid ~lineno input
-  in
-  (try
-     read_stream
-       ~stopped:(fun () -> Atomic.get stop || Atomic.get interrupted)
-       ~line:(fun lineno input ->
-         (* the worker that dequeues the job adopts this id, so the
-            sampling decision happens here on the submitting domain *)
-         submit ~tid:(Telemetry.Tracing.sample ()) lineno input)
-       ~too_long:(fun lineno bytes -> submit lineno (too_long_job bytes))
-   with Sys_error _ | Unix.Unix_error _ -> Atomic.set interrupted true);
-  let (_ : Supervisor.stats) = Supervisor.shutdown service in
-  (* counts was filled by emit on the worker domains; shutdown joined
-     them all, so the reads below are safely ordered after its writes *)
   finish_stream ~counts ~show_stats ~metrics_file
     ~interrupted:(Atomic.get interrupted)
 
@@ -658,16 +541,12 @@ let connect_conflict ~base ~mode ~fmt ~notation ~digits ~places ~hex_out =
     ]
 
 let run base mode fmt strategy notation digits places hex_out use_stdin
-    max_errors jobs show_stats deadline_ms metrics_file connect hedge_ms
-    trace numbers =
+    max_errors show_stats deadline_ms metrics_file connect hedge_ms trace
+    numbers =
   if base < 2 || base > 36 then
     refuse (Error.range ~what:"base" (Printf.sprintf "%d not in 2..36" base))
-  else if (match jobs with Some j -> j < 1 | None -> false) then
-    refuse (Error.range ~what:"--jobs" "must be at least 1")
   else if (match deadline_ms with Some ms -> ms < 0 | None -> false) then
     refuse (Error.range ~what:"--deadline-ms" "must be >= 0")
-  else if (not use_stdin) && jobs <> None then
-    `Error (false, "--jobs requires --stdin")
   else if (not use_stdin) && deadline_ms <> None then
     `Error (false, "--deadline-ms requires --stdin")
   else if (not use_stdin) && show_stats && connect = None then
@@ -679,8 +558,7 @@ let run base mode fmt strategy notation digits places hex_out use_stdin
   else if (match hedge_ms with Some h -> h < 1 | None -> false) then
     refuse (Error.range ~what:"--hedge-ms" "must be at least 1")
   else begin
-    (* Flip the registry on before the service spawns workers so every
-       domain observes the same switch state from its first conversion. *)
+    (* Flip the registry on before the first conversion. *)
     if show_stats || metrics_file <> None then Telemetry.set_enabled true;
     install_trace trace;
     let request =
@@ -734,14 +612,9 @@ let run base mode fmt strategy notation digits places hex_out use_stdin
         match (use_stdin, numbers) with
         | true, _ :: _ ->
           `Error (false, "--stdin and positional NUMBER arguments conflict")
-        | true, [] -> (
-          match jobs with
-          | Some jobs ->
-            run_stream_jobs ~convert ~jobs ~max_errors ~deadline_ms
-              ~show_stats ~metrics_file
-          | None ->
-            run_stream ~convert ~max_errors ~deadline_ms ~show_stats
-              ~metrics_file)
+        | true, [] ->
+          run_stream ~convert ~max_errors ~deadline_ms ~show_stats
+            ~metrics_file
         | false, [] -> `Error (true, "missing NUMBER argument (or --stdin)")
         | false, numbers ->
           let counts = new_counts () in
@@ -782,14 +655,10 @@ let cmd =
          2 syntax/range, 3 budget (including --deadline-ms timeouts), 4 \
          internal, 5 interrupted stream (SIGINT or closed output pipe; \
          partial results and --metrics flush before exiting).  Command-line \
-         parse and usage errors exit 124.  With --jobs N \
-         the stream runs through a supervised parallel worker pool: \
-         bounded submission queue with backpressure, per-line deadlines, \
-         automatic retry of transient internal failures with capped \
-         exponential backoff, and a circuit breaker that degrades to a \
-         clearly-marked host-printf fallback (lines prefixed \
-         'degraded:') instead of refusing service.  Output stays in \
-         input order.";
+         parse and usage errors exit 124.  With --stdin, output keeps \
+         input order, each failed line's error follows the output of the \
+         lines before it, and --deadline-ms gives every line its own \
+         wall-clock deadline.";
       `S Manpage.s_examples;
       `Pre
         "  bdprint 0.1 1e23\n\
@@ -797,8 +666,8 @@ let cmd =
         \  bdprint --base 16 --notation scientific 255.9375\n\
         \  bdprint --places 20 100\n\
         \  printf '0.1\\\\n1e23\\\\nbogus\\\\n' | bdprint --stdin --max-errors 5\n\
-        \  bdprint --stdin --jobs 4 --stats < corpus.txt\n\
-        \  bdprint --stdin --jobs 4 --metrics metrics.json < corpus.txt\n\
+        \  bdprint --stdin --stats < corpus.txt\n\
+        \  bdprint --stdin --metrics metrics.json < corpus.txt\n\
         \  bdprint --stdin --deadline-ms 50 < corpus.txt\n\
         \  BDPRINT_TRACE_SAMPLE=1 bdprint --stdin --trace trace.json < corpus.txt";
     ]
@@ -808,8 +677,7 @@ let cmd =
     Term.(
       ret
         (const run $ base $ mode $ fmt $ strategy $ notation $ digits $ places
-       $ hex_out $ stdin_flag $ max_errors $ jobs_flag $ stats_flag
-       $ deadline_ms $ metrics_file $ connect_arg $ hedge_ms_arg $ trace_file
-       $ numbers))
+       $ hex_out $ stdin_flag $ max_errors $ stats_flag $ deadline_ms
+       $ metrics_file $ connect_arg $ hedge_ms_arg $ trace_file $ numbers))
 
 let () = exit (Cmd.eval cmd)

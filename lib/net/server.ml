@@ -136,8 +136,9 @@ let write_all fd s =
 
 (* {2 Reply routing} *)
 
-(* Supervisor [emit]: runs on a worker or watchdog domain; must not
-   raise.  The reply's [lineno] names its connection. *)
+(* Supervisor [emit]: runs on the worker or watchdog domain that
+   delivered the reply, possibly on several at once; must not raise.
+   The reply's [lineno] names its connection. *)
 let route_reply core (r : Supervisor.reply) =
   Mutex.lock core.m;
   let conn = Hashtbl.find_opt core.clients r.Supervisor.lineno in
@@ -317,27 +318,23 @@ let empty_cache_stats =
       capacity = 0;
     }
 
+(* The Supervisor is read after [core.m] is released, so its lock never
+   nests inside this one; after drain its final statistics stand in. *)
 let stats t =
   let c = t.core in
   Mutex.lock c.m;
   let final = t.final_sup in
-  let partial =
-    {
-      connections = c.conns_total;
-      active_connections = c.conns_active;
-      requests = c.n_requests;
-      replies_ok = c.n_ok;
-      cache_hits = c.n_cache_hits;
-      replies_degraded = c.n_deg;
-      replies_failed = c.n_failed;
-      shed_queue_full = c.n_shed_full;
-      shed_overload = c.n_shed_overload;
-      shed_draining = c.n_shed_drain;
-      proto_errors = c.n_proto;
-      cache = empty_cache_stats;
-      supervisor = Supervisor.stats t.sup;
-    }
-  in
+  let connections = c.conns_total
+  and active_connections = c.conns_active
+  and requests = c.n_requests
+  and replies_ok = c.n_ok
+  and cache_hits = c.n_cache_hits
+  and replies_degraded = c.n_deg
+  and replies_failed = c.n_failed
+  and shed_queue_full = c.n_shed_full
+  and shed_overload = c.n_shed_overload
+  and shed_draining = c.n_shed_drain
+  and proto_errors = c.n_proto in
   Mutex.unlock c.m;
   let supervisor =
     match final with Some s -> s | None -> Supervisor.stats t.sup
@@ -345,7 +342,21 @@ let stats t =
   let cache =
     match t.memo with Some memo -> Memo.stats memo | None -> empty_cache_stats
   in
-  { partial with cache; supervisor }
+  {
+    connections;
+    active_connections;
+    requests;
+    replies_ok;
+    cache_hits;
+    replies_degraded;
+    replies_failed;
+    shed_queue_full;
+    shed_overload;
+    shed_draining;
+    proto_errors;
+    cache;
+    supervisor;
+  }
 
 (* Memo hit rate over all finds so far; 0. before any traffic. *)
 let hit_rate (cache : Memo.stats) =

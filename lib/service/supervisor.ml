@@ -55,7 +55,7 @@ let m_deadline_misses =
 
 let g_queue_depth =
   Telemetry.Metrics.gauge
-    ~help:"Requests currently in flight (submitted but not yet emitted)."
+    ~help:"Requests currently in flight (submitted but not yet answered)."
     "bdprint_service_queue_depth"
 
 let g_max_in_flight =
@@ -109,14 +109,13 @@ let worker_metrics i =
         "Breaker-fallback (degraded) replies per worker domain." i;
   }
 
-(* One request from [submit] until its reply is emitted.  The job is
-   fixed at submit; the rest is written under [t.m]: [worker] and
-   [started] when a worker takes the job (the watchdog's heartbeat),
-   and [reply] once one is delivered.  Only the worker holding the job
-   and the watchdog deliver, so a reply already there when the worker
-   delivers is the cancelled flag: the watchdog answered in the wedged
-   worker's place, and the worker drops its late reply and exits
-   instead of looping. *)
+(* One request from [submit] until its reply is delivered.  The job is
+   fixed at submit; [started] and [reply] are written under [t.m]:
+   [started] when a worker takes the job, and [reply] once one is
+   delivered.  Only the worker holding the job and the watchdog
+   deliver, so a reply already there when the worker delivers is the
+   cancelled flag: the watchdog answered in the wedged worker's place,
+   and the worker drops its late reply and exits instead of looping. *)
 type slot = {
   seq : int;
   job_lineno : int;
@@ -124,18 +123,15 @@ type slot = {
   deadline : Budget.deadline option;
   job_tid : int;  (* trace id (0 = untraced); see Telemetry.Tracing *)
   job_t0 : int;  (* queue-wait span token captured at submit *)
-  mutable worker : int;  (* -1 while queued *)
   mutable started : float;
   mutable reply : reply option;
 }
 [@@lint.guarded_by "m"]
 
-(* Every request in flight, from [submit] to the return of its [emit],
-   is in [slots], at its seq modulo [capacity]: [submit] waits on [room]
-   while [capacity] are in flight, so the seqs in flight are a run of
-   at most [capacity] from [emitted] and never share an index.  The
-   ones no worker has taken yet are also in [queue], where workers wait
-   on [work]. *)
+(* A request is in flight from [submit] until its reply is delivered:
+   first in [queue], where workers wait on [work], then in [running] at
+   the index of the worker that took it, the watchdog's heartbeat.
+   [submit] waits on [room] while [capacity] are in flight. *)
 type t = {
   jobs : int;
   capacity : int;
@@ -148,11 +144,10 @@ type t = {
   m : Mutex.t;
   work : Condition.t;  (** [queue] gained a job, or the service closed *)
   room : Condition.t;  (** a request left flight, or the service closed *)
-  slots : slot option array;
   queue : slot Queue.t;
+  running : slot option array;  (** per worker: the request it holds *)
   mutable submitted : int;
-  mutable emitted : int;  (** requests whose [emit] has returned *)
-  mutable emitting : bool;  (** the emission token; see [emit_from] *)
+  mutable completed : int;  (** requests whose reply was delivered *)
   mutable closed : bool;
   mutable max_in_flight : int;
   mutable succeeded_n : int;
@@ -261,11 +256,16 @@ let process t (s : slot) =
     in
     attempt 0 t.retry.backoff_ms
 
-(* Reply accounting; called with [t.m] held. *)
+(* Reply accounting; called with [t.m] held.  The request leaves
+   flight here: its worker's heartbeat clears and one waiting [submit]
+   may proceed. *)
 let deliver_locked t ~worker (s : slot) reply =
   let wm = t.w_metrics.(worker) in
   Telemetry.Metrics.incr wm.mw_processed;
   s.reply <- Some reply;
+  t.running.(worker) <- None;
+  t.completed <- t.completed + 1;
+  Telemetry.Metrics.set_gauge g_queue_depth (t.submitted - t.completed);
   (match reply.outcome with
   | Done _ -> t.succeeded_n <- t.succeeded_n + 1
   | Degraded _ ->
@@ -288,59 +288,25 @@ let deliver_locked t ~worker (s : slot) reply =
       Invalid_argument (* attempts > 1 on this branch: the delta is positive *)]
   end
 
-(* Emission.  The reply the stream waits for is the one in the slot of
-   seq [emitted].  Whoever delivers a reply (a worker, a dying worker,
-   the watchdog after a wedge) then tries to claim the [emitting] token
-   under [t.m]; the claimant emits every ready reply from [emitted] on,
-   each outside [t.m].  A deliverer that finds the token taken leaves
-   its reply to the holder, which claims the next reply under [t.m]
-   after each [emit].  So [emit] runs one call at a time in submission
-   order, and a request leaves flight, freeing its slot for one waiting
-   [submit], only once its [emit] has returned. *)
+(* Hands a delivered reply to [emit], without [t.m].  A raising [emit]
+   breaks its contract: drop the exception, so no caller's crash
+   handler sees it. *)
+let emit t reply = match t.emit reply with () -> () | exception _ -> ()
 
-(* Under [t.m]: the token and the reply the stream waits for, if the
-   token is free and that reply is there. *)
-let claim_locked t =
-  if t.emitting then None
-  else
-    match t.slots.(t.emitted mod t.capacity) with
-    | Some { reply = Some reply; _ } ->
-      t.emitting <- true;
-      Some reply
-    | Some _ | None -> None
-
-(* Emits [reply] and every ready reply after it, holding the token;
-   called without [t.m]. *)
-let rec emit_from t reply =
-  (* a raising [emit] breaks its contract: drop the exception, so the
-     token moves on and no caller's crash handler sees it *)
-  (match t.emit reply with () -> () | exception _ -> ());
-  Mutex.lock t.m;
-  t.slots.(t.emitted mod t.capacity) <- None;
-  t.emitted <- t.emitted + 1;
-  Telemetry.Metrics.set_gauge g_queue_depth (t.submitted - t.emitted);
-  t.emitting <- false;
-  let next = claim_locked t in
-  Mutex.unlock t.m;
-  Condition.signal t.room;
-  Option.iter (emit_from t) next
-
-(* Delivers a worker's reply and emits what is ready — unless the
-   watchdog already answered the request, in which case the late reply
-   is dropped and [deliver] returns [false]: the abandoned worker must
-   exit instead of looping, since its replacement is already running. *)
+(* Delivers a worker's reply and emits it — unless the watchdog already
+   answered the request, in which case the late reply is dropped and
+   [deliver] returns [false]: the abandoned worker must exit instead of
+   looping, since its replacement is already running and owns its
+   heartbeat. *)
 let deliver t ~worker (s : slot) reply =
   Mutex.lock t.m;
   let live = Option.is_none s.reply in
-  let ready =
-    if live then begin
-      deliver_locked t ~worker s reply;
-      claim_locked t
-    end
-    else None
-  in
+  if live then deliver_locked t ~worker s reply;
   Mutex.unlock t.m;
-  Option.iter (emit_from t) ready;
+  if live then begin
+    Condition.signal t.room;
+    emit t reply
+  end;
   live
 
 (* The next queued request, with its heartbeat set; [None] once the
@@ -353,8 +319,8 @@ let take t ~worker =
   let next = Queue.take_opt t.queue in
   (match next with
   | Some s ->
-    s.worker <- worker;
-    s.started <- Unix.gettimeofday ()
+    s.started <- Unix.gettimeofday ();
+    t.running.(worker) <- Some s
   | None -> ());
   Mutex.unlock t.m;
   next
@@ -371,15 +337,14 @@ let wedge_stall () =
     Unix.sleepf 0.01
   done
 
-(* Worker crash with a request in hand.  Losing the reply would stall
-   emission (every later reply waits behind this seq), so the dying
-   worker records the failure against the breaker, answers the job
-   through the breaker-backed degraded channel, and only then lets the
-   exception continue killing the domain: [worker_body] respawns a
-   replacement.  If the watchdog cancelled the request first, the reply
-   is already delivered and a replacement already running: return, so
-   the worker dies quietly instead, or the pool would grow by one
-   domain per wedge-then-crash. *)
+(* Worker crash with a request in hand.  Losing the reply would leave
+   its caller waiting forever, so the dying worker records the failure
+   against the breaker, answers the job through the breaker-backed
+   degraded channel, and only then lets the exception continue killing
+   the domain: [worker_body] respawns a replacement.  If the watchdog
+   cancelled the request first, the reply is already delivered and a
+   replacement already running: return, so the worker dies quietly
+   instead, or the pool would grow by one domain per wedge-then-crash. *)
 let crash t ~worker (s : slot) exn =
   Breaker.record_failure t.breaker;
   let outcome = crash_fallback t s.job_input in
@@ -434,7 +399,7 @@ let rec worker_loop t ~worker =
         crash t ~worker s exn;
         None
     in
-    (* outside the crash handler: emission never re-enters it *)
+    (* outside the crash handler: [emit] never re-enters it *)
     match reply with
     | Some reply when deliver t ~worker s reply -> worker_loop t ~worker
     | Some _ | None -> ())
@@ -456,17 +421,14 @@ and respawn t ~worker =
 
 (* {2 Watchdog} *)
 
-(* A request is wedged when a worker still holds it undelivered (the
-   crash path would have answered it) past its deadline plus
-   [grace_ms], or past [stuck_ms] when it carries no deadline.  OCaml
-   domains cannot be killed, so "cancel" means: answer the request with
-   a structured timeout in the worker's place (the reply in the slot
-   makes the worker drop its own late one and exit on wake), and spawn
-   a replacement so the pool never shrinks. *)
+(* A request is wedged when a worker still holds it (the crash path
+   would have answered it) past its deadline plus [grace_ms], or past
+   [stuck_ms] when it carries no deadline.  OCaml domains cannot be
+   killed, so "cancel" means: answer the request with a structured
+   timeout in the worker's place (the reply in the slot makes the
+   worker drop its own late one and exit on wake), and spawn a
+   replacement so the pool never shrinks. *)
 let wedged now (p : watchdog_policy) (s : slot) =
-  s.worker >= 0
-  && Option.is_none s.reply
-  &&
   match s.deadline with
   | Some d -> now > d.Budget.expires_at +. (float p.grace_ms /. 1000.)
   | None -> now -. s.started > float p.stuck_ms /. 1000.
@@ -482,42 +444,39 @@ let rec watchdog_loop t (p : watchdog_policy) =
   if not (Atomic.get t.wd_stop) then begin
     let now = Unix.gettimeofday () in
     Mutex.lock t.m;
-    let victims =
-      Array.fold_left
-        (fun acc -> function
-          | Some s when wedged now p s -> s :: acc
-          | Some _ | None -> acc)
-        [] t.slots
-    in
-    List.iter
-      (fun (s : slot) ->
-        t.wedges_n <- t.wedges_n + 1;
-        Telemetry.Metrics.incr m_wedges;
-        if Telemetry.Flight.enabled () then
-          Telemetry.Flight.record ~req:s.seq ~kind:"wedge"
-            (Printf.sprintf "worker=%d held-s=%.3f input=%s" s.worker
-               (now -. s.started) s.job_input);
-        deliver_locked t ~worker:s.worker s
-          {
-            lineno = s.job_lineno;
-            input = s.job_input;
-            outcome = Failed (wedge_error s);
-            attempts = 0;
-          })
-      victims;
-    let ready = if victims = [] then None else claim_locked t in
+    let victims = ref [] in
+    Array.iteri
+      (fun worker -> function
+        | Some s when wedged now p s ->
+          t.wedges_n <- t.wedges_n + 1;
+          Telemetry.Metrics.incr m_wedges;
+          if Telemetry.Flight.enabled () then
+            Telemetry.Flight.record ~req:s.seq ~kind:"wedge"
+              (Printf.sprintf "worker=%d held-s=%.3f input=%s" worker
+                 (now -. s.started) s.job_input);
+          let reply =
+            {
+              lineno = s.job_lineno;
+              input = s.job_input;
+              outcome = Failed (wedge_error s);
+              attempts = 0;
+            }
+          in
+          deliver_locked t ~worker s reply;
+          victims := (worker, reply) :: !victims
+        | Some _ | None -> ())
+      t.running;
     Mutex.unlock t.m;
-    Option.iter (emit_from t) ready;
-    if victims <> [] then begin
+    if !victims <> [] then begin
+      Condition.broadcast t.room;
+      List.iter (fun (_, reply) -> emit t reply) !victims;
       (* the dump does file I/O: after the lock, before the respawns, so
          the recording that names the wedged request is already on disk
          if a respawn itself goes wrong *)
       if Telemetry.Flight.enabled () then
         Telemetry.Flight.dump ~reason:"worker-wedge";
       (* replacements outside the lock: Domain.spawn is heavyweight *)
-      List.iter
-        (fun (s : slot) -> respawn t ~worker:s.worker)
-        victims
+      List.iter (fun (worker, _) -> respawn t ~worker) !victims
     end;
     Unix.sleepf (float p.poll_ms /. 1000.);
     watchdog_loop t p
@@ -549,11 +508,10 @@ let start ?(jobs = 2) ?(queue_capacity = 64) ?(retry = default_retry)
       m = Mutex.create ();
       work = Condition.create ();
       room = Condition.create ();
-      slots = Array.make queue_capacity None;
       queue = Queue.create ();
+      running = Array.make jobs None;
       submitted = 0;
-      emitted = 0;
-      emitting = false;
+      completed = 0;
       closed = false;
       max_in_flight = 0;
       succeeded_n = 0;
@@ -582,7 +540,7 @@ let start ?(jobs = 2) ?(queue_capacity = 64) ?(retry = default_retry)
 
 let submit t ?deadline_ms ?(tid = 0) ~lineno input =
   Mutex.lock t.m;
-  while (not t.closed) && t.submitted - t.emitted >= t.capacity do
+  while (not t.closed) && t.submitted - t.completed >= t.capacity do
     Condition.wait t.room t.m
   done;
   if t.closed then begin
@@ -601,15 +559,13 @@ let submit t ?deadline_ms ?(tid = 0) ~lineno input =
       deadline = Option.map (fun ms -> Budget.deadline_after ~ms) deadline_ms;
       job_tid = tid;
       job_t0 = Telemetry.Tracing.start_for tid;
-      worker = -1;
       started = 0.;
       reply = None;
     }
   in
   t.submitted <- seq + 1;
-  t.slots.(seq mod t.capacity) <- Some s;
   Queue.push s t.queue;
-  let in_flight = t.submitted - t.emitted in
+  let in_flight = t.submitted - t.completed in
   if in_flight > t.max_in_flight then t.max_in_flight <- in_flight;
   Telemetry.Metrics.set_gauge g_queue_depth in_flight;
   Telemetry.Metrics.max_gauge g_max_in_flight in_flight;
@@ -625,7 +581,7 @@ let stats t =
   let s =
     {
       submitted = t.submitted;
-      completed = t.emitted;
+      completed = t.completed;
       succeeded = t.succeeded_n;
       degraded = t.degraded_n;
       retries = t.retries_n;
@@ -676,8 +632,8 @@ let shutdown t =
         join_workers (fresh @ joined)
     in
     join_workers [];
-    (* every job was delivered and every deliverer emitted before
-       exiting, so every reply has been emitted: nothing else to join *)
+    (* every job was delivered, and every deliverer emitted its reply
+       before it took another job or exited: nothing else to join *)
     t.workers <- []
   end;
   stats t

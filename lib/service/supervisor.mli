@@ -6,7 +6,7 @@
     {ul
     {- {e Bounded submission with backpressure}: at most
        [queue_capacity] requests are in flight (submitted but not yet
-       emitted); {!submit} blocks beyond that.}
+       answered); {!submit} blocks beyond that.}
     {- {e Per-request deadlines}: enforced cooperatively through the
        {!Robust.Budget} check sites inside the digit loops; an expired
        request fails with a structured [Budget] timeout error
@@ -18,9 +18,10 @@
        a breaker that degrades to a clearly-marked fallback ([%.17g] via
        the host float parser, tagged [Degraded]) instead of refusing
        service, and recovers through half-open probes.}
-    {- {e Order preservation}: replies reach [emit] in exact submission
-       order, one call at a time, from the worker (or watchdog) domain
-       that delivered the reply the stream was waiting for.}
+    {- {e Direct delivery}: each reply reaches [emit] as soon as it is
+       produced, on the domain that produced it, whatever the state of
+       the requests submitted before it.  A wedged or slow request holds
+       up its own caller only.}
     {- {e Crash detection and respawn}: an exception that escapes a
        worker loop (the [service.worker-kill] fault point injects one)
        kills that domain for real; the dying worker first answers its
@@ -43,12 +44,12 @@
        domains and reports final statistics.}}
 
     One mutex guards all of it.  Each request is one slot from
-    {!submit} until its [emit] returns: the job, the worker and start
-    time once a worker takes it (the watchdog's heartbeat), and the
-    reply — which, when the watchdog put it there first, is the
-    cancellation the wedged worker finds.  Waiting jobs sit in a queue
-    under the same mutex; workers sleep on one condition and a blocked
-    {!submit} on another. *)
+    {!submit} until its reply is delivered: the job, its start time once
+    a worker takes it, and the reply — which, when the watchdog put it
+    there first, is the cancellation the wedged worker finds.  Waiting
+    jobs sit in a queue, and each worker's current job in a table of
+    [jobs] heartbeats that the watchdog scans, under the same mutex;
+    workers sleep on one condition and a blocked {!submit} on another. *)
 
 type retry_policy = {
   max_retries : int;  (** additional attempts after the first *)
@@ -89,7 +90,7 @@ type reply = {
 
 type stats = {
   submitted : int;
-  completed : int;
+  completed : int;  (** requests answered *)
   succeeded : int;
   degraded : int;
   retries : int;  (** total retry attempts across all requests *)
@@ -110,7 +111,7 @@ type stats = {
           abandoned and replaced *)
   breaker_state : string;
   breaker_trips : int;
-  max_in_flight : int;  (** high-water mark of submitted-not-yet-emitted *)
+  max_in_flight : int;  (** high-water mark of submitted-not-yet-answered *)
   capacity : int;
   jobs : int;
 }
@@ -132,16 +133,18 @@ val start :
     [convert] runs on worker domains — it must be safe to call
     concurrently — and is re-guarded with {!Robust.Error.catch}, so
     even an exception-throwing convert cannot kill a worker.  [emit]
-    gets every reply in submission order, one call at a time, on a
-    worker or watchdog domain; it must not raise (an exception is
+    gets every reply exactly once, in no particular order, on the
+    worker or watchdog domain that delivered it, outside the service's
+    lock.  Calls may run on several domains at once, so [emit] must be
+    safe to call concurrently; it must not raise (an exception is
     dropped).  The ambient {!Robust.Budget} of the starting domain is
     captured and installed in every worker.  [fallback] defaults to
     host [float_of_string] + [%.17g]. *)
 
 val submit : t -> ?deadline_ms:int -> ?tid:int -> lineno:int -> string -> unit
 (** Enqueues a request.  Blocks while [queue_capacity] requests are in
-    flight (backpressure), counted from submission until their [emit]
-    returns.  [lineno] is the caller's label, handed back in the
+    flight (backpressure), counted from submission until their reply is
+    delivered.  [lineno] is the caller's label, handed back in the
     request's {!reply}.  [deadline_ms] grants a wall-clock budget
     measured from submission — queue wait counts, so a 0 ms deadline
     fails with a structured timeout without converting.  [tid]
@@ -156,7 +159,7 @@ val submit : t -> ?deadline_ms:int -> ?tid:int -> lineno:int -> string -> unit
 
 val shutdown : t -> stats
 (** Closes the queue, joins the watchdog and then the workers, which
-    drain and emit every submitted request (in order) before they exit,
+    drain and emit every submitted request before they exit,
     and returns the final statistics.  Idempotent. *)
 
 val stats : t -> stats

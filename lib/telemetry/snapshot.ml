@@ -246,31 +246,15 @@ let write_files t path =
   write_file (prom_path path) (to_prometheus t)
 
 (* ------------------------------------------------------------------ *)
-(* The shared "stats:" pretty-printer (bdprint --stats).
-
-   Sequential and parallel stream runs fill the same metric names, so
-   both report identical fields through this one printer; service-only
-   series simply read 0 / "closed" on sequential runs.  Per-worker
-   lines appear when a supervisor registered them. *)
+(* The "stats:" pretty-printer (bdprint --stats).  [degraded] and
+   [retries] keep their places in the first line, but the stream fills
+   neither series, so both read 0. *)
 
 let pp_stream ppf t =
   let c ?labels name = counter_value ?labels t name in
-  let g ?labels name = gauge_value ?labels t name in
-  let breaker =
-    List.fold_left
-      (fun acc s ->
-        if String.equal s.name "bdprint_service_breaker_state" then
-          match (s.value, List.assoc_opt "state" s.labels) with
-          | Gauge 1, Some st -> st
-          | _ -> acc
-        else acc)
-      "closed" t.samples
-  in
   Format.fprintf ppf
     "stats: submitted=%d ok=%d degraded=%d retries=%d@\n\
-     stats: errors: syntax=%d range=%d budget=%d internal=%d@\n\
-     stats: jobs=%d queue-capacity=%d max-in-flight=%d breaker=%s trips=%d \
-     crashes=%d respawns=%d"
+     stats: errors: syntax=%d range=%d budget=%d internal=%d"
     (c "bdprint_conversions_total")
     (c ~labels:[ ("result", "ok") ] "bdprint_conversion_results_total")
     (c ~labels:[ ("result", "degraded") ] "bdprint_conversion_results_total")
@@ -279,30 +263,3 @@ let pp_stream ppf t =
     (c ~labels:[ ("class", "range") ] "bdprint_conversion_errors_total")
     (c ~labels:[ ("class", "budget") ] "bdprint_conversion_errors_total")
     (c ~labels:[ ("class", "internal") ] "bdprint_conversion_errors_total")
-    (g "bdprint_stream_jobs")
-    (g "bdprint_stream_queue_capacity")
-    (g "bdprint_service_max_in_flight")
-    breaker
-    (c "bdprint_service_breaker_trips_total")
-    (c "bdprint_service_worker_crashes_total")
-    (c "bdprint_service_worker_respawns_total");
-  let workers =
-    List.filter_map
-      (fun s ->
-        if String.equal s.name "bdprint_service_worker_processed_total" then
-          Option.bind
-            (List.assoc_opt "worker" s.labels)
-            int_of_string_opt
-        else None)
-      t.samples
-    |> List.sort_uniq compare
-  in
-  List.iter
-    (fun w ->
-      let l = [ ("worker", string_of_int w) ] in
-      Format.fprintf ppf
-        "@\nstats: worker[%d] processed=%d retried=%d degraded=%d" w
-        (c ~labels:l "bdprint_service_worker_processed_total")
-        (c ~labels:l "bdprint_service_worker_retried_total")
-        (c ~labels:l "bdprint_service_worker_degraded_total"))
-    workers

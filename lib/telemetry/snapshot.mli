@@ -63,11 +63,9 @@ val write_files : t -> string -> unit
 (** [write_files snap path] writes {!to_json} to [path] and
     {!to_prometheus} beside it: to [path] with its [.json] suffix
     replaced by [.prom], or with [.prom] appended — the
-    [--metrics FILE] dump of bdprint and bdprintd.
+    [--metrics FILE] dump of bdprint, bdprintd and bdlint.
     @raise Sys_error when a file cannot be written. *)
 
 val pp_stream : Format.formatter -> t -> unit
-(** The [bdprint --stats] rendering.  Sequential and parallel stream
-    runs fill the same metric names and share this one printer, so both
-    report identical fields; per-worker lines appear when a supervisor
-    registered per-worker series. *)
+(** The [bdprint --stats] rendering: two lines, the stream's line
+    counts and its failures by error class. *)

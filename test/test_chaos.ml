@@ -10,7 +10,7 @@
      (syntax stays syntax; no injected fault is misreported);
    - no Degraded outputs and no surviving Internal errors — with a
      generous retry budget the breaker must never open at p = 0.01;
-   - no exception escapes: every line gets exactly one reply, in order;
+   - no exception escapes: every line gets exactly one reply;
    - after disarming, the service recovers immediately and the breaker
      ends closed (it must not stick open once faults stop).
 
@@ -77,11 +77,12 @@ let run_chaos () =
     "chaos: reproduce with BDPRINT_FAULTS_SEED=%d BDPRINT_FAULTS=%S\n%!"
     Faults.seed (Faults.spec_string ());
 
-  let replies = ref [] in
+  (* emit may run on several worker domains at once *)
+  let m = Mutex.create () and replies = ref [] in
   let svc =
     S.start ~jobs:4 ~queue_capacity:128 ~retry:chaos_retry
       ~breaker:{ Service.Breaker.failure_threshold = 8; cooldown_ms = 20 }
-      ~emit:(fun r -> replies := r :: !replies)
+      ~emit:(fun r -> Mutex.protect m (fun () -> replies := r :: !replies))
       convert
   in
   List.iteri (fun i input -> S.submit svc ~lineno:(i + 1) input) corpus;
@@ -94,7 +95,13 @@ let run_chaos () =
     (fun i input -> S.submit svc ~lineno:(n_lines + i + 1) input)
     recovery;
   let stats = S.shutdown svc in
-  let replies = List.rev !replies in
+  (* replies arrive in no particular order: line them up with the
+     baseline *)
+  let replies =
+    List.sort
+      (fun (a : S.reply) b -> compare a.S.lineno b.S.lineno)
+      (Mutex.protect m (fun () -> !replies))
+  in
 
   let trips = Faults.total_trips () in
   Printf.printf
@@ -104,14 +111,10 @@ let run_chaos () =
     n_lines (List.length recovery) trips stats.S.retries stats.S.breaker_state
     stats.S.breaker_trips;
 
-  (* every line answered, in submission order *)
-  Alcotest.(check int) "one reply per line"
-    (n_lines + List.length recovery)
-    (List.length replies);
-  List.iteri
-    (fun i (r : S.reply) ->
-      Alcotest.(check int) "order preserved" (i + 1) r.S.lineno)
-    replies;
+  (* every line answered exactly once *)
+  Alcotest.(check (list int)) "one reply per line"
+    (List.init (n_lines + List.length recovery) (fun i -> i + 1))
+    (List.map (fun (r : S.reply) -> r.S.lineno) replies);
 
   (* the chaos was real and the retries did work *)
   Alcotest.(check bool) "faults actually tripped" true (trips > 0);

@@ -215,14 +215,7 @@ let test_deadline_flag () =
     bdprint_full ~stdin:"0.1\n" "--stdin --deadline-ms 5000"
   in
   Alcotest.(check int) "generous deadline exit" 0 status;
-  Alcotest.(check (list string)) "generous deadline output" [ "0.1" ] out;
-  (* same through the parallel service *)
-  let status, out, _ =
-    bdprint_full ~stdin:"0.1\n1e23\n" "--stdin --jobs 2 --deadline-ms 5000"
-  in
-  Alcotest.(check int) "parallel deadline exit" 0 status;
-  Alcotest.(check (list string)) "parallel deadline output"
-    [ "0.1"; "1e23" ] out
+  Alcotest.(check (list string)) "generous deadline output" [ "0.1" ] out
 
 let test_unknown_fault_point () =
   (* unknown names in BDPRINT_FAULTS warn once per distinct name on
@@ -253,54 +246,19 @@ let test_unknown_fault_point () =
     (List.exists (fun l -> contains l "unknown or malformed fault entry") err
     && List.exists (fun l -> contains l "injected fault") err)
 
-let test_jobs_parallel () =
-  let inputs = List.init 50 (fun i -> string_of_int (i + 1)) in
-  let stdin = String.concat "\n" inputs ^ "\n" in
-  let status_seq, out_seq, _ = bdprint_full ~stdin "--stdin" in
-  let status_par, out_par, _ = bdprint_full ~stdin "--stdin --jobs 4" in
-  Alcotest.(check int) "sequential exit" 0 status_seq;
-  Alcotest.(check int) "parallel exit" 0 status_par;
-  Alcotest.(check (list string)) "parallel output matches sequential"
-    out_seq out_par;
-  Alcotest.(check (list string)) "order preserved"
-    (List.map (fun s -> s ^ ".0") inputs)
-    out_par;
-  (* dirty stream: same per-line errors, same exit code as sequential *)
-  let dirty = "0.1\nbogus\n1e23\n" in
-  let status_seq, out_seq, _ = bdprint_full ~stdin:dirty "--stdin" in
-  let status_par, out_par, err_par =
-    bdprint_full ~stdin:dirty "--stdin --jobs 3"
-  in
-  Alcotest.(check int) "dirty exits match" status_seq status_par;
-  Alcotest.(check (list string)) "dirty outputs match" out_seq out_par;
-  Alcotest.(check bool) "parallel stderr names the line" true
-    (List.exists (fun l -> contains l "line 2" && contains l "syntax") err_par);
-  (* --jobs requires --stdin *)
-  let status, _, err = bdprint_full "--jobs 2 0.1" in
-  Alcotest.(check bool) "--jobs without --stdin rejected" true (status <> 0);
-  Alcotest.(check bool) "rejection names --stdin" true
-    (List.exists (fun l -> contains l "stdin") err);
-  let status, _, _ = bdprint_full ~stdin:"0.1\n" "--stdin --jobs 0" in
-  Alcotest.(check bool) "--jobs 0 rejected" true (status <> 0)
-
 let test_stats_flag () =
   let status, out, err =
-    bdprint_full ~stdin:"0.1\n1e23\n" "--stdin --jobs 2 --stats"
+    bdprint_full ~stdin:"0.1\n1e23\n" "--stdin --stats"
   in
   Alcotest.(check int) "stats exit" 0 status;
   Alcotest.(check (list string)) "stats leaves stdout alone"
     [ "0.1"; "1e23" ] out;
-  Alcotest.(check bool) "stats on stderr" true
-    (List.exists
-       (fun l -> contains l "submitted=2" && contains l "ok=2")
-       err);
-  Alcotest.(check bool) "breaker state reported" true
-    (List.exists (fun l -> contains l "breaker=closed") err);
-  (* sequential --stats works too *)
-  let status, _, err = bdprint_full ~stdin:"0.1\n" "--stdin --stats" in
-  Alcotest.(check int) "sequential stats exit" 0 status;
-  Alcotest.(check bool) "sequential stats on stderr" true
-    (List.exists (fun l -> contains l "jobs=1") err);
+  Alcotest.(check (list string)) "stats on stderr"
+    [
+      "stats: submitted=2 ok=2 degraded=0 retries=0";
+      "stats: errors: syntax=0 range=0 budget=0 internal=0";
+    ]
+    err;
   let status, _, _ = bdprint_full "--stats 0.1" in
   Alcotest.(check bool) "--stats without --stdin rejected" true (status <> 0)
 
@@ -354,7 +312,7 @@ exit $code
     (run_script script)
 
 let test_sigpipe_stream () =
-  let one driver_args =
+  let script =
     Printf.sprintf
       {|
 set -e
@@ -365,7 +323,7 @@ mkfifo "$dir/fifo"
 head -2 < "$dir/fifo" > /dev/null &
 reader=$!
 set +e
-yes 0.1 | "$exe" --stdin %s --metrics "$dir/m.json" > "$dir/fifo" 2> "$dir/err"
+yes 0.1 | "$exe" --stdin --metrics "$dir/m.json" > "$dir/fifo" 2> "$dir/err"
 code=$?
 wait $reader
 [ -s "$dir/m.json" ] || exit 90
@@ -373,19 +331,15 @@ grep -q interrupted "$dir/err" || exit 91
 exit $code
 |}
       (Filename.quote (cli_exe ()))
-      driver_args
   in
-  Alcotest.(check int) "closed pipe exits 5 (sequential)" 5
-    (run_script (one ""));
-  Alcotest.(check int) "closed pipe exits 5 (--jobs)" 5
-    (run_script (one "--jobs 2"))
+  Alcotest.(check int) "closed pipe exits 5" 5 (run_script script)
 
 (* SIGINT must stop a stream that waits on an open, empty stdin: the
    reader returns on EINTR instead of retrying the read.  The FIFO
    stays open, so only the signal can end the stream, and a watchdog
    kills bdprint if it is still running 2 s later. *)
 let test_sigint_idle_stream () =
-  let one driver_args =
+  let script =
     Printf.sprintf
       {|
 set -e
@@ -393,7 +347,7 @@ exe=%s
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 mkfifo "$dir/in"
-"$exe" --stdin %s < "$dir/in" > "$dir/out" 2> "$dir/err" &
+"$exe" --stdin < "$dir/in" > "$dir/out" 2> "$dir/err" &
 pid=$!
 exec 3> "$dir/in"
 printf '0.1\n' >&3
@@ -416,24 +370,17 @@ exec 3>&-
 exit $code
 |}
       (Filename.quote (cli_exe ()))
-      driver_args
   in
-  Alcotest.(check int) "idle stream exits 5 on SIGINT (sequential)" 5
-    (run_script (one ""));
-  Alcotest.(check int) "idle stream exits 5 on SIGINT (--jobs)" 5
-    (run_script (one "--jobs 2"))
+  Alcotest.(check int) "idle stream exits 5 on SIGINT" 5 (run_script script)
 
 (* A stdin that cannot be read interrupts the stream; it is not a
    clean, empty one. *)
 let test_unreadable_stdin () =
-  List.iter
-    (fun driver_args ->
-      Alcotest.(check int) ("stdin is a directory " ^ driver_args) 5
-        (Sys.command
-           (Printf.sprintf "%s --stdin %s < %s 2>/dev/null"
-              (Filename.quote (cli_exe ())) driver_args
-              Filename.current_dir_name)))
-    [ ""; "--jobs 2" ]
+  Alcotest.(check int) "stdin is a directory" 5
+    (Sys.command
+       (Printf.sprintf "%s --stdin < %s 2>/dev/null"
+          (Filename.quote (cli_exe ()))
+          Filename.current_dir_name))
 
 (* The next line on [fd] within [timeout] seconds, read a byte at a
    time so that nothing is buffered past it. *)
@@ -459,9 +406,8 @@ let read_line_within fd ~timeout =
 
 (* An interactive peer writes one line and waits for its answer before
    it writes the next.  bdprint writes stdout in blocks, so each answer
-   must be flushed before bdprint blocks on stdin again, by either
-   driver; a build that missed it would fail here on a 5 s timeout
-   rather than hang. *)
+   must be flushed before bdprint blocks on stdin again; a build that
+   missed it would fail here on a 5 s timeout rather than hang. *)
 let test_coprocess () =
   let script =
     [ ("0.1", `Out "0.1"); ("", `Blank); ("bogus", `Err); ("1e23", `Out "1e23");
@@ -475,13 +421,13 @@ let test_coprocess () =
       ("1_000", `Out "1000.0") ]
   in
   let old_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  let one args =
+  let run () =
     let in_r, in_w = Unix.pipe ~cloexec:true () in
     let out_r, out_w = Unix.pipe ~cloexec:true () in
     let err_r, err_w = Unix.pipe ~cloexec:true () in
     let pid =
       Unix.create_process (cli_exe ())
-        (Array.of_list ("bdprint" :: "--stdin" :: args))
+        [| "bdprint"; "--stdin" |]
         in_r out_w err_w
     in
     List.iter Unix.close [ in_r; out_w; err_w ];
@@ -496,7 +442,7 @@ let test_coprocess () =
           (fun fd -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
           [ in_w; out_r; err_r ])
       (fun () ->
-        let name = "bdprint --stdin " ^ String.concat " " args in
+        let name = "bdprint --stdin" in
         List.iteri
           (fun i (input, expect) ->
             let line = input ^ "\n" in
@@ -526,33 +472,28 @@ let test_coprocess () =
   in
   Fun.protect
     ~finally:(fun () -> Sys.set_signal Sys.sigpipe old_sigpipe)
-    (fun () ->
-      one [];
-      one [ "--jobs"; "2" ])
+    run
 
 (* Errors go to stderr after the answers before them left stdout, so
    [2>&1] keeps input order; a final line with no newline converts. *)
 let test_output_order () =
-  List.iter
-    (fun driver_args ->
-      let tmp = Filename.temp_file "bdprint" ".out" in
-      let status =
-        Sys.command
-          (Printf.sprintf "printf '0.1\\nbogus\\n2.5' | %s --stdin %s > %s 2>&1"
-             (Filename.quote (cli_exe ())) driver_args (Filename.quote tmp))
-      in
-      let ic = open_in tmp in
-      let merged = In_channel.input_all ic in
-      close_in ic;
-      Sys.remove tmp;
-      Alcotest.(check int) ("exit " ^ driver_args) 2 status;
-      Alcotest.(check string) ("merged order " ^ driver_args)
-        "0.1\n\
-         error: line 2: syntax error: expected digits at index 0 in \"bogus\"\n\
-         2.5\n\
-         error: 1 input line(s) failed\n"
-        merged)
-    [ ""; "--jobs 2" ]
+  let tmp = Filename.temp_file "bdprint" ".out" in
+  let status =
+    Sys.command
+      (Printf.sprintf "printf '0.1\\nbogus\\n2.5' | %s --stdin > %s 2>&1"
+         (Filename.quote (cli_exe ())) (Filename.quote tmp))
+  in
+  let ic = open_in tmp in
+  let merged = In_channel.input_all ic in
+  close_in ic;
+  Sys.remove tmp;
+  Alcotest.(check int) "exit" 2 status;
+  Alcotest.(check string) "merged order"
+    "0.1\n\
+     error: line 2: syntax error: expected digits at index 0 in \"bogus\"\n\
+     2.5\n\
+     error: 1 input line(s) failed\n"
+    merged
 
 (* Out-of-domain flags and failed one-shot inputs exit with their
    failure class, like a stream, after one "error: ..." line; only
@@ -570,12 +511,17 @@ let test_one_shot_exit_codes () =
       ( "--digits 100000 0.1",
         3,
         "error: budget exceeded: --digits: 100000 > limit 20000" );
-      ("--stdin --jobs 0", 2, "error: range error: --jobs: must be at least 1");
       ( "bogus",
         2,
         "error: syntax error: expected digits at index 0 in \"bogus\"" );
-      ("--jobs 2 0.1", 124, "bdprint: --jobs requires --stdin");
+      ("--deadline-ms 5 0.1", 124, "bdprint: --deadline-ms requires --stdin");
     ];
+  (* the stream has one driver, with no --jobs option *)
+  let status, _, err = bdprint_full ~stdin:"0.1\n" "--stdin --jobs 2" in
+  Alcotest.(check int) "exit --stdin --jobs 2" 124 status;
+  Alcotest.(check (option string)) "stderr --stdin --jobs 2"
+    (Some "bdprint: unknown option '--jobs'.")
+    (List.nth_opt err 0);
   let tmp = Filename.temp_file "bdprint" ".out" in
   let status =
     Sys.command
@@ -599,6 +545,7 @@ let test_one_shot_exit_codes () =
    far below the line's 2M words. *)
 let test_overlong_line () =
   let line = String.make (16 * 1024 * 1024) '1' in
+  let args = "--stdin" in
   let error =
     "error: line 1: budget exceeded: input length: 16777216 > limit 65536"
   in
@@ -607,30 +554,26 @@ let test_overlong_line () =
       (fun l -> Scanf.sscanf_opt l "top_heap_words: %d" Fun.id)
       err
   in
-  List.iter
-    (fun driver_args ->
-      let args = "--stdin " ^ driver_args in
-      let stdin = line ^ "\n0.1\n" in
-      let status, out, err = bdprint_full ~stdin args in
-      Alcotest.(check int) ("budget exit " ^ args) 3 status;
-      Alcotest.(check (list string)) ("next line converts " ^ args) [ "0.1" ] out;
-      Alcotest.(check (list string)) ("stderr " ^ args)
-        [ error; "error: 1 input line(s) failed" ]
-        err;
-      let _, _, err = bdprint_full ~env:"OCAMLRUNPARAM=v=0x400" ~stdin args in
-      (match top_heap_words err with
-      | Some w ->
-        Alcotest.(check bool)
-          (Printf.sprintf "top_heap_words %d < 1M (%s)" w args)
-          true (w < 1_000_000)
-      | None -> Alcotest.fail "no GC statistics on stderr");
-      let status, out, err = bdprint_full ~stdin:line args in
-      Alcotest.(check int) ("unterminated: budget exit " ^ args) 3 status;
-      Alcotest.(check (list string)) ("unterminated: no output " ^ args) [] out;
-      Alcotest.(check (list string)) ("unterminated: stderr " ^ args)
-        [ error; "error: 1 input line(s) failed" ]
-        err)
-    [ ""; "--jobs 2" ]
+  let stdin = line ^ "\n0.1\n" in
+  let status, out, err = bdprint_full ~stdin args in
+  Alcotest.(check int) "budget exit" 3 status;
+  Alcotest.(check (list string)) "next line converts" [ "0.1" ] out;
+  Alcotest.(check (list string)) "stderr"
+    [ error; "error: 1 input line(s) failed" ]
+    err;
+  let _, _, err = bdprint_full ~env:"OCAMLRUNPARAM=v=0x400" ~stdin args in
+  (match top_heap_words err with
+  | Some w ->
+    Alcotest.(check bool)
+      (Printf.sprintf "top_heap_words %d < 1M" w)
+      true (w < 1_000_000)
+  | None -> Alcotest.fail "no GC statistics on stderr");
+  let status, out, err = bdprint_full ~stdin:line args in
+  Alcotest.(check int) "unterminated: budget exit" 3 status;
+  Alcotest.(check (list string)) "unterminated: no output" [] out;
+  Alcotest.(check (list string)) "unterminated: stderr"
+    [ error; "error: 1 input line(s) failed" ]
+    err
 
 (* Both EXAMPLES sections show a literal \n inside printf '...'.  A
    single backslash there is an invalid cmdliner escape, which replaces
@@ -667,8 +610,6 @@ let () =
           Alcotest.test_case "deadline flag" `Quick test_deadline_flag;
           Alcotest.test_case "unknown fault point" `Quick
             test_unknown_fault_point;
-          Alcotest.test_case "jobs parallel streaming" `Quick
-            test_jobs_parallel;
           Alcotest.test_case "stats flag" `Quick test_stats_flag;
           Alcotest.test_case "SIGINT interrupts stream" `Quick
             test_sigint_stream;

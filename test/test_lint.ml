@@ -612,6 +612,37 @@ let test_cli () =
   let status, _ = run_cli "--manifest does-not-exist.manifest lib" in
   Alcotest.(check int) "usage error exit 2" 2 status
 
+(* --metrics writes through the shared telemetry writer: the
+   Prometheus text goes to FILE with .json replaced by .prom, or with
+   .prom appended to any other name. *)
+let test_cli_metrics () =
+  in_temp_fixture ~source:"let fine = Atomic.make 0\n" (fun dir ->
+      List.iter
+        (fun (suffix, prom_of) ->
+          let file = Filename.temp_file "bdlint-metrics" suffix in
+          let prom = prom_of file in
+          Fun.protect
+            ~finally:(fun () ->
+              List.iter
+                (fun f -> if Sys.file_exists f then Sys.remove f)
+                [ file; prom ])
+            (fun () ->
+              let status, _ =
+                run_cli (Printf.sprintf "--quiet --metrics %s %s" file dir)
+              in
+              Alcotest.(check int) ("exit " ^ suffix) 0 status;
+              let ic = open_in_bin prom in
+              let text = really_input_string ic (in_channel_length ic) in
+              close_in ic;
+              Alcotest.(check bool)
+                ("prometheus text beside the " ^ suffix ^ " file")
+                true
+                (contains text "bdlint_files_scanned 1")))
+        [
+          (".json", fun f -> Filename.chop_suffix f ".json" ^ ".prom");
+          (".txt", fun f -> f ^ ".prom");
+        ])
+
 (* The CI ratchet: counts at the committed baseline pass, any count
    above it fails, and the diff artifact names the rising counter. *)
 let test_cli_ratchet () =
@@ -681,5 +712,6 @@ let () =
         [
           Alcotest.test_case "exit codes" `Quick test_cli;
           Alcotest.test_case "baseline ratchet" `Quick test_cli_ratchet;
+          Alcotest.test_case "metrics files" `Quick test_cli_metrics;
         ] );
     ]

@@ -588,6 +588,48 @@ let test_server_worker_wedge () =
       Alcotest.(check bool) "wedge detected" true
         (s.Server.supervisor.Service.Supervisor.wedges >= 1))
 
+(* Replies go straight to their own connection: with two workers, a
+   request wedged on connection A (the injected 0.4 s stall, no
+   deadline, so the watchdog stays out of it) does not hold up a
+   conversion on connection B, which the idle worker answers at once.
+   A's reply still comes, once the stall ends. *)
+let test_server_reply_not_held () =
+  Faults.disarm_all ();
+  Faults.reset_call_counts ();
+  Faults.arm_at ~call:1 "service.worker-wedge";
+  Fun.protect
+    ~finally:(fun () ->
+      Faults.disarm_all ();
+      Faults.reset_call_counts ())
+  @@ fun () ->
+  let config =
+    { Server.default_config with Server.jobs = 2; cache_capacity = 0 }
+  in
+  with_server ~config (fun _ port ->
+      let a = connect port and b = connect port in
+      send a "CONV 0.1\n";
+      (* the first dequeue consults the fault point: A's request is the
+         wedged one *)
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while
+        Faults.call_count "service.worker-wedge" < 1
+        && Unix.gettimeofday () < deadline
+      do
+        Unix.sleepf 0.001
+      done;
+      let t0 = Unix.gettimeofday () in
+      send b "CONV 6.25\n";
+      let reply_b = recv_reply b in
+      let rtt_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+      Alcotest.(check bool) "B converted" true (reply_b = Wire.Converted "6.25");
+      Alcotest.(check bool)
+        (Printf.sprintf "B answered inside A's stall (%.1f ms < 200 ms)" rtt_ms)
+        true (rtt_ms < 200.);
+      Alcotest.(check bool) "A converted after its stall" true
+        (recv_reply a = Wire.Converted "0.1");
+      close a;
+      close b)
+
 let test_server_shedding () =
   (* one worker, one admission slot, slow conversions: concurrent
      clients must get explicit SHED queue-full replies, never silence *)
@@ -973,6 +1015,8 @@ let () =
           Alcotest.test_case "overload-shed" `Quick test_server_overload_shed;
           Alcotest.test_case "memo-hit" `Quick test_server_memo_hit;
           Alcotest.test_case "worker-wedge" `Quick test_server_worker_wedge;
+          Alcotest.test_case "reply not held behind a wedge" `Quick
+            test_server_reply_not_held;
           Alcotest.test_case "deadline" `Quick test_server_deadline;
           Alcotest.test_case "flight admit ids" `Quick
             test_server_flight_admit_ids;

@@ -1,8 +1,9 @@
 (* Unit tests for the supervised parallel conversion service
-   (lib/service) and the fault-spec machinery it leans on: order
-   preservation, backpressure, retry masking of transient
-   internal failures, fail-fast classes, deadlines, graceful drain, and
-   the circuit breaker's open/degrade/probe/close cycle. *)
+   (lib/service) and the fault-spec machinery it leans on: one reply per
+   request, delivered without waiting on other requests, backpressure,
+   retry masking of transient internal failures, fail-fast classes,
+   deadlines, graceful drain, and the circuit breaker's
+   open/degrade/probe/close cycle. *)
 
 module S = Service.Supervisor
 module Error = Robust.Error
@@ -19,23 +20,38 @@ let convert_real input =
       ~strategy:Dragon.Scaling.Fast_estimate ~notation:Dragon.Render.Auto
       Fp.Format_spec.binary64 v
 
-(* Run a batch through a fresh service; replies are collected by the
-   worker domain that emits each one (one at a time, handed on under the
-   supervisor's mutex) and read after shutdown, which joined every
-   worker, so they are safely published. *)
+(* [emit] for a test: keeps every reply in emission order.  Emit may
+   run on several worker domains at once, so the list has its own lock;
+   [replies] reads it once the service is shut down. *)
+let recorder () =
+  let m = Mutex.create () and replies = ref [] in
+  let emit r = Mutex.protect m (fun () -> replies := r :: !replies) in
+  (emit, fun () -> Mutex.protect m (fun () -> List.rev !replies))
+
+(* The replies sorted by line number. *)
+let by_lineno replies =
+  List.sort (fun (a : S.reply) b -> compare a.S.lineno b.S.lineno) replies
+
+(* Each of lines 1..n got exactly one reply. *)
+let check_each_once n replies =
+  Alcotest.(check (list int)) "each reply exactly once"
+    (List.init n (fun i -> i + 1))
+    (List.map (fun (r : S.reply) -> r.S.lineno) (by_lineno replies))
+
+(* Run a batch through a fresh service; the replies come back in
+   emission order, read after shutdown, which joined every worker. *)
 let collect ?(jobs = 2) ?(capacity = 8) ?retry ?breaker ?fallback ?deadline_ms
     convert inputs =
-  let replies = ref [] in
+  let emit, replies = recorder () in
   let svc =
-    S.start ~jobs ~queue_capacity:capacity ?retry ?breaker ?fallback
-      ~emit:(fun r -> replies := r :: !replies)
+    S.start ~jobs ~queue_capacity:capacity ?retry ?breaker ?fallback ~emit
       convert
   in
   List.iteri
     (fun i input -> S.submit svc ?deadline_ms ~lineno:(i + 1) input)
     inputs;
   let stats = S.shutdown svc in
-  (List.rev !replies, stats)
+  (replies (), stats)
 
 let fast_retry =
   { S.default_retry with S.backoff_ms = 0.02; backoff_cap_ms = 0.2 }
@@ -159,18 +175,19 @@ let test_probabilistic_arming () =
 (* ------------------------------------------------------------------ *)
 (* Service basics *)
 
-let test_order_preserved () =
+let test_each_reply_once () =
   let inputs = List.init 300 (fun i -> string_of_int i) in
   let replies, stats =
     collect ~jobs:4 ~capacity:16 (fun s -> Ok ("v" ^ s)) inputs
   in
   Alcotest.(check int) "all replies" 300 (List.length replies);
-  List.iteri
-    (fun i (r : S.reply) ->
-      Alcotest.(check int) "lineno order" (i + 1) r.S.lineno;
+  check_each_once 300 replies;
+  List.iter
+    (fun (r : S.reply) ->
       match r.S.outcome with
       | S.Done s ->
-        Alcotest.(check string) "payload" ("v" ^ string_of_int i) s
+        Alcotest.(check string) "payload" ("v" ^ string_of_int (r.S.lineno - 1))
+          s
       | _ -> Alcotest.fail "expected Done")
     replies;
   Alcotest.(check int) "submitted" 300 stats.S.submitted;
@@ -218,7 +235,7 @@ let test_real_pipeline_parallel () =
     List.map
       (fun (r : S.reply) ->
         match r.S.outcome with S.Done s -> s | _ -> "<fail>")
-      replies
+      (by_lineno replies)
   in
   Alcotest.(check (list string)) "parallel pipeline output"
     [ "0.1"; "1e23"; "0.25"; "9007199254740992.0"; "5e-324"; "inf" ]
@@ -345,50 +362,17 @@ let test_shutdown_drains_everything () =
   Alcotest.(check int) "every request emitted" 40 (List.length replies);
   Alcotest.(check int) "completed = submitted" stats.S.submitted
     stats.S.completed;
-  List.iteri
-    (fun i (r : S.reply) ->
-      Alcotest.(check int) "drain preserves order" (i + 1) r.S.lineno)
-    replies
-
-(* The worker that delivers the reply the stream waits for emits it and
-   every ready reply after it.  Delays shrink as the line number grows,
-   so later requests finish first and pile up behind earlier ones;
-   emission must still come out 1..n, never two [emit] calls at once. *)
-let test_emission_order_later_first () =
-  let n = 64 in
-  let busy = Atomic.make false and overlaps = Atomic.make 0 in
-  let order = ref [] in
-  let emit (r : S.reply) =
-    if not (Atomic.compare_and_set busy false true) then Atomic.incr overlaps;
-    order := r.S.lineno :: !order;
-    (* widen the window a second, concurrent call would need *)
-    Unix.sleepf 0.0002;
-    Atomic.set busy false
-  in
-  let convert s =
-    Unix.sleepf (float (n - int_of_string s) *. 0.0002);
-    Ok s
-  in
-  let svc = S.start ~jobs:4 ~queue_capacity:n ~emit convert in
-  for i = 1 to n do
-    S.submit svc ~lineno:i (string_of_int i)
-  done;
-  let stats = S.shutdown svc in
-  Alcotest.(check int) "emit never entered concurrently" 0
-    (Atomic.get overlaps);
-  Alcotest.(check (list int)) "submission order" (List.init n (fun i -> i + 1))
-    (List.rev !order);
-  Alcotest.(check int) "completed" n stats.S.completed
+  check_each_once 40 replies
 
 (* [emit] must not raise; when it does anyway, only that call is lost.
-   The exception never reaches the emitting worker's crash handler (no
-   crash, no second reply for the job), and the token moves on, so
-   every later reply is still emitted once and in order. *)
+   The exception never reaches the delivering worker's crash handler (no
+   crash, no second reply for the job), and every other reply is still
+   emitted once. *)
 let test_raising_emit_is_contained () =
   let n = 20 in
-  let order = ref [] in
+  let record, replies = recorder () in
   let emit (r : S.reply) =
-    order := r.S.lineno :: !order;
+    record r;
     if r.S.lineno mod 7 = 3 then failwith "emit broke its contract"
   in
   let svc = S.start ~jobs:2 ~queue_capacity:n ~emit (fun s -> Ok s) in
@@ -396,9 +380,7 @@ let test_raising_emit_is_contained () =
     S.submit svc ~lineno:i (string_of_int i)
   done;
   let stats = S.shutdown svc in
-  Alcotest.(check (list int)) "each reply emitted once, in order"
-    (List.init n (fun i -> i + 1))
-    (List.rev !order);
+  check_each_once n (replies ());
   Alcotest.(check int) "no worker crash" 0 stats.S.crashes;
   Alcotest.(check int) "no respawn" 0 stats.S.respawns;
   Alcotest.(check int) "completed" n stats.S.completed
@@ -412,10 +394,11 @@ let await what count k =
   Alcotest.(check int) what k (count ())
 
 (* The watchdog is a deliverer too: when it answers a wedged request it
-   emits that timeout reply in its place, then every reply already
-   converted behind it.  Request k is submitted alone, so it is the one
-   the fault point wedges; the rest are converted by the other worker
-   while k is stuck. *)
+   emits that timeout reply in the wedged worker's place.  Request k is
+   submitted alone, so it is the one the fault point wedges; the rest
+   are converted by the other worker while k is stuck, and a reply is
+   not held behind the wedged request: each of them is emitted before
+   k's timeout. *)
 let test_watchdog_emits_wedge_in_place () =
   let n = 12 and k = 5 in
   Faults.disarm_all ();
@@ -426,19 +409,19 @@ let test_watchdog_emits_wedge_in_place () =
       Faults.disarm_all ();
       Faults.reset_call_counts ())
   @@ fun () ->
-  let replies = ref [] and emitted = Atomic.make 0 in
+  let record, replies = recorder () and emitted = Atomic.make 0 in
   let svc =
     S.start ~jobs:2 ~queue_capacity:n
       ~watchdog:{ S.poll_ms = 5; grace_ms = 20; stuck_ms = 10_000 }
       ~emit:(fun r ->
-        replies := r :: !replies;
+        record r;
         Atomic.incr emitted)
       (fun s -> Ok s)
   in
   (* the [k]th consult of the fault point is the [k]th dequeue *)
   let consults () = Faults.call_count "service.worker-wedge" in
   let submit i =
-    let deadline_ms = if i = k then Some 50 else None in
+    let deadline_ms = if i = k then Some 200 else None in
     S.submit svc ?deadline_ms ~lineno:i (string_of_int i)
   in
   for i = 1 to k - 1 do
@@ -453,9 +436,16 @@ let test_watchdog_emits_wedge_in_place () =
   (* shutdown stops the watchdog first: let it answer the wedge *)
   await "emitted" (fun () -> Atomic.get emitted) n;
   let stats = S.shutdown svc in
-  let replies = List.rev !replies in
-  Alcotest.(check (list int)) "submission order" (List.init n (fun i -> i + 1))
-    (List.map (fun (r : S.reply) -> r.S.lineno) replies);
+  let replies = replies () in
+  check_each_once n replies;
+  let rec emitted_before_k = function
+    | [] -> []
+    | (r : S.reply) :: _ when r.S.lineno = k -> []
+    | r :: rest -> r.S.lineno :: emitted_before_k rest
+  in
+  Alcotest.(check (list int)) "a reply is not held behind a wedged request"
+    (List.init (n - k) (fun i -> k + 1 + i))
+    (List.filter (fun l -> l > k) (emitted_before_k replies) |> List.sort compare);
   List.iter
     (fun (r : S.reply) ->
       match r.S.outcome with
@@ -745,7 +735,8 @@ let () =
         ] );
       ( "supervisor",
         [
-          Alcotest.test_case "order preserved" `Quick test_order_preserved;
+          Alcotest.test_case "each reply exactly once" `Quick
+            test_each_reply_once;
           Alcotest.test_case "backpressure bound" `Quick
             test_backpressure_bound;
           Alcotest.test_case "one worker takes jobs in order" `Quick
@@ -764,8 +755,6 @@ let () =
             test_shutdown_drains_everything;
           Alcotest.test_case "submit after shutdown" `Quick
             test_submit_after_shutdown;
-          Alcotest.test_case "emission order when later lines finish first"
-            `Quick test_emission_order_later_first;
           Alcotest.test_case "watchdog emits a wedge in place" `Quick
             test_watchdog_emits_wedge_in_place;
           Alcotest.test_case "raising emit is contained" `Quick

@@ -1,7 +1,7 @@
 (* Telemetry layer: registry semantics under concurrency, histogram
    bucket boundaries, Prometheus golden rendering, fault-trip export,
-   and an end-to-end check that [bdprint --stdin --jobs N --metrics]
-   reports exact counters without perturbing stdout. *)
+   and an end-to-end check that [bdprint --stdin --metrics] reports
+   exact counters without perturbing stdout. *)
 
 module Metrics = Telemetry.Metrics
 module Snapshot = Telemetry.Snapshot
@@ -482,7 +482,7 @@ let test_fault_trip_metrics () =
   Faults.reset_trip_counts ()
 
 (* ------------------------------------------------------------------ *)
-(* End to end: --metrics on a parallel stream *)
+(* End to end: --metrics on a stream *)
 
 let bdprint_exe () =
   Filename.concat
@@ -497,7 +497,7 @@ let run_stream ?metrics input_file =
     | Some file -> Printf.sprintf "--metrics %s" (Filename.quote file)
   in
   let cmd =
-    Printf.sprintf "%s --stdin --jobs 4 %s < %s > %s 2> /dev/null"
+    Printf.sprintf "%s --stdin %s < %s > %s 2> /dev/null"
       (bdprint_exe ()) flags
       (Filename.quote input_file)
       (Filename.quote out)
@@ -612,7 +612,7 @@ let () =
         ] );
       ( "end-to-end",
         [
-          Alcotest.test_case "--jobs 4 --metrics exact counters" `Quick
+          Alcotest.test_case "stream --metrics exact counters" `Quick
             test_metrics_end_to_end;
         ] );
     ]
