@@ -674,17 +674,7 @@ let daemon_bench ~size () =
   let module Wire = Net.Wire in
   let module Server = Net.Server in
   let module Faults = Robust.Faults in
-  let convert input =
-    match
-      Reader.read ~mode:Fp.Rounding.To_nearest_even Fp.Format_spec.binary64
-        input
-    with
-    | Error _ as e -> e
-    | Ok v ->
-      Dragon.Printer.print_value ~base:10 ~mode:Fp.Rounding.To_nearest_even
-        ~strategy:Dragon.Scaling.Fast_estimate ~notation:Dragon.Render.Auto
-        Fp.Format_spec.binary64 v
-  in
+  let convert = Net.Conversion.convert in
   (* corpus: random doubles plus a hot set that exercises the cache *)
   let hot = [| "0.1"; "1"; "0.5"; "1e23"; "-2.5"; "3.75" |] in
   let corpus =
@@ -727,7 +717,7 @@ let daemon_bench ~size () =
         match
           Server.start
             ~config:{ Server.default_config with Server.jobs = 3 }
-            ~convert
+            ~inline:Net.Conversion.inline ~convert
             (Net.Addr.Tcp ("127.0.0.1", 0))
         with
         | Result.Ok s -> s
@@ -896,8 +886,10 @@ let daemon_bench ~size () =
   Printf.printf "  outcomes    : %d ok, %d degraded, %d failed, %d shed, %d WRONG\n"
     (Atomic.get n_ok) (Atomic.get n_deg) (Atomic.get n_err)
     (Atomic.get n_shed) (Atomic.get n_wrong);
-  Printf.printf "  daemon      : %d cache hits, %d shed, %d crashes, %d respawns\n"
-    (counter_of "cache_hits")
+  Printf.printf
+    "  daemon      : %d cache hits, %d inline, %d shed, %d crashes, %d \
+     respawns\n"
+    (counter_of "cache_hits") (counter_of "inline")
     (counter_of "shed_queue_full" + counter_of "shed_draining")
     (counter_of "sup_crashes") (counter_of "sup_respawns");
   let oc = open_out "BENCH_service.json" in
@@ -912,8 +904,9 @@ let daemon_bench ~size () =
   "burst": { "requests": %d, "window": %d, "wall_s": %.3f, "rps": %.0f },
   "latency_us": { "p50": %.0f, "p90": %.0f, "p99": %.0f, "mean": %.0f },
   "outcomes": { "ok": %d, "degraded": %d, "failed": %d, "shed": %d, "wrong": %d },
-  "daemon": { "cache_hits": %d, "shed_queue_full": %d, "shed_draining": %d,
-              "crashes": %d, "respawns": %d, "breaker_trips": %d }
+  "daemon": { "cache_hits": %d, "inline": %d, "shed_queue_full": %d,
+              "shed_draining": %d, "crashes": %d, "respawns": %d,
+              "breaker_trips": %d }
 }
 |}
     (Net.Addr.to_string target)
@@ -924,7 +917,7 @@ let daemon_bench ~size () =
     (float_of_int burst_requests /. burst_wall)
     (pct 0.50) (pct 0.90) (pct 0.99) mean (Atomic.get n_ok) (Atomic.get n_deg)
     (Atomic.get n_err) (Atomic.get n_shed) (Atomic.get n_wrong)
-    (counter_of "cache_hits")
+    (counter_of "cache_hits") (counter_of "inline")
     (counter_of "shed_queue_full")
     (counter_of "shed_draining")
     (counter_of "sup_crashes") (counter_of "sup_respawns")
@@ -1118,6 +1111,36 @@ let () =
       parse rest
   in
   parse (List.tl args);
+  let pick default = if !size > 0 then !size else default in
+  let runs =
+    [
+      ("table2", fun () -> table2 ~size:(pick 8_000) ());
+      ("table3", fun () -> table3 ~size:(pick 40_000) ());
+      ("digits", fun () -> digit_stats ~size:(pick 100_000) ());
+      ("showcase", showcase);
+      ("ablation", fun () -> ablation ~size:(pick 50_000) ());
+      ("sweep", sweep);
+      ("reader", fun () -> reader_bench ~size:(pick 30_000) ());
+      ("daemon", fun () -> daemon_bench ~size:(pick 20_000) ());
+      ("telemetry", fun () -> telemetry_bench ~size:(pick 20_000) ());
+      ("bignum", bignum_bench);
+      ("kernel", fun () -> kernel_bench ~size:(pick 8_000) ());
+      ("bechamel", bechamel_benches);
+    ]
+  in
+  (* a misspelt or removed section would otherwise measure nothing and
+     exit 0 *)
+  (match
+     List.filter
+       (fun s -> s <> "all" && not (List.mem_assoc s runs))
+       !sections
+   with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "bench: unknown section %s; known sections: all %s\n%!"
+      (String.concat " " (List.rev unknown))
+      (String.concat " " (List.map fst runs));
+    exit 2);
   (* [bench -- all]: regenerate every committed BENCH_*.json in one run
      (kernel, telemetry, daemon) — the CI bench step drives this and
      uploads the refreshed files as artifacts; any bench that fails its
@@ -1125,18 +1148,8 @@ let () =
      under the floor) exits nonzero and fails the step loudly. *)
   if List.mem "all" !sections then
     sections := [ "kernel"; "telemetry"; "daemon" ];
-  let has s = !sections = [] || List.mem s !sections in
-  let pick default = if !size > 0 then !size else default in
-  if has "table2" then table2 ~size:(pick 8_000) ();
-  if has "table3" then table3 ~size:(pick 40_000) ();
-  if has "digits" then digit_stats ~size:(pick 100_000) ();
-  if has "showcase" then showcase ();
-  if has "ablation" then ablation ~size:(pick 50_000) ();
-  if has "sweep" then sweep ();
-  if has "reader" then reader_bench ~size:(pick 30_000) ();
-  if has "daemon" then daemon_bench ~size:(pick 20_000) ();
-  if has "telemetry" then telemetry_bench ~size:(pick 20_000) ();
-  if has "bignum" then bignum_bench ();
-  if has "kernel" then kernel_bench ~size:(pick 8_000) ();
-  if has "bechamel" then bechamel_benches ();
+  List.iter
+    (fun (name, run) ->
+      if !sections = [] || List.mem name !sections then run ())
+    runs;
   ignore !sink

@@ -9,25 +9,13 @@
 
    The conversion semantics are bdprint's defaults: shortest
    round-tripping decimal output for binary64, round-to-nearest-even,
-   through the certified fast-path reader.  See docs/SERVICE.md for the
-   protocol. *)
+   through the certified fast-path reader (Net.Conversion).  Requests
+   that need no bignum are answered on the connection thread; the rest
+   go to the worker pool.  See docs/SERVICE.md for the protocol. *)
 
 open Cmdliner
 module Error = Robust.Error
 module Server = Net.Server
-
-let convert input =
-  match
-    if Reader.Hex.is_literal input then
-      Reader.Hex.read ~mode:Fp.Rounding.To_nearest_even Fp.Format_spec.binary64
-        input
-    else Result.map Fp.Ieee.decompose (Reader.Fast.read input)
-  with
-  | Error _ as e -> e
-  | Ok value ->
-    Dragon.Printer.print_value ~base:10 ~mode:Fp.Rounding.To_nearest_even
-      ~strategy:Dragon.Scaling.Fast_estimate ~notation:Dragon.Render.Auto
-      Fp.Format_spec.binary64 value
 
 let listen_conv =
   let parse s =
@@ -57,8 +45,9 @@ let admission_arg =
     value & opt int 256
     & info [ "admission" ] ~docv:"N"
         ~doc:
-          "Admission bound: maximum in-flight conversion requests; beyond \
-           it requests are answered $(b,SHED queue-full).")
+          "Admission bound: maximum conversion requests in flight in the \
+           worker pool; beyond it, a request the connection thread cannot \
+           answer itself is answered $(b,SHED queue-full).")
 
 let cache_arg =
   Arg.(
@@ -131,14 +120,14 @@ let flight_arg =
 
 let print_final_stats (s : Server.stats) =
   Printf.eprintf
-    "bdprintd: served %d requests on %d connections: %d ok (%d cached), %d \
-     degraded, %d failed, %d shed (%d queue-full, %d overload, %d \
-     draining), %d protocol errors\n\
+    "bdprintd: served %d requests on %d connections: %d ok (%d cached, %d \
+     inline), %d degraded, %d failed, %d shed (%d queue-full, %d \
+     overload, %d draining), %d protocol errors\n\
      bdprintd: workers: %d submitted, %d crashes, %d wedges, %d respawns, \
      breaker=%s trips=%d\n\
      %!"
     s.Server.requests s.Server.connections s.Server.replies_ok
-    s.Server.cache_hits s.Server.replies_degraded
+    s.Server.cache_hits s.Server.inline s.Server.replies_degraded
     s.Server.replies_failed
     (s.Server.shed_queue_full + s.Server.shed_overload + s.Server.shed_draining)
     s.Server.shed_queue_full s.Server.shed_overload s.Server.shed_draining
@@ -183,7 +172,10 @@ let run listen jobs admission cache_size deadline_ms stuck_ms show_stats
         watchdog;
       }
     in
-    match Server.start ~config ~convert listen with
+    match
+      Server.start ~config ~inline:Net.Conversion.inline
+        ~convert:Net.Conversion.convert listen
+    with
     | Result.Error e -> `Error (false, Error.to_string e)
     | Result.Ok server ->
       let on_signal _ = Server.drain server in
@@ -213,6 +205,11 @@ let cmd =
          DEG (degraded fallback), ERR (structured failure) or SHED \
          (explicit load shedding), plus PING, HEALTHZ, DEADLINE, STATS, \
          METRICS and QUIT.";
+      `P
+        "A request that needs no bignum is converted on its connection's \
+         thread (the reader's fast tiers, then the table tier); the rest, \
+         and every request while a fault point is armed, go to the \
+         supervised worker domains.  Both give the same bytes.";
       `P
         "The daemon survives worker-domain crashes (detect, answer \
          degraded, respawn), bounds its admission queue (shedding \

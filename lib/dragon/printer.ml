@@ -124,23 +124,29 @@ let[@inline] mantissa b =
 
 let[@inline] exponent b = max (exp_field b) 1 - 1075
 
+(* The kernel raises only the domain's expired deadline, which the
+   exact tier after a decline raises again. *)
+let print_table ~mode ~notation x =
+  let b = fields x in
+  if special b || not (Free_format.tier_open ~base:10 ~mode Format_spec.binary64)
+  then ""
+  else
+    match
+      free_hit ~mode ~notation Format_spec.binary64 ~neg:(Float.sign_bit x)
+        ~f:(mantissa b) ~e:(exponent b)
+    with
+    | s -> s
+    | exception Robust.Error.E _ -> ""
+
+(* Base 10 with the default estimator has had its table-tier attempt
+   once [print_table] has run, whatever it answered. *)
 let print ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
     ?(strategy = Scaling.Fast_estimate) ?(tie = Generate.Closer_up)
     ?(notation = Render.Auto) x =
-  let b = fields x in
   let tried =
-    match strategy with
-    | Scaling.Fast_estimate ->
-      (not (special b))
-      && Free_format.tier_open ~base ~mode Format_spec.binary64
-    | _ -> false
+    match strategy with Scaling.Fast_estimate -> base = 10 | _ -> false
   in
-  let s =
-    if not tried then ""
-    else
-      free_hit ~mode ~notation Format_spec.binary64 ~neg:(Float.sign_bit x)
-        ~f:(mantissa b) ~e:(exponent b)
-  in
+  let s = if tried then print_table ~mode ~notation x else "" in
   if String.length s > 0 then s
   else
     free_value ~tried ~base ~mode ~strategy ~tie ~notation Format_spec.binary64

@@ -31,6 +31,18 @@ val print_fixed :
 val shortest : float -> string
 (** [print] with all defaults — the drop-in [float -> string]. *)
 
+val print_table :
+  mode:Fp.Rounding.mode -> notation:Render.notation -> float -> string
+(** The table tier's base-10 free format of a finite non-zero double, as
+    {!print} runs it first on the bits: its text, or [""] when it
+    declines — a zero, infinity or NaN, a closed tier (see
+    {!Free_format.tier_open}: fault points armed, fast path off, the
+    pure reference forced, a mode not to nearest), an uncertain verdict
+    or the calling domain's expired deadline (which the exact tier
+    then raises).  Never raises, and needs no bignum: it runs the
+    {!Fastpath} kernel on this domain's pool, whose busy guard turns a
+    re-entry from another systhread into an uncertain verdict. *)
+
 val print_exact : ?base:int -> ?notation:Render.notation -> float -> string
 (** The {e complete} exact decimal (or other even-base) expansion of the
     double — every binary float has a finite one.  [0.1] prints as its
@@ -84,7 +96,9 @@ val fastpath_enabled : unit -> bool
 val fastpath_stats : unit -> int * int
 (** [(hits, fallbacks)] of free-format conversions, from the
     [bdprint_fastpath_{hit,fallback}_total{format="free"}] counters;
-    recorded only while telemetry is enabled. *)
+    recorded only while telemetry is enabled.  They count attempts: a
+    value {!print_table} declines and {!print_value} then tries again
+    counts two fallbacks. *)
 
 val fixed_fastpath_stats : unit -> int * int
 (** The same for fixed format ([format="fixed"]), which runs the table

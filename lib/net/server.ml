@@ -25,6 +25,7 @@ type stats = {
   requests : int;
   replies_ok : int;
   cache_hits : int;
+  inline : int;
   replies_degraded : int;
   replies_failed : int;
   shed_queue_full : int;
@@ -57,12 +58,14 @@ type core = {
   cv : Condition.t;  (** drain's last release / conns_active / phase *)
   clients : (int, conn) Hashtbl.t;  (** open connections, by id *)
   mutable phase : phase;
-  mutable in_flight : int;  (** admitted, reply not yet produced *)
+  mutable in_flight : int;  (** admitted, reply not yet written *)
+  mutable queued : int;  (** admitted to the pool, reply not yet back *)
   mutable conns_total : int;
   mutable conns_active : int;
   mutable n_requests : int;
   mutable n_ok : int;
   mutable n_cache_hits : int;
+  mutable n_inline : int;
   mutable n_deg : int;
   mutable n_failed : int;
   mutable n_shed_full : int;
@@ -70,7 +73,7 @@ type core = {
   mutable n_shed_drain : int;
   mutable n_proto : int;
   mutable ewma_ms : float;
-      (** exponentially-weighted mean admitted-request service time,
+      (** exponentially-weighted mean service time of pool requests,
           admission to reply — feeds the adaptive admission controller
           and the [retry-after-ms] hints, so it is always maintained,
           independent of telemetry *)
@@ -85,16 +88,11 @@ type t = {
   addr_str : string;
   tcp_port : int option;
   sup : Supervisor.t;
+  inline : string -> string option;
   memo : Memo.t option;
   started : float;  (** wall-clock start time, for uptime reporting *)
   stop : bool Atomic.t;  (** drain request flag; async-signal-safe *)
-  mutable accept_thread : Thread.t option;
-      (** set once before [start] returns, read only by [wait] *)
-  mutable final_sup : Supervisor.stats option;  (** guarded by [core.m] *)
 }
-[@@lint.domain_safe
-  "accept_thread is written once before the value escapes start; final_sup \
-   is written and read under core.m"]
 
 (* Daemon protocol/build version, reported in HEALTHZ and STATS. *)
 let version = "1.0.0"
@@ -182,10 +180,10 @@ let shed_full t c =
     { reason = "queue-full"; retry_after_ms = Some (int_of_float (ceil hint)) }
 
 (* Projected wait before a request admitted now would start converting:
-   the requests ahead of it, spread over the worker pool, each costing
-   one mean service time. *)
+   the pool requests ahead of it, spread over the worker pool, each
+   costing one mean service time. *)
 let projected_wait_ms t c =
-  float c.in_flight *. c.ewma_ms /. float (max 1 t.cfg.jobs)
+  float c.queued *. c.ewma_ms /. float (max 1 t.cfg.jobs)
 
 let shed_overload c ~deadline_ms:d ~projected =
   c.n_shed_overload <- c.n_shed_overload + 1;
@@ -198,30 +196,45 @@ let shed_overload c ~deadline_ms:d ~projected =
 
 (* Latency is measured unconditionally: beyond the (gated) histogram it
    feeds the admission controller's EWMA, which must stay live with
-   telemetry off.  Only admitted requests update the EWMA — sheds and
-   cache hits say nothing about service time. *)
+   telemetry off.  Only pool requests update the EWMA — sheds, cache
+   hits and inline answers say nothing about the pool's service time. *)
 let ewma_alpha = 0.2
 
-(* One conversion request on [conn], through cache, shedding,
-   supervisor and accounting; [t0] is its arrival time.  Returns the
-   reply to write plus whether the request holds an admission slot;
-   the caller must {!release_admission} only AFTER writing the reply —
-   drain's in-flight wait keys off it, and releasing before the write
-   would let drain shut the client down between computing a reply and
-   delivering it (losing an accepted request).  Never raises. *)
-let convert_one t conn ~t0 ~deadline_ms ~tid input : Wire.reply * bool =
+(* What a request holds while its reply is written: nothing (a shed or
+   a memo hit), or an admission slot on one of the two routes. *)
+type slot = No_slot | Inline_slot | Pool_slot
+
+(* A request leaves flight; called with [core.m] held.  Only
+   [finish_drain] waits for in_flight: waking [wait]'s thread on every
+   reply would make it compete for [c.m] and the runtime lock. *)
+let leave_flight c =
+  c.in_flight <- c.in_flight - 1;
+  if c.in_flight = 0 && c.phase <> Running then Condition.broadcast c.cv
+
+(* The bignum-free route, on this connection thread, traced under the
+   request's own id.  A request past its deadline goes to the pool,
+   the one place that answers deadline errors. *)
+let try_inline t ~t0 ~deadline_ms ~tid input =
+  match deadline_ms with
+  | Some d when (Unix.gettimeofday () -. t0) *. 1e3 >= float d -> None
+  | Some _ | None ->
+    let it0 = Telemetry.Tracing.start_for tid in
+    let out = t.inline input in
+    if it0 <> 0 then
+      Telemetry.Tracing.finish
+        ~note:(if Option.is_some out then "inline" else "declined")
+        ~tid Telemetry.Tracing.Fastpath it0;
+    out
+
+(* A request the inline route declined, holding its admission slot:
+   the pool's own admission (queue depth, projected wait), then the
+   supervisor.  Only pool requests queue, so only they are shed
+   queue-full or overload, and only they feed the EWMA. *)
+let convert_pooled t conn ~t0 ~deadline_ms ~tid input : Wire.reply * slot =
   let c = t.core in
-  let mt0 = Telemetry.Tracing.start_for tid in
-  let hit = Option.bind t.memo (fun memo -> Memo.find memo input) in
-  Telemetry.Tracing.finish
-    ~note:(if Option.is_some hit then "hit" else "miss")
-    ~tid Telemetry.Tracing.Memo_lookup mt0;
   Mutex.lock c.m;
-  c.n_requests <- c.n_requests + 1;
   let refused =
-    if c.phase <> Running then Some (shed_drain c)
-    else if Option.is_some hit then None
-    else if c.in_flight >= t.cfg.admission_capacity then Some (shed_full t c)
+    if c.queued >= t.cfg.admission_capacity then Some (shed_full t c)
     else
       (* adaptive admission: shed when the projected queue wait alone
          already exceeds the request's deadline — converting would only
@@ -232,22 +245,19 @@ let convert_one t conn ~t0 ~deadline_ms ~tid input : Wire.reply * bool =
         Some (shed_overload c ~deadline_ms:d ~projected)
       | Some _ | None -> None
   in
-  match (refused, hit) with
-  | Some reply, _ ->
+  match refused with
+  | Some reply ->
+    leave_flight c;
     Mutex.unlock c.m;
-    (reply, false)
-  | None, Some out ->
-    c.n_ok <- c.n_ok + 1;
-    c.n_cache_hits <- c.n_cache_hits + 1;
-    Mutex.unlock c.m;
-    (Wire.Converted out, false)
-  | None, None -> (
-    c.in_flight <- c.in_flight + 1;
+    (reply, No_slot)
+  | None -> (
+    c.queued <- c.queued + 1;
     Mutex.unlock c.m;
     match Supervisor.submit t.sup ?deadline_ms ~tid ~lineno:conn.id input with
     | () ->
       Mutex.lock c.m;
       let r = await c conn in
+      c.queued <- c.queued - 1;
       (match r.Supervisor.outcome with
       | Supervisor.Done _ -> c.n_ok <- c.n_ok + 1
       | Supervisor.Degraded _ -> c.n_deg <- c.n_deg + 1
@@ -264,23 +274,64 @@ let convert_one t conn ~t0 ~deadline_ms ~tid input : Wire.reply * bool =
         | Supervisor.Degraded out -> Wire.Degraded out
         | Supervisor.Failed e ->
           Wire.Failed { cls = Error.category e; detail = Error.to_string e }),
-        true )
+        Pool_slot )
     | exception _ ->
       (* the supervisor refused the submission (can only happen if it
          was shut down under us, which drain's in-flight wait rules out
          — defensive, not expected) *)
       Mutex.lock c.m;
+      c.queued <- c.queued - 1;
       let reply = shed_drain c in
       Mutex.unlock c.m;
-      (reply, true))
+      (reply, Pool_slot))
 
-let release_admission t =
+(* One conversion request on [conn], through cache, admission and one
+   of the two routes; [t0] is its arrival time.  Returns the reply to
+   write plus the slot it holds; the caller must {!release_admission}
+   only AFTER writing the reply — drain's in-flight wait keys off it,
+   and releasing before the write would let drain shut the client down
+   between computing a reply and delivering it (losing an accepted
+   request).  A memo miss takes its slot before it converts, on either
+   route, so a drain that starts mid-conversion waits for its reply;
+   new requests are shed only while draining.  Never raises. *)
+let convert_one t conn ~t0 ~deadline_ms ~tid input : Wire.reply * slot =
+  let c = t.core in
+  let mt0 = Telemetry.Tracing.start_for tid in
+  let hit = Option.bind t.memo (fun memo -> Memo.find memo input) in
+  Telemetry.Tracing.finish
+    ~note:(if Option.is_some hit then "hit" else "miss")
+    ~tid Telemetry.Tracing.Memo_lookup mt0;
+  Mutex.lock c.m;
+  c.n_requests <- c.n_requests + 1;
+  if c.phase <> Running then begin
+    let reply = shed_drain c in
+    Mutex.unlock c.m;
+    (reply, No_slot)
+  end
+  else
+    match hit with
+    | Some out ->
+      c.n_ok <- c.n_ok + 1;
+      c.n_cache_hits <- c.n_cache_hits + 1;
+      Mutex.unlock c.m;
+      (Wire.Converted out, No_slot)
+    | None -> (
+      c.in_flight <- c.in_flight + 1;
+      Mutex.unlock c.m;
+      match try_inline t ~t0 ~deadline_ms ~tid input with
+      | Some out -> (Wire.Converted out, Inline_slot)
+      | None -> convert_pooled t conn ~t0 ~deadline_ms ~tid input)
+
+(* An inline answer is counted here, after its write, in the section
+   that frees its slot. *)
+let release_admission t slot =
   let c = t.core in
   Mutex.lock c.m;
-  c.in_flight <- c.in_flight - 1;
-  (* only [finish_drain] waits for in_flight: waking [wait]'s thread on
-     every reply would make it compete for [c.m] and the runtime lock *)
-  if c.in_flight = 0 && c.phase <> Running then Condition.broadcast c.cv;
+  if slot = Inline_slot then begin
+    c.n_ok <- c.n_ok + 1;
+    c.n_inline <- c.n_inline + 1
+  end;
+  leave_flight c;
   Mutex.unlock c.m
 
 let timed_convert t conn ~deadline_ms ~tid input =
@@ -294,13 +345,13 @@ let timed_convert t conn ~deadline_ms ~tid input =
 (* Write a conversion reply, then release its admission slot (write
    failures to a vanished client release too — the reply was produced
    and delivery attempted, which is all drain can wait for). *)
-let write_conv_reply t fd ~tid (reply, admitted) =
+let write_conv_reply t fd ~tid (reply, slot) =
   let wt0 = Telemetry.Tracing.start_for tid in
-  if admitted then
+  if slot = No_slot then write_all fd (Wire.render_reply reply)
+  else
     Fun.protect
-      ~finally:(fun () -> release_admission t)
-      (fun () -> write_all fd (Wire.render_reply reply))
-  else write_all fd (Wire.render_reply reply);
+      ~finally:(fun () -> release_admission t slot)
+      (fun () -> write_all fd (Wire.render_reply reply));
   Telemetry.Tracing.finish ~tid Telemetry.Tracing.Wire_write wt0;
   reply
 
@@ -319,16 +370,17 @@ let empty_cache_stats =
     }
 
 (* The Supervisor is read after [core.m] is released, so its lock never
-   nests inside this one; after drain its final statistics stand in. *)
+   nests inside this one; after drain it still reports its final
+   counts. *)
 let stats t =
   let c = t.core in
   Mutex.lock c.m;
-  let final = t.final_sup in
   let connections = c.conns_total
   and active_connections = c.conns_active
   and requests = c.n_requests
   and replies_ok = c.n_ok
   and cache_hits = c.n_cache_hits
+  and inline = c.n_inline
   and replies_degraded = c.n_deg
   and replies_failed = c.n_failed
   and shed_queue_full = c.n_shed_full
@@ -336,9 +388,7 @@ let stats t =
   and shed_draining = c.n_shed_drain
   and proto_errors = c.n_proto in
   Mutex.unlock c.m;
-  let supervisor =
-    match final with Some s -> s | None -> Supervisor.stats t.sup
-  in
+  let supervisor = Supervisor.stats t.sup in
   let cache =
     match t.memo with Some memo -> Memo.stats memo | None -> empty_cache_stats
   in
@@ -348,6 +398,7 @@ let stats t =
     requests;
     replies_ok;
     cache_hits;
+    inline;
     replies_degraded;
     replies_failed;
     shed_queue_full;
@@ -377,6 +428,7 @@ let stats_json t =
   field "requests" s.requests;
   field "replies_ok" s.replies_ok;
   field "cache_hits" s.cache_hits;
+  field "inline" s.inline;
   field "replies_degraded" s.replies_degraded;
   field "replies_failed" s.replies_failed;
   field "shed_queue_full" s.shed_queue_full;
@@ -535,15 +587,18 @@ let finish_drain t =
   c.phase <- Draining;
   Mutex.unlock c.m;
   (try Unix.close t.sock with Unix.Unix_error (_, _, _) -> ());
+  (match t.spec with
+  | Addr.Unix_path p -> ( try Sys.remove p with Sys_error _ -> ())
+  | Addr.Tcp _ -> ());
   (* every admitted request must be answered before the pool stops *)
   Mutex.lock c.m;
   while c.in_flight > 0 do
     Condition.wait c.cv c.m
   done;
   Mutex.unlock c.m;
-  let sup_stats = Supervisor.shutdown t.sup in
+  ignore (Supervisor.shutdown t.sup : Supervisor.stats);
+  (* the last step: [wait] returns once it sees [Drained] *)
   Mutex.lock c.m;
-  t.final_sup <- Some sup_stats;
   c.phase <- Drained;
   (* wake connection threads blocked in read: close() alone would not *)
   Hashtbl.iter
@@ -552,10 +607,7 @@ let finish_drain t =
       with Unix.Unix_error (_, _, _) -> ())
     c.clients;
   Condition.broadcast c.cv;
-  Mutex.unlock c.m;
-  match t.spec with
-  | Addr.Unix_path p -> ( try Sys.remove p with Sys_error _ -> ())
-  | Addr.Tcp _ -> ()
+  Mutex.unlock c.m
 
 let rec accept_loop t =
   if Atomic.get t.stop then finish_drain t
@@ -593,7 +645,6 @@ let wait t =
     Condition.wait c.cv c.m
   done;
   Mutex.unlock c.m;
-  (match t.accept_thread with Some th -> Thread.join th | None -> ());
   stats t
 
 let address t = t.addr_str
@@ -614,7 +665,7 @@ let listen_on addr =
      (raise e) [@lint.can_raise Unix_error]);
   sock
 
-let start ?(config = default_config) ~convert spec =
+let start ?(config = default_config) ~inline ~convert spec =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
   match Result.map listen_on (Addr.sockaddr spec) with
@@ -638,11 +689,13 @@ let start ?(config = default_config) ~convert spec =
         clients = Hashtbl.create 16;
         phase = Running;
         in_flight = 0;
+        queued = 0;
         conns_total = 0;
         conns_active = 0;
         n_requests = 0;
         n_ok = 0;
         n_cache_hits = 0;
+        n_inline = 0;
         n_deg = 0;
         n_failed = 0;
         n_shed_full = 0;
@@ -672,12 +725,11 @@ let start ?(config = default_config) ~convert spec =
         addr_str;
         tcp_port;
         sup;
+        inline;
         memo;
         started = Unix.gettimeofday ();
         stop = Atomic.make false;
-        accept_thread = None;
-        final_sup = None;
       }
     in
-    t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
+    ignore (Thread.create (fun () -> accept_loop t) () : Thread.t);
     Result.Ok t

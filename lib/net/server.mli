@@ -3,14 +3,24 @@
 
     One listener (Unix-domain or TCP socket) accepts connections on a
     dedicated thread; each connection is served by its own thread
-    speaking the {!Wire} protocol, while conversions run on the
-    {!Service.Supervisor} worker domains — so a slow or stalled client
-    can never block another client or a worker.
+    speaking the {!Wire} protocol.  A conversion takes one of two
+    routes, chosen per request after a memo miss:
+
+    {ul
+    {- {e inline}: the connection thread runs the bignum-free [inline]
+       function itself (for bdprintd, {!Conversion.inline}: the
+       reader's fast tiers, then the table tier) and writes its answer.
+       No worker, no wake-up, no memo fill.}
+    {- {e pool}: whatever [inline] declines, and every request whose
+       deadline has already expired, goes to the {!Service.Supervisor}
+       worker domains, which run [convert] under their watchdog, retry
+       and breaker — so a slow or stalled conversion can never block
+       another client or the connection threads.}}
 
     A connection has at most one conversion in flight: its thread waits
     for each reply, within a [BATCH] too, before it reads on.  So each
     connection owns one waiter, made at accept and kept with its socket
-    under the daemon's one mutex.  A missed request goes to the
+    under the daemon's one mutex.  A pool request goes to the
     supervisor labelled with the connection's id, and the supervisor
     domain that emits the reply posts it to that waiter.
 
@@ -18,13 +28,14 @@
 
     {ul
     {- {e Bounded admission with explicit shedding}: at most
-       [admission_capacity] conversion requests are in flight across all
-       connections.  A request beyond the bound is answered
+       [admission_capacity] pool requests are in flight across all
+       connections.  A pool request beyond the bound is answered
        [SHED queue-full] {e immediately} — the daemon never queues
-       unboundedly and never silently drops.  An {e adaptive} controller
-       additionally sheds ([SHED overload]) a deadline-carrying request
-       whose projected queue wait (in-flight depth × the live
-       service-time EWMA ÷ workers) already exceeds its deadline —
+       unboundedly and never silently drops.  Inline answers never
+       queue, so they are never shed this way.  An {e adaptive} controller
+       additionally sheds ([SHED overload]) a deadline-carrying pool
+       request whose projected queue wait (pool depth × the live
+       pool service-time EWMA ÷ workers) already exceeds its deadline —
        refusing fast beats converting a reply that arrives dead.  Both
        sheds carry a machine-readable [retry-after-ms] hint derived from
        the same EWMA.}
@@ -44,13 +55,15 @@
        answered through the breaker-backed [%.17g] degraded fallback and
        healed by automatic respawn — the daemon itself never dies.}
     {- {e Hot-value cache}: a bounded FIFO memo table ({!Memo}) in
-       front of the pipeline; every exact pipeline output is cached and
-       nothing else, so hits are always correct.}
+       front of both routes; every answer the pool computed is cached
+       and nothing else, so hits are always correct and an inline
+       answer, which costs about what a lookup does, takes no entry.}
     {- {e Graceful drain}: {!drain} (wired to SIGTERM/SIGINT by
        [bdprintd]) stops accepting, answers new conversion requests with
-       [SHED draining], finishes every admitted request, shuts the
-       supervisor down, and wakes {!wait} — losing no accepted
-       request.}} *)
+       [SHED draining], finishes every admitted request on either route
+       (an inline answer holds an admission slot until it is written),
+       shuts the supervisor down, and wakes {!wait} — losing no
+       accepted request.}} *)
 
 type config = {
   jobs : int;  (** supervisor worker domains *)
@@ -71,8 +84,9 @@ type stats = {
   connections : int;  (** accepted since start *)
   active_connections : int;
   requests : int;  (** conversion requests (CONV + batch items) *)
-  replies_ok : int;  (** includes cache hits *)
+  replies_ok : int;  (** includes cache hits and inline answers *)
   cache_hits : int;
+  inline : int;  (** answered on the connection thread *)
   replies_degraded : int;
   replies_failed : int;
   shed_queue_full : int;
@@ -88,16 +102,26 @@ type t
 
 val start :
   ?config:config ->
+  inline:(string -> string option) ->
   convert:(string -> (string, Robust.Error.t) result) ->
   Addr.t ->
   (t, Robust.Error.t) result
 (** Binds the listener (TCP port 0 binds an ephemeral port), spawns the
     supervisor pool and the accept thread, and returns immediately.
     Binding failures (address in use, bad path, a host that does not
-    resolve) surface as [Error (Internal _)].  [convert] runs on
-    worker domains and must be safe to call concurrently.  SIGPIPE is
-    set to ignore: client disconnects surface as [EPIPE] writes handled
-    per connection. *)
+    resolve) surface as [Error (Internal _)].  bdprintd passes
+    {!Conversion.inline} and {!Conversion.convert}.
+
+    [inline] runs on connection threads — systhreads of the domain that
+    called [start] — after a memo miss, unless the request's deadline
+    has already expired.  [Some] text is the reply; [None] sends the
+    request to the pool.  It must give [convert]'s bytes, must not
+    raise, and may touch only state that survives a thread switch
+    (atomics, read-only tables, the {!Fastpath} pool with its busy
+    guard): no bignum scratch.  [fun _ -> None] sends every request to
+    the pool.  [convert] runs on worker domains and must be safe to
+    call concurrently.  SIGPIPE is set to ignore: client disconnects
+    surface as [EPIPE] writes handled per connection. *)
 
 val address : t -> string
 (** The bound address, e.g. ["127.0.0.1:43117"] or a socket path — for

@@ -11,7 +11,9 @@
 
    Everything the scanner does not accept ([_] separators, [inf]/[nan],
    syntax errors, inputs over the length budget or past a deadline)
-   goes to [Exact.parse], the one source of structured errors. *)
+   goes to [Exact.parse], the one source of structured errors.  [tiers]
+   is the same scan with steps 1 and 2 alone: it answers [nan] where
+   [read] goes on to step 3 or to [Exact.parse]. *)
 
 module Nat = Bignum.Nat
 module Budget = Robust.Budget
@@ -228,6 +230,16 @@ let resolve s ~first ~stop ~e10 a =
 (* ------------------------------------------------------------------ *)
 (* Reading *)
 
+(* What a read gives back.  [Tiers]: the binary64 alone, or [nan] where
+   the answer needs a bignum; no input the tiers answer reads as a NaN.
+   [Full]: the result, with the bignum steps run. *)
+type _ route =
+  | Tiers : float route
+  | Full : (float, Robust.Error.t) result route
+
+let[@inline] answer : type r. r route -> float -> r =
+ fun route x -> match route with Tiers -> x | Full -> Ok x
+
 (* Everything the scanner hands over: errors, specials, separators. *)
 let read_exact s =
   guarded (fun () ->
@@ -243,9 +255,14 @@ let read_exact s =
           Ok (Fp.Ieee.compose (Exact.read_decimal Fp.Format_spec.binary64 d))
         end)
 
-let read s =
+let hand_over : type r. r route -> string -> r =
+ fun route s -> match route with Tiers -> Float.nan | Full -> read_exact s
+
+(* The one scanner, for both routes. *)
+let scan : type r. r route -> string -> r =
+ fun route s ->
   let len = String.length s in
-  if not (Budget.input_length_ok len) then read_exact s
+  if not (Budget.input_length_ok len) then hand_over route s
   else begin
     let neg = len > 0 && s.[0] = '-' in
     let i = ref (if len > 0 && (s.[0] = '-' || s.[0] = '+') then 1 else 0) in
@@ -291,11 +308,11 @@ let read s =
       ok := !i > start;
       exp := esign * min !exp Exact.exp_clamp
     end;
-    if (not !ok) || !i <> len then read_exact s
+    if (not !ok) || !i <> len then hand_over route s
     else begin
       Budget.observe_input_length len;
       let q = !exp + !scale in
-      if !nd = 0 then Ok (if neg then -0. else 0.)
+      if !nd = 0 then answer route (if neg then -0. else 0.)
       else if !nd <= 18 && !w <= two53 && q >= -22 && q <= 22 then begin
         (* Clinger: both operands exact, one IEEE operation *)
         count n_exact;
@@ -303,7 +320,7 @@ let read s =
           if q >= 0 then float_of_int !w *. exact_pow10.(q)
           else float_of_int !w /. exact_pow10.(-q)
         in
-        Ok (if neg then -.x else x)
+        answer route (if neg then -.x else x)
       end
       else begin
         (* w = wh·2^32 + wl, with the 19th digit joined in *)
@@ -312,7 +329,7 @@ let read s =
         let wh = ((!w lsr 32) * k) + (low lsr 32) and wl = low land mask32 in
         if not !truncated then begin
           count n_extended;
-          Ok (product neg wh wl q)
+          answer route (product neg wh wl q)
         end
         else begin
           let a = product neg wh wl q in
@@ -320,14 +337,19 @@ let read s =
           let b = product neg (wh + (wl1 lsr 32)) (wl1 land mask32) q in
           if Int64.bits_of_float a = Int64.bits_of_float b then begin
             count n_extended;
-            Ok a
+            answer route a
           end
-          else begin
-            count n_fallback;
-            let frac_len = if !dot >= 0 then stop - !dot - 1 else 0 in
-            resolve s ~first ~stop ~e10:(!exp - frac_len) a
-          end
+          else
+            match route with
+            | Tiers -> Float.nan
+            | Full ->
+              count n_fallback;
+              let frac_len = if !dot >= 0 then stop - !dot - 1 else 0 in
+              resolve s ~first ~stop ~e10:(!exp - frac_len) a
         end
       end
     end
   end
+
+let tiers s = scan Tiers s
+let read s = scan Full s

@@ -34,8 +34,19 @@ val read : string -> (float, Robust.Error.t) result
     raises; shares the exact reader's structured errors and fast-reject
     gate. *)
 
+val tiers : string -> float
+(** The scan and its two bignum-free tiers alone, the same scanner
+    {!read} runs: the binary64 {!read} gives for [s], or [nan] where
+    {!read} needs a bignum or {!Exact.parse} (the comparison past 19
+    digits, [_] separators, [inf]/[nan], errors, inputs over the length
+    budget or past a deadline).  No input it answers reads as a NaN.
+    Counts its exact and extended answers as {!read} does; a [nan]
+    counts in no tier.  Allocates only the boxed result, and touches no
+    bignum state, so a systhread may call it. *)
+
 type stats = { exact : int; extended : int; fallback : int }
 
 val stats : unit -> stats
 (** Monotonic tier counters, for the ablation bench.  Zeros, [inf],
-    [nan] and errors count in no tier. *)
+    [nan] and errors count in no tier.  They count attempts: a value
+    {!tiers} answers and {!read} then reads again counts twice. *)

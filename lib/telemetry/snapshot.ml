@@ -246,19 +246,15 @@ let write_files t path =
   write_file (prom_path path) (to_prometheus t)
 
 (* ------------------------------------------------------------------ *)
-(* The "stats:" pretty-printer (bdprint --stats).  [degraded] and
-   [retries] keep their places in the first line, but the stream fills
-   neither series, so both read 0. *)
+(* The "stats:" pretty-printer (bdprint --stats). *)
 
 let pp_stream ppf t =
   let c ?labels name = counter_value ?labels t name in
   Format.fprintf ppf
-    "stats: submitted=%d ok=%d degraded=%d retries=%d@\n\
+    "stats: submitted=%d ok=%d@\n\
      stats: errors: syntax=%d range=%d budget=%d internal=%d"
     (c "bdprint_conversions_total")
     (c ~labels:[ ("result", "ok") ] "bdprint_conversion_results_total")
-    (c ~labels:[ ("result", "degraded") ] "bdprint_conversion_results_total")
-    (c "bdprint_service_retries_total")
     (c ~labels:[ ("class", "syntax") ] "bdprint_conversion_errors_total")
     (c ~labels:[ ("class", "range") ] "bdprint_conversion_errors_total")
     (c ~labels:[ ("class", "budget") ] "bdprint_conversion_errors_total")

@@ -255,7 +255,7 @@ let test_stats_flag () =
     [ "0.1"; "1e23" ] out;
   Alcotest.(check (list string)) "stats on stderr"
     [
-      "stats: submitted=2 ok=2 degraded=0 retries=0";
+      "stats: submitted=2 ok=2";
       "stats: errors: syntax=0 range=0 budget=0 internal=0";
     ]
     err;

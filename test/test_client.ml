@@ -15,15 +15,10 @@ module Wire = Net.Wire
 module Error = Robust.Error
 module Faults = Robust.Faults
 
-let convert_real input =
-  match
-    Reader.read ~mode:Fp.Rounding.To_nearest_even Fp.Format_spec.binary64 input
-  with
-  | Error _ as e -> e
-  | Ok v ->
-    Dragon.Printer.print_value ~base:10 ~mode:Fp.Rounding.To_nearest_even
-      ~strategy:Dragon.Scaling.Fast_estimate ~notation:Dragon.Render.Auto
-      Fp.Format_spec.binary64 v
+(* bdprintd's own conversion; [pool_only] is the inline route of a
+   server whose injected slow [convert] must see every request *)
+let convert_real = Net.Conversion.convert
+let pool_only _ = None
 
 (* tight timeouts and cooldowns so failure paths run in milliseconds *)
 let quick_config =
@@ -36,8 +31,10 @@ let quick_config =
   }
 
 let start_server ?(config = Server.default_config) ?(port = 0)
-    ?(convert = convert_real) () =
-  match Server.start ~config ~convert (Addr.Tcp ("127.0.0.1", port)) with
+    ?(inline = Net.Conversion.inline) ?(convert = convert_real) () =
+  match
+    Server.start ~config ~inline ~convert (Addr.Tcp ("127.0.0.1", port))
+  with
   | Result.Ok s -> s
   | Result.Error e -> Alcotest.failf "server start: %s" (Error.to_string e)
 
@@ -281,7 +278,7 @@ let test_shed_retry_after_honored () =
       cache_capacity = 0;
     }
   in
-  let server = start_server ~config ~convert:slow () in
+  let server = start_server ~config ~inline:pool_only ~convert:slow () in
   Fun.protect ~finally:(fun () -> stop_server server) @@ fun () ->
   let port = Option.get (Server.port server) in
   let c =
@@ -329,7 +326,7 @@ let test_client_deadline () =
     convert_real input
   in
   let config = { Server.default_config with Server.cache_capacity = 0 } in
-  let server = start_server ~config ~convert:slow () in
+  let server = start_server ~config ~inline:pool_only ~convert:slow () in
   Fun.protect ~finally:(fun () -> stop_server server) @@ fun () ->
   let c = Client.create ~config:quick_config [ server_addr server ] in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
@@ -352,7 +349,7 @@ let test_hedged_requests () =
   let lame =
     start_server
       ~config:{ Server.default_config with Server.cache_capacity = 0 }
-      ~convert:slow ()
+      ~inline:pool_only ~convert:slow ()
   in
   Fun.protect
     ~finally:(fun () ->

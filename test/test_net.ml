@@ -1,11 +1,13 @@
 (* Tests for the networked conversion daemon (lib/net): the Wire
    protocol grammar, the Memo cache (FIFO order, bounds under
-   concurrency),
-   and the Server engine end-to-end over real TCP sockets — verbs,
+   concurrency), and the Server engine end-to-end over real TCP sockets
+   — verbs, both conversion routes (inline on the connection thread and
+   the worker pool: order, STATS, traces, deadlines, the closed tier),
    explicit load shedding, protocol-error resynchronisation, graceful
    drain (no accepted request lost), and a chaos run with the network
    fault points and worker-kill armed, verifying zero wrong
-   conversions. *)
+   conversions.  Tests whose injected [convert] must see every request
+   pass [pool_only] as the inline route. *)
 
 module Wire = Net.Wire
 module Memo = Net.Memo
@@ -14,15 +16,10 @@ module Line_reader = Net.Line_reader
 module Error = Robust.Error
 module Faults = Robust.Faults
 
-let convert_real input =
-  match
-    Reader.read ~mode:Fp.Rounding.To_nearest_even Fp.Format_spec.binary64 input
-  with
-  | Error _ as e -> e
-  | Ok v ->
-    Dragon.Printer.print_value ~base:10 ~mode:Fp.Rounding.To_nearest_even
-      ~strategy:Dragon.Scaling.Fast_estimate ~notation:Dragon.Render.Auto
-      Fp.Format_spec.binary64 v
+(* bdprintd's own conversion; [pool_only] is the inline route of a
+   server whose injected [convert] must see every request *)
+let convert_real = Net.Conversion.convert
+let pool_only _ = None
 
 (* {2 Wire} *)
 
@@ -291,9 +288,12 @@ let recv_reply c =
     Wire.Payload { verb; body = recv_body c n }
   | Ok r -> r
 
-let with_server ?config ?(convert = convert_real) f =
+let with_server ?config ?(inline = Net.Conversion.inline)
+    ?(convert = convert_real) f =
   let server =
-    match Server.start ?config ~convert (Net.Addr.Tcp ("127.0.0.1", 0)) with
+    match
+      Server.start ?config ~inline ~convert (Net.Addr.Tcp ("127.0.0.1", 0))
+    with
     | Result.Ok s -> s
     | Result.Error e -> Alcotest.failf "server start: %s" (Error.to_string e)
   in
@@ -327,9 +327,14 @@ let test_server_verbs () =
       | r -> Alcotest.failf "expected READY, got %s" (Wire.render_reply r));
       send c "CONV 0.1\n";
       Alcotest.(check bool) "conv" true (recv_reply c = Wire.Converted "0.1");
-      send c "CONV 0.1\n";
+      (* the table tier never certifies an exact decimal: 3.75 goes to
+         the pool, whose answers the memo keeps *)
+      send c "CONV 3.75\n";
+      Alcotest.(check bool) "conv exact" true
+        (recv_reply c = Wire.Converted "3.75");
+      send c "CONV 3.75\n";
       Alcotest.(check bool) "conv cached" true
-        (recv_reply c = Wire.Converted "0.1");
+        (recv_reply c = Wire.Converted "3.75");
       send c "CONV 1e23\n";
       Alcotest.(check bool) "conv sci" true (recv_reply c = Wire.Converted "1e23");
       send c "CONV bogus\n";
@@ -362,7 +367,7 @@ let test_server_verbs () =
       Alcotest.(check bool) "bye" true (recv_reply c = Wire.Bye);
       close c;
       let s = Server.stats server in
-      Alcotest.(check int) "requests" 7 s.Server.requests;
+      Alcotest.(check int) "requests" 8 s.Server.requests;
       Alcotest.(check int) "cache hit" 1 s.Server.cache_hits;
       Alcotest.(check int) "proto clean" 0 s.Server.proto_errors)
 
@@ -415,13 +420,24 @@ let test_server_pipelined_proto_resync () =
       let s = Server.stats server in
       Alcotest.(check int) "both proto errors counted" 2 s.Server.proto_errors)
 
-(* Every span site a traced daemon request crosses lands under the wire
-   trace id, with its stage name and note: the connection thread's memo
-   lookup, wire write and request root, the queue wait that the
+(* Whether this run's table tier is open, and with it the inline route:
+   BDPRINT_NO_FASTPATH=1, BDPRINT_FORCE_PURE=1 and armed fault points
+   close it. *)
+let tier_open () =
+  Dragon.Free_format.tier_open ~base:10 ~mode:Fp.Rounding.To_nearest_even
+    Fp.Format_spec.binary64
+
+(* Every span site a traced daemon request crosses lands under its own
+   trace id, with its stage name and note, on either route.  0.1
+   (TID=7) is answered inline: the connection thread's memo lookup, its
+   fastpath span noted "inline", the wire write and the request root,
+   and nothing of the pool.  3.75 (TID=8) is a table-tier decline: the
+   inline attempt noted "declined", then the queue wait that the
    submitting thread opens and the worker closes, and the worker's
-   service and pipeline spans.  The connection thread closes wire-write
-   and request only after it writes the reply, so the PONG that follows
-   on the same connection proves both are recorded. *)
+   service and pipeline spans.  With the tier closed, both take the
+   second path.  The connection thread closes wire-write and request
+   only after it writes the reply, so the PONG that follows on the same
+   connection proves both are recorded. *)
 let test_server_trace_spans () =
   let module Tracing = Telemetry.Tracing in
   let was = Tracing.enabled () in
@@ -435,42 +451,67 @@ let test_server_trace_spans () =
   with_server (fun _server port ->
       let c = connect port in
       send c "CONV TID=7 0.1\n";
-      Alcotest.(check bool) "conv" true (recv_reply c = Wire.Converted "0.1");
+      Alcotest.(check bool) "conv 0.1" true (recv_reply c = Wire.Converted "0.1");
+      send c "CONV TID=8 3.75\n";
+      Alcotest.(check bool) "conv 3.75" true
+        (recv_reply c = Wire.Converted "3.75");
       send c "PING\n";
       Alcotest.(check bool) "pong" true (recv_reply c = Wire.Pong);
       close c);
-  (* (stage, args tail) of every span under trace id 7; the tail is
+  (* (stage, args tail) of every span under trace id [id]; the tail is
      [,"note":"..."] or empty *)
-  let spans =
-    String.split_on_char '\n' (Tracing.to_chrome_json ~pid:1 ())
+  let json = Tracing.to_chrome_json ~pid:1 () in
+  let spans id =
+    String.split_on_char '\n' json
     |> List.filter_map (fun line ->
            try
              Scanf.sscanf line
                ("{\"name\":\"%[^\"]\",\"cat\":\"bdprint\",\"ph\":\"X\","
                ^^ "\"ts\":%_f,\"dur\":%_f,\"pid\":1,\"tid\":%d,"
                ^^ "\"args\":{\"dom\":%_d%[^}]")
-               (fun name tid tail ->
-                 if tid = 7 then Some (name, tail) else None)
+               (fun name tid tail -> if tid = id then Some (name, tail) else None)
            with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
   in
-  (* the worker takes the table tier when its gate is open, else the
-     exact tier's three stages *)
-  let tier =
-    if
-      Fastpath.enabled ()
-      && (not (Dragon.Generate.force_pure ()))
-      && not (Faults.any_armed ())
-    then [ "fastpath" ]
-    else [ "boundaries"; "scale"; "generate" ]
+  let noted note = Printf.sprintf {|,"note":"%s"|} note in
+  let expect id spans present absent =
+    List.iter
+      (fun span ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s under id %d" (fst span) id)
+          true
+          (if snd span = "" then List.mem_assoc (fst span) spans
+           else List.mem span spans))
+      present;
+    List.iter
+      (fun stage ->
+        Alcotest.(check bool)
+          (Printf.sprintf "no %s under id %d" stage id)
+          false (List.mem_assoc stage spans))
+      absent
   in
-  Alcotest.(check bool) "memo-lookup noted miss" true
-    (List.mem ("memo-lookup", {|,"note":"miss"|}) spans);
-  List.iter
-    (fun stage ->
-      Alcotest.(check bool) (stage ^ " under id 7") true
-        (List.mem_assoc stage spans))
-    ([ "queue-wait"; "worker-service" ] @ tier
-    @ [ "render"; "wire-write"; "request" ])
+  let ends = [ ("wire-write", ""); ("request", "") ] in
+  let pool tier =
+    [
+      ("memo-lookup", noted "miss");
+      ("fastpath", noted "declined");
+      ("queue-wait", "");
+      ("worker-service", "");
+    ]
+    @ List.map (fun stage -> (stage, "")) tier
+    @ (("render", "") :: ends)
+  in
+  let exact = [ "boundaries"; "scale"; "generate" ] in
+  if tier_open () then begin
+    expect 7 (spans 7)
+      ([ ("memo-lookup", noted "miss"); ("fastpath", noted "inline") ] @ ends)
+      [ "queue-wait"; "worker-service" ];
+    (* the worker's own table-tier attempt on 3.75 is uncertain too *)
+    expect 8 (spans 8) (pool ("fastpath" :: exact)) []
+  end
+  else begin
+    expect 7 (spans 7) (pool exact) [];
+    expect 8 (spans 8) (pool exact) []
+  end
 
 (* Adaptive admission: with a known-slow service and a deadline shorter
    than the projected queue wait, the daemon refuses up front with
@@ -489,7 +530,7 @@ let test_server_overload_shed () =
       cache_capacity = 0;
     }
   in
-  with_server ~config ~convert:slow (fun server port ->
+  with_server ~config ~inline:pool_only ~convert:slow (fun server port ->
       let a = connect port in
       (* warm the service-time EWMA with one completed conversion *)
       send a "CONV 0.1\n";
@@ -513,9 +554,10 @@ let test_server_overload_shed () =
       Alcotest.(check bool) "overload shed counted" true
         (s.Server.shed_overload >= 1))
 
-(* Every exact output is memoized: a repeat is a cache hit.  STATS keeps
-   its cache_skips key at a constant 0, which perfbench's traced daemon
-   run reads. *)
+(* Every answer the pool computed is memoized: a repeat is a cache hit.
+   3.75 is pool-bound, since the table tier never certifies an exact
+   decimal.  STATS keeps its cache_skips key at a constant 0, which
+   perfbench's traced daemon run reads. *)
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
@@ -524,10 +566,10 @@ let contains haystack needle =
 let test_server_memo_hit () =
   with_server (fun server port ->
       let c = connect port in
-      send c "CONV 0.1\n";
-      Alcotest.(check bool) "a" true (recv_reply c = Wire.Converted "0.1");
-      send c "CONV 0.1\n";
-      Alcotest.(check bool) "b" true (recv_reply c = Wire.Converted "0.1");
+      send c "CONV 3.75\n";
+      Alcotest.(check bool) "a" true (recv_reply c = Wire.Converted "3.75");
+      send c "CONV 3.75\n";
+      Alcotest.(check bool) "b" true (recv_reply c = Wire.Converted "3.75");
       send c "STATS\n";
       (match recv_reply c with
       | Wire.Payload { verb = "STATS"; body } ->
@@ -645,7 +687,7 @@ let test_server_shedding () =
       cache_capacity = 0;
     }
   in
-  with_server ~config ~convert:slow (fun server port ->
+  with_server ~config ~inline:pool_only ~convert:slow (fun server port ->
       let n = 6 in
       let replies = Array.make n Wire.Pong in
       let threads =
@@ -684,7 +726,7 @@ let test_server_drain_loses_nothing () =
   let config =
     { Server.default_config with Server.jobs = 2; cache_capacity = 0 }
   in
-  with_server ~config ~convert:slowish (fun server port ->
+  with_server ~config ~inline:pool_only ~convert:slowish (fun server port ->
       let n_threads = 4 in
       let sent = Array.make n_threads 0 in
       let answered = Array.make n_threads 0 in
@@ -872,7 +914,7 @@ let test_server_flight_admit_ids () =
   @@ fun () ->
   let per_conn = 30 in
   let config = { Server.default_config with Server.cache_capacity = 0 } in
-  with_server ~config (fun _server port ->
+  with_server ~config ~inline:pool_only (fun _server port ->
       let client k () =
         let c = connect port in
         for i = 1 to per_conn do
@@ -926,7 +968,7 @@ let test_server_deadline () =
     convert_real input
   in
   let config = { Server.default_config with Server.cache_capacity = 0 } in
-  with_server ~config ~convert:slow (fun _server port ->
+  with_server ~config ~inline:pool_only ~convert:slow (fun _server port ->
       let c = connect port in
       send c "DEADLINE 1\nCONV 0.1\n";
       Alcotest.(check bool) "ack" true (recv_reply c = Wire.Converted "deadline=1");
@@ -940,12 +982,158 @@ let test_server_deadline () =
         (recv_reply c = Wire.Converted "0.1");
       close c)
 
+(* The value of [key] in a STATS body. *)
+let stat body key =
+  let pat = Printf.sprintf "\"%s\":" key in
+  let n = String.length pat and nb = String.length body in
+  let rec go i =
+    if i + n > nb then Alcotest.failf "no %s in STATS: %s" key body
+    else if String.sub body i n = pat then
+      Scanf.sscanf (String.sub body (i + n) (nb - i - n)) "%d" Fun.id
+    else go (i + 1)
+  in
+  go 0
+
+let stats_body c =
+  send c "STATS\n";
+  match recv_reply c with
+  | Wire.Payload { verb = "STATS"; body } -> body
+  | r -> Alcotest.failf "bad STATS: %s" (Wire.render_reply r)
+
+(* Both routes on one connection, pipelined in one write.  0.1 and
+   123.456 are answered inline; the torture line, past 19 digits and
+   between two doubles, is a reader decline; 3.75 and 1e23 are
+   table-tier declines.  The replies come back in the order sent, with
+   the full conversion's bytes. *)
+let test_server_two_routes_in_order () =
+  let torture = "9007199254740993.000000000000000000001" in
+  let inputs = [ "0.1"; torture; "3.75"; "123.456"; "1e23" ] in
+  let table x =
+    Dragon.Printer.print_table ~mode:Fp.Rounding.To_nearest_even
+      ~notation:Dragon.Render.Auto x
+  in
+  Alcotest.(check bool) "the torture line is a reader decline" true
+    (Float.is_nan (Reader.Fast.tiers torture));
+  List.iter
+    (fun input ->
+      Alcotest.(check string) (input ^ " is a table-tier decline") ""
+        (table (Reader.Fast.tiers input)))
+    [ "3.75"; "1e23" ];
+  let inline = if tier_open () then 2 else 0 in
+  with_server (fun server port ->
+      let c = connect port in
+      send c
+        (String.concat "" (List.map (fun input -> "CONV " ^ input ^ "\n") inputs));
+      List.iter
+        (fun input ->
+          let want = Result.get_ok (convert_real input) in
+          Alcotest.(check bool) ("in order: " ^ input) true
+            (recv_reply c = Wire.Converted want))
+        inputs;
+      close c;
+      let s = Server.stats server in
+      Alcotest.(check int) "answered inline" inline s.Server.inline;
+      Alcotest.(check int) "sent to the pool" (5 - inline)
+        s.Server.supervisor.Service.Supervisor.submitted;
+      Alcotest.(check int) "all ok" 5 s.Server.replies_ok)
+
+(* An inline answer takes no worker and no memo entry: STATS' inline
+   count rises by one, and sup_submitted and cache_entries stay put.
+   With the tier closed, 0.1 goes to the pool instead. *)
+let test_server_inline_stats () =
+  with_server (fun _server port ->
+      let c = connect port in
+      let before = stats_body c in
+      send c "CONV 0.1\n";
+      Alcotest.(check bool) "conv" true (recv_reply c = Wire.Converted "0.1");
+      let after = stats_body c in
+      close c;
+      let delta key = stat after key - stat before key in
+      let inline = if tier_open () then 1 else 0 in
+      Alcotest.(check int) "inline" inline (delta "inline");
+      Alcotest.(check int) "sup_submitted" (1 - inline) (delta "sup_submitted");
+      Alcotest.(check int) "cache_entries" (1 - inline) (delta "cache_entries");
+      Alcotest.(check int) "replies_ok" 1 (delta "replies_ok"))
+
+(* An inline request takes its admission slot before it converts, so a
+   drain that starts while it converts waits for its reply instead of
+   shedding it.  The injected inline route stalls 0.4 s once begun. *)
+let test_server_drain_waits_for_inline () =
+  let started = Atomic.make false in
+  let slow_inline input =
+    Atomic.set started true;
+    Thread.delay 0.4;
+    Result.to_option (convert_real input)
+  in
+  with_server ~inline:slow_inline (fun server port ->
+      let c = connect port in
+      send c "CONV 0.1\n";
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while (not (Atomic.get started)) && Unix.gettimeofday () < deadline do
+        Thread.delay 0.001
+      done;
+      Server.drain server;
+      Alcotest.(check bool) "answered across the drain" true
+        (recv_reply c = Wire.Converted "0.1");
+      let final = Server.wait server in
+      close c;
+      Alcotest.(check int) "answered inline" 1 final.Server.inline;
+      Alcotest.(check int) "not shed" 0 final.Server.shed_draining;
+      Alcotest.(check int) "nothing submitted" 0
+        final.Server.supervisor.Service.Supervisor.submitted)
+
+(* A request whose deadline has already expired goes to the pool, the
+   one place that answers deadline errors: under a 0 ms default
+   deadline (bdprintd --deadline-ms 0) both routes' inputs get
+   ERR budget. *)
+let test_server_deadline_zero () =
+  let config =
+    { Server.default_config with Server.default_deadline_ms = Some 0 }
+  in
+  with_server ~config (fun server port ->
+      let c = connect port in
+      List.iter
+        (fun input ->
+          send c ("CONV " ^ input ^ "\n");
+          match recv_reply c with
+          | Wire.Failed { cls = "budget"; _ } -> ()
+          | r -> Alcotest.failf "CONV %s: %s" input (Wire.render_reply r))
+        [ "0.1"; "3.75" ];
+      close c;
+      Alcotest.(check int) "none inline" 0 (Server.stats server).Server.inline)
+
+(* With the table tier closed, every request goes to the pool: the
+   switch BDPRINT_NO_FASTPATH=1 turns off, and any armed fault point,
+   even one that never fires. *)
+let test_server_tier_closed () =
+  let all_pooled label =
+    with_server (fun server port ->
+        let c = connect port in
+        List.iter
+          (fun input ->
+            send c ("CONV " ^ input ^ "\n");
+            Alcotest.(check bool) (label ^ ": " ^ input) true
+              (recv_reply c = Wire.Converted input))
+          [ "0.1"; "123.456" ];
+        close c;
+        let s = Server.stats server in
+        Alcotest.(check int) (label ^ ": none inline") 0 s.Server.inline;
+        Alcotest.(check int) (label ^ ": both submitted") 2
+          s.Server.supervisor.Service.Supervisor.submitted)
+  in
+  let was = Dragon.Printer.fastpath_enabled () in
+  Dragon.Printer.set_fastpath_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Dragon.Printer.set_fastpath_enabled was)
+    (fun () -> all_pooled "no fast path");
+  Faults.arm ~probability:0.0 "nat.divmod";
+  Fun.protect ~finally:Faults.disarm_all (fun () -> all_pooled "armed fault")
+
 (* {2 The bdprintd binary} *)
 
-(* bdprintd's own conversion function, not [convert_real]: a hex
-   literal must take the same route as under bdprint --stdin, which
-   prints 1.0 for "+0x1p0" and reports no hex digits in "0x". *)
-let test_daemon_hex_routing () =
+(* A bdprintd subprocess with [args] and [env] added to this process's
+   environment, one connection to it, and [f] on that connection. *)
+let with_daemon ?(env = [||]) args f =
   let exe =
     Filename.concat
       (Filename.dirname (Filename.dirname Sys.executable_name))
@@ -953,8 +1141,9 @@ let test_daemon_hex_routing () =
   in
   let out_r, out_w = Unix.pipe () in
   let pid =
-    Unix.create_process exe
-      [| exe; "--listen"; "127.0.0.1:0"; "--jobs"; "1" |]
+    Unix.create_process_env exe
+      (Array.append [| exe; "--listen"; "127.0.0.1:0"; "--jobs"; "1" |] args)
+      (Array.append env (Unix.environment ()))
       Unix.stdin out_w Unix.stderr
   in
   Unix.close out_w;
@@ -975,7 +1164,13 @@ let test_daemon_hex_routing () =
     | None -> Alcotest.failf "bad handshake %S" line
   in
   let c = connect port in
-  Fun.protect ~finally:(fun () -> close c) @@ fun () ->
+  Fun.protect ~finally:(fun () -> close c) (fun () -> f c)
+
+(* bdprintd's own conversion function: a hex literal must take the
+   same route as under bdprint --stdin, which prints 1.0 for "+0x1p0"
+   and reports no hex digits in "0x". *)
+let test_daemon_hex_routing () =
+  with_daemon [||] @@ fun c ->
   send c "CONV +0x1p0\n";
   (match recv_reply c with
   | Wire.Converted "1.0" -> ()
@@ -986,6 +1181,25 @@ let test_daemon_hex_routing () =
     Alcotest.(check string) "CONV 0x detail"
       {|syntax error: no hex digits in "0x"|} detail
   | r -> Alcotest.failf "CONV 0x: %s" (Wire.render_reply r)
+
+(* bdprintd --deadline-ms 0 answers ERR budget for 0.1, an inline input
+   whose deadline expired before it could convert. *)
+let test_daemon_deadline_zero () =
+  with_daemon [| "--deadline-ms"; "0" |] @@ fun c ->
+  send c "CONV 0.1\n";
+  match recv_reply c with
+  | Wire.Failed { cls = "budget"; _ } -> ()
+  | r -> Alcotest.failf "CONV 0.1: %s" (Wire.render_reply r)
+
+(* BDPRINT_NO_FASTPATH=1 closes the table tier, and with it the inline
+   route: the daemon's worker answers 0.1. *)
+let test_daemon_no_fastpath () =
+  with_daemon ~env:[| "BDPRINT_NO_FASTPATH=1" |] [||] @@ fun c ->
+  send c "CONV 0.1\n";
+  Alcotest.(check bool) "conv" true (recv_reply c = Wire.Converted "0.1");
+  let body = stats_body c in
+  Alcotest.(check int) "none inline" 0 (stat body "inline");
+  Alcotest.(check int) "submitted" 1 (stat body "sup_submitted")
 
 let () =
   Alcotest.run "net"
@@ -1011,6 +1225,16 @@ let () =
           Alcotest.test_case "pipelined-proto-resync" `Quick
             test_server_pipelined_proto_resync;
           Alcotest.test_case "trace-spans" `Quick test_server_trace_spans;
+          Alcotest.test_case "two routes in order" `Quick
+            test_server_two_routes_in_order;
+          Alcotest.test_case "inline answer in STATS" `Quick
+            test_server_inline_stats;
+          Alcotest.test_case "drain waits for an inline request" `Quick
+            test_server_drain_waits_for_inline;
+          Alcotest.test_case "expired deadline on both routes" `Quick
+            test_server_deadline_zero;
+          Alcotest.test_case "closed tier sends all to the pool" `Quick
+            test_server_tier_closed;
           Alcotest.test_case "shedding" `Quick test_server_shedding;
           Alcotest.test_case "overload-shed" `Quick test_server_overload_shed;
           Alcotest.test_case "memo-hit" `Quick test_server_memo_hit;
@@ -1028,5 +1252,9 @@ let () =
         [
           Alcotest.test_case "hex routing matches bdprint" `Quick
             test_daemon_hex_routing;
+          Alcotest.test_case "--deadline-ms 0 answers ERR budget" `Quick
+            test_daemon_deadline_zero;
+          Alcotest.test_case "BDPRINT_NO_FASTPATH=1 sends all to the pool"
+            `Quick test_daemon_no_fastpath;
         ] );
     ]
