@@ -661,12 +661,14 @@ let kernel_bench ~size () =
 
    Targets BDPRINTD_ADDR (an externally started daemon, in bdprint
    --connect's address grammar — the CI smoke job's mode) or, absent
-   that, an in-process Net.Server on an ephemeral port.  Every reply is
-   verified against a fault-free client-side conversion (OK must match
-   exactly, DEG must read back to the same value), so a chaos-faulted
-   run proves zero wrong outputs under worker kills.  Latency percentiles and the daemon's
-   shed/degraded/cache counters land in BENCH_service.json; any wrong
-   output makes the bench exit non-zero. *)
+   that, an in-process Net.Server on an ephemeral port.  Every reply's
+   bytes are compared with a fault-free client-side conversion: an OK
+   must be its text, an ERR its error class, and anything else (an ERR
+   for a valid input, an unknown tag) is WRONG, so a chaos-faulted run
+   proves zero wrong outputs under worker kills.  Latency percentiles,
+   the ERR count and the daemon's shed, cache, retry and crash counters
+   land in BENCH_service.json; any wrong output makes the bench exit
+   non-zero. *)
 
 let daemon_bench ~size () =
   Printf.printf "%s\nDaemon: bdprintd load generation (closed loop + burst)\n"
@@ -757,18 +759,21 @@ let daemon_bench ~size () =
     let close t = try Unix.close t.fd with Unix.Unix_error (_, _, _) -> ()
   end in
   let n_ok = Atomic.make 0
-  and n_deg = Atomic.make 0
   and n_shed = Atomic.make 0
-  and n_err = Atomic.make 0
   and n_wrong = Atomic.make 0 in
+  let n_err =
+    List.map
+      (fun cls -> (cls, Atomic.make 0))
+      [ "syntax"; "range"; "budget"; "internal"; "proto" ]
+  in
   let classify input reply_line =
     match (Wire.parse_reply_line reply_line, Hashtbl.find_opt expected input) with
-    | Ok (Wire.Converted out), Some (Ok e) ->
-      if out = e then Atomic.incr n_ok else Atomic.incr n_wrong
-    | Ok (Wire.Degraded out), Some (Ok e) ->
-      if float_of_string out = float_of_string e then Atomic.incr n_deg
-      else Atomic.incr n_wrong
-    | Ok (Wire.Failed _), Some (Error _) -> Atomic.incr n_err
+    | Ok (Wire.Converted out), Some (Ok e) when out = e -> Atomic.incr n_ok
+    | Ok (Wire.Failed { cls; _ }), want -> (
+      Option.iter Atomic.incr (List.assoc_opt cls n_err);
+      match want with
+      | Some (Error e) when Robust.Error.category e = cls -> ()
+      | _ -> Atomic.incr n_wrong)
     | Ok (Wire.Shed _), _ -> Atomic.incr n_shed
     | _, _ -> Atomic.incr n_wrong
   in
@@ -883,15 +888,20 @@ let daemon_bench ~size () =
   Printf.printf "  burst       : %d requests, %.2f s, %.0f req/s\n"
     burst_requests burst_wall
     (float_of_int burst_requests /. burst_wall);
-  Printf.printf "  outcomes    : %d ok, %d degraded, %d failed, %d shed, %d WRONG\n"
-    (Atomic.get n_ok) (Atomic.get n_deg) (Atomic.get n_err)
+  let errs = List.map (fun (cls, n) -> (cls, Atomic.get n)) n_err in
+  let n_failed = List.fold_left (fun acc (_, n) -> acc + n) 0 errs in
+  Printf.printf "  outcomes    : %d ok, %d ERR (%s), %d shed, %d WRONG\n"
+    (Atomic.get n_ok) n_failed
+    (String.concat ", "
+       (List.map (fun (cls, n) -> Printf.sprintf "%d %s" n cls) errs))
     (Atomic.get n_shed) (Atomic.get n_wrong);
   Printf.printf
-    "  daemon      : %d cache hits, %d inline, %d shed, %d crashes, %d \
-     respawns\n"
+    "  daemon      : %d cache hits, %d inline, %d shed, %d retries, %d \
+     crashes, %d respawns\n"
     (counter_of "cache_hits") (counter_of "inline")
     (counter_of "shed_queue_full" + counter_of "shed_draining")
-    (counter_of "sup_crashes") (counter_of "sup_respawns");
+    (counter_of "sup_retries") (counter_of "sup_crashes")
+    (counter_of "sup_respawns");
   let oc = open_out "BENCH_service.json" in
   Printf.fprintf oc
     {|{
@@ -903,10 +913,10 @@ let daemon_bench ~size () =
   "closed_loop": { "requests": %d, "wall_s": %.3f, "rps": %.0f },
   "burst": { "requests": %d, "window": %d, "wall_s": %.3f, "rps": %.0f },
   "latency_us": { "p50": %.0f, "p90": %.0f, "p99": %.0f, "mean": %.0f },
-  "outcomes": { "ok": %d, "degraded": %d, "failed": %d, "shed": %d, "wrong": %d },
+  "outcomes": { "ok": %d, "failed": %d, "shed": %d, "wrong": %d },
   "daemon": { "cache_hits": %d, "inline": %d, "shed_queue_full": %d,
-              "shed_draining": %d, "crashes": %d, "respawns": %d,
-              "breaker_trips": %d }
+              "shed_draining": %d, "retries": %d, "crashes": %d,
+              "respawns": %d }
 }
 |}
     (Net.Addr.to_string target)
@@ -915,13 +925,13 @@ let daemon_bench ~size () =
     (float_of_int (threads * per_thread) /. closed_wall)
     burst_requests window burst_wall
     (float_of_int burst_requests /. burst_wall)
-    (pct 0.50) (pct 0.90) (pct 0.99) mean (Atomic.get n_ok) (Atomic.get n_deg)
-    (Atomic.get n_err) (Atomic.get n_shed) (Atomic.get n_wrong)
+    (pct 0.50) (pct 0.90) (pct 0.99) mean (Atomic.get n_ok) n_failed
+    (Atomic.get n_shed) (Atomic.get n_wrong)
     (counter_of "cache_hits") (counter_of "inline")
     (counter_of "shed_queue_full")
     (counter_of "shed_draining")
-    (counter_of "sup_crashes") (counter_of "sup_respawns")
-    (counter_of "sup_breaker_trips");
+    (counter_of "sup_retries") (counter_of "sup_crashes")
+    (counter_of "sup_respawns");
   close_out oc;
   Printf.printf "  wrote BENCH_service.json\n";
   if Atomic.get n_wrong > 0 then begin
@@ -1103,9 +1113,14 @@ let () =
   let sections = ref [] in
   let rec parse = function
     | [] -> ()
-    | "--size" :: n :: rest ->
-      size := int_of_string n;
-      parse rest
+    | "--size" :: n :: rest -> (
+      match int_of_string_opt n with
+      | Some n ->
+        size := n;
+        parse rest
+      | None ->
+        Printf.eprintf "bench: bad --size %s; expected an integer\n%!" n;
+        exit 2)
     | s :: rest ->
       if s <> Sys.argv.(0) then sections := s :: !sections;
       parse rest

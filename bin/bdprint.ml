@@ -179,9 +179,7 @@ let connect_arg =
            $(b,--format), $(b,--notation), $(b,--digits), $(b,--places) \
            and $(b,--hex) with a non-default value are refused.  A \
            malformed address or a refused flag is a typed range error \
-           (exit 2) reported before any socket is opened.  In \
-           $(b,--stdin) mode a remote degraded reply is printed with a \
-           'degraded:' prefix.")
+           (exit 2) reported before any socket is opened.")
 
 let hedge_ms_arg =
   Arg.(
@@ -202,9 +200,10 @@ let metrics_file =
         ~doc:
           "With $(b,--stdin), enable the telemetry registry and write a \
            JSON snapshot of every metric (pipeline counters, stage-timing \
-           and digit-count histograms, service/breaker state) to $(docv) \
-           on exit, plus a Prometheus text rendering next to it ($(docv) \
-           with its .json suffix replaced by .prom).")
+           and digit-count histograms, and with $(b,--connect) the \
+           client's counters) to $(docv) on exit, plus a Prometheus text \
+           rendering next to it ($(docv) with its .json suffix replaced by \
+           .prom).")
 
 let trace_file =
   Arg.(
@@ -512,14 +511,14 @@ let connect_client ~local ~hedge_ms ~show_stats spec =
     at_exit (fun () ->
         let s = Client.stats client in
         Printf.eprintf
-          "client: requests=%d remote-ok=%d degraded=%d local-fallbacks=%d \
+          "client: requests=%d remote-ok=%d local-fallbacks=%d \
            errors=%d retries=%d sheds-honored=%d hedges=%d hedge-wins=%d \
            ejections=%d readmissions=%d reconnects=%d\n\
            %!"
-          s.Client.requests s.Client.remote_ok s.Client.remote_degraded
-          s.Client.local_fallbacks s.Client.typed_errors s.Client.retries
-          s.Client.sheds_honored s.Client.hedges s.Client.hedge_wins
-          s.Client.ejections s.Client.readmissions s.Client.reconnects);
+          s.Client.requests s.Client.remote_ok s.Client.local_fallbacks
+          s.Client.typed_errors s.Client.retries s.Client.sheds_honored
+          s.Client.hedges s.Client.hedge_wins s.Client.ejections
+          s.Client.readmissions s.Client.reconnects);
   client
 
 (* A CONV request carries its input alone, and bdprintd answers it with
@@ -600,12 +599,9 @@ let run base mode fmt strategy notation digits places hex_out use_stdin
               connect_client ~local:convert ~hedge_ms ~show_stats spec
             in
             let remote input =
-              match Client.convert client ?deadline_ms input with
-              | Result.Ok { Client.output; degraded = true; _ }
-                when use_stdin ->
-                Result.Ok ("degraded:" ^ output)
-              | Result.Ok o -> Result.Ok o.Client.output
-              | Result.Error _ as e -> e
+              Result.map
+                (fun o -> o.Client.output)
+                (Client.convert client ?deadline_ms input)
             in
             (remote, None)
         in

@@ -1,7 +1,7 @@
 (* bdprintd: a crash-tolerant networked conversion daemon.
 
    Fronts the supervised conversion service (worker domains, retries,
-   circuit breaker, degraded fallback, crash respawn) with the Wire
+   crash re-runs and respawn, the wedge watchdog) with the Wire
    line protocol over a Unix-domain or TCP socket: bounded admission
    with explicit SHED replies, per-connection deadlines, a bounded
    hot-value cache, and graceful drain on SIGTERM/SIGINT — accepted
@@ -112,31 +112,28 @@ let flight_arg =
     & info [ "flight" ] ~docv:"FILE"
         ~doc:
           "Enable the flight recorder: a fixed-size in-memory ring of \
-           structured events (admissions, sheds, fault trips, breaker \
-           transitions, worker service start/end).  When a worker \
-           crashes, wedges, or the breaker opens, the ring is appended \
-           to $(docv) as JSONL — a black-box dump identifying the \
-           poisoned request.")
+           structured events (admissions, sheds, fault trips, worker \
+           service start/end, crashes and wedges).  When a worker \
+           crashes or wedges, the ring is appended to $(docv) as JSONL \
+           — a black-box dump identifying the poisoned request.")
 
 let print_final_stats (s : Server.stats) =
   Printf.eprintf
     "bdprintd: served %d requests on %d connections: %d ok (%d cached, %d \
-     inline), %d degraded, %d failed, %d shed (%d queue-full, %d \
-     overload, %d draining), %d protocol errors\n\
-     bdprintd: workers: %d submitted, %d crashes, %d wedges, %d respawns, \
-     breaker=%s trips=%d\n\
+     inline), %d failed, %d shed (%d queue-full, %d overload, %d \
+     draining), %d protocol errors\n\
+     bdprintd: workers: %d submitted, %d retries, %d crashes, %d wedges, \
+     %d respawns\n\
      %!"
     s.Server.requests s.Server.connections s.Server.replies_ok
-    s.Server.cache_hits s.Server.inline s.Server.replies_degraded
-    s.Server.replies_failed
+    s.Server.cache_hits s.Server.inline s.Server.replies_failed
     (s.Server.shed_queue_full + s.Server.shed_overload + s.Server.shed_draining)
     s.Server.shed_queue_full s.Server.shed_overload s.Server.shed_draining
     s.Server.proto_errors s.Server.supervisor.Service.Supervisor.submitted
+    s.Server.supervisor.Service.Supervisor.retries
     s.Server.supervisor.Service.Supervisor.crashes
     s.Server.supervisor.Service.Supervisor.wedges
     s.Server.supervisor.Service.Supervisor.respawns
-    s.Server.supervisor.Service.Supervisor.breaker_state
-    s.Server.supervisor.Service.Supervisor.breaker_trips
 
 let run listen jobs admission cache_size deadline_ms stuck_ms show_stats
     metrics_file trace_file flight_file =
@@ -202,8 +199,8 @@ let cmd =
       `P
         "Serves Burger-Dybvig shortest-form conversions over a line \
          protocol (see docs/SERVICE.md): CONV/BATCH requests answered OK, \
-         DEG (degraded fallback), ERR (structured failure) or SHED \
-         (explicit load shedding), plus PING, HEALTHZ, DEADLINE, STATS, \
+         ERR (structured failure) or SHED (explicit load shedding), \
+         plus PING, HEALTHZ, DEADLINE, STATS, \
          METRICS and QUIT.";
       `P
         "A request that needs no bignum is converted on its connection's \
@@ -211,8 +208,8 @@ let cmd =
          and every request while a fault point is armed, go to the \
          supervised worker domains.  Both give the same bytes.";
       `P
-        "The daemon survives worker-domain crashes (detect, answer \
-         degraded, respawn), bounds its admission queue (shedding \
+        "The daemon survives worker-domain crashes (detect, run the \
+         request again, respawn), bounds its admission queue (shedding \
          explicitly instead of queuing unboundedly) and drains gracefully \
          on SIGTERM/SIGINT: accepted requests finish, new ones are shed, \
          statistics flush, exit code 0.";

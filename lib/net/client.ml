@@ -37,7 +37,6 @@ type tier = Remote of Addr.t | Local
 
 type outcome = {
   output : string;
-  degraded : bool;
   tier : tier;
   attempts : int;
 }
@@ -45,7 +44,6 @@ type outcome = {
 type stats = {
   requests : int;
   remote_ok : int;
-  remote_degraded : int;
   local_fallbacks : int;
   typed_errors : int;
   retries : int;
@@ -89,7 +87,6 @@ type t = {
   mutable closed : bool;
   mutable s_requests : int;
   mutable s_remote_ok : int;
-  mutable s_remote_deg : int;
   mutable s_local : int;
   mutable s_typed_errors : int;
   mutable s_retries : int;
@@ -154,7 +151,6 @@ let create ?(config = default_config) ?local addrs =
     closed = false;
     s_requests = 0;
     s_remote_ok = 0;
-    s_remote_deg = 0;
     s_local = 0;
     s_typed_errors = 0;
     s_retries = 0;
@@ -369,7 +365,7 @@ let pick t ~avoid =
 (* {2 One attempt} *)
 
 type a_result =
-  | R_ok of { out : string; degraded : bool }
+  | R_ok of string
   | R_err of Error.t  (** determinative remote error: do not retry *)
   | R_shed of int option  (** queue-full / overload, with retry-after *)
   | R_drain  (** endpoint draining: fail over, no sleep *)
@@ -455,11 +451,7 @@ let attempt_once t ep ~deadline ~tid input =
       | Wire.Converted out ->
         pool_conn t ep conn;
         reward t ep;
-        R_ok { out; degraded = false }
-      | Wire.Degraded out ->
-        pool_conn t ep conn;
-        reward t ep;
-        R_ok { out; degraded = true }
+        R_ok out
       | Wire.Failed { cls = ("internal" | "proto") as cls; detail } ->
         (* the stream is still in sync (the server answered in frame),
            but the answer is retryable: another endpoint — or the same
@@ -494,8 +486,7 @@ let attempt t ep ~deadline ~tid input =
     let r = attempt_once t ep ~deadline ~tid input in
     let note =
       match r with
-      | R_ok { degraded = false; _ } -> "ok"
-      | R_ok { degraded = true; _ } -> "degraded"
+      | R_ok _ -> "ok"
       | R_err _ -> "error"
       | R_shed _ -> "shed"
       | R_drain -> "drain"
@@ -625,7 +616,6 @@ let count_result t r =
   | Result.Ok { tier = Local; _ } ->
     t.s_local <- t.s_local + 1;
     bump m_local
-  | Result.Ok { degraded = true; _ } -> t.s_remote_deg <- t.s_remote_deg + 1
   | Result.Ok _ -> t.s_remote_ok <- t.s_remote_ok + 1
   | Result.Error _ -> t.s_typed_errors <- t.s_typed_errors + 1);
   Mutex.unlock t.m;
@@ -655,7 +645,7 @@ let convert t ?deadline_ms input =
         count_result t
           (match f input with
           | Result.Ok out ->
-            Result.Ok { output = out; degraded = false; tier = Local; attempts }
+            Result.Ok { output = out; tier = Local; attempts }
           | Result.Error _ as e -> e)
       | None ->
         count_result t
@@ -682,15 +672,10 @@ let convert t ?deadline_ms input =
           | Some ep -> (
             let result, won = attempt_maybe_hedged t ep ~deadline ~tid input in
             match result with
-            | R_ok { out; degraded } ->
+            | R_ok out ->
               count_result t
                 (Result.Ok
-                   {
-                     output = out;
-                     degraded;
-                     tier = Remote won.ep_addr;
-                     attempts = n + 1;
-                   })
+                   { output = out; tier = Remote won.ep_addr; attempts = n + 1 })
             | R_err e -> count_result t (Result.Error e)
             | R_shed hint ->
               Mutex.lock t.m;
@@ -733,7 +718,6 @@ let stats t =
     {
       requests = t.s_requests;
       remote_ok = t.s_remote_ok;
-      remote_degraded = t.s_remote_deg;
       local_fallbacks = t.s_local;
       typed_errors = t.s_typed_errors;
       retries = t.s_retries;

@@ -74,7 +74,6 @@ type tier =
 
 type outcome = {
   output : string;
-  degraded : bool;  (** the server's [DEG] flag (never set for [Local]) *)
   tier : tier;
   attempts : int;  (** remote attempts consumed (0 = straight to local) *)
 }
@@ -82,7 +81,6 @@ type outcome = {
 type stats = {
   requests : int;
   remote_ok : int;
-  remote_degraded : int;
   local_fallbacks : int;
   typed_errors : int;
   retries : int;  (** attempts beyond each request's first *)

@@ -17,10 +17,15 @@ let convert input =
       Fp.Format_spec.binary64 value
 
 (* A hex literal stops the reader's scan at its [x], so it declines
-   there. *)
+   there.  The table tier declines zeros, which need no digits: they
+   get the exact tier's rendering here, while the tier is open. *)
 let inline input =
   let x = Reader.Fast.tiers input in
   if Float.is_nan x then None
+  else if x = 0. then
+    if Dragon.Free_format.tier_open ~base:10 ~mode Fp.Format_spec.binary64
+    then Some (Dragon.Render.zero ~neg:(Float.sign_bit x) ())
+    else None
   else
     match Dragon.Printer.print_table ~mode ~notation:Dragon.Render.Auto x with
     | "" -> None

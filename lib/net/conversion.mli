@@ -14,9 +14,11 @@ val convert : string -> (string, Robust.Error.t) result
 
 val inline : string -> string option
 (** The bignum-free route: {!Reader.Fast.tiers}, then
-    {!Dragon.Printer.print_table} on the value read.  [Some] text, the
-    bytes {!convert} gives, when both answer; [None] when either
-    declines.  It touches only atomics, read-only tables and the
-    {!Fastpath} pool of the calling domain, so connection systhreads
-    may run it at once; the pool's busy guard turns a re-entry into a
-    decline.  Never raises. *)
+    {!Dragon.Printer.print_table} on the value read, or
+    {!Dragon.Render.zero} on a zero.  [Some] text, the bytes {!convert}
+    gives, when both answer; [None] when either declines, and for every
+    input while the table tier is closed (see
+    {!Dragon.Free_format.tier_open}).  It touches only atomics,
+    read-only tables and the {!Fastpath} pool of the calling domain, so
+    connection systhreads may run it at once; the pool's busy guard
+    turns a re-entry into a decline.  Never raises. *)

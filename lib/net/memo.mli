@@ -11,9 +11,8 @@
     into a full cache evicts the oldest key (FIFO), keeping the cache
     strictly bounded however hostile the key stream.
 
-    Only exact pipeline outputs belong here: degraded fallbacks and
-    errors are never cached, so a cache hit is always a correct
-    conversion. *)
+    Only the pipeline's outputs belong here: errors are never cached,
+    so a cache hit is always a correct conversion. *)
 
 type t
 

@@ -26,7 +26,6 @@ type stats = {
   replies_ok : int;
   cache_hits : int;
   inline : int;
-  replies_degraded : int;
   replies_failed : int;
   shed_queue_full : int;
   shed_overload : int;
@@ -66,7 +65,6 @@ type core = {
   mutable n_ok : int;
   mutable n_cache_hits : int;
   mutable n_inline : int;
-  mutable n_deg : int;
   mutable n_failed : int;
   mutable n_shed_full : int;
   mutable n_shed_overload : int;
@@ -260,7 +258,6 @@ let convert_pooled t conn ~t0 ~deadline_ms ~tid input : Wire.reply * slot =
       c.queued <- c.queued - 1;
       (match r.Supervisor.outcome with
       | Supervisor.Done _ -> c.n_ok <- c.n_ok + 1
-      | Supervisor.Degraded _ -> c.n_deg <- c.n_deg + 1
       | Supervisor.Failed _ -> c.n_failed <- c.n_failed + 1);
       let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
       c.ewma_ms <-
@@ -271,7 +268,6 @@ let convert_pooled t conn ~t0 ~deadline_ms ~tid input : Wire.reply * slot =
         | Supervisor.Done out ->
           Option.iter (fun memo -> Memo.add memo input out) t.memo;
           Wire.Converted out
-        | Supervisor.Degraded out -> Wire.Degraded out
         | Supervisor.Failed e ->
           Wire.Failed { cls = Error.category e; detail = Error.to_string e }),
         Pool_slot )
@@ -381,7 +377,6 @@ let stats t =
   and replies_ok = c.n_ok
   and cache_hits = c.n_cache_hits
   and inline = c.n_inline
-  and replies_degraded = c.n_deg
   and replies_failed = c.n_failed
   and shed_queue_full = c.n_shed_full
   and shed_overload = c.n_shed_overload
@@ -399,7 +394,6 @@ let stats t =
     replies_ok;
     cache_hits;
     inline;
-    replies_degraded;
     replies_failed;
     shed_queue_full;
     shed_overload;
@@ -429,7 +423,6 @@ let stats_json t =
   field "replies_ok" s.replies_ok;
   field "cache_hits" s.cache_hits;
   field "inline" s.inline;
-  field "replies_degraded" s.replies_degraded;
   field "replies_failed" s.replies_failed;
   field "shed_queue_full" s.shed_queue_full;
   field "shed_overload" s.shed_overload;
@@ -445,14 +438,11 @@ let stats_json t =
   Printf.bprintf b "\"cache_hit_rate\":%.3f," (hit_rate s.cache);
   field "sup_submitted" s.supervisor.Supervisor.submitted;
   field "sup_completed" s.supervisor.Supervisor.completed;
-  field "sup_degraded" s.supervisor.Supervisor.degraded;
   field "sup_retries" s.supervisor.Supervisor.retries;
   field "sup_crashes" s.supervisor.Supervisor.crashes;
   field "sup_respawns" s.supervisor.Supervisor.respawns;
   field "sup_wedges" s.supervisor.Supervisor.wedges;
-  field "sup_breaker_trips" s.supervisor.Supervisor.breaker_trips;
   field "jobs" s.supervisor.Supervisor.jobs;
-  Printf.bprintf b "\"breaker_state\":\"%s\"," s.supervisor.Supervisor.breaker_state;
   Printf.bprintf b "\"draining\":%b" (Atomic.get t.stop);
   Buffer.add_char b '}';
   Buffer.contents b
@@ -512,7 +502,7 @@ let handle_request t conn reader deadline_ms quit req =
             (timed_convert t conn ~deadline_ms:!deadline_ms ~tid
                (String.trim input))
         with
-        | Wire.Converted _ | Wire.Degraded _ -> incr ok
+        | Wire.Converted _ -> incr ok
         | Wire.Shed _ -> incr shed
         | _ -> incr failed)
       | Too_long { terminated = true; _ } ->
@@ -696,7 +686,6 @@ let start ?(config = default_config) ~inline ~convert spec =
         n_ok = 0;
         n_cache_hits = 0;
         n_inline = 0;
-        n_deg = 0;
         n_failed = 0;
         n_shed_full = 0;
         n_shed_overload = 0;

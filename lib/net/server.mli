@@ -13,8 +13,8 @@
        No worker, no wake-up, no memo fill.}
     {- {e pool}: whatever [inline] declines, and every request whose
        deadline has already expired, goes to the {!Service.Supervisor}
-       worker domains, which run [convert] under their watchdog, retry
-       and breaker — so a slow or stalled conversion can never block
+       worker domains, which run [convert] under their watchdog and
+       retry policy — so a slow or stalled conversion can never block
        another client or the connection threads.}}
 
     A connection has at most one conversion in flight: its thread waits
@@ -52,8 +52,9 @@
        desynchronising the stream.}
     {- {e Crash tolerance}: worker-domain crashes (the
        [service.worker-kill] fault) are detected by the supervisor,
-       answered through the breaker-backed [%.17g] degraded fallback and
-       healed by automatic respawn — the daemon itself never dies.}
+       which runs the request again and respawns the worker, so the
+       reply is the same bytes as without the crash — the daemon itself
+       never dies.}
     {- {e Hot-value cache}: a bounded FIFO memo table ({!Memo}) in
        front of both routes; every answer the pool computed is cached
        and nothing else, so hits are always correct and an inline
@@ -77,8 +78,8 @@ type config = {
 
 val default_config : config
 (** 2 jobs, 256 admissions, a 4096-entry cache, no default deadline,
-    the default watchdog.  The supervisor runs its default retry and
-    breaker policies. *)
+    the default watchdog.  The supervisor runs its default retry
+    policy. *)
 
 type stats = {
   connections : int;  (** accepted since start *)
@@ -87,7 +88,6 @@ type stats = {
   replies_ok : int;  (** includes cache hits and inline answers *)
   cache_hits : int;
   inline : int;  (** answered on the connection thread *)
-  replies_degraded : int;
   replies_failed : int;
   shed_queue_full : int;
   shed_overload : int;

@@ -11,7 +11,6 @@ type request =
 
 type reply =
   | Converted of string
-  | Degraded of string
   | Failed of { cls : string; detail : string }
   | Shed of { reason : string; retry_after_ms : int option }
   | Batch_end of { ok : int; failed : int; shed : int }
@@ -92,7 +91,6 @@ let parse_request line =
 
 let render_reply = function
   | Converted out -> "OK " ^ one_line out ^ "\n"
-  | Degraded out -> "DEG " ^ one_line out ^ "\n"
   | Failed { cls; detail } ->
     Printf.sprintf "ERR %s %s\n" (one_line cls) (one_line detail)
   | Shed { reason; retry_after_ms = None } -> "SHED " ^ one_line reason ^ "\n"
@@ -142,7 +140,6 @@ let parse_reply_line line =
   let verb, rest = split_verb line in
   match verb with
   | "OK" -> Ok (Converted rest)
-  | "DEG" -> Ok (Degraded rest)
   | "ERR" ->
     let cls, detail = split_verb rest in
     if cls = "" then Error "ERR without a class"

@@ -4,7 +4,7 @@
 
     Requests are single LF-terminated lines (a trailing CR is
     tolerated).  Conversion replies are single lines tagged with the
-    outcome ([OK] / [DEG] / [ERR] / [SHED]); bulk payloads ([STATS],
+    outcome ([OK] / [ERR] / [SHED]); bulk payloads ([STATS],
     [METRICS]) are length-framed: a header line carrying the byte count
     followed by exactly that many bytes.
 
@@ -37,10 +37,6 @@ type request =
 
 type reply =
   | Converted of string  (** [OK <output>] *)
-  | Degraded of string
-      (** [DEG <output>]: breaker- or crash-fallback [%.17g] output —
-          reads back to the same value but is not the pipeline's
-          shortest form *)
   | Failed of { cls : string; detail : string }
       (** [ERR <class> <detail>], [cls] one of syntax / range / budget /
           internal / proto *)

@@ -1,4 +1,3 @@
-(* Facade: [Service.Supervisor], [Service.Breaker]. *)
+(* Facade: [Service.Supervisor]. *)
 
-module Breaker = Breaker
 module Supervisor = Supervisor

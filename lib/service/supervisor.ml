@@ -16,7 +16,7 @@ type watchdog_policy = { poll_ms : int; grace_ms : int; stuck_ms : int }
 
 let default_watchdog = { poll_ms = 20; grace_ms = 100; stuck_ms = 10_000 }
 
-type outcome = Done of string | Degraded of string | Failed of Error.t
+type outcome = Done of string | Failed of Error.t
 
 type reply = { lineno : int; input : string; outcome : outcome; attempts : int }
 
@@ -24,7 +24,6 @@ type stats = {
   submitted : int;
   completed : int;
   succeeded : int;
-  degraded : int;
   retries : int;
   syntax_failures : int;
   range_failures : int;
@@ -33,8 +32,6 @@ type stats = {
   crashes : int;
   respawns : int;
   wedges : int;
-  breaker_state : string;
-  breaker_trips : int;
   max_in_flight : int;
   capacity : int;
   jobs : int;
@@ -93,7 +90,6 @@ let worker_counter name help i =
 type worker_metrics = {
   mw_processed : Telemetry.Metrics.counter;
   mw_retried : Telemetry.Metrics.counter;
-  mw_degraded : Telemetry.Metrics.counter;
 }
 
 let worker_metrics i =
@@ -104,18 +100,16 @@ let worker_metrics i =
     mw_retried =
       worker_counter "bdprint_service_worker_retried_total"
         "Requests that needed at least one retry, per worker domain." i;
-    mw_degraded =
-      worker_counter "bdprint_service_worker_degraded_total"
-        "Breaker-fallback (degraded) replies per worker domain." i;
   }
 
 (* One request from [submit] until its reply is delivered.  The job is
-   fixed at submit; [started] and [reply] are written under [t.m]:
-   [started] when a worker takes the job, and [reply] once one is
-   delivered.  Only the worker holding the job and the watchdog
-   deliver, so a reply already there when the worker delivers is the
-   cancelled flag: the watchdog answered in the wedged worker's place,
-   and the worker drops its late reply and exits instead of looping. *)
+   fixed at submit; [started], [crashed] and [reply] are written under
+   [t.m]: [started] when a worker takes the job, [crashed] when a
+   worker dies holding it, and [reply] once one is delivered.  Only the
+   worker holding the job and the watchdog deliver, so a reply already
+   there when the worker delivers is the cancelled flag: the watchdog
+   answered in the wedged worker's place, and the worker drops its late
+   reply and exits instead of looping. *)
 type slot = {
   seq : int;
   job_lineno : int;
@@ -124,6 +118,7 @@ type slot = {
   job_tid : int;  (* trace id (0 = untraced); see Telemetry.Tracing *)
   job_t0 : int;  (* queue-wait span token captured at submit *)
   mutable started : float;
+  mutable crashed : int;  (* runs its workers died in *)
   mutable reply : reply option;
 }
 [@@lint.guarded_by "m"]
@@ -136,9 +131,7 @@ type t = {
   jobs : int;
   capacity : int;
   convert : string -> (string, Error.t) result;
-  fallback : string -> (string, Error.t) result;
   retry : retry_policy;
-  breaker : Breaker.t;
   emit : reply -> unit;
   budget : Budget.t;
   m : Mutex.t;
@@ -151,7 +144,6 @@ type t = {
   mutable closed : bool;
   mutable max_in_flight : int;
   mutable succeeded_n : int;
-  mutable degraded_n : int;
   mutable retries_n : int;
   mutable fail_syntax : int;
   mutable fail_range : int;
@@ -167,14 +159,6 @@ type t = {
 }
 [@@lint.guarded_by "m"]
 
-(* The degraded path must not depend on the (presumed broken) exact
-   pipeline: OCaml's own float parsing and %.17g rendering, which is
-   information-preserving for binary64 if not shortest. *)
-let default_fallback input =
-  match float_of_string_opt (String.trim input) with
-  | Some x -> Ok (Printf.sprintf "%.17g" x)
-  | None -> Error (Error.syntax ~input "unparseable in degraded mode")
-
 (* The injected worker-domain kill switch (armed via BDPRINT_FAULTS as
    service.worker-kill).  It deliberately raises *outside* every
    [Error.catch] region so the exception escapes the worker loop and
@@ -183,13 +167,6 @@ let default_fallback input =
 exception Worker_killed
 
 let kill_point = "service.worker-kill"
-
-(* The crash reply must not depend on the worker that just died having
-   been healthy: same degraded channel as the breaker fallback. *)
-let crash_fallback t input =
-  match Error.catch (fun () -> t.fallback input) with
-  | Ok (Ok s) -> Degraded s
-  | Ok (Error e) | Error e -> Failed e
 
 (* No exception may escape a worker: re-guard the user's convert even
    though the public conversion APIs are already result-returning. *)
@@ -202,75 +179,54 @@ let remaining_s = function
   | None -> infinity
   | Some (d : Budget.deadline) -> d.Budget.expires_at -. Unix.gettimeofday ()
 
-(* Supervised execution of one request: breaker admission, cooperative
-   deadline, capped-exponential retry for Internal-class failures.
-   Returns the outcome and the number of convert attempts made. *)
+(* Supervised execution of one request: cooperative deadline,
+   capped-exponential retry for Internal-class failures.  Returns the
+   outcome and the number of convert attempts made. *)
 let process t (s : slot) =
   Budget.set t.budget;
   Budget.set_deadline s.deadline;
   Fun.protect ~finally:(fun () -> Budget.set_deadline None) @@ fun () ->
-  let fallback_outcome () =
-    match Error.catch (fun () -> t.fallback s.job_input) with
-    | Ok (Ok out) -> Degraded out
-    | Ok (Error e) | Error e -> Failed e
+  let rec attempt n backoff =
+    match s.deadline with
+    | Some d when Budget.expired d -> (Failed (Budget.deadline_error d), n)
+    | _ -> (
+      match run_convert t s.job_input with
+      | Ok out -> (Done out, n + 1)
+      | Error (Error.Internal _) when n < t.retry.max_retries ->
+        let pause = Float.min (backoff /. 1000.) (remaining_s s.deadline) in
+        if pause > 0. then Unix.sleepf pause;
+        attempt (n + 1)
+          (Float.min
+             (backoff *. t.retry.backoff_multiplier)
+             t.retry.backoff_cap_ms)
+      | Error e ->
+        (* Syntax/Range/Budget fail fast: the pipeline did its job; an
+           Internal failure gets here once the retries are spent *)
+        (Failed e, n + 1))
   in
-  match Breaker.admit t.breaker with
-  | `Fallback -> (fallback_outcome (), 0)
-  | (`Proceed | `Probe) as admission ->
-    let is_probe = admission = `Probe in
-    let timed_out () =
-      (* a timeout says nothing about pipeline health, except for the
-         half-open probe, which must always resolve the breaker state *)
-      if is_probe then Breaker.record_failure t.breaker
-    in
-    let rec attempt n backoff =
-      match s.deadline with
-      | Some d when Budget.expired d ->
-        timed_out ();
-        (Failed (Budget.deadline_error d), n)
-      | _ -> (
-        match run_convert t s.job_input with
-        | Ok out ->
-          Breaker.record_success t.breaker;
-          (Done out, n + 1)
-        | Error (Error.Internal _ as e) ->
-          if n < t.retry.max_retries then begin
-            let pause =
-              Float.min (backoff /. 1000.) (remaining_s s.deadline)
-            in
-            if pause > 0. then Unix.sleepf pause;
-            attempt (n + 1)
-              (Float.min
-                 (backoff *. t.retry.backoff_multiplier)
-                 t.retry.backoff_cap_ms)
-          end
-          else begin
-            Breaker.record_failure t.breaker;
-            (Failed e, n + 1)
-          end
-        | Error e ->
-          (* Syntax/Range/Budget: the pipeline did its job — fail fast,
-             don't retry, don't count against the breaker *)
-          Breaker.record_success t.breaker;
-          (Failed e, n + 1))
-    in
-    attempt 0 t.retry.backoff_ms
+  attempt 0 t.retry.backoff_ms
 
-(* Reply accounting; called with [t.m] held.  The request leaves
-   flight here: its worker's heartbeat clears and one waiting [submit]
-   may proceed. *)
-let deliver_locked t ~worker (s : slot) reply =
+(* The reply, with its accounting; called with [t.m] held.  The
+   request leaves flight here: its worker's heartbeat clears and one
+   waiting [submit] may proceed.  [attempts] counts this run's convert
+   calls, and each earlier run a worker died in adds one. *)
+let deliver_locked t ~worker (s : slot) outcome ~attempts =
+  let reply =
+    {
+      lineno = s.job_lineno;
+      input = s.job_input;
+      outcome;
+      attempts = s.crashed + attempts;
+    }
+  in
   let wm = t.w_metrics.(worker) in
   Telemetry.Metrics.incr wm.mw_processed;
   s.reply <- Some reply;
   t.running.(worker) <- None;
   t.completed <- t.completed + 1;
   Telemetry.Metrics.set_gauge g_queue_depth (t.submitted - t.completed);
-  (match reply.outcome with
+  (match outcome with
   | Done _ -> t.succeeded_n <- t.succeeded_n + 1
-  | Degraded _ ->
-    t.degraded_n <- t.degraded_n + 1;
-    Telemetry.Metrics.incr wm.mw_degraded
   | Failed e -> (
     match e with
     | Error.Syntax _ -> t.fail_syntax <- t.fail_syntax + 1
@@ -286,7 +242,8 @@ let deliver_locked t ~worker (s : slot) reply =
     (Telemetry.Metrics.add m_retries (reply.attempts - 1))
     [@lint.can_raise
       Invalid_argument (* attempts > 1 on this branch: the delta is positive *)]
-  end
+  end;
+  reply
 
 (* Hands a delivered reply to [emit], without [t.m].  A raising [emit]
    breaks its contract: drop the exception, so no caller's crash
@@ -298,16 +255,20 @@ let emit t reply = match t.emit reply with () -> () | exception _ -> ()
    [deliver] returns [false]: the abandoned worker must exit instead of
    looping, since its replacement is already running and owns its
    heartbeat. *)
-let deliver t ~worker (s : slot) reply =
+let deliver t ~worker (s : slot) outcome ~attempts =
   Mutex.lock t.m;
-  let live = Option.is_none s.reply in
-  if live then deliver_locked t ~worker s reply;
+  let reply =
+    if Option.is_none s.reply then
+      Some (deliver_locked t ~worker s outcome ~attempts)
+    else None
+  in
   Mutex.unlock t.m;
-  if live then begin
+  match reply with
+  | Some reply ->
     Condition.signal t.room;
-    emit t reply
-  end;
-  live
+    emit t reply;
+    true
+  | None -> false
 
 (* The next queued request, with its heartbeat set; [None] once the
    service is shut down and the queue is empty. *)
@@ -337,33 +298,57 @@ let wedge_stall () =
     Unix.sleepf 0.01
   done
 
-(* Worker crash with a request in hand.  Losing the reply would leave
-   its caller waiting forever, so the dying worker records the failure
-   against the breaker, answers the job through the breaker-backed
-   degraded channel, and only then lets the exception continue killing
-   the domain: [worker_body] respawns a replacement.  If the watchdog
-   cancelled the request first, the reply is already delivered and a
-   replacement already running: return, so the worker dies quietly
-   instead, or the pool would grow by one domain per wedge-then-crash. *)
+(* Worker crash with a request in hand.  A conversion is pure, so the
+   dying worker puts the request back on the queue, where the
+   replacement or any other worker runs it again; its heartbeat clears
+   first, so the watchdog never charges it to the replacement, and it
+   stays in flight throughout.  Its [max_retries + 1]th death answers
+   it [Failed (Internal _)] instead.  Then the exception goes on killing
+   the domain, and [worker_body] respawns a replacement.  If the
+   watchdog cancelled the request first, its reply is already delivered
+   and a replacement already running: return, so the worker dies
+   quietly instead, or the pool would grow by one domain per
+   wedge-then-crash. *)
 let crash t ~worker (s : slot) exn =
-  Breaker.record_failure t.breaker;
-  let outcome = crash_fallback t s.job_input in
-  if
-    deliver t ~worker s
-      { lineno = s.job_lineno; input = s.job_input; outcome; attempts = 0 }
-  then begin
-    Mutex.lock t.m;
-    t.crashes_n <- t.crashes_n + 1;
-    Mutex.unlock t.m;
+  Mutex.lock t.m;
+  let live = Option.is_none s.reply in
+  let failed =
+    if not live then None
+    else begin
+      t.crashes_n <- t.crashes_n + 1;
+      s.crashed <- s.crashed + 1;
+      (* under [t.m], so the crash precedes the re-run's service-start *)
+      if Telemetry.Flight.enabled () then
+        Telemetry.Flight.record ~req:s.seq ~kind:"crash"
+          (Printf.sprintf "worker=%d exn=%s input=%s" worker
+             (Printexc.to_string exn) s.job_input);
+      if s.crashed > t.retry.max_retries then
+        Some
+          (deliver_locked t ~worker s
+             (Failed
+                (Error.internal ~where:"service.supervisor"
+                   (Printf.sprintf "worker died %d times running the request"
+                      s.crashed)))
+             ~attempts:0)
+      else begin
+        t.running.(worker) <- None;
+        Queue.push s t.queue;
+        None
+      end
+    end
+  in
+  Mutex.unlock t.m;
+  if live then begin
+    (match failed with
+    | Some reply ->
+      Condition.signal t.room;
+      emit t reply
+    | None -> Condition.signal t.work);
     Telemetry.Metrics.incr m_crashes;
-    (* the post-mortem: name the request the worker died holding, then
+    (* the post-mortem, with the crash event that names the request:
        dump every ring before the domain unwinds *)
-    if Telemetry.Flight.enabled () then begin
-      Telemetry.Flight.record ~req:s.seq ~kind:"crash"
-        (Printf.sprintf "worker=%d exn=%s input=%s" worker
-           (Printexc.to_string exn) s.job_input);
-      Telemetry.Flight.dump ~reason:"worker-crash"
-    end;
+    if Telemetry.Flight.enabled () then
+      Telemetry.Flight.dump ~reason:"worker-crash";
     (raise exn) [@lint.can_raise Worker_killed]
   end
 
@@ -391,17 +376,17 @@ let rec worker_loop t ~worker =
           Telemetry.Flight.record ~req:s.seq ~kind:"service-end"
             (match outcome with
             | Done _ -> "ok"
-            | Degraded _ -> "degraded"
             | Failed e -> "failed " ^ Error.category e);
         Telemetry.Tracing.adopt 0;
-        Some { lineno = s.job_lineno; input = s.job_input; outcome; attempts }
+        Some (outcome, attempts)
       with exn ->
         crash t ~worker s exn;
         None
     in
     (* outside the crash handler: [emit] never re-enters it *)
     match reply with
-    | Some reply when deliver t ~worker s reply -> worker_loop t ~worker
+    | Some (outcome, attempts) when deliver t ~worker s outcome ~attempts ->
+      worker_loop t ~worker
     | Some _ | None -> ())
 
 (* Each worker domain runs under this wrapper: an escaping exception is
@@ -422,12 +407,12 @@ and respawn t ~worker =
 (* {2 Watchdog} *)
 
 (* A request is wedged when a worker still holds it (the crash path
-   would have answered it) past its deadline plus [grace_ms], or past
-   [stuck_ms] when it carries no deadline.  OCaml domains cannot be
-   killed, so "cancel" means: answer the request with a structured
-   timeout in the worker's place (the reply in the slot makes the
-   worker drop its own late one and exit on wake), and spawn a
-   replacement so the pool never shrinks. *)
+   would have answered or re-queued it) past its deadline plus
+   [grace_ms], or past [stuck_ms] when it carries no deadline.  OCaml
+   domains cannot be killed, so "cancel" means: answer the request with
+   a structured timeout in the worker's place (the reply in the slot
+   makes the worker drop its own late one and exit on wake), and spawn
+   a replacement so the pool never shrinks. *)
 let wedged now (p : watchdog_policy) (s : slot) =
   match s.deadline with
   | Some d -> now > d.Budget.expires_at +. (float p.grace_ms /. 1000.)
@@ -455,14 +440,8 @@ let rec watchdog_loop t (p : watchdog_policy) =
               (Printf.sprintf "worker=%d held-s=%.3f input=%s" worker
                  (now -. s.started) s.job_input);
           let reply =
-            {
-              lineno = s.job_lineno;
-              input = s.job_input;
-              outcome = Failed (wedge_error s);
-              attempts = 0;
-            }
+            deliver_locked t ~worker s (Failed (wedge_error s)) ~attempts:0
           in
-          deliver_locked t ~worker s reply;
           victims := (worker, reply) :: !victims
         | Some _ | None -> ())
       t.running;
@@ -483,7 +462,7 @@ let rec watchdog_loop t (p : watchdog_policy) =
   end
 
 let start ?(jobs = 2) ?(queue_capacity = 64) ?(retry = default_retry)
-    ?(breaker = Breaker.default_policy) ?watchdog ?fallback ~emit convert =
+    ?watchdog ~emit convert =
   (* documented preconditions: misconfiguration is a programming error,
      not a per-request failure, so it raises rather than returns *)
   (if jobs < 1 then invalid_arg "Supervisor.start: jobs < 1")
@@ -497,12 +476,7 @@ let start ?(jobs = 2) ?(queue_capacity = 64) ?(retry = default_retry)
       jobs;
       capacity = queue_capacity;
       convert;
-      fallback = Option.value fallback ~default:default_fallback;
       retry;
-      breaker =
-        ((Breaker.create ~policy:breaker ())
-         [@lint.can_raise
-           Invalid_argument (* startup policy validation: abort loudly *)]);
       emit;
       budget = Budget.get ();
       m = Mutex.create ();
@@ -515,7 +489,6 @@ let start ?(jobs = 2) ?(queue_capacity = 64) ?(retry = default_retry)
       closed = false;
       max_in_flight = 0;
       succeeded_n = 0;
-      degraded_n = 0;
       retries_n = 0;
       fail_syntax = 0;
       fail_range = 0;
@@ -560,6 +533,7 @@ let submit t ?deadline_ms ?(tid = 0) ~lineno input =
       job_tid = tid;
       job_t0 = Telemetry.Tracing.start_for tid;
       started = 0.;
+      crashed = 0;
       reply = None;
     }
   in
@@ -583,7 +557,6 @@ let stats t =
       submitted = t.submitted;
       completed = t.completed;
       succeeded = t.succeeded_n;
-      degraded = t.degraded_n;
       retries = t.retries_n;
       syntax_failures = t.fail_syntax;
       range_failures = t.fail_range;
@@ -592,8 +565,6 @@ let stats t =
       crashes = t.crashes_n;
       respawns = t.respawns_n;
       wedges = t.wedges_n;
-      breaker_state = Breaker.state_name t.breaker;
-      breaker_trips = Breaker.trips t.breaker;
       max_in_flight = t.max_in_flight;
       capacity = t.capacity;
       jobs = t.jobs;
@@ -619,8 +590,9 @@ let shutdown t =
     t.wd_domain <- None;
     (* Workers can crash and respawn while draining, so join by
        generations until no unjoined domain remains: a dying domain
-       registers its replacement before it exits, so once a join
-       returns, any replacement it spawned is already visible. *)
+       re-queues its request and registers its replacement before it
+       exits, so once a join returns, any replacement it spawned is
+       already visible, and it runs what was re-queued. *)
     let rec join_workers joined =
       Mutex.lock t.m;
       let current = t.workers in

@@ -14,21 +14,20 @@
     {- {e Retries}: [Internal]-class failures (how transient injected
        faults surface) are retried with capped exponential backoff;
        [Syntax]/[Range]/[Budget] failures fail fast.}
-    {- {e Circuit breaker}: repeated post-retry [Internal] failures open
-       a breaker that degrades to a clearly-marked fallback ([%.17g] via
-       the host float parser, tagged [Degraded]) instead of refusing
-       service, and recovers through half-open probes.}
     {- {e Direct delivery}: each reply reaches [emit] as soon as it is
        produced, on the domain that produced it, whatever the state of
        the requests submitted before it.  A wedged or slow request holds
        up its own caller only.}
     {- {e Crash detection and respawn}: an exception that escapes a
        worker loop (the [service.worker-kill] fault point injects one)
-       kills that domain for real; the dying worker first answers its
-       in-flight request through the breaker-backed degraded fallback,
-       records the failure against the breaker, and spawns its own
-       replacement — so a crash costs one degraded reply, never a lost
-       request or a shrinking pool.}
+       kills that domain for real.  A conversion is pure, so the dying
+       worker first puts its request back on the queue, and then spawns
+       its own replacement; the replacement or any other worker runs it
+       again.  The request stays in flight throughout, and its deadline
+       still runs from submission.  A request whose workers die
+       [max_retries + 1] times is answered [Failed (Internal _)].  So a
+       crash costs one more run, never a lost request, a second kind of
+       answer or a shrinking pool.}
     {- {e Wedge detection (watchdog)}: with a {!watchdog_policy}, a
        monitor domain heartbeats every dequeued request.  A request held
        past its deadline plus [grace_ms] (or past [stuck_ms] without a
@@ -74,26 +73,24 @@ type watchdog_policy = {
 val default_watchdog : watchdog_policy
 (** 20 ms poll, 100 ms grace, 10 s stuck threshold. *)
 
-type outcome =
-  | Done of string  (** converted by the real pipeline *)
-  | Degraded of string
-      (** breaker-open fallback output — correct but not the pipeline's
-          (host [%.17g]); callers must keep the tag visible *)
-  | Failed of Robust.Error.t
+type outcome = Done of string | Failed of Robust.Error.t
 
 type reply = {
   lineno : int;  (** caller-supplied request label (input line number) *)
   input : string;
   outcome : outcome;
-  attempts : int;  (** convert attempts made; 0 for breaker fallbacks *)
+  attempts : int;
+      (** convert attempts made, plus one per run a worker died in; 0
+          when the request never reached [convert] *)
 }
 
 type stats = {
   submitted : int;
   completed : int;  (** requests answered *)
   succeeded : int;
-  degraded : int;
-  retries : int;  (** total retry attempts across all requests *)
+  retries : int;
+      (** total retry attempts across all requests, each re-run after a
+          crash included *)
   syntax_failures : int;
   range_failures : int;
   budget_failures : int;  (** includes deadline timeouts *)
@@ -101,16 +98,13 @@ type stats = {
   crashes : int;
       (** worker-domain deaths detected (exceptions escaping a worker
           loop, e.g. an injected [service.worker-kill] fault); each
-          crash's in-flight request is answered through the degraded
-          fallback channel rather than lost *)
+          crash's in-flight request runs again rather than being lost *)
   respawns : int;
       (** replacement worker domains spawned after crashes or wedges *)
   wedges : int;
       (** live-but-wedged workers the watchdog cancelled: the stuck
           request was answered with a structured timeout and the worker
           abandoned and replaced *)
-  breaker_state : string;
-  breaker_trips : int;
   max_in_flight : int;  (** high-water mark of submitted-not-yet-answered *)
   capacity : int;
   jobs : int;
@@ -122,9 +116,7 @@ val start :
   ?jobs:int ->
   ?queue_capacity:int ->
   ?retry:retry_policy ->
-  ?breaker:Breaker.policy ->
   ?watchdog:watchdog_policy ->
-  ?fallback:(string -> (string, Robust.Error.t) result) ->
   emit:(reply -> unit) ->
   (string -> (string, Robust.Error.t) result) ->
   t
@@ -138,8 +130,9 @@ val start :
     lock.  Calls may run on several domains at once, so [emit] must be
     safe to call concurrently; it must not raise (an exception is
     dropped).  The ambient {!Robust.Budget} of the starting domain is
-    captured and installed in every worker.  [fallback] defaults to
-    host [float_of_string] + [%.17g]. *)
+    captured and installed in every worker.  [retry.max_retries] bounds
+    both the retries of an [Internal] failure and the re-runs of a
+    request whose worker died. *)
 
 val submit : t -> ?deadline_ms:int -> ?tid:int -> lineno:int -> string -> unit
 (** Enqueues a request.  Blocks while [queue_capacity] requests are in

@@ -5,10 +5,10 @@
    and respawning — which destroys the evidence.  The flight recorder
    keeps the last moments on record: every domain appends cheap
    structured events (request admitted, service started, fault
-   tripped, breaker state changed, deadline missed) into its own
-   fixed-size ring, and when the supervisor sees a crash, a wedge, or
-   the breaker opening it dumps every ring — newest history of the
-   whole process — to the configured JSONL file.  The poisoned request
+   tripped, worker crashed, deadline missed) into its own fixed-size
+   ring, and when the supervisor sees a crash or a wedge it dumps every
+   ring — newest history of the whole process — to the configured
+   JSONL file.  The poisoned request
    is the "service-start" with no matching completion.
 
    Allocation is bounded: the rings are fixed arrays allocated up

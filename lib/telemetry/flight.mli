@@ -1,9 +1,8 @@
 (** Crash flight recorder: fixed-size per-domain rings of recent
-    structured events, dumped as JSONL on crash, wedge, or breaker
-    open.
+    structured events, dumped as JSONL on a worker crash or wedge.
 
     Each domain appends events — request admitted, service start,
-    fault trip, breaker transition, deadline state — to its own
+    fault trip, worker crash, deadline state — to its own
     pre-allocated ring (oldest overwritten); the supervisor calls
     {!dump} when a worker dies, which appends every ring, globally
     ordered by sequence number, to the configured file.  The poisoned
@@ -23,7 +22,7 @@ val record : ?req:int -> kind:string -> string -> unit
 (** [record ~req ~kind detail] appends an event to this domain's ring.
     [req] is the request/job id the event belongs to (0 = none);
     [kind] is a stable small vocabulary ("service-start", "crash",
-    "wedge", "breaker-open", "fault-trip", ...); [detail] is free
+    "wedge", "fault-trip", ...); [detail] is free
     text.  No-op when disabled. *)
 
 val set_dump_path : string option -> unit

@@ -79,7 +79,6 @@ let test_wire_replies () =
     Result.get_ok (Wire.parse_reply_line line)
   in
   Alcotest.(check bool) "ok" true (round (Wire.Converted "0.1") = Wire.Converted "0.1");
-  Alcotest.(check bool) "deg" true (round (Wire.Degraded "1.5") = Wire.Degraded "1.5");
   Alcotest.(check bool) "err" true
     (round (Wire.Failed { cls = "syntax"; detail = "bad" })
     = Wire.Failed { cls = "syntax"; detail = "bad" });
@@ -583,6 +582,26 @@ let test_server_memo_hit () =
       Alcotest.(check int) "second is a cache hit" 1 s.Server.cache_hits;
       Alcotest.(check int) "one entry" 1 s.Server.cache.Memo.entries)
 
+(* A worker killed holding a request does not change its answer: the
+   request runs again and comes back OK with the pipeline's bytes.  The
+   armed fault closes the inline route, so 0.1 reaches the pool. *)
+let test_server_worker_kill () =
+  Faults.reset_call_counts ();
+  Faults.arm_at ~call:1 "service.worker-kill";
+  Fun.protect
+    ~finally:(fun () ->
+      Faults.disarm_all ();
+      Faults.reset_call_counts ())
+  @@ fun () ->
+  with_server (fun server port ->
+      let c = connect port in
+      send c "CONV 0.1\n";
+      Alcotest.(check bool) "OK 0.1" true (recv_reply c = Wire.Converted "0.1");
+      close c;
+      let sup = (Server.stats server).Server.supervisor in
+      Alcotest.(check int) "one crash" 1 sup.Service.Supervisor.crashes;
+      Alcotest.(check int) "one re-run" 1 sup.Service.Supervisor.retries)
+
 (* Watchdog: a wedged worker (alive but stalled far past the request's
    deadline) must not capture its request forever — the watchdog answers
    with a structured budget timeout, replaces the worker, and the next
@@ -742,8 +761,7 @@ let test_server_drain_loses_nothing () =
                      send c "CONV 0.375\n";
                      sent.(i) <- sent.(i) + 1;
                      match recv_reply c with
-                     | Wire.Converted "0.375" | Wire.Degraded _ ->
-                       answered.(i) <- answered.(i) + 1
+                     | Wire.Converted "0.375" -> answered.(i) <- answered.(i) + 1
                      | Wire.Shed _ -> shed.(i) <- shed.(i) + 1
                      | _ -> wrong.(i) <- wrong.(i) + 1
                    done
@@ -763,9 +781,9 @@ let test_server_drain_loses_nothing () =
       Alcotest.(check bool) "work happened before drain" true
         (total answered > 0);
       Alcotest.(check int) "server answered every admitted request"
-        (final.Server.replies_ok + final.Server.replies_degraded
-       + final.Server.replies_failed + final.Server.shed_queue_full
-        + final.Server.shed_overload + final.Server.shed_draining)
+        (final.Server.replies_ok + final.Server.replies_failed
+       + final.Server.shed_queue_full + final.Server.shed_overload
+       + final.Server.shed_draining)
         final.Server.requests;
       (* the client-observed gap (sent but unanswered) is only ever the
          last in-flight request of each connection, cut by EOF *)
@@ -811,7 +829,6 @@ let test_server_chaos () =
       let per_thread = requests / n_threads in
       let wrong = Atomic.make 0 in
       let ok = Atomic.make 0 in
-      let deg = Atomic.make 0 in
       let shed = Atomic.make 0 in
       let failed = Atomic.make 0 in
       let proto = Atomic.make 0 in
@@ -820,17 +837,8 @@ let test_server_chaos () =
         match (reply, expected) with
         | Wire.Converted out, Ok e ->
           if out <> e then Atomic.incr wrong else Atomic.incr ok
-        | Wire.Degraded out, Ok e ->
-          (* crash/breaker fallback: different spelling, same value *)
-          if float_of_string out <> float_of_string e then Atomic.incr wrong
-          else Atomic.incr deg
         | Wire.Failed _, Error _ -> Atomic.incr failed
         | Wire.Shed _, _ -> Atomic.incr shed
-        | Wire.Failed { cls; detail }, Ok _ ->
-          (* a degraded-fallback failure is only legal for inputs the
-             host fallback cannot parse; for plain doubles it is wrong *)
-          ignore (cls, detail);
-          Atomic.incr wrong
         | _, _ -> Atomic.incr wrong
       in
       let client_loop tid () =
@@ -870,7 +878,7 @@ let test_server_chaos () =
       close c;
       Alcotest.(check int) "zero wrong conversions" 0 (Atomic.get wrong);
       let answered =
-        Atomic.get ok + Atomic.get deg + Atomic.get shed + Atomic.get failed
+        Atomic.get ok + Atomic.get shed + Atomic.get failed
       in
       Alcotest.(check int) "every request answered explicitly"
         (n_threads * per_thread) answered;
@@ -880,7 +888,7 @@ let test_server_chaos () =
       Alcotest.(check bool) "chaos actually happened" true
         (s.Server.supervisor.Service.Supervisor.crashes > 0
         || Atomic.get proto > 0);
-      (* a crashing worker answers its request before it spawns its
+      (* a crashing worker re-queues its request before it spawns its
          replacement, so the last respawn can trail the last reply:
          wait for it (2 s bound) before comparing *)
       let deadline = Unix.gettimeofday () +. 2.0 in
@@ -1038,22 +1046,29 @@ let test_server_two_routes_in_order () =
       Alcotest.(check int) "all ok" 5 s.Server.replies_ok)
 
 (* An inline answer takes no worker and no memo entry: STATS' inline
-   count rises by one, and sup_submitted and cache_entries stay put.
-   With the tier closed, 0.1 goes to the pool instead. *)
+   count rises by one per answer, and sup_submitted and cache_entries
+   stay put.  Zeros are answered inline too, in the exact tier's bytes.
+   With the tier closed, all four go to the pool instead. *)
 let test_server_inline_stats () =
   with_server (fun _server port ->
       let c = connect port in
       let before = stats_body c in
-      send c "CONV 0.1\n";
-      Alcotest.(check bool) "conv" true (recv_reply c = Wire.Converted "0.1");
+      let cases = [ ("0.1", "0.1"); ("0", "0"); ("-0.0", "-0"); ("0e5", "0") ] in
+      List.iter
+        (fun (input, want) ->
+          send c ("CONV " ^ input ^ "\n");
+          Alcotest.(check bool) ("conv " ^ input) true
+            (recv_reply c = Wire.Converted want))
+        cases;
       let after = stats_body c in
       close c;
       let delta key = stat after key - stat before key in
-      let inline = if tier_open () then 1 else 0 in
+      let n = List.length cases in
+      let inline = if tier_open () then n else 0 in
       Alcotest.(check int) "inline" inline (delta "inline");
-      Alcotest.(check int) "sup_submitted" (1 - inline) (delta "sup_submitted");
-      Alcotest.(check int) "cache_entries" (1 - inline) (delta "cache_entries");
-      Alcotest.(check int) "replies_ok" 1 (delta "replies_ok"))
+      Alcotest.(check int) "sup_submitted" (n - inline) (delta "sup_submitted");
+      Alcotest.(check int) "cache_entries" (n - inline) (delta "cache_entries");
+      Alcotest.(check int) "replies_ok" n (delta "replies_ok"))
 
 (* An inline request takes its admission slot before it converts, so a
    drain that starts while it converts waits for its reply instead of
@@ -1102,9 +1117,9 @@ let test_server_deadline_zero () =
       close c;
       Alcotest.(check int) "none inline" 0 (Server.stats server).Server.inline)
 
-(* With the table tier closed, every request goes to the pool: the
-   switch BDPRINT_NO_FASTPATH=1 turns off, and any armed fault point,
-   even one that never fires. *)
+(* With the table tier closed, every request goes to the pool, a zero
+   too: the switch BDPRINT_NO_FASTPATH=1 turns off, and any armed fault
+   point, even one that never fires. *)
 let test_server_tier_closed () =
   let all_pooled label =
     with_server (fun server port ->
@@ -1114,11 +1129,11 @@ let test_server_tier_closed () =
             send c ("CONV " ^ input ^ "\n");
             Alcotest.(check bool) (label ^ ": " ^ input) true
               (recv_reply c = Wire.Converted input))
-          [ "0.1"; "123.456" ];
+          [ "0.1"; "123.456"; "0" ];
         close c;
         let s = Server.stats server in
         Alcotest.(check int) (label ^ ": none inline") 0 s.Server.inline;
-        Alcotest.(check int) (label ^ ": both submitted") 2
+        Alcotest.(check int) (label ^ ": all submitted") 3
           s.Server.supervisor.Service.Supervisor.submitted)
   in
   let was = Dragon.Printer.fastpath_enabled () in
@@ -1238,6 +1253,7 @@ let () =
           Alcotest.test_case "shedding" `Quick test_server_shedding;
           Alcotest.test_case "overload-shed" `Quick test_server_overload_shed;
           Alcotest.test_case "memo-hit" `Quick test_server_memo_hit;
+          Alcotest.test_case "worker-kill" `Quick test_server_worker_kill;
           Alcotest.test_case "worker-wedge" `Quick test_server_worker_wedge;
           Alcotest.test_case "reply not held behind a wedge" `Quick
             test_server_reply_not_held;

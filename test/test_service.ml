@@ -2,8 +2,8 @@
    (lib/service) and the fault-spec machinery it leans on: one reply per
    request, delivered without waiting on other requests, backpressure,
    retry masking of transient internal failures, fail-fast classes,
-   deadlines, graceful drain, and the circuit breaker's
-   open/degrade/probe/close cycle. *)
+   deadlines, graceful drain, and a crashed worker's request running
+   again. *)
 
 module S = Service.Supervisor
 module Error = Robust.Error
@@ -40,13 +40,9 @@ let check_each_once n replies =
 
 (* Run a batch through a fresh service; the replies come back in
    emission order, read after shutdown, which joined every worker. *)
-let collect ?(jobs = 2) ?(capacity = 8) ?retry ?breaker ?fallback ?deadline_ms
-    convert inputs =
+let collect ?(jobs = 2) ?(capacity = 8) ?retry ?deadline_ms convert inputs =
   let emit, replies = recorder () in
-  let svc =
-    S.start ~jobs ~queue_capacity:capacity ?retry ?breaker ?fallback ~emit
-      convert
-  in
+  let svc = S.start ~jobs ~queue_capacity:capacity ?retry ~emit convert in
   List.iteri
     (fun i input -> S.submit svc ?deadline_ms ~lineno:(i + 1) input)
     inputs;
@@ -192,8 +188,7 @@ let test_each_reply_once () =
     replies;
   Alcotest.(check int) "submitted" 300 stats.S.submitted;
   Alcotest.(check int) "completed" 300 stats.S.completed;
-  Alcotest.(check int) "succeeded" 300 stats.S.succeeded;
-  Alcotest.(check string) "breaker closed" "closed" stats.S.breaker_state
+  Alcotest.(check int) "succeeded" 300 stats.S.succeeded
 
 let test_backpressure_bound () =
   let inputs = List.init 50 (fun i -> string_of_int i) in
@@ -291,8 +286,7 @@ let test_fail_fast_classes () =
   Alcotest.(check int) "no retries" 0 stats.S.retries;
   Alcotest.(check int) "syntax counted" 1 stats.S.syntax_failures;
   Alcotest.(check int) "range counted" 1 stats.S.range_failures;
-  Alcotest.(check int) "budget counted" 1 stats.S.budget_failures;
-  Alcotest.(check string) "breaker unaffected" "closed" stats.S.breaker_state
+  Alcotest.(check int) "budget counted" 1 stats.S.budget_failures
 
 let test_retry_exhaustion_surfaces () =
   let convert _ = Error (Error.internal ~where:"test" "permanent") in
@@ -472,198 +466,83 @@ let test_submit_after_shutdown () =
   Alcotest.(check int) "idempotent shutdown" 0 stats.S.submitted
 
 (* ------------------------------------------------------------------ *)
-(* Circuit breaker *)
+(* Crashes: a request whose worker dies runs again *)
 
-let test_breaker_cycle () =
-  (* failure is input-driven ("bad" lines), so the breaker's trajectory
-     depends only on processing order, not on scheduling *)
-  let convert input =
-    if input = "bad" then Error (Error.internal ~where:"test" "down")
-    else Ok "ok"
+(* The kill fires on the third dequeue, whichever worker makes it; the
+   dying worker puts its request back, and the replacement (or, with
+   two workers, the other one) runs it again.  Every reply is the
+   pipeline's, and the re-run counts as one more attempt. *)
+let test_crashed_request_runs_again () =
+  Fun.protect ~finally:(fun () ->
+      Faults.disarm_all ();
+      Faults.reset_call_counts ())
+  @@ fun () ->
+  let inputs =
+    [ "0.1"; "1e23"; "2.5e-1"; "9007199254740993"; "5e-324"; "123.456" ]
   in
-  let replies = ref [] in
-  let emitted = Atomic.make 0 in
+  List.iter
+    (fun jobs ->
+      Faults.disarm_all ();
+      Faults.reset_call_counts ();
+      Faults.arm_at ~call:3 "service.worker-kill";
+      let replies, stats = collect ~jobs convert_real inputs in
+      check_each_once (List.length inputs) replies;
+      List.iter
+        (fun (r : S.reply) ->
+          match (r.S.outcome, convert_real r.S.input) with
+          | S.Done got, Ok want ->
+            Alcotest.(check string)
+              (Printf.sprintf "jobs=%d: %s" jobs r.S.input)
+              want got
+          | _ -> Alcotest.failf "jobs=%d: line %d is not Done" jobs r.S.lineno)
+        replies;
+      Alcotest.(check (list int))
+        (Printf.sprintf "jobs=%d: one reply took two runs" jobs)
+        [ 2 ]
+        (List.filter_map
+           (fun (r : S.reply) ->
+             if r.S.attempts > 1 then Some r.S.attempts else None)
+           replies);
+      Alcotest.(check int) (Printf.sprintf "jobs=%d: one crash" jobs) 1
+        stats.S.crashes;
+      Alcotest.(check int) (Printf.sprintf "jobs=%d: one respawn" jobs) 1
+        stats.S.respawns;
+      Alcotest.(check int) (Printf.sprintf "jobs=%d: one retry" jobs) 1
+        stats.S.retries)
+    [ 1; 2 ]
+
+(* A request that kills every worker that runs it is not run forever:
+   its [max_retries + 1]th death answers it with a structured internal
+   error, and the service is whole again once the fault clears. *)
+let test_request_killing_every_worker_fails () =
+  Fun.protect ~finally:Faults.disarm_all @@ fun () ->
+  Faults.disarm_all ();
+  Faults.arm ~probability:1.0 "service.worker-kill";
+  let record, replies = recorder () and emitted = Atomic.make 0 in
   let svc =
-    S.start ~jobs:1 ~queue_capacity:8
-      ~retry:{ fast_retry with S.max_retries = 0 }
-      ~breaker:{ Service.Breaker.failure_threshold = 3; cooldown_ms = 50 }
+    S.start ~jobs:1
+      ~retry:{ fast_retry with S.max_retries = 2 }
       ~emit:(fun r ->
-        replies := r :: !replies;
+        record r;
         Atomic.incr emitted)
-      convert
+      convert_real
   in
-  (* three consecutive internal failures open the breaker, then two
-     healthy inputs arrive while it is open: they must degrade to the
-     %.17g fallback instead of being refused *)
-  for i = 1 to 3 do
-    S.submit svc ~lineno:i "bad"
-  done;
-  for i = 4 to 5 do
-    S.submit svc ~lineno:i "1.5"
-  done;
-  (* wait until all five are emitted (the breaker opened at reply 3),
-     then sit out the cooldown: the half-open probe must run the real
-     pipeline and close the breaker again *)
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while Atomic.get emitted < 5 && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.002
-  done;
-  Alcotest.(check int) "first five emitted" 5 (Atomic.get emitted);
-  Unix.sleepf 0.08;
-  S.submit svc ~lineno:6 "2.5";
-  S.submit svc ~lineno:7 "2.5";
+  S.submit svc ~lineno:1 "0.1";
+  await "the poisoned request is answered" (fun () -> Atomic.get emitted) 1;
+  Faults.disarm_all ();
+  S.submit svc ~lineno:2 "0.1";
   let stats = S.shutdown svc in
-  let outcomes =
-    List.rev_map
-      (fun (r : S.reply) ->
-        match r.S.outcome with
-        | S.Done s -> "done:" ^ s
-        | S.Degraded s -> "degraded:" ^ s
-        | S.Failed e -> "failed:" ^ Error.category e)
-      !replies
-  in
-  Alcotest.(check (list string)) "open, degrade, probe, close"
-    [
-      "failed:internal";
-      "failed:internal";
-      "failed:internal";
-      "degraded:1.5";
-      "degraded:1.5";
-      "done:ok";
-      "done:ok";
-    ]
-    outcomes;
-  Alcotest.(check int) "one trip" 1 stats.S.breaker_trips;
-  Alcotest.(check int) "two degraded" 2 stats.S.degraded;
-  Alcotest.(check string) "breaker recovered" "closed" stats.S.breaker_state
-
-let test_breaker_fallback_unparseable () =
-  (* while open, an input even the host parser rejects fails with a
-     structured syntax error — still no escaping exception *)
-  let convert _ = Error (Error.internal ~where:"test" "down") in
-  let replies, stats =
-    collect ~jobs:1
-      ~retry:{ fast_retry with S.max_retries = 0 }
-      ~breaker:{ Service.Breaker.failure_threshold = 1; cooldown_ms = 10_000 }
-      convert
-      [ "1.5"; "not-a-number" ]
-  in
-  (match replies with
-  | [ { S.outcome = S.Failed (Error.Internal _); _ };
-      { S.outcome = S.Failed (Error.Syntax _); _ } ] -> ()
-  | _ -> Alcotest.fail "expected internal failure then fallback syntax error");
-  Alcotest.(check string) "stuck open without a probe window" "open"
-    stats.S.breaker_state
-
-(* Direct concurrency tests of the breaker state machine: transitions
-   are mutex-serialised, so races between domains must never produce
-   more than one half-open probe, an invalid state name, or a lost
-   trip. *)
-
-let test_breaker_concurrent_trips () =
-  let b =
-    Service.Breaker.create
-      ~policy:{ Service.Breaker.failure_threshold = 4; cooldown_ms = 10_000 }
-      ()
-  in
-  (* 4 domains x 25 failures: however the threshold crossing interleaves,
-     the breaker ends open having tripped at least once — and with no
-     successes, consecutive-failure counting can never reset, so exactly
-     one trip is observable (the cooldown far exceeds the test) *)
-  let ds =
-    List.init 4 (fun _ ->
-        Domain.spawn (fun () ->
-            for _ = 1 to 25 do
-              Service.Breaker.record_failure b
-            done))
-  in
-  List.iter Domain.join ds;
-  Alcotest.(check string) "open after concurrent trips" "open"
-    (Service.Breaker.state_name b);
-  Alcotest.(check int) "one trip" 1 (Service.Breaker.trips b);
-  Alcotest.(check bool) "admission degrades" true
-    (Service.Breaker.admit b = `Fallback)
-
-let test_breaker_single_probe_race () =
-  let b =
-    Service.Breaker.create
-      ~policy:{ Service.Breaker.failure_threshold = 1; cooldown_ms = 20 }
-      ()
-  in
-  Service.Breaker.record_failure b;
-  Alcotest.(check string) "opened" "open" (Service.Breaker.state_name b);
-  Unix.sleepf 0.05;
-  (* the cooldown has elapsed: 8 domains race admit; exactly one may win
-     the half-open probe, everyone else must be diverted to the fallback *)
-  let outcomes = Array.make 8 `Fallback in
-  let ds =
-    List.init 8 (fun i ->
-        Domain.spawn (fun () -> outcomes.(i) <- Service.Breaker.admit b))
-  in
-  List.iter Domain.join ds;
-  let probes =
-    Array.fold_left
-      (fun n o -> match o with `Probe -> n + 1 | _ -> n)
-      0 outcomes
-  in
-  let proceeds =
-    Array.fold_left
-      (fun n o -> match o with `Proceed -> n + 1 | _ -> n)
-      0 outcomes
-  in
-  Alcotest.(check int) "exactly one probe" 1 probes;
-  Alcotest.(check int) "no one proceeds past an open breaker" 0 proceeds;
-  Alcotest.(check string) "half-open while probing" "half-open"
-    (Service.Breaker.state_name b);
-  (* probe outcome closes it; a concurrent failure recorded later
-     re-opens — transitions stay coherent *)
-  Service.Breaker.record_success b;
-  Alcotest.(check string) "probe success closes" "closed"
-    (Service.Breaker.state_name b)
-
-let test_breaker_concurrent_cycle () =
-  (* mixed success/failure traffic from several domains through full
-     open -> half-open -> closed cycles: state must always be one of the
-     three names and admit must never raise *)
-  let b =
-    Service.Breaker.create
-      ~policy:{ Service.Breaker.failure_threshold = 2; cooldown_ms = 2 }
-      ()
-  in
-  let bad_state = Atomic.make 0 in
-  let ds =
-    List.init 4 (fun seed ->
-        Domain.spawn (fun () ->
-            let st = Random.State.make [| seed; 7 |] in
-            for _ = 1 to 2_000 do
-              (match Service.Breaker.admit b with
-              | `Proceed | `Probe ->
-                if Random.State.int st 3 = 0 then
-                  Service.Breaker.record_failure b
-                else Service.Breaker.record_success b
-              | `Fallback -> ());
-              match Service.Breaker.state_name b with
-              | "closed" | "open" | "half-open" -> ()
-              | _ -> Atomic.incr bad_state
-            done))
-  in
-  List.iter Domain.join ds;
-  Alcotest.(check int) "state always coherent" 0 (Atomic.get bad_state);
-  Alcotest.(check bool) "cycled under contention" true
-    (Service.Breaker.trips b >= 1);
-  (* converges: drive it closed deterministically from one domain *)
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  let rec close_it () =
-    if Service.Breaker.state_name b <> "closed" then begin
-      (match Service.Breaker.admit b with
-      | `Probe | `Proceed -> Service.Breaker.record_success b
-      | `Fallback -> Unix.sleepf 0.005);
-      if Unix.gettimeofday () < deadline then close_it ()
-    end
-  in
-  close_it ();
-  Alcotest.(check string) "recovers to closed" "closed"
-    (Service.Breaker.state_name b)
+  (match by_lineno (replies ()) with
+  | [
+   { S.outcome = S.Failed (Error.Internal _); attempts = 3; _ };
+   { S.outcome = S.Done "0.1"; _ };
+  ] ->
+    ()
+  | _ -> Alcotest.fail "expected Failed Internal after 3 runs, then Done 0.1");
+  Alcotest.(check int) "three crashes" 3 stats.S.crashes;
+  Alcotest.(check int) "three respawns" 3 stats.S.respawns;
+  Alcotest.(check int) "two re-runs" 2 stats.S.retries;
+  Alcotest.(check int) "one internal failure" 1 stats.S.internal_failures
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder: a worker crash dumps the ring naming the poisoned
@@ -705,6 +584,12 @@ let test_flight_dump_on_crash () =
       let inputs = [ "0.1"; "0.2"; "0.3"; "0.4" ] in
       let replies, stats = collect ~jobs:1 convert_real inputs in
       Alcotest.(check int) "all inputs answered" 4 (List.length replies);
+      (match
+         List.find_opt (fun (r : S.reply) -> r.S.input = "0.3") replies
+       with
+      | Some { S.outcome = S.Done out; _ } ->
+        Alcotest.(check string) "the poisoned request runs again" "0.3" out
+      | _ -> Alcotest.fail "0.3 did not come back Done");
       Alcotest.(check int) "one crash" 1 stats.S.crashes;
       Alcotest.(check int) "one respawn" 1 stats.S.respawns;
       Alcotest.(check int) "one dump written" (dumps_before + 1)
@@ -760,18 +645,12 @@ let () =
           Alcotest.test_case "raising emit is contained" `Quick
             test_raising_emit_is_contained;
         ] );
-      ( "breaker",
+      ( "crash",
         [
-          Alcotest.test_case "open, degrade, probe, close" `Quick
-            test_breaker_cycle;
-          Alcotest.test_case "fallback on unparseable input" `Quick
-            test_breaker_fallback_unparseable;
-          Alcotest.test_case "concurrent trips" `Quick
-            test_breaker_concurrent_trips;
-          Alcotest.test_case "single probe under race" `Quick
-            test_breaker_single_probe_race;
-          Alcotest.test_case "concurrent open/close cycle" `Quick
-            test_breaker_concurrent_cycle;
+          Alcotest.test_case "a crashed request runs again" `Quick
+            test_crashed_request_runs_again;
+          Alcotest.test_case "a request that kills every worker fails internal"
+            `Quick test_request_killing_every_worker_fails;
         ] );
       ( "flight",
         [
