@@ -149,7 +149,10 @@ let stats_flag =
     & info [ "stats" ]
         ~doc:
           "With $(b,--stdin), print stream statistics on exit to stderr: \
-           lines submitted and converted, and per-error-class counts.")
+           lines submitted and converted, and per-error-class counts.  \
+           With $(b,--connect), also print the client's line: requests, \
+           daemon answers, local fallbacks, retries, honored sheds, times \
+           the daemon was marked down and sockets opened.")
 
 let deadline_ms =
   Arg.(
@@ -166,31 +169,23 @@ let connect_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "connect" ] ~docv:"ADDR[,ADDR...]"
+    & info [ "connect" ] ~docv:"ADDR"
         ~doc:
-          "Convert through running bdprintd daemon(s) instead of \
-           in-process: a comma-separated endpoint list (HOST:PORT, :PORT, \
-           PORT or unix:PATH) used with reconnection, retries, failover, \
-           endpoint ejection/readmission and honored SHED retry-after \
-           hints.  When every endpoint is unreachable the conversion \
-           falls back to the local in-process pipeline, so the stream \
-           still completes.  The daemon prints shortest binary64 \
+          "Convert through the running bdprintd daemon at $(docv) \
+           (HOST:PORT, :PORT, PORT or unix:PATH) instead of in-process, \
+           with pooled connections, retries and honored SHED retry-after \
+           hints.  When the daemon cannot answer, the conversion falls \
+           back to the local in-process pipeline, which prints the same \
+           bytes, so the stream still completes; after repeated failed \
+           connects, or once the daemon drains, later inputs skip it for \
+           a second.  An input that a CONV line cannot carry unchanged \
+           (blanks at either end, a line break, a leading TID= token) is \
+           converted in-process.  The daemon prints shortest binary64 \
            decimals under nearest-even only, so $(b,--base), $(b,--mode), \
            $(b,--format), $(b,--notation), $(b,--digits), $(b,--places) \
            and $(b,--hex) with a non-default value are refused.  A \
            malformed address or a refused flag is a typed range error \
            (exit 2) reported before any socket is opened.")
-
-let hedge_ms_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "hedge-ms" ] ~docv:"MS"
-        ~doc:
-          "With $(b,--connect) and at least two endpoints: duplicate a \
-           request that has not answered within $(docv) milliseconds to a \
-           second endpoint and take the first answer.  Safe because \
-           conversions are pure — the worst case is wasted work.")
 
 let metrics_file =
   Arg.(
@@ -486,39 +481,29 @@ let run_stream ~convert ~max_errors ~deadline_ms ~show_stats ~metrics_file =
     ~interrupted:(Atomic.get interrupted)
 
 (* Route conversions through the resilient daemon client.  The address
-   list is vetted before any socket is opened: a malformed address is a
+   is vetted before any socket is opened: a malformed address is a
    typed range error with exit code 2, matching the streaming exit-code
    taxonomy.  The locally-built pipeline rides along as the client's
-   final fallback tier. *)
-let connect_client ~local ~hedge_ms ~show_stats spec =
-  let addrs =
-    match Net.Addr.parse_list spec with
-    | Result.Ok addrs -> addrs
+   final fallback tier.  The client-stats exit line is opt-in, so
+   plumbing that parses stderr never meets an unexpected trailer. *)
+let connect_client ~local ~show_stats spec =
+  let addr =
+    match Net.Addr.parse spec with
+    | Result.Ok addr -> addr
     | Result.Error e -> refuse e
   in
-  let config = { Client.default_config with Client.hedge_ms } in
-  let client = Client.create ~config ~local addrs in
-  (* The client-stats exit line is opt-in — --stats, or the
-     BDPRINT_CLIENT_STATS environment variable for wrapper scripts that
-     cannot reach the flag — so plumbing that parses stderr never meets
-     an unexpected trailer. *)
-  let stats_env =
-    match Sys.getenv_opt "BDPRINT_CLIENT_STATS" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true
-  in
-  if show_stats || stats_env then
+  let client = Client.create ~local addr in
+  if show_stats then
     at_exit (fun () ->
         let s = Client.stats client in
         Printf.eprintf
           "client: requests=%d remote-ok=%d local-fallbacks=%d \
-           errors=%d retries=%d sheds-honored=%d hedges=%d hedge-wins=%d \
-           ejections=%d readmissions=%d reconnects=%d\n\
+           errors=%d retries=%d sheds-honored=%d ejections=%d \
+           reconnects=%d\n\
            %!"
           s.Client.requests s.Client.remote_ok s.Client.local_fallbacks
           s.Client.typed_errors s.Client.retries s.Client.sheds_honored
-          s.Client.hedges s.Client.hedge_wins s.Client.ejections
-          s.Client.readmissions s.Client.reconnects);
+          s.Client.ejections s.Client.reconnects);
   client
 
 (* A CONV request carries its input alone, and bdprintd answers it with
@@ -540,8 +525,7 @@ let connect_conflict ~base ~mode ~fmt ~notation ~digits ~places ~hex_out =
     ]
 
 let run base mode fmt strategy notation digits places hex_out use_stdin
-    max_errors show_stats deadline_ms metrics_file connect hedge_ms trace
-    numbers =
+    max_errors show_stats deadline_ms metrics_file connect trace numbers =
   if base < 2 || base > 36 then
     refuse (Error.range ~what:"base" (Printf.sprintf "%d not in 2..36" base))
   else if (match deadline_ms with Some ms -> ms < 0 | None -> false) then
@@ -552,10 +536,6 @@ let run base mode fmt strategy notation digits places hex_out use_stdin
     `Error (false, "--stats requires --stdin or --connect")
   else if (not use_stdin) && metrics_file <> None then
     `Error (false, "--metrics requires --stdin")
-  else if connect = None && hedge_ms <> None then
-    `Error (false, "--hedge-ms requires --connect")
-  else if (match hedge_ms with Some h -> h < 1 | None -> false) then
-    refuse (Error.range ~what:"--hedge-ms" "must be at least 1")
   else begin
     (* Flip the registry on before the first conversion. *)
     if show_stats || metrics_file <> None then Telemetry.set_enabled true;
@@ -577,7 +557,7 @@ let run base mode fmt strategy notation digits places hex_out use_stdin
           convert_one ~base ~mode ~fmt ~strategy ~notation ~request ~hex_out
         in
         (* --connect swaps the conversion function for the resilient
-           client (remote tiers first, this pipeline as local fallback)
+           client (the daemon first, this pipeline as local fallback)
            and moves deadline enforcement into the client, where it also
            bounds socket timeouts, retries and shed waits *)
         let convert, deadline_ms =
@@ -595,9 +575,7 @@ let run base mode fmt strategy notation digits places hex_out use_stdin
                   ^ " is not served: bdprintd prints shortest binary64 \
                      decimals under nearest-even"))
             | None -> ());
-            let client =
-              connect_client ~local:convert ~hedge_ms ~show_stats spec
-            in
+            let client = connect_client ~local:convert ~show_stats spec in
             let remote input =
               Result.map
                 (fun o -> o.Client.output)
@@ -674,6 +652,6 @@ let cmd =
       ret
         (const run $ base $ mode $ fmt $ strategy $ notation $ digits $ places
        $ hex_out $ stdin_flag $ max_errors $ stats_flag $ deadline_ms
-       $ metrics_file $ connect_arg $ hedge_ms_arg $ trace_file $ numbers))
+       $ metrics_file $ connect_arg $ trace_file $ numbers))
 
 let () = exit (Cmd.eval cmd)

@@ -31,24 +31,6 @@ let parse ?(listen = false) s =
     | None ->
       err (Printf.sprintf "%S: expected HOST:PORT, :PORT, PORT or unix:PATH" s)
 
-let parse_list s =
-  let parts =
-    String.split_on_char ',' s
-    |> List.map String.trim
-    |> List.filter (fun x -> x <> "")
-  in
-  if parts = [] then
-    Result.Error (Error.range ~what:"address" "no addresses given")
-  else
-    List.fold_left
-      (fun acc part ->
-        match (acc, parse part) with
-        | (Result.Error _ as e), _ -> e
-        | _, (Result.Error _ as e) -> e
-        | Result.Ok addrs, Result.Ok a -> Result.Ok (a :: addrs))
-      (Result.Ok []) parts
-    |> Result.map List.rev
-
 let sockaddr = function
   | Unix_path p -> Result.Ok (Unix.ADDR_UNIX p)
   | Tcp (host, port) -> (

@@ -14,11 +14,6 @@ val parse : ?listen:bool -> string -> (t, Robust.Error.t) result
     typed [Range] error (exit code 2), reported before any socket is
     touched. *)
 
-val parse_list : string -> (t list, Robust.Error.t) result
-(** A comma-separated list of connect addresses ([ADDR[,ADDR...]]),
-    skipping empty segments; errors on the first malformed address or
-    on an empty list. *)
-
 val to_string : t -> string
 (** The address in the grammar {!parse} reads. *)
 

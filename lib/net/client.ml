@@ -12,7 +12,6 @@ type config = {
   backoff_multiplier : float;
   backoff_cap_ms : float;
   max_shed_wait_ms : int;
-  hedge_ms : int option;
   eject_threshold : int;
   eject_cooldown_ms : int;
   pool_size : int;
@@ -27,7 +26,6 @@ let default_config =
     backoff_multiplier = 2.0;
     backoff_cap_ms = 200.0;
     max_shed_wait_ms = 2_000;
-    hedge_ms = None;
     eject_threshold = 3;
     eject_cooldown_ms = 1_000;
     pool_size = 2;
@@ -48,10 +46,7 @@ type stats = {
   typed_errors : int;
   retries : int;
   sheds_honored : int;
-  hedges : int;
-  hedge_wins : int;
   ejections : int;
-  readmissions : int;
   reconnects : int;
 }
 
@@ -69,21 +64,17 @@ type conn = {
 }
 [@@lint.domain_safe "a conn is owned by exactly one attempt at a time"]
 
-type endpoint = {
-  ep_addr : Addr.t;
-  mutable pool : conn list;  (** idle connections; guarded by [t.m] *)
-  mutable consec : int;  (** consecutive transport failures *)
-  mutable ejected_until : float;  (** 0. = healthy; else parole time *)
-}
-[@@lint.guarded_by "m"]
-
 type t = {
   cfg : config;
-  eps : endpoint array;
+  addr : Addr.t;
   local : (string -> (string, Error.t) result) option;
   m : Mutex.t;
   rng : Random.State.t;  (** jitter; guarded by [m] *)
-  mutable rr : int;
+  mutable pool : conn list;  (** idle connections *)
+  mutable consec : int;  (** consecutive transport failures *)
+  mutable down_until : float;
+      (** 0. = up; else the time after which a request tries the
+          daemon again *)
   mutable closed : bool;
   mutable s_requests : int;
   mutable s_remote_ok : int;
@@ -91,10 +82,7 @@ type t = {
   mutable s_typed_errors : int;
   mutable s_retries : int;
   mutable s_sheds : int;
-  mutable s_hedges : int;
-  mutable s_hedge_wins : int;
   mutable s_ejections : int;
-  mutable s_readmissions : int;
   mutable s_reconnects : int;
 }
 [@@lint.guarded_by "m"]
@@ -105,7 +93,7 @@ let m_requests =
 
 let m_retries =
   Telemetry.Metrics.counter
-    ~help:"Client attempts beyond the first (failover, shed retry, backoff)."
+    ~help:"Client attempts beyond the first (shed retry, backoff)."
     "bdprint_client_retries_total"
 
 let m_sheds_honored =
@@ -113,19 +101,12 @@ let m_sheds_honored =
     ~help:"SHED replies honored by waiting the server's retry-after-ms hint."
     "bdprint_client_sheds_honored_total"
 
-let m_hedges =
-  Telemetry.Metrics.counter
-    ~help:"Hedged secondary requests launched." "bdprint_client_hedges_total"
-
 let m_ejections =
   Telemetry.Metrics.counter
-    ~help:"Endpoints ejected after consecutive transport failures."
+    ~help:
+      "Times the daemon was marked down, after consecutive transport \
+       failures or a SHED draining reply."
     "bdprint_client_ejections_total"
-
-let m_readmissions =
-  Telemetry.Metrics.counter
-    ~help:"Ejected endpoints readmitted after a successful HEALTHZ probe."
-    "bdprint_client_readmissions_total"
 
 let m_local =
   Telemetry.Metrics.counter
@@ -134,20 +115,16 @@ let m_local =
 
 let bump m = if Telemetry.Metrics.enabled () then Telemetry.Metrics.incr m
 
-let create ?(config = default_config) ?local addrs =
-  (if addrs = [] then invalid_arg "Client.create: no endpoints")
-  [@lint.can_raise Invalid_argument];
+let create ?(config = default_config) ?local addr =
   {
     cfg = config;
-    eps =
-      Array.of_list
-        (List.map
-           (fun a -> { ep_addr = a; pool = []; consec = 0; ejected_until = 0. })
-           addrs);
+    addr;
     local;
     m = Mutex.create ();
     rng = Random.State.make [| Faults.seed; 0x7c11e47 |];
-    rr = 0;
+    pool = [];
+    consec = 0;
+    down_until = 0.;
     closed = false;
     s_requests = 0;
     s_remote_ok = 0;
@@ -155,10 +132,7 @@ let create ?(config = default_config) ?local addrs =
     s_typed_errors = 0;
     s_retries = 0;
     s_sheds = 0;
-    s_hedges = 0;
-    s_hedge_wins = 0;
     s_ejections = 0;
-    s_readmissions = 0;
     s_reconnects = 0;
   }
 
@@ -244,123 +218,75 @@ let recv_reply conn =
   | Result.Ok r -> r
   | Result.Error reason -> fail_transport ("malformed reply: " ^ reason)
 
-(* {2 Endpoint bookkeeping} *)
+(* {2 The pool and the down state}
 
-let take_conn t ep =
+   [eject_threshold] consecutive transport failures, or one [SHED
+   draining], mark the daemon down until [down_until], and close the
+   pooled connections.  Until then every request goes straight to the
+   local tier.  The first request after the cooldown tries the daemon:
+   the failure count is still at the threshold, so one more transport
+   failure marks it down again, while any in-frame answer clears the
+   state. *)
+
+let take_conn t =
   Mutex.lock t.m;
   let pooled =
-    match ep.pool with
+    match t.pool with
     | c :: rest ->
-      ep.pool <- rest;
+      t.pool <- rest;
       Some c
     | [] -> None
   in
   if pooled = None then t.s_reconnects <- t.s_reconnects + 1;
   Mutex.unlock t.m;
-  match pooled with Some c -> c | None -> connect_conn t.cfg ep.ep_addr
+  match pooled with Some c -> c | None -> connect_conn t.cfg t.addr
 
-let pool_conn t ep conn =
-  Mutex.lock t.m;
-  let keep = (not t.closed) && List.length ep.pool < t.cfg.pool_size in
-  if keep then ep.pool <- conn :: ep.pool;
-  Mutex.unlock t.m;
-  if not keep then close_fd conn.fd
-
-let eject_locked t ep =
-  if ep.ejected_until = 0. then begin
+let mark_down_locked t =
+  if t.down_until = 0. then begin
     t.s_ejections <- t.s_ejections + 1;
     bump m_ejections
   end;
-  ep.ejected_until <-
+  t.down_until <-
     Unix.gettimeofday () +. (float t.cfg.eject_cooldown_ms /. 1000.);
-  let stale = ep.pool in
-  ep.pool <- [];
+  let stale = t.pool in
+  t.pool <- [];
   stale
 
-let penalize t ep =
+(* A draining daemon reaches the threshold at once: it will shed every
+   request until it exits. *)
+let mark_down t =
   Mutex.lock t.m;
-  ep.consec <- ep.consec + 1;
-  let stale =
-    if ep.consec >= t.cfg.eject_threshold then eject_locked t ep else []
-  in
+  t.consec <- max t.consec t.cfg.eject_threshold;
+  let stale = mark_down_locked t in
   Mutex.unlock t.m;
   List.iter (fun c -> close_fd c.fd) stale
 
-(* a draining endpoint is ejected outright: it will shed every request
-   until it dies, so the right response is immediate failover *)
-let eject_now t ep =
+(* True when this failure marked the daemon down. *)
+let penalize t =
   Mutex.lock t.m;
-  let stale = eject_locked t ep in
+  t.consec <- t.consec + 1;
+  let down = t.consec >= t.cfg.eject_threshold in
+  let stale = if down then mark_down_locked t else [] in
   Mutex.unlock t.m;
-  List.iter (fun c -> close_fd c.fd) stale
+  List.iter (fun c -> close_fd c.fd) stale;
+  down
 
-let reward t ep =
+(* The daemon answered in frame: it is up, and the connection goes
+   back to the pool. *)
+let answered t conn =
   Mutex.lock t.m;
-  ep.consec <- 0;
-  Mutex.unlock t.m
-
-(* HEALTHZ probe of an ejected endpoint whose cooldown has elapsed:
-   READY readmits it (and the probe connection joins the pool); anything
-   else — DRAINING, a refused connect, garbage — extends the ejection by
-   another cooldown. *)
-let probe t ep =
-  match
-    try
-      let conn = connect_conn t.cfg ep.ep_addr in
-      (try
-         send conn "HEALTHZ\n";
-         match recv_reply conn with
-         | Wire.Ready _ -> Some conn
-         | _ ->
-           close_fd conn.fd;
-           None
-       with Transport _ ->
-         close_fd conn.fd;
-         None)
-    with Transport _ -> None
-  with
-  | Some conn ->
-    Mutex.lock t.m;
-    ep.consec <- 0;
-    ep.ejected_until <- 0.;
-    t.s_readmissions <- t.s_readmissions + 1;
-    bump m_readmissions;
-    Mutex.unlock t.m;
-    pool_conn t ep conn;
-    true
-  | None ->
-    Mutex.lock t.m;
-    ep.ejected_until <-
-      Unix.gettimeofday () +. (float t.cfg.eject_cooldown_ms /. 1000.);
-    Mutex.unlock t.m;
-    false
-
-(* Next endpoint to try: round-robin over healthy endpoints; when none
-   is healthy, probe any ejected endpoint whose cooldown has elapsed and
-   use the first that readmits. *)
-let pick t ~avoid =
-  let n = Array.length t.eps in
-  let now = Unix.gettimeofday () in
-  Mutex.lock t.m;
-  let healthy = ref None in
-  let parole = ref [] in
-  for k = 0 to n - 1 do
-    let i = (t.rr + k) mod n in
-    let ep = t.eps.(i) in
-    if Option.map (fun a -> a == ep) avoid <> Some true then
-      if ep.ejected_until = 0. then begin
-        if !healthy = None then begin
-          healthy := Some ep;
-          t.rr <- i + 1
-        end
-      end
-      else if now >= ep.ejected_until then parole := ep :: !parole
-  done;
-  let parole = List.rev !parole in
+  t.consec <- 0;
+  t.down_until <- 0.;
+  let keep = (not t.closed) && List.length t.pool < t.cfg.pool_size in
+  if keep then t.pool <- conn :: t.pool;
   Mutex.unlock t.m;
-  match !healthy with
-  | Some ep -> Some ep
-  | None -> List.find_opt (fun ep -> probe t ep) parole
+  if not keep then close_fd conn.fd
+
+let is_down t =
+  Mutex.lock t.m;
+  let until = t.down_until in
+  Mutex.unlock t.m;
+  Unix.gettimeofday () < until
 
 (* {2 One attempt} *)
 
@@ -368,7 +294,7 @@ type a_result =
   | R_ok of string
   | R_err of Error.t  (** determinative remote error: do not retry *)
   | R_shed of int option  (** queue-full / overload, with retry-after *)
-  | R_drain  (** endpoint draining: fail over, no sleep *)
+  | R_drain  (** daemon draining: mark it down, no sleep *)
   | R_retryable of Error.t  (** remote internal/proto error *)
   | R_transport of string  (** connection unusable *)
 
@@ -390,12 +316,13 @@ let strip_suffix suf s =
 let error_of_wire ~input cls detail =
   match cls with
   | "syntax" ->
-    let msg =
-      strip_suffix
-        (Printf.sprintf " in %S" input)
-        (strip_prefix "syntax error: " detail)
+    (* the echo is of the input as [Error.syntax] keeps it: past 60
+       bytes, truncated *)
+    let echo =
+      strip_prefix "syntax error: " (Error.to_string (Error.syntax ~input ""))
     in
-    Error.syntax ~input msg
+    Error.syntax ~input
+      (strip_suffix echo (strip_prefix "syntax error: " detail))
   | "range" ->
     Error.range ~what:"remote" (strip_prefix "range error: " detail)
   | "budget" ->
@@ -409,8 +336,8 @@ let remaining_s deadline =
   | None -> infinity
   | Some (d : Budget.deadline) -> d.Budget.expires_at -. Unix.gettimeofday ()
 
-let attempt_once t ep ~deadline ~tid input =
-  match take_conn t ep with
+let attempt_once t ~deadline ~tid input =
+  match take_conn t with
   | exception Transport msg -> R_transport msg
   | conn -> (
     let finish_transport msg =
@@ -449,26 +376,22 @@ let attempt_once t ep ~deadline ~tid input =
       end;
       match recv_reply conn with
       | Wire.Converted out ->
-        pool_conn t ep conn;
-        reward t ep;
+        answered t conn;
         R_ok out
       | Wire.Failed { cls = ("internal" | "proto") as cls; detail } ->
         (* the stream is still in sync (the server answered in frame),
-           but the answer is retryable: another endpoint — or the same
-           one after backoff — may well succeed *)
-        pool_conn t ep conn;
-        reward t ep;
+           but the answer is retryable: after backoff it may well
+           succeed *)
+        answered t conn;
         R_retryable (error_of_wire ~input cls detail)
       | Wire.Failed { cls; detail } ->
-        pool_conn t ep conn;
-        reward t ep;
+        answered t conn;
         R_err (error_of_wire ~input cls detail)
       | Wire.Shed { reason = "draining"; _ } ->
         close_fd conn.fd;
         R_drain
       | Wire.Shed { retry_after_ms; _ } ->
-        pool_conn t ep conn;
-        reward t ep;
+        answered t conn;
         R_shed retry_after_ms
       | Wire.Pong | Wire.Ready _ | Wire.Draining _ | Wire.Batch_end _
       | Wire.Payload _ | Wire.Bye ->
@@ -476,14 +399,13 @@ let attempt_once t ep ~deadline ~tid input =
     with Transport msg -> finish_transport msg)
 
 (* A [Client_attempt] span brackets each network attempt.  The trace id
-   travels explicitly — never through Domain.DLS — because hedged
-   attempts run on a helper {e thread} of the same domain and would
-   otherwise clobber each other's ambient id. *)
-let attempt t ep ~deadline ~tid input =
-  if tid = 0 then attempt_once t ep ~deadline ~tid input
+   travels explicitly — never through Domain.DLS — because the threads
+   of one domain that share a client also share its DLS slot. *)
+let attempt t ~deadline ~tid input =
+  if tid = 0 then attempt_once t ~deadline ~tid input
   else begin
     let t0 = Telemetry.Tracing.start_for tid in
-    let r = attempt_once t ep ~deadline ~tid input in
+    let r = attempt_once t ~deadline ~tid input in
     let note =
       match r with
       | R_ok _ -> "ok"
@@ -496,90 +418,6 @@ let attempt t ep ~deadline ~tid input =
     Telemetry.Tracing.finish ~note ~tid Telemetry.Tracing.Client_attempt t0;
     r
   end
-
-(* {2 Hedging}
-
-   Conversions are pure, so sending the same request to a second
-   endpoint is always safe — the worst case is wasted work.  The
-   primary attempt runs on a helper thread; if it has not answered
-   within [hedge_ms], the secondary runs on the calling thread and the
-   first conversational result wins.  A still-blocked primary is left
-   to finish in the background (it only touches its own connection and
-   the mutex-guarded pools). *)
-
-type hedge_box = { hm : Mutex.t; mutable hres : a_result option }
-[@@lint.guarded_by "hm"]
-
-let hedge_read box =
-  Mutex.lock box.hm;
-  let r = box.hres in
-  Mutex.unlock box.hm;
-  r
-
-(* Returns the result paired with the endpoint that produced it, so the
-   caller attributes the outcome (and any penalty) to the actual
-   answerer rather than the primary pick. *)
-let attempt_maybe_hedged t ep ~deadline ~tid input =
-  match t.cfg.hedge_ms with
-  | None -> (attempt t ep ~deadline ~tid input, ep)
-  | Some h -> (
-    match pick t ~avoid:(Some ep) with
-    | None -> (attempt t ep ~deadline ~tid input, ep)
-    | Some ep2 -> (
-      let box = { hm = Mutex.create (); hres = None } in
-      let th =
-        Thread.create
-          (fun () ->
-            let r = attempt t ep ~deadline ~tid input in
-            Mutex.lock box.hm;
-            box.hres <- Some r;
-            Mutex.unlock box.hm)
-          ()
-      in
-      (* Condition.wait has no timeout in the stdlib: poll at 1 ms *)
-      let rec wait_primary i =
-        match hedge_read box with
-        | Some r -> Some r
-        | None ->
-          if i >= h then None
-          else begin
-            Thread.delay 0.001;
-            wait_primary (i + 1)
-          end
-      in
-      match wait_primary 0 with
-      | Some r ->
-        Thread.join th;
-        (r, ep)
-      | None -> (
-        Mutex.lock t.m;
-        t.s_hedges <- t.s_hedges + 1;
-        bump m_hedges;
-        Mutex.unlock t.m;
-        (* the hedge span covers the secondary attempt from launch *)
-        let h0 = Telemetry.Tracing.start_for tid in
-        let r2 = attempt t ep2 ~deadline ~tid input in
-        Telemetry.Tracing.finish ~tid Telemetry.Tracing.Client_hedge h0;
-        match (hedge_read box, r2) with
-        | Some (R_ok _ as r1), _ ->
-          (* primary finished while the hedge ran: prefer it (its
-             connection bookkeeping is already settled) *)
-          Thread.join th;
-          (r1, ep)
-        | _, R_ok _ ->
-          Mutex.lock t.m;
-          t.s_hedge_wins <- t.s_hedge_wins + 1;
-          Mutex.unlock t.m;
-          (r2, ep2)
-        | Some r1, _ ->
-          Thread.join th;
-          (match r1 with
-          | (R_err _ | R_retryable _ | R_shed _) as r -> (r, ep)
-          | _ -> (r2, ep2))
-        | None, _ ->
-          (* primary still wedged on its socket: take the secondary's
-             answer and let the primary clean itself up when it wakes *)
-          (r2, ep2))))
 
 (* {2 The request loop} *)
 
@@ -651,8 +489,7 @@ let convert t ?deadline_ms input =
         count_result t
           (Result.Error
              (Option.value last_err
-                ~default:
-                  (Error.internal ~where:"net.client" "no endpoint reachable")))
+                ~default:(Error.internal ~where:"net.client" "daemon is down")))
     in
     let rec loop n last_err =
       if n > 0 then begin
@@ -664,42 +501,38 @@ let convert t ?deadline_ms input =
       match deadline with
       | Some d when Budget.expired d ->
         count_result t (Result.Error (Budget.deadline_error d))
-      | _ ->
-        if n >= t.cfg.max_attempts then local_tier ~attempts:n last_err
-        else begin
-          match pick t ~avoid:None with
-          | None -> local_tier ~attempts:n last_err
-          | Some ep -> (
-            let result, won = attempt_maybe_hedged t ep ~deadline ~tid input in
-            match result with
-            | R_ok out ->
-              count_result t
-                (Result.Ok
-                   { output = out; tier = Remote won.ep_addr; attempts = n + 1 })
-            | R_err e -> count_result t (Result.Error e)
-            | R_shed hint ->
-              Mutex.lock t.m;
-              t.s_sheds <- t.s_sheds + 1;
-              bump m_sheds_honored;
-              Mutex.unlock t.m;
-              shed_wait t ~hint ~deadline ~tid;
-              loop (n + 1)
-                (Some (Error.internal ~where:"net.client" "remote shed"))
-            | R_drain ->
-              eject_now t won;
-              (* immediate failover: the endpoint told us it is dying *)
-              loop (n + 1) last_err
-            | R_retryable e ->
-              jittered_backoff t ~attempt:n ~deadline ~tid;
-              loop (n + 1) (Some e)
-            | R_transport msg ->
-              penalize t won;
-              jittered_backoff t ~attempt:n ~deadline ~tid;
-              loop (n + 1)
-                (Some (Error.internal ~where:"net.client" msg)))
-        end
+      | _ -> (
+        if n >= t.cfg.max_attempts || is_down t then
+          local_tier ~attempts:n last_err
+        else
+          match attempt t ~deadline ~tid input with
+          | R_ok out ->
+            count_result t
+              (Result.Ok { output = out; tier = Remote t.addr; attempts = n + 1 })
+          | R_err e -> count_result t (Result.Error e)
+          | R_shed hint ->
+            Mutex.lock t.m;
+            t.s_sheds <- t.s_sheds + 1;
+            bump m_sheds_honored;
+            Mutex.unlock t.m;
+            shed_wait t ~hint ~deadline ~tid;
+            loop (n + 1) (Some (Error.internal ~where:"net.client" "remote shed"))
+          | R_drain ->
+            mark_down t;
+            loop (n + 1) last_err
+          | R_retryable e ->
+            jittered_backoff t ~attempt:n ~deadline ~tid;
+            loop (n + 1) (Some e)
+          | R_transport msg ->
+            (* no backoff once the daemon is down: the local tier is next *)
+            if not (penalize t) then jittered_backoff t ~attempt:n ~deadline ~tid;
+            loop (n + 1) (Some (Error.internal ~where:"net.client" msg)))
     in
-    loop 0 None
+    if Wire.conv_reads_back ~tid input then loop 0 None
+    else
+      (* its CONV line would make the daemon convert another string; the
+         library's strict grammar rejects every such input *)
+      local_tier ~attempts:0 (Some (Error.syntax ~input "not a number"))
   end
 
 (* {2 Lifecycle and statistics} *)
@@ -707,8 +540,8 @@ let convert t ?deadline_ms input =
 let close t =
   Mutex.lock t.m;
   t.closed <- true;
-  let conns = Array.fold_left (fun acc ep -> ep.pool @ acc) [] t.eps in
-  Array.iter (fun ep -> ep.pool <- []) t.eps;
+  let conns = t.pool in
+  t.pool <- [];
   Mutex.unlock t.m;
   List.iter (fun c -> close_fd c.fd) conns
 
@@ -722,24 +555,9 @@ let stats t =
       typed_errors = t.s_typed_errors;
       retries = t.s_retries;
       sheds_honored = t.s_sheds;
-      hedges = t.s_hedges;
-      hedge_wins = t.s_hedge_wins;
       ejections = t.s_ejections;
-      readmissions = t.s_readmissions;
       reconnects = t.s_reconnects;
     }
-  in
-  Mutex.unlock t.m;
-  s
-
-let endpoint_states t =
-  let now = Unix.gettimeofday () in
-  Mutex.lock t.m;
-  let s =
-    Array.to_list
-      (Array.map
-         (fun ep -> (Addr.to_string ep.ep_addr, now >= ep.ejected_until))
-         t.eps)
   in
   Mutex.unlock t.m;
   s

@@ -1,12 +1,12 @@
-(** A resilient client for the bdprintd wire protocol.
+(** A resilient client for one bdprintd daemon, over its wire protocol.
 
-    The CLI, the benchmark harness, and the tests all talk to bdprintd
-    through this module so that every caller gets the same survival
-    behaviour:
+    [bdprint --connect] and the tests talk to bdprintd through this
+    module.  (The benchmark harnesses open their own sockets.)  Every
+    caller gets the same survival behaviour:
 
     {ul
-    {- {e Reconnecting connection pool}: idle connections are pooled per
-       endpoint and reused; a broken connection is dropped and replaced
+    {- {e Reconnecting connection pool}: idle connections are pooled
+       and reused; a broken connection is dropped and replaced
        transparently on the next attempt.}
     {- {e Per-request deadlines}: an optional [deadline_ms] becomes a
        {!Robust.Budget.deadline} governing the whole request — connect
@@ -18,28 +18,34 @@
        retried up to [max_attempts] times with capped exponential
        backoff and ±50% jitter (seeded from {!Robust.Faults.seed}, so
        chaos runs replay).}
-    {- {e Failover and endpoint ejection}: requests rotate round-robin
-       across the configured endpoints; an endpoint accumulating
-       [eject_threshold] consecutive transport failures (or answering
-       [SHED draining]) is ejected for [eject_cooldown_ms] and only
-       readmitted after a successful [HEALTHZ] probe answers [READY].}
     {- {e Honored shed hints}: [SHED queue-full] / [SHED overload]
        replies carry the server's [retry-after-ms]; the client sleeps
        that long (capped by [max_shed_wait_ms] and the remaining
        deadline) instead of its default backoff.}
-    {- {e Hedged requests} (optional): conversions are pure, so when
-       [hedge_ms] is set and a second healthy endpoint exists, a request
-       that has not answered within the hedge delay is duplicated to the
-       other endpoint and the first conversational answer wins.}
-    {- {e Local fallback tier}: when every remote tier is exhausted and
-       a [local] conversion function was supplied, the request is
-       answered in-process — the caller still gets a correct conversion
-       when the whole fleet is down.}}
+    {- {e A down daemon is skipped}: [eject_threshold] consecutive
+       transport failures, or a [SHED draining] reply, mark the daemon
+       down for [eject_cooldown_ms].  Meanwhile every request goes
+       straight to the local tier, so a stream at a dead address pays
+       for its failed connects once, not per line.  After the cooldown
+       the next request tries the daemon again: an answer clears the
+       down state, a transport failure renews it.}
+    {- {e Local fallback tier}: when the daemon cannot answer and a
+       [local] conversion function was supplied, the request is
+       answered in-process.  Conversions are pure, so the local tier
+       gives the daemon's bytes.}}
 
     Remote [ERR syntax] / [ERR range] / [ERR budget] replies are
     {e determinative}: conversions are pure, so an input the server
     rejects with a typed error is invalid everywhere and is returned
     immediately as the corresponding {!Robust.Error.t} without retrying.
+
+    An input that a [CONV] line cannot carry unchanged
+    ({!Wire.conv_reads_back} is false: blanks at either end, a line
+    break, a leading [TID=] token, the empty string) never reaches the
+    daemon, which would convert a different string.  It goes straight
+    to the local tier with [attempts = 0]; with no local tier it is a
+    typed [Syntax] error, as the library's strict grammar rejects every
+    such input.
 
     Thread-safety: one [t] may be shared by any number of threads and
     domains; all shared state sits behind one mutex held only for
@@ -56,20 +62,18 @@ type config = {
   backoff_cap_ms : float;  (** backoff ceiling (200) *)
   max_shed_wait_ms : int;
       (** cap on honoring a server [retry-after-ms] hint (2000) *)
-  hedge_ms : int option;
-      (** duplicate an unanswered request to a second endpoint after
-          this many ms; [None] (default) disables hedging *)
   eject_threshold : int;
-      (** consecutive transport failures before ejection (3) *)
+      (** consecutive transport failures that mark the daemon down (3) *)
   eject_cooldown_ms : int;
-      (** ejection length before a readmission probe (1000) *)
-  pool_size : int;  (** idle connections kept per endpoint (2) *)
+      (** how long the daemon stays down before a request tries it
+          again (1000) *)
+  pool_size : int;  (** idle connections kept (2) *)
 }
 
 val default_config : config
 
 type tier =
-  | Remote of Addr.t  (** answered by this endpoint *)
+  | Remote of Addr.t  (** answered by the daemon at this address *)
   | Local  (** answered by the in-process fallback *)
 
 type outcome = {
@@ -85,10 +89,7 @@ type stats = {
   typed_errors : int;
   retries : int;  (** attempts beyond each request's first *)
   sheds_honored : int;  (** SHED replies waited out per the server hint *)
-  hedges : int;  (** hedged secondaries launched *)
-  hedge_wins : int;  (** hedged secondaries that answered first *)
-  ejections : int;
-  readmissions : int;
+  ejections : int;  (** times the daemon was marked down *)
   reconnects : int;  (** fresh sockets opened (pool misses) *)
 }
 
@@ -97,29 +98,22 @@ type t
 val create :
   ?config:config ->
   ?local:(string -> (string, Robust.Error.t) result) ->
-  Addr.t list ->
+  Addr.t ->
   t
-(** [create addrs] builds a client over the given endpoints (failover
-    order = list order, then round-robin).  [local] is the in-process
-    conversion used as the final fallback tier.  No sockets are opened
-    until the first request.
-    @raise Invalid_argument if [addrs] is empty. *)
+(** [create addr] builds a client for the daemon at [addr].  [local] is
+    the in-process conversion used as the fallback tier.  No sockets
+    are opened until the first request. *)
 
 val convert : t -> ?deadline_ms:int -> string -> (outcome, Robust.Error.t) result
-(** One conversion through the resilience ladder: healthy remote
-    endpoints (with retries, failover, shed waits and optional hedging),
-    then the local fallback, then the last typed error.  [Error] is
-    always one of the four {!Robust.Error.t} classes — transport
-    failures surface as [Internal] only after every tier is exhausted;
-    an exceeded [deadline_ms] surfaces as the standard [Budget]
-    deadline error. *)
+(** One conversion through the resilience ladder: the daemon (with
+    retries and shed waits) unless it is down, then the local fallback,
+    then the last typed error.  [Error] is always one of the four
+    {!Robust.Error.t} classes — transport failures surface as
+    [Internal] only after every tier is exhausted; an exceeded
+    [deadline_ms] surfaces as the standard [Budget] deadline error. *)
 
 val close : t -> unit
 (** Closes every pooled connection; subsequent {!convert} calls fail
     with a typed [Internal] error.  Idempotent. *)
 
 val stats : t -> stats
-
-val endpoint_states : t -> (string * bool) list
-(** [(address, usable)] per endpoint, in failover order — [usable]
-    means not currently ejected.  For status displays and tests. *)

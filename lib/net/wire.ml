@@ -122,6 +122,15 @@ let render_conv ?(tid = 0) input =
   if tid = 0 then "CONV " ^ one_line input ^ "\n"
   else Printf.sprintf "CONV %s%d %s\n" tid_prefix tid (one_line input)
 
+(* [parse_request] trims the payload, reads a leading [TID=] token and
+   refuses an empty one, and [render_conv] flattens line breaks, so
+   only some inputs come back as themselves: ask the grammar. *)
+let conv_reads_back ?(tid = 0) input =
+  let frame = render_conv ~tid input in
+  match parse_request (String.sub frame 0 (String.length frame - 1)) with
+  | Ok (Conv c) -> String.equal c.input input
+  | Ok _ | Error _ -> false
+
 let render_batch ?(tid = 0) count =
   if tid = 0 then Printf.sprintf "BATCH %d\n" count
   else Printf.sprintf "BATCH %d %s%d\n" count tid_prefix tid

@@ -83,6 +83,13 @@ val render_conv : ?tid:int -> string -> string
 (** The [CONV] request frame, newline included; [tid] (default 0 =
     untraced) emits the TID token. *)
 
+val conv_reads_back : ?tid:int -> string -> bool
+(** [conv_reads_back ~tid input] holds exactly when {!parse_request}
+    reads the line [render_conv ~tid input] back as [Conv { input; _ }].
+    It fails for the empty string, blanks at either end, a CR or LF
+    anywhere, and (for [tid = 0]) a leading [TID=] token: the daemon
+    would convert another string than [input], or refuse the frame. *)
+
 val render_batch : ?tid:int -> int -> string
 (** The [BATCH] request frame, newline included. *)
 

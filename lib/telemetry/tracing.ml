@@ -18,9 +18,9 @@
      id for straight-line pipelines (the CLI stream drivers, worker
      domains processing one job at a time); [start] times against it.
      Systhreads share their domain's DLS slot, so code that multiplexes
-     requests across threads — the daemon's connection threads, the
-     client's hedge helpers — must instead carry the id explicitly
-     through [start_for]/[finish ~tid].
+     requests across threads — the daemon's connection threads, a
+     client shared by several threads — must instead carry the id
+     explicitly through [start_for]/[finish ~tid].
    - Across the wire the id rides the optional TID field of CONV/BATCH
      (see Wire), so a daemon-side span lands under the same track as
      the client spans that caused it.
@@ -38,7 +38,6 @@ type stage =
   | Render
   | Client_attempt
   | Client_backoff
-  | Client_hedge
   | Wire_write
   | Queue_wait
   | Worker_service
@@ -48,8 +47,8 @@ type stage =
 
 let all =
   [ Parse; Boundaries; Scale; Generate; Render; Client_attempt;
-    Client_backoff; Client_hedge; Wire_write; Queue_wait; Worker_service;
-    Memo_lookup; Request; Fastpath ]
+    Client_backoff; Wire_write; Queue_wait; Worker_service; Memo_lookup;
+    Request; Fastpath ]
 
 let stage_name = function
   | Parse -> "parse"
@@ -59,7 +58,6 @@ let stage_name = function
   | Render -> "render"
   | Client_attempt -> "client-attempt"
   | Client_backoff -> "client-backoff"
-  | Client_hedge -> "client-hedge"
   | Wire_write -> "wire-write"
   | Queue_wait -> "queue-wait"
   | Worker_service -> "worker-service"
@@ -75,13 +73,12 @@ let index = function
   | Render -> 4
   | Client_attempt -> 5
   | Client_backoff -> 6
-  | Client_hedge -> 7
-  | Wire_write -> 8
-  | Queue_wait -> 9
-  | Worker_service -> 10
-  | Memo_lookup -> 11
-  | Request -> 12
-  | Fastpath -> 13
+  | Wire_write -> 7
+  | Queue_wait -> 8
+  | Worker_service -> 9
+  | Memo_lookup -> 10
+  | Request -> 11
+  | Fastpath -> 12
 
 (* Log-linear nanosecond bounds, 100ns to 10ms: the pipeline stages
    sit under a microsecond, a queued service round trip reaches

@@ -28,8 +28,8 @@
     only meaningful where a single request occupies the domain at a
     time (CLI stream drivers, supervisor worker domains).  Systhreads
     share their domain's slot, so multiplexing code — daemon connection
-    threads, client hedge helpers — must carry the id explicitly via
-    {!start_for} and [finish ~tid]. *)
+    threads, a client shared by several threads — must carry the id
+    explicitly via {!start_for} and [finish ~tid]. *)
 
 type stage =
   | Parse
@@ -39,7 +39,6 @@ type stage =
   | Render
   | Client_attempt
   | Client_backoff
-  | Client_hedge
   | Wire_write
   | Queue_wait
   | Worker_service
