@@ -41,9 +41,14 @@
    digit or tail position, staying below 2·10^17 < 2^58 for the
    at-most-17 multiplications one attempt may make.  A comparison is
    certified only when it holds for {e every} pair of true values
-   inside the two intervals; exact equality is never certifiable,
-   which is precisely the correctly-rounded boundary case the exact
-   fallback exists for.
+   inside the two intervals, so exact equality is never certifiable
+   from the frame: the correctly-rounded boundary case the exact
+   fallback exists for.  One equality is decided without the frame: a
+   digit whose fraction is within its error of the next integer has a
+   remainder of exactly zero when v·10^(n-k) is an integer, which an
+   integer test on the mantissa settles ([integral]).  Exact decimals
+   such as 3.75, 1234 or 0.5 end on such a digit, and stay on this
+   tier.
 
    Output.  The digits go straight into the caller's [Bytes] as ASCII,
    most significant first, and the verdict comes back as one packed
@@ -97,9 +102,13 @@ let err0 = 2
 
 (* [run]'s verdicts besides a hit: [uncertain] falls back and counts,
    [busy] (a re-entrant call from the same domain: metrics callbacks,
-   nested printing) falls back without having attempted anything. *)
+   nested printing) falls back without having attempted anything.  A
+   loop whose digit n stalls within its error of the next integer
+   returns [stalled + ((n lsl 12) lor (k + 1024))], which [certify]
+   turns into a second run or into [uncertain]. *)
 let uncertain = -1
 let busy = -2
+let stalled = -(1 lsl 20)
 
 let enabled_flag =
   Atomic.make
@@ -292,16 +301,38 @@ let[@inline] [@lint.no_alloc] put buf (n [@lint.width 5]) (d [@lint.width 4]) =
   Bytes.set buf (n - 1) (Char.unsafe_chr (48 + d))
 [@@lint.certified_width 62]
 
+(* Digit [n], [last], ends the output: the packed verdict, after the
+   position rule's tail has classified the positions left from
+   g = (gh, gl), the distance up to the range's high end in units of
+   digit n. *)
+let[@inline] [@lint.no_alloc] finish buf ~high_ok ~tag:(tag [@lint.width 40])
+    (n [@lint.width 5]) (last [@lint.width 4]) (gh [@lint.width 61])
+    (gl [@lint.width 56]) (errv [@lint.width 58]) (errm [@lint.width 58]) =
+  put buf n last;
+  let total = (tag lsr 12) land 0x3fffff in
+  if total = 0 then (n lsl 12) lor (tag land 0xfff)
+  else begin
+    let (z [@lint.width_signed 6]) =
+      if n > total then uncertain
+      else if n = total then 0
+      else tail_zeros ~high_ok ~n ~total 0 gh gl errv errm
+    in
+    if z < 0 then uncertain
+    else (z lsl 24) lor (n lsl 12) lor (tag land 0xfff)
+  end
+[@@lint.certified_width 62]
+
 (* The certified digit loop, shared by both stopping rules.  [tag] is
    k + 1024 under the shortest rule; the position rule adds the total
-   number of positions k - j as [total lsl 12].  Returns
+   number of positions k - j as [total lsl 12], and a second run the
+   digit it marks exact as [mark lsl 34].  Returns
    (z lsl 24) lor (n lsl 12) lor (k + 1024) with the n digits in [buf]
    and z significant zeros after them (always 0 under the shortest
-   rule), or [uncertain].  [cap] is the output-digit budget, read once
-   per attempt.  All comparisons are between one-sided intervals
-   [a, a+err): "a_true op b_true certainly" demands the op hold across
-   both intervals. *)
-let[@lint.no_alloc] rec loop buf ~cap ~high_ok ~tag:(tag [@lint.width 34])
+   rule), [uncertain], or the [stalled] verdict.  [cap] is the
+   output-digit budget, read once per attempt.  All comparisons are
+   between one-sided intervals [a, a+err): "a_true op b_true certainly"
+   demands the op hold across both intervals. *)
+let[@lint.no_alloc] rec loop buf ~cap ~high_ok ~tag:(tag [@lint.width 40])
     (n [@lint.width 5]) (yh [@lint.width 61]) (yl [@lint.width 56])
     (mph [@lint.width 61]) (mpl [@lint.width 56]) (mmh [@lint.width 61])
     (mml [@lint.width 56]) (errv [@lint.width 58]) (errm [@lint.width 58]) =
@@ -311,8 +342,15 @@ let[@lint.no_alloc] rec loop buf ~cap ~high_ok ~tag:(tag [@lint.width 34])
   else begin
     let fh = yh land mask56 and fl = yl in
     (* The emitted digit is certain only if the true fraction cannot
-       reach the next integer. *)
-    if not (le2p fh fl errv one_hi 0) then uncertain
+       reach the next integer.  If it might, the digit stalls.  Once
+       [certify] has proved v·10^(n-k) an integer and marked the digit,
+       the true value here is exactly d + 1: that is the digit, and its
+       remainder of zero is below m⁻, so both rules stop here without a
+       tie, whatever m⁺ is, and the tail's g is m⁺ itself. *)
+    if not (le2p fh fl errv one_hi 0) then
+      if n <> tag lsr 34 then stalled + ((n lsl 12) lor (tag land 0xfff))
+      else if d >= 9 then uncertain
+      else finish buf ~high_ok ~tag n (d + 1) mph mpl 0 errm
     else begin
       let tc1_true = le2p fh fl errv mmh mml
       and tc1_false = le2p mmh mml errm fh fl in
@@ -362,26 +400,14 @@ let[@lint.no_alloc] rec loop buf ~cap ~high_ok ~tag:(tag [@lint.width 34])
             else -2
           end
         in
-        (* An estimate off by two surfaces here as a digit past 9. *)
+        (* An estimate off by two surfaces here as a digit past 9.  An
+           incremented last digit certified fraction + m⁺ ≥ 1, so its
+           g = sh − 1 is non-negative (mask61 identity). *)
         if last < 0 || last > 9 then uncertain
-        else begin
-          put buf n last;
-          let total = tag lsr 12 in
-          if total = 0 then (n lsl 12) lor tag
-          else begin
-            (* Position rule.  An incremented last digit certified
-               fraction + m⁺ ≥ 1, so its g = sh − 1 is non-negative
-               (mask61 identity). *)
-            let gh = if last > d then (sh - one_hi) land mask61 else sh in
-            let (z [@lint.width_signed 6]) =
-              if n > total then uncertain
-              else if n = total then 0
-              else tail_zeros ~high_ok ~n ~total 0 gh sl errv errm
-            in
-            if z < 0 then uncertain
-            else (z lsl 24) lor (n lsl 12) lor (tag land 0xfff)
-          end
-        end
+        else
+          finish buf ~high_ok ~tag n last
+            (if last > d then (sh - one_hi) land mask61 else sh)
+            sl errv errm
       end
     end
   end
@@ -391,7 +417,7 @@ let[@lint.no_alloc] rec loop buf ~cap ~high_ok ~tag:(tag [@lint.width 34])
    Y = v·10^(1-k)·2^112 so the first digit is floor(Y).  After the
    fixup (k = est + 1) that is X itself; otherwise X and m± are scaled
    by ten first. *)
-let[@lint.no_alloc] start buf ~cap ~high_ok ~tag:(tag [@lint.width 34]) ~fixup
+let[@lint.no_alloc] start buf ~cap ~high_ok ~tag:(tag [@lint.width 40]) ~fixup
     (xh [@lint.width 61]) (xl [@lint.width 56]) (mph [@lint.width 61])
     (mpl [@lint.width 56]) (mmh [@lint.width 61]) (mml [@lint.width 56]) =
   if fixup then loop buf ~cap ~high_ok ~tag 1 xh xl mph mpl mmh mml err0 err0
@@ -484,9 +510,9 @@ let[@lint.no_alloc] k_at (winh [@lint.width 28]) ~e:(e [@lint.width_signed 12])
 let[@lint.no_alloc] position (winh [@lint.width 28]) buf ~cap
     ~e:(e [@lint.width_signed 12]) ~narrow ~high_ok
     ~est:(est [@lint.width_signed 11]) ~kbit0:(kbit0 [@lint.width 1])
-    ~relative ~pos:(pos [@lint.width_signed 21]) (xh [@lint.width 60])
-    (xl [@lint.width 56]) (mph [@lint.width 60]) (mpl [@lint.width 56])
-    (mmh [@lint.width 60]) (mml [@lint.width 56]) =
+    ~relative ~pos:(pos [@lint.width_signed 21]) ~mark:(mark [@lint.width 5])
+    (xh [@lint.width 60]) (xl [@lint.width 56]) (mph [@lint.width 60])
+    (mpl [@lint.width 56]) (mmh [@lint.width 60]) (mml [@lint.width 56]) =
   let (kbit [@lint.width_signed 2]) =
     if not relative then k_at winh ~e ~est ~kbit0 ~xh ~xl pos
     else if pos < 1 then uncertain
@@ -500,7 +526,7 @@ let[@lint.no_alloc] position (winh [@lint.width 28]) buf ~cap
     if nh < 0 then uncertain
     else begin
       (* total = k − j positions above the shortest rule's biased k *)
-      let tag = ((kbit + nh) lsl 12) + (k + 1024) in
+      let tag = (mark lsl 34) lor (((kbit + nh) lsl 12) + (k + 1024)) in
       let fixup = kbit = 1 in
       if not (widens j (if narrow then e - 1 else e)) then
         start buf ~cap ~high_ok ~tag ~fixup xh xl mph mpl mmh mml
@@ -522,14 +548,25 @@ let[@lint.no_alloc] position (winh [@lint.width 28]) buf ~cap
 
 type rule = Shortest | Absolute | Relative
 
+(* a·10 > 1 frame unit for a below one (the mask57 identity): the true
+   value, at least a, certainly exceeds a tenth. *)
+let[@inline] [@lint.no_alloc] over_tenth (ah [@lint.width 61])
+    (al [@lint.width 56]) =
+  let l10 = al * 10 in
+  gt2 (((ah land mask57) * 10) + (l10 lsr 56)) (l10 land mask56) one_hi 0
+[@@lint.certified_width 62]
+
 (* The frame, the certified estimate fixup and the stopping rule's
-   loop.  Returns the loop's encoding or [uncertain]. *)
+   loop, with digit [mark] (0: none) taken as exact.  Returns the
+   loop's encoding, [uncertain] or [stalled]. *)
 let[@lint.no_alloc] run p buf ~cap ~f:(f [@lint.width 53])
     ~lf:(lf [@lint.width 6]) ~e:(e [@lint.width_signed 12]) ~narrow ~high_ok
     ~est:(est [@lint.width_signed 11]) ~rule ~pos:(pos [@lint.width_signed 21])
-    =
+    ~mark:(mark [@lint.width 5]) =
   let q = -est in
-  if q < T.q_min || q > T.q_max then uncertain
+  (* The frame guard below rests on [lf] being f's bit length. *)
+  if lf < 1 || lf > 53 || f lsr (lf - 1) <> 1 then uncertain
+  else if q < T.q_min || q > T.q_max then uncertain
   else begin
     let gamma = Array.unsafe_get T.exps (q - T.q_min) in
     (* X = floor(P / 2^t) in frame units: P·2^(-t) = f·c·2^(e+gamma+112). *)
@@ -559,18 +596,64 @@ let[@lint.no_alloc] run p buf ~cap ~f:(f [@lint.width 53])
       let too_low_true = reaches_one ~high_ok sh0 sl0
       and too_low_false = le2p sh0 sl0 (2 * err0) one_hi 0 in
       if not (too_low_true || too_low_false) then uncertain
+      (* Nor too high: k - 1 must fail the same test, X + m⁺ > 1/10 (≥
+         without high_ok).  [Scaling.fast_estimate_b10] is never too
+         high, and it clears this by m⁺ ≫ the error; a caller's larger
+         estimate would scale a leading zero into the digits. *)
+      else if not (too_low_true || over_tenth sh0 sl0) then uncertain
       else begin
         match rule with
         | Shortest ->
           let k = if too_low_true then est + 1 else est in
-          start buf ~cap ~high_ok ~tag:(k + 1024) ~fixup:too_low_true xh xl
-            mph mpl mmh mml
+          start buf ~cap ~high_ok
+            ~tag:((mark lsl 34) lor (k + 1024))
+            ~fixup:too_low_true xh xl mph mpl mmh mml
         | Absolute | Relative ->
           let (winh [@lint.width 28]) = p.winh in
           position winh buf ~cap ~e ~narrow ~high_ok ~est
             ~kbit0:(if too_low_true then 1 else 0)
-            ~relative:(rule = Relative) ~pos xh xl mph mpl mmh mml
+            ~relative:(rule = Relative) ~pos ~mark xh xl mph mpl mmh mml
       end
+    end
+  end
+[@@lint.certified_width 62]
+
+(* Does v·10^m = f·2^(e+m)·5^m have no denominator?  It is an integer
+   exactly when f carries the 2^-(e+m) and, for m < 0, the 5^-m that
+   would divide it; a positive f < 2^53 carries at most 2^52 and 5^22. *)
+let[@lint.no_alloc] rec fives (f [@lint.width 53]) (j [@lint.width 5]) =
+  if j <= 0 then true
+  else if f mod 5 <> 0 then false
+  else fives (f / 5) (j - 1)
+[@@lint.certified_width 62]
+
+let[@lint.no_alloc] integral (f [@lint.width 53]) (e [@lint.width_signed 12])
+    (m [@lint.width_signed 13]) =
+  let s = -(e + m) in
+  (if s <= 0 then true
+   else if s >= 53 then false
+   else f land ((1 lsl s) - 1) = 0)
+  && if m >= 0 then true else if m <= -23 then false else fives f (-m)
+[@@lint.certified_width 62]
+
+(* One attempt: [run], then, if digit n stalled and [integral] proves
+   its remainder zero (m = n - k), one more run with digit n marked.
+   Hits never pay for the test; a re-run repeats the frame and the
+   digits before n, well under the exact tier's cost. *)
+let[@lint.no_alloc] certify p buf ~cap ~f:(f [@lint.width 53])
+    ~lf:(lf [@lint.width 6]) ~e:(e [@lint.width_signed 12]) ~narrow ~high_ok
+    ~est:(est [@lint.width_signed 11]) ~rule ~pos:(pos [@lint.width_signed 21])
+    =
+  let r = run p buf ~cap ~f ~lf ~e ~narrow ~high_ok ~est ~rule ~pos ~mark:0 in
+  if r >= uncertain then r
+  else begin
+    (* [stalled] is a multiple of 2^17: the low bits are n and k + 1024 *)
+    let s = r land 0x1ffff in
+    let n = s lsr 12 in
+    if not (integral f e (n + 1024 - (s land 0xfff))) then uncertain
+    else begin
+      let r = run p buf ~cap ~f ~lf ~e ~narrow ~high_ok ~est ~rule ~pos ~mark:n in
+      if r >= uncertain then r else uncertain
     end
   end
 [@@lint.certified_width 62]
@@ -593,7 +676,8 @@ let attempt buf ~f ~e ~mantissa_bits ~narrow ~high_ok ~est ~rule ~pos =
     match
       Robust.Budget.check_deadline ();
       let cap = (Robust.Budget.get ()).Robust.Budget.max_output_digits in
-      run p buf ~cap ~f ~lf:mantissa_bits ~e ~narrow ~high_ok ~est ~rule ~pos
+      certify p buf ~cap ~f ~lf:mantissa_bits ~e ~narrow ~high_ok ~est ~rule
+        ~pos
     with
     | r ->
       if not lent then p.busy <- false;

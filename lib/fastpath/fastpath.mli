@@ -55,16 +55,22 @@ val convert_shortest :
     {!max_digits} bytes; a digit past its end raises
     [Invalid_argument].
 
-    [f] is the mantissa (must fit 53 bits; the caller checks),
-    [mantissa_bits] its bit length, [e] the binary exponent, [narrow]
-    whether the low gap is halved (mantissa on a power-of-two
-    boundary), [high_ok] the upper-boundary inclusivity from
-    [Rounding.boundary_ok], and [est] the caller's [Fast_estimate] of
-    ceil(log10 v) — passed in so the certified fixup works from the
-    same estimate the reference path would use.  The lower-boundary
-    flag [low_ok] is deliberately absent: it only changes the outcome
-    when a comparison lands on exact equality, which the one-sided
-    intervals can never certify, so those inputs always fall back.
+    [f] is the mantissa, [mantissa_bits] its bit length, [e] the
+    binary exponent, [narrow] whether the low gap is halved (mantissa
+    on a power-of-two boundary), [high_ok] the upper-boundary
+    inclusivity from [Rounding.boundary_ok], and [est] the caller's
+    [Fast_estimate] of ceil(log10 v) — passed in so the certified fixup
+    works from the same estimate the reference path would use.  Neither
+    is trusted: a [mantissa_bits] that is not f's bit length (or an [f]
+    past 53 bits) gives an uncertain verdict, and so does an [est] from
+    which the certified fixup cannot reach the digits' own scale k, so
+    a wrong estimate never yields digits at another scale.  The
+    lower-boundary flag [low_ok] is deliberately absent: it only
+    changes the outcome when the remainder equals m⁻ exactly, which the
+    one-sided intervals can never certify, so those inputs always fall
+    back.  The one equality the kernel does decide is a remainder of
+    exactly zero, by an integer test on [f] and [e]: exact decimals
+    such as 3.75 or 1234 are hits.
 
     Budgets: each attempt checks the deadline once
     ({!Robust.Budget.check_deadline}) and reads the output-digit cap
@@ -104,11 +110,13 @@ val convert_fixed :
     exponents) and becomes inclusive.  A relative request settles its
     position where [Fixed_format.relative]'s retries do: k of the
     unwidened range, moved up by one when widening at that position
-    reaches the next power of ten.  Uncertain, besides any undecided
-    comparison: a position at or above the value's leading digit (the
-    exact tier's single-digit case), an exact tie, and a zero run past
-    the error budget.  [|pos|] must stay below 2^20; larger requests
-    are not attempted. *)
+    reaches the next power of ten.  After a zero remainder the
+    positions left are significant zeros until the high end of the
+    range is a unit away ([3.7500000000000000] at 17 digits).
+    Uncertain, besides any undecided comparison: a position at or above
+    the value's leading digit (the exact tier's single-digit case), an
+    exact tie, and a zero run past the error budget.  [|pos|] must stay
+    below 2^20; larger requests are not attempted. *)
 
 val lend : int -> Bytes.t
 (** [lend n]: this domain's 64-byte text buffer when [n] fits it and

@@ -313,6 +313,27 @@ let strip_suffix suf s =
   if ls >= lf && String.sub s (ls - lf) lf = suf then String.sub s 0 (ls - lf)
   else s
 
+(* A budget detail is "WHAT: GOT > limit LIMIT", [Error.to_string]'s
+   rendering after its class prefix: read its three fields back, so
+   the error prints as it would in-process.  Any other detail keeps its
+   text, marked remote. *)
+let budget_of_detail body =
+  let fields =
+    match String.rindex_opt body ':' with
+    | None -> None
+    | Some i -> (
+      let tail = String.sub body (i + 1) (String.length body - i - 1) in
+      match String.split_on_char ' ' tail with
+      | [ ""; got; ">"; "limit"; limit ] -> (
+        match (int_of_string_opt got, int_of_string_opt limit) with
+        | Some got, Some limit -> Some (String.sub body 0 i, got, limit)
+        | _ -> None)
+      | _ -> None)
+  in
+  match fields with
+  | Some (what, got, limit) -> Error.budget ~what ~limit ~got
+  | None -> Error.budget ~what:("remote: " ^ body) ~limit:0 ~got:0
+
 let error_of_wire ~input cls detail =
   match cls with
   | "syntax" ->
@@ -325,10 +346,7 @@ let error_of_wire ~input cls detail =
       (strip_suffix echo (strip_prefix "syntax error: " detail))
   | "range" ->
     Error.range ~what:"remote" (strip_prefix "range error: " detail)
-  | "budget" ->
-    Error.budget
-      ~what:("remote: " ^ strip_prefix "budget exceeded: " detail)
-      ~limit:0 ~got:0
+  | "budget" -> budget_of_detail (strip_prefix "budget exceeded: " detail)
   | _ -> Error.internal ~where:"net.client" (cls ^ ": " ^ detail)
 
 let remaining_s deadline =
@@ -528,11 +546,23 @@ let convert t ?deadline_ms input =
             if not (penalize t) then jittered_backoff t ~attempt:n ~deadline ~tid;
             loop (n + 1) (Some (Error.internal ~where:"net.client" msg)))
     in
-    if Wire.conv_reads_back ~tid input then loop 0 None
-    else
+    if not (Wire.conv_reads_back ~tid input) then
       (* its CONV line would make the daemon convert another string; the
          library's strict grammar rejects every such input *)
       local_tier ~attempts:0 (Some (Error.syntax ~input "not a number"))
+    else begin
+      let limit = (Budget.get ()).Budget.max_input_length in
+      if String.length input <= limit then loop 0 None
+      else
+        (* refused in-process by the reader's length check; a daemon on
+           the same budget refuses it too or, past its frame cap (the
+           budget plus 64 bytes), discards the line unread and answers
+           ERR proto *)
+        local_tier ~attempts:0
+          (Some
+             (Error.budget ~what:"input length" ~limit
+                ~got:(String.length input)))
+    end
   end
 
 (* {2 Lifecycle and statistics} *)

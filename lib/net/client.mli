@@ -38,6 +38,8 @@
     {e determinative}: conversions are pure, so an input the server
     rejects with a typed error is invalid everywhere and is returned
     immediately as the corresponding {!Robust.Error.t} without retrying.
+    A budget reply's detail is read back into the error's fields, so it
+    renders as the same error raised in-process would.
 
     An input that a [CONV] line cannot carry unchanged
     ({!Wire.conv_reads_back} is false: blanks at either end, a line
@@ -45,7 +47,11 @@
     daemon, which would convert a different string.  It goes straight
     to the local tier with [attempts = 0]; with no local tier it is a
     typed [Syntax] error, as the library's strict grammar rejects every
-    such input.
+    such input.  Nor does an input longer than the caller's budget
+    admits ([max_input_length]), whose [CONV] line a daemon on the same
+    budget would refuse or, past its frame cap, discard unread: the
+    local tier answers it, and with no local tier it is the [Budget]
+    error on its input length.
 
     Thread-safety: one [t] may be shared by any number of threads and
     domains; all shared state sits behind one mutex held only for

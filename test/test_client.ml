@@ -216,6 +216,52 @@ let test_uncarried_inputs () =
     clients;
   Alcotest.(check int) "the daemon saw none" 0 (Server.stats server).Server.requests
 
+(* An input over the budget's input length never goes out: past the
+   daemon's frame cap (that length plus 64 bytes) the daemon would
+   discard its line unread and answer ERR proto, which the client would
+   retry.  The local tier answers with the library's error, and with no
+   local tier the client gives the same budget error, with no socket
+   opened. *)
+let test_over_long_input () =
+  let server = start_server () in
+  Fun.protect ~finally:(fun () -> stop_server server) @@ fun () ->
+  let input = String.make 70_000 '1' in
+  let lib = Client.create ~config:quick_config ~local:convert_real (server_addr server) in
+  let bare = Client.create ~config:quick_config (server_addr server) in
+  Fun.protect ~finally:(fun () -> Client.close lib; Client.close bare) @@ fun () ->
+  let want = Error.to_string (Result.get_error (convert_real input)) in
+  Alcotest.(check string) "the library's error" "budget exceeded: input length: 70000 > limit 65536" want;
+  List.iter
+    (fun (name, c) ->
+      (match Client.convert c input with
+      | Result.Error e -> Alcotest.(check string) name want (Error.to_string e)
+      | Result.Ok o -> Alcotest.failf "%s: converted to %S" name o.Client.output);
+      let s = Client.stats c in
+      Alcotest.(check int) (name ^ ": no retry") 0 s.Client.retries;
+      Alcotest.(check int) (name ^ ": no socket") 0 s.Client.reconnects)
+    [ ("local tier", lib); ("no local tier", bare) ];
+  Alcotest.(check int) "the daemon saw none" 0 (Server.stats server).Server.requests
+
+(* A daemon's budget error reads back into the error in-process bdprint
+   gives: the daemon's detail once, class budget.  Under a 0 ms default
+   deadline (bdprintd --deadline-ms 0) every request is answered
+   ERR budget. *)
+let test_remote_budget_error () =
+  let config = { Server.default_config with Server.default_deadline_ms = Some 0 } in
+  let server = start_server ~config () in
+  Fun.protect ~finally:(fun () -> stop_server server) @@ fun () ->
+  let c = Client.create ~config:quick_config (server_addr server) in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  match Client.convert c "0.1" with
+  | Result.Error (Error.Budget { what; limit; got }) as r ->
+    Alcotest.(check string) "what" Robust.Budget.deadline_what what;
+    Alcotest.(check int) "limit" 0 limit;
+    Alcotest.(check string) "rendered once"
+      (Printf.sprintf "budget exceeded: deadline-ms: %d > limit 0" got)
+      (Error.to_string (Result.get_error r))
+  | Result.Error e -> Alcotest.failf "not a budget error: %s" (Error.to_string e)
+  | Result.Ok o -> Alcotest.failf "converted to %S" o.Client.output
+
 (* {2 Fallback, the down state and its cooldown} *)
 
 let test_local_fallback_tier () =
@@ -1043,6 +1089,10 @@ let () =
           Alcotest.test_case "deadline" `Quick test_client_deadline;
           Alcotest.test_case "inputs a CONV line cannot carry" `Quick
             test_uncarried_inputs;
+          Alcotest.test_case "an input over the budget" `Quick
+            test_over_long_input;
+          Alcotest.test_case "a remote budget error" `Quick
+            test_remote_budget_error;
         ] );
       ( "resilience",
         [

@@ -214,12 +214,14 @@ let test_uncertain_verdicts () =
     (Fastpath.convert_shortest buf ~f:5 ~e:0 ~mantissa_bits:3 ~narrow:false
        ~high_ok:true ~est:25
     < 0);
-  (* a mantissa lying about its bit length must be refused, not trusted *)
-  Alcotest.(check bool)
-    "bad bit length" true
-    (Fastpath.convert_shortest buf ~f:(1 lsl 52) ~e:0 ~mantissa_bits:1
-       ~narrow:false ~high_ok:true ~est:16
-    < 0)
+  (* a mantissa lying about its bit length must be refused, not
+     trusted: the same call with the truth is a hit *)
+  let shortest bits =
+    Fastpath.convert_shortest buf ~f:((1 lsl 52) + 1) ~e:0 ~mantissa_bits:bits
+      ~narrow:false ~high_ok:false ~est:16
+  in
+  Alcotest.(check bool) "bad bit length" true (shortest 1 < 0);
+  Alcotest.(check bool) "true bit length" true (shortest 53 >= 0)
 
 (* ---------- monomorphized estimator agreement ---------- *)
 
@@ -292,16 +294,30 @@ let check_value fmt bits value =
 
 (* binary32: every positive finite value is 1..0x7F7FFFFF.  The default
    stratified pass strides with a prime step so every binade is
-   sampled; BDPRINT_EXHAUSTIVE32=1 sweeps all ~2^31 values (hours: the
-   exact-kernel side dominates). *)
+   sampled; BDPRINT_EXHAUSTIVE32=1 sweeps all ~2^31 values (about four
+   hours on one core: the exact-kernel side dominates), and with
+   BDPRINT_EXHAUSTIVE32_SHARD=i/n only its i-th of n interleaved shards
+   (0 <= i < n): every n-th value from 1 + i, so each shard crosses
+   every binade. *)
+let binary32_sweep_plan () =
+  if Sys.getenv_opt "BDPRINT_EXHAUSTIVE32" <> Some "1" then ("stratified", 1, 10007)
+  else
+    match Sys.getenv_opt "BDPRINT_EXHAUSTIVE32_SHARD" with
+    | None -> ("exhaustive", 1, 1)
+    | Some s -> (
+      match Scanf.sscanf_opt s "%d/%d%!" (fun i n -> (i, n)) with
+      | Some (i, n) when 0 <= i && i < n ->
+        (Printf.sprintf "exhaustive, shard %d/%d" i n, 1 + i, n)
+      | _ ->
+        Alcotest.failf "BDPRINT_EXHAUSTIVE32_SHARD=%S: want i/n, 0 <= i < n" s)
+
 let test_binary32_sweep () =
-  let exhaustive = Sys.getenv_opt "BDPRINT_EXHAUSTIVE32" = Some "1" in
-  let step = if exhaustive then 1 else 10007 in
+  let plan, first, step = binary32_sweep_plan () in
   let was_metrics = Telemetry.Metrics.enabled () in
   Telemetry.Metrics.set_enabled true;
   let hits0 = Fastpath.hit_count () and fb0 = Fastpath.fallback_count () in
   let tested = ref 0 in
-  let bits = ref 1 in
+  let bits = ref first in
   while !bits <= 0x7F7FFFFF do
     let value = Ieee.decompose_bits Ieee.spec_binary32 (Int64.of_int !bits) in
     (match value with
@@ -315,8 +331,8 @@ let test_binary32_sweep () =
   and fallbacks = Fastpath.fallback_count () - fb0 in
   Telemetry.Metrics.set_enabled was_metrics;
   Printf.printf
-    "binary32 sweep: %d values, %d fastpath hits, %d fallbacks (%.3f%%)\n%!"
-    !tested hits fallbacks
+    "binary32 sweep (%s): %d values, %d fastpath hits, %d fallbacks (%.3f%%)\n%!"
+    plan !tested hits fallbacks
     (100.0 *. float_of_int fallbacks /. float_of_int (max 1 (hits + fallbacks)));
   Alcotest.(check bool) "swept a real population" true (!tested > 100_000);
   (* the dispatch gate was live: every sampled value was attempted *)
@@ -522,8 +538,8 @@ let finite x =
    short "human" decimals such as 0.1 or 3.75 (n / 10^p is the double
    nearest the decimal, both operands being exact), one human decimal
    to four random payloads as in the benchmark's value mix.  Decimals
-   that a double holds exactly (integers, 3.75) always fall back: a
-   truncated product never certifies a remainder of exactly zero. *)
+   that a double holds exactly (integers, 3.75) end on a remainder of
+   exactly zero, which the kernel's integer test certifies. *)
 let binary64_sample =
   lazy
     (let st = Random.State.make [| 0x6bd; 17 |] in
@@ -605,6 +621,250 @@ let test_fixed_binary16 () =
   Printf.printf "binary16 fixed: %d hits, %d fallbacks\n%!" hits fallbacks;
   Alcotest.(check bool) "the tier was attempted" true (hits > 0)
 
+(* The kernel's arguments for a binary64 datum, as [Printer] reads
+   them from its bits. *)
+let kernel_args x =
+  let b = Int64.to_int (Int64.bits_of_float x) in
+  let ef = (b lsr 52) land 0x7ff and frac = b land ((1 lsl 52) - 1) in
+  let f = if ef = 0 then frac else frac lor (1 lsl 52) in
+  let e = max ef 1 - 1075 in
+  let rec bits f = if f = 0 then 0 else 1 + bits (f lsr 1) in
+  (f, e, bits f)
+
+(* Every estimate from the reference's minus three to plus three and
+   every lying bit length, on random normals and on exact decimals: the
+   kernel may refuse, but what it answers is [Dragon.Reference]'s
+   answer.  A bit length other than f's is always refused.  The normals
+   stay between 2^-85 and 2^73, where the rational reference is quick.
+   The first value is one whose estimate, one too high, would scale a
+   leading zero into the digits (f = 7681248000391443, e = -137). *)
+let test_hostile_arguments () =
+  let st = Random.State.make [| 0x6bd; 0xe57 |] in
+  let buf = Bytes.create Fastpath.max_digits in
+  let normal () =
+    Float.ldexp
+      (float_of_int ((1 lsl 52) + Random.State.full_int st (1 lsl 52)))
+      (Random.State.int st 158 - 137)
+  and exact () =
+    match Random.State.int st 3 with
+    | 0 -> float_of_int (1 + Random.State.int st 200_000)
+    | 1 ->
+      Float.ldexp
+        (float_of_int (1 + Random.State.int st 4095))
+        (-Random.State.int st 13)
+    | _ ->
+      float_of_int (1 + Random.State.int st 99)
+      *. (10. ** float_of_int (Random.State.int st 23))
+  in
+  let values =
+    Float.ldexp 7681248000391443. (-137)
+    :: List.init 4_000 (fun i -> if i mod 4 = 0 then normal () else exact ())
+  in
+  let hits = ref 0 in
+  List.iter
+    (fun x ->
+      let f, e, bits = kernel_args x in
+      let est0 = Dragon.Scaling.fast_estimate_b10 ~bits ~e in
+      let v = finite x in
+      let narrow = f = 1 lsl 52 && e > -1074 and high_ok = f land 1 = 0 in
+      let free = lazy (Dragon.Reference.free b64 v) in
+      let fixed = Hashtbl.create 4 in
+      let reference req =
+        match Hashtbl.find_opt fixed req with
+        | Some t -> t
+        | None ->
+          let t = Dragon.Reference.fixed b64 v req in
+          Hashtbl.add fixed req t;
+          t
+      in
+      let fail what est lf got want =
+        Alcotest.failf "%h (f=%d e=%d) %s, est %+d, %d bits: %s, want %s" x f e
+          what (est - est0) lf got want
+      in
+      let shortest est lf =
+        let r =
+          Fastpath.convert_shortest buf ~f ~e ~mantissa_bits:lf ~narrow ~high_ok
+            ~est
+        in
+        if r >= 0 then begin
+          incr hits;
+          let want = Lazy.force free and n = Fastpath.digit_count r in
+          let got = Array.init n (fun i -> Char.code (Bytes.get buf i) - 48) in
+          let got = { Dragon.Free_format.digits = got; k = Fastpath.point r } in
+          if not (Dragon.Free_format.equal got want) then
+            fail "shortest" est lf
+              (Format.asprintf "%a" Dragon.Free_format.pp got)
+              (Format.asprintf "%a" Dragon.Free_format.pp want)
+        end;
+        r
+      in
+      let position est lf req =
+        let relative, pos =
+          match req with
+          | Dragon.Fixed_format.Relative i -> (true, i)
+          | Dragon.Fixed_format.Absolute j -> (false, j)
+        in
+        let r =
+          Fastpath.convert_fixed buf ~relative ~pos ~f ~e ~mantissa_bits:lf
+            ~narrow ~high_ok ~est
+        in
+        if r >= 0 then begin
+          incr hits;
+          let n = Fastpath.digit_count r and k = Fastpath.point r in
+          let z = Fastpath.zero_count r in
+          let total = if relative then pos else k - pos in
+          let digits =
+            Array.init total (fun i ->
+                if i < n then
+                  Dragon.Fixed_format.Digit (Char.code (Bytes.get buf i) - 48)
+                else if i < n + z then Dragon.Fixed_format.Digit 0
+                else Dragon.Fixed_format.Hash)
+          in
+          let got = { Dragon.Fixed_format.digits; k } and want = reference req in
+          if not (Dragon.Fixed_format.equal got want) then
+            fail (request_name req) est lf
+              (Format.asprintf "%a" Dragon.Fixed_format.pp got)
+              (Format.asprintf "%a" Dragon.Fixed_format.pp want)
+        end;
+        r
+      in
+      let requests =
+        Dragon.Fixed_format.[ Relative 3; Relative 17; Absolute (est0 - 6) ]
+      in
+      for d = -3 to 3 do
+        ignore (shortest (est0 + d) bits);
+        List.iter (fun req -> ignore (position (est0 + d) bits req)) requests
+      done;
+      List.iter
+        (fun lf ->
+          if lf <> bits then begin
+            if shortest est0 lf >= 0 then
+              fail "shortest" est0 lf "an answer" "a refusal";
+            List.iter
+              (fun req ->
+                if position est0 lf req >= 0 then
+                  fail (request_name req) est0 lf "an answer" "a refusal")
+              requests
+          end)
+        [ -3; 0; 1; bits - 1; bits + 1; 53; 54; 63 ])
+    values;
+  Printf.printf "hostile arguments: %d hits on %d values\n" !hits
+    (List.length values);
+  Alcotest.(check bool) "the sweep hit" true (!hits > 4_000)
+
+(* ---------- exact decimals ---------- *)
+
+(* Doubles that are short exact decimals: every integer from 1 to
+   200,000, n/2^j for 0 < n < 4096 and 0 < j <= 12, m·10^p for
+   0 < m < 100 and p <= 22 (the double nearest, once 5^p·m passes
+   2^53), and 2^k and 3·2^k for -100 <= k < 100; 251,817 values,
+   repeats included.  At the digit where such a value's output ends,
+   v·10^(n-k) is an integer: the remainder is exactly zero, which the
+   truncated frame alone cannot certify. *)
+let exact_decimals =
+  lazy
+    (let ints = Array.init 200_000 (fun i -> float_of_int (i + 1))
+     and halves =
+       Array.init (4095 * 12) (fun i ->
+           Float.ldexp (float_of_int ((i / 12) + 1)) (-((i mod 12) + 1)))
+     and tens =
+       Array.init (99 * 23) (fun i ->
+           float_of_int ((i / 23) + 1) *. (10. ** float_of_int (i mod 23)))
+     and twos =
+       Array.init 400 (fun i ->
+           Float.ldexp (if i mod 2 = 0 then 1. else 3.) ((i / 2) - 100))
+     in
+     Array.concat [ ints; halves; tens; twos ])
+
+let exact_requests =
+  Dragon.Fixed_format.(
+    List.map (fun i -> Relative i) [ 1; 2; 3; 6; 15; 16; 17; 20 ]
+    @ List.map (fun j -> Absolute j) [ -8; -3; -1; 0; 2 ])
+
+(* Free-format hits and fallbacks recorded while [f] runs. *)
+let free_counts f =
+  let was = Telemetry.Metrics.enabled () in
+  Telemetry.Metrics.set_enabled true;
+  let h0 = Fastpath.hit_count () and f0 = Fastpath.fallback_count () in
+  Fun.protect ~finally:(fun () -> Telemetry.Metrics.set_enabled was) f;
+  (Fastpath.hit_count () - h0, Fastpath.fallback_count () - f0)
+
+let print_request req x =
+  match req with
+  | None -> Dragon.Printer.print x
+  | Some req -> Dragon.Printer.print_fixed req x
+
+let check_exact req x =
+  let fast = with_fastpath (fun () -> print_request req x)
+  and exact = without_fastpath (fun () -> print_request req x) in
+  if not (String.equal fast exact) then
+    Alcotest.failf "%h, %s: table tier %S, exact tier %S" x
+      (match req with None -> "shortest" | Some r -> request_name r)
+      fast exact
+
+(* The table tier answers exact decimals in shortest form with the
+   exact tier's bytes; the values it still hands back are range-end
+   ties such as 1e23, and their number is exact. *)
+let test_exact_shortest () =
+  let values = Lazy.force exact_decimals in
+  Alcotest.(check int) "the set" 251_817 (Array.length values);
+  let hits, fallbacks =
+    free_counts (fun () -> Array.iter (check_exact None) values)
+  in
+  Printf.printf "exact decimals, shortest: %d hits, %d fallbacks\n" hits
+    fallbacks;
+  Alcotest.(check int) "shortest fallbacks" 37 fallbacks
+
+(* The same under the position rule, over every [stride]th value of the
+   set: significant zeros after the digits, then [#] marks, where the
+   17-step error budget allows. *)
+let test_exact_fixed ~stride ~fallbacks () =
+  let values = Lazy.force exact_decimals in
+  let counts =
+    List.map
+      (fun req ->
+        let _, fallbacks =
+          fixed_counts (fun () ->
+              Array.iteri
+                (fun i x -> if i mod stride = 0 then check_exact (Some req) x)
+                values)
+        in
+        Printf.printf "  %s: %d fallbacks\n" (request_name req) fallbacks;
+        fallbacks)
+      exact_requests
+  in
+  Alcotest.(check (list int)) "fallbacks by request" fallbacks counts
+
+(* Exact decimals are hits.  What still falls back is a range-end tie:
+   the shortest forms of 1e23 and 5e22 lie exactly on the high end of
+   their rounding ranges, and at Relative 17 the # mark after 2^53's
+   last digit holds only because m⁺ is exactly one unit.  2^53's
+   shortest form is a hit: a zero remainder settles the last digit,
+   whatever m⁺ is. *)
+let test_range_end_ties () =
+  let outcome req x =
+    let count = match req with None -> free_counts | Some _ -> fixed_counts in
+    match count (fun () -> ignore (with_fastpath (fun () -> print_request req x))) with
+    | 1, 0 -> "hit"
+    | 0, 1 -> "fallback"
+    | h, f -> Printf.sprintf "%d hits, %d fallbacks" h f
+  in
+  List.iter
+    (fun (x, req, want) ->
+      let name = match req with None -> "shortest" | Some r -> request_name r in
+      Alcotest.(check string) (Printf.sprintf "%h, %s" x name) want (outcome req x))
+    Dragon.Fixed_format.
+      [
+        (3.75, None, "hit");
+        (1234., None, "hit");
+        (0.5, None, "hit");
+        (0x1p53, None, "hit");
+        (1e23, None, "fallback");
+        (5e22, None, "fallback");
+        (1e23, Some (Relative 17), "fallback");
+        (0x1p53, Some (Relative 17), "fallback");
+      ]
+
 (* Outputs of the exact tier before the table tier existed, which both
    tiers must still produce. *)
 let test_fixed_goldens () =
@@ -640,6 +900,8 @@ let test_fixed_dispatch () =
   hit "pi at Relative 6 (widened range)" Float.pi (Relative 6);
   hit "0.1 at Relative 17 (zero tail)" 0.1 (Relative 17);
   hit "9.96 at Relative 2 (k moves)" 9.96 (Relative 2);
+  hit "3.75 at Relative 17 (a zero remainder)" 3.75 (Relative 17);
+  hit "1234 at Absolute -3 (a zero remainder)" 1234. (Absolute (-3));
   (* 0.125 sits exactly between 0.12 and 0.13: the tie is never
      certifiable, and the exact tier honors ~tie *)
   List.iter
@@ -724,6 +986,8 @@ let () =
             test_hit_allocation;
           Alcotest.test_case "monomorphized estimator agreement" `Quick
             test_fast_estimate_b10;
+          Alcotest.test_case "hostile estimates and bit lengths" `Quick
+            test_hostile_arguments;
         ] );
       ( "differential",
         [
@@ -744,5 +1008,20 @@ let () =
             test_fixed_binary64;
           Alcotest.test_case "every binary16 value byte-identical" `Slow
             test_fixed_binary16;
+        ] );
+      ( "exact decimals",
+        [
+          Alcotest.test_case "range-end ties still fall back" `Quick
+            test_range_end_ties;
+          Alcotest.test_case "shortest form, the whole set" `Quick
+            test_exact_shortest;
+          Alcotest.test_case "fixed format, every 29th value" `Quick
+            (test_exact_fixed ~stride:29
+               ~fallbacks:[ 14; 43; 195; 201; 0; 0; 0; 1478; 136; 142; 158; 286; 1112 ]);
+          Alcotest.test_case "fixed format, the whole set" `Slow
+            (test_exact_fixed ~stride:1
+               ~fallbacks:
+                 [ 413; 1263; 5630; 5868; 4; 11; 47; 42902; 3996; 4212; 4616;
+                   8261; 32288 ]);
         ] );
     ]

@@ -326,14 +326,15 @@ let test_server_verbs () =
       | r -> Alcotest.failf "expected READY, got %s" (Wire.render_reply r));
       send c "CONV 0.1\n";
       Alcotest.(check bool) "conv" true (recv_reply c = Wire.Converted "0.1");
-      (* the table tier never certifies an exact decimal: 3.75 goes to
-         the pool, whose answers the memo keeps *)
-      send c "CONV 3.75\n";
-      Alcotest.(check bool) "conv exact" true
-        (recv_reply c = Wire.Converted "3.75");
-      send c "CONV 3.75\n";
+      (* the table tier declines 5e22, whose shortest form lies exactly
+         on the high end of its rounding range: it goes to the pool,
+         whose answers the memo keeps *)
+      send c "CONV 5e22\n";
+      Alcotest.(check bool) "conv range-end tie" true
+        (recv_reply c = Wire.Converted "5e22");
+      send c "CONV 5e22\n";
       Alcotest.(check bool) "conv cached" true
-        (recv_reply c = Wire.Converted "3.75");
+        (recv_reply c = Wire.Converted "5e22");
       send c "CONV 1e23\n";
       Alcotest.(check bool) "conv sci" true (recv_reply c = Wire.Converted "1e23");
       send c "CONV bogus\n";
@@ -430,8 +431,9 @@ let tier_open () =
    trace id, with its stage name and note, on either route.  0.1
    (TID=7) is answered inline: the connection thread's memo lookup, its
    fastpath span noted "inline", the wire write and the request root,
-   and nothing of the pool.  3.75 (TID=8) is a table-tier decline: the
-   inline attempt noted "declined", then the queue wait that the
+   and nothing of the pool.  1e23 (TID=8) is a table-tier decline (its
+   shortest form lies exactly on the high end of its rounding range):
+   the inline attempt noted "declined", then the queue wait that the
    submitting thread opens and the worker closes, and the worker's
    service and pipeline spans.  With the tier closed, both take the
    second path.  The connection thread closes wire-write and request
@@ -451,9 +453,9 @@ let test_server_trace_spans () =
       let c = connect port in
       send c "CONV TID=7 0.1\n";
       Alcotest.(check bool) "conv 0.1" true (recv_reply c = Wire.Converted "0.1");
-      send c "CONV TID=8 3.75\n";
-      Alcotest.(check bool) "conv 3.75" true
-        (recv_reply c = Wire.Converted "3.75");
+      send c "CONV TID=8 1e23\n";
+      Alcotest.(check bool) "conv 1e23" true
+        (recv_reply c = Wire.Converted "1e23");
       send c "PING\n";
       Alcotest.(check bool) "pong" true (recv_reply c = Wire.Pong);
       close c);
@@ -504,7 +506,7 @@ let test_server_trace_spans () =
     expect 7 (spans 7)
       ([ ("memo-lookup", noted "miss"); ("fastpath", noted "inline") ] @ ends)
       [ "queue-wait"; "worker-service" ];
-    (* the worker's own table-tier attempt on 3.75 is uncertain too *)
+    (* the worker's own table-tier attempt on 1e23 is uncertain too *)
     expect 8 (spans 8) (pool ("fastpath" :: exact)) []
   end
   else begin
@@ -554,9 +556,9 @@ let test_server_overload_shed () =
         (s.Server.shed_overload >= 1))
 
 (* Every answer the pool computed is memoized: a repeat is a cache hit.
-   3.75 is pool-bound, since the table tier never certifies an exact
-   decimal.  STATS keeps its cache_skips key at a constant 0, which
-   perfbench's traced daemon run reads. *)
+   1e23 is pool-bound, since the table tier cannot certify a shortest
+   form on the end of the rounding range.  STATS keeps its cache_skips
+   key at a constant 0, which perfbench's traced daemon run reads. *)
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
@@ -565,10 +567,10 @@ let contains haystack needle =
 let test_server_memo_hit () =
   with_server (fun server port ->
       let c = connect port in
-      send c "CONV 3.75\n";
-      Alcotest.(check bool) "a" true (recv_reply c = Wire.Converted "3.75");
-      send c "CONV 3.75\n";
-      Alcotest.(check bool) "b" true (recv_reply c = Wire.Converted "3.75");
+      send c "CONV 1e23\n";
+      Alcotest.(check bool) "a" true (recv_reply c = Wire.Converted "1e23");
+      send c "CONV 1e23\n";
+      Alcotest.(check bool) "b" true (recv_reply c = Wire.Converted "1e23");
       send c "STATS\n";
       (match recv_reply c with
       | Wire.Payload { verb = "STATS"; body } ->
@@ -1008,14 +1010,15 @@ let stats_body c =
   | Wire.Payload { verb = "STATS"; body } -> body
   | r -> Alcotest.failf "bad STATS: %s" (Wire.render_reply r)
 
-(* Both routes on one connection, pipelined in one write.  0.1 and
-   123.456 are answered inline; the torture line, past 19 digits and
-   between two doubles, is a reader decline; 3.75 and 1e23 are
-   table-tier declines.  The replies come back in the order sent, with
-   the full conversion's bytes. *)
+(* Both routes on one connection, pipelined in one write.  0.1,
+   123.456 and the exact decimal 3.75 are answered inline; the torture
+   line, past 19 digits and between two doubles, is a reader decline;
+   5e22 and 1e23, whose shortest forms lie exactly on the high ends of
+   their rounding ranges, are table-tier declines.  The replies come
+   back in the order sent, with the full conversion's bytes. *)
 let test_server_two_routes_in_order () =
   let torture = "9007199254740993.000000000000000000001" in
-  let inputs = [ "0.1"; torture; "3.75"; "123.456"; "1e23" ] in
+  let inputs = [ "0.1"; torture; "5e22"; "123.456"; "1e23"; "3.75" ] in
   let table x =
     Dragon.Printer.print_table ~mode:Fp.Rounding.To_nearest_even
       ~notation:Dragon.Render.Auto x
@@ -1026,8 +1029,8 @@ let test_server_two_routes_in_order () =
     (fun input ->
       Alcotest.(check string) (input ^ " is a table-tier decline") ""
         (table (Reader.Fast.tiers input)))
-    [ "3.75"; "1e23" ];
-  let inline = if tier_open () then 2 else 0 in
+    [ "5e22"; "1e23" ];
+  let inline = if tier_open () then 3 else 0 in
   with_server (fun server port ->
       let c = connect port in
       send c
@@ -1041,9 +1044,9 @@ let test_server_two_routes_in_order () =
       close c;
       let s = Server.stats server in
       Alcotest.(check int) "answered inline" inline s.Server.inline;
-      Alcotest.(check int) "sent to the pool" (5 - inline)
+      Alcotest.(check int) "sent to the pool" (6 - inline)
         s.Server.supervisor.Service.Supervisor.submitted;
-      Alcotest.(check int) "all ok" 5 s.Server.replies_ok)
+      Alcotest.(check int) "all ok" 6 s.Server.replies_ok)
 
 (* An inline answer takes no worker and no memo entry: STATS' inline
    count rises by one per answer, and sup_submitted and cache_entries
@@ -1113,7 +1116,7 @@ let test_server_deadline_zero () =
           match recv_reply c with
           | Wire.Failed { cls = "budget"; _ } -> ()
           | r -> Alcotest.failf "CONV %s: %s" input (Wire.render_reply r))
-        [ "0.1"; "3.75" ];
+        [ "0.1"; "1e23" ];
       close c;
       Alcotest.(check int) "none inline" 0 (Server.stats server).Server.inline)
 
