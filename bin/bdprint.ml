@@ -1,6 +1,6 @@
 (* bdprint: command-line floating-point conversion using the Burger-Dybvig
-   algorithms.  Input strings are read with the exact reader into the
-   chosen format, then printed free- or fixed-format.
+   algorithms.  Every input is read and printed free-format, fixed-format
+   or in hex by Net.Conversion.convert, the conversion bdprintd runs.
 
    Robustness: every failure is a structured Robust.Error — syntax,
    range, budget or internal — and with [--stdin] the tool is a streaming
@@ -18,6 +18,7 @@ open Cmdliner
 module Error = Robust.Error
 module Budget = Robust.Budget
 module Client = Net.Client
+module Conversion = Net.Conversion
 
 let mode_conv =
   let parse = function
@@ -121,8 +122,10 @@ let hex_out =
     value & flag
     & info [ "x"; "hex" ]
         ~doc:
-          "Print in C17 hexadecimal-significand notation (exact; binary64 \
-           only).")
+          "Print the value read, exactly, as a C17 hexadecimal binary64 \
+           literal ($(b,--format) binary32 reads 0.1 as 0x1.99999ap-4).  \
+           Takes no $(b,--digits), $(b,--places), $(b,--base) or \
+           $(b,--notation).")
 
 let stdin_flag =
   Arg.(
@@ -230,46 +233,45 @@ let install_trace = function
 let vet_request request =
   let cap = (Robust.Budget.get ()).Robust.Budget.max_output_digits in
   match request with
-  | Some (Dragon.Fixed_format.Relative d) ->
+  | Conversion.Position (Dragon.Fixed_format.Relative d) ->
     if d < 1 then
       Some (Error.range ~what:"--digits" (Printf.sprintf "%d < 1" d))
     else if d > cap then
       Some (Error.budget ~what:"--digits" ~limit:cap ~got:d)
     else None
-  | Some (Dragon.Fixed_format.Absolute j) ->
+  | Conversion.Position (Dragon.Fixed_format.Absolute j) ->
     if abs j > cap then
       Some (Error.budget ~what:"--places" ~limit:cap ~got:(abs j))
     else None
-  | None -> None
+  | Conversion.Shortest | Conversion.Hex -> None
 
-let convert_one ~base ~mode ~fmt ~strategy ~notation ~request ~hex_out input =
-  let t0 = Telemetry.Tracing.start () in
-  let parsed =
-    if Reader.Hex.is_literal input then Reader.Hex.read ~mode fmt input
-    else if
-      (* binary64 round-to-nearest-even is the certified fast reader's
-         domain; it proves agreement with the exact reader, so routing
-         through it changes nothing but the tier counters (and speed) *)
-      Fp.Format_spec.equal fmt Fp.Format_spec.binary64
-      && mode = Fp.Rounding.To_nearest_even
-    then Result.map Fp.Ieee.decompose (Reader.Fast.read input)
-    else Reader.read ~mode fmt input
-  in
-  Telemetry.Tracing.finish Telemetry.Tracing.Parse t0;
-  match parsed with
-  | Error _ as e -> e
-  | Ok value -> (
-    match (request, value) with
-    | _ when hex_out -> Ok (Dragon.Printer.print_hex (Fp.Ieee.compose value))
-    | None, _ ->
-      Dragon.Printer.print_value ~base ~mode ~strategy ~notation fmt value
-    | Some _, Fp.Value.Zero neg -> Ok (Dragon.Render.zero ~neg ())
-    | Some _, Fp.Value.Inf neg -> Ok (Dragon.Render.infinity ~neg ())
-    | Some _, Fp.Value.Nan -> Ok Dragon.Render.nan
-    | Some req, Fp.Value.Finite v -> (
-      match Dragon.Fixed_format.convert ~base ~mode fmt v req with
-      | Error _ as e -> e
-      | Ok t -> Ok (Dragon.Render.fixed ~notation ~neg:v.Fp.Value.neg ~base t)))
+let first_set flags =
+  List.find_map (fun (set, flag) -> if set then Some flag else None) flags
+
+(* The one request a run makes: shortest, a position or hex, never two.
+   --hex prints the value read in C17's own notation, so the flags that
+   shape decimal text do not apply to it; --mode and --format do, as
+   they choose the value read. *)
+let request_of ~base ~notation ~digits ~places ~hex_out =
+  match (digits, places) with
+  | Some _, Some _ -> Result.Error "use only one of --digits and --places"
+  | _ when hex_out -> (
+    match
+      first_set
+        [
+          (digits <> None, "--digits");
+          (places <> None, "--places");
+          (base <> 10, "--base");
+          (notation <> Dragon.Render.Auto, "--notation");
+        ]
+    with
+    | Some flag -> Result.Error ("--hex cannot be combined with " ^ flag)
+    | None -> Result.Ok Conversion.Hex)
+  | Some d, None ->
+    Result.Ok (Conversion.Position (Dragon.Fixed_format.Relative d))
+  | None, Some p ->
+    Result.Ok (Conversion.Position (Dragon.Fixed_format.Absolute (-p)))
+  | None, None -> Result.Ok Conversion.Shortest
 
 (* Per-class error accounting for the stream and one-shot inputs; the
    exit code reflects the most severe class seen (docs/ROBUSTNESS.md
@@ -512,8 +514,7 @@ let connect_client ~local ~show_stats spec =
    one set.  --strategy stays allowed: every strategy prints the same
    digits. *)
 let connect_conflict ~base ~mode ~fmt ~notation ~digits ~places ~hex_out =
-  List.find_map
-    (fun (set, flag) -> if set then Some flag else None)
+  first_set
     [
       (base <> 10, "--base");
       (mode <> Fp.Rounding.To_nearest_even, "--mode");
@@ -540,21 +541,16 @@ let run base mode fmt strategy notation digits places hex_out use_stdin
     (* Flip the registry on before the first conversion. *)
     if show_stats || metrics_file <> None then Telemetry.set_enabled true;
     install_trace trace;
-    let request =
-      match (digits, places) with
-      | Some _, Some _ -> Result.Error "use only one of --digits and --places"
-      | Some d, None -> Result.Ok (Some (Dragon.Fixed_format.Relative d))
-      | None, Some p -> Result.Ok (Some (Dragon.Fixed_format.Absolute (-p)))
-      | None, None -> Result.Ok None
-    in
-    match request with
+    match request_of ~base ~notation ~digits ~places ~hex_out with
     | Result.Error e -> `Error (false, e)
     | Result.Ok request -> (
       match vet_request request with
       | Some e -> refuse e
       | None -> (
+        (* applied once: a line pays no box for the settings *)
         let convert =
-          convert_one ~base ~mode ~fmt ~strategy ~notation ~request ~hex_out
+          Conversion.convert ~base ~mode ~format:fmt ~strategy ~notation
+            ~request
         in
         (* --connect swaps the conversion function for the resilient
            client (the daemon first, this pipeline as local fallback)

@@ -203,7 +203,7 @@ let convert_exn ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
         digits.(i) <- decimal_digit (Char.code (Bytes.get buf i) - 48)
       done;
       Fastpath.give_back buf;
-      Generate.observe_finish n;
+      Robust.Budget.observe_output_digits n;
       Array.fill digits n (Fastpath.zero_count r) (Digit 0);
       { digits; k }
     end

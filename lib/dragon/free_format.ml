@@ -6,15 +6,6 @@ type t = { digits : int array; k : int }
 
 module Tracing = Telemetry.Tracing
 
-(* Shortest-output length per conversion (the paper's "average 15.2
-   digits" distribution), recorded at the free-format entry point. *)
-let h_digits =
-  Telemetry.Metrics.histogram
-    ~help:"Shortest free-format output length in significant digits."
-    ~bounds:[| 1; 2; 4; 6; 8; 10; 12; 14; 16; 17; 18; 20; 24; 32; 64; 256;
-               1024; 8192 |]
-    "bdprint_free_format_digits"
-
 (* The table tier's one gate, shared by free and fixed format: a
    conversion qualifies for the Q4.112 kernels (see {!Fastpath}) when
    they can certify it — decimal output, a binary format with a
@@ -86,10 +77,6 @@ let table_tier buf ~base ~mode fmt (v : Fp.Value.finite) =
   if f = 0 then -1
   else shortest_tier buf ~mode fmt ~f ~e:v.e
 
-let observe_hit n =
-  Generate.observe_finish n;
-  if Telemetry.Metrics.enabled () then Telemetry.Metrics.observe h_digits n
-
 let exact ~base ~mode ~strategy ~tie fmt (v : Fp.Value.finite) =
   let t0 = Tracing.start () in
   let bnd = Boundaries.of_finite ~mode fmt v in
@@ -102,8 +89,6 @@ let exact ~base ~mode ~strategy ~tie fmt (v : Fp.Value.finite) =
   let t0 = Tracing.start () in
   let digits = Generate.free ~base ~tie state in
   Tracing.finish Tracing.Generate t0;
-  if Telemetry.Metrics.enabled () then
-    Telemetry.Metrics.observe h_digits (Array.length digits);
   { digits; k }
 
 let convert ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
@@ -125,7 +110,7 @@ let convert ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
         digits.(i) <- Char.code (Bytes.get buf i) - 48
       done;
       Fastpath.give_back buf;
-      observe_hit n;
+      Robust.Budget.observe_output_digits n;
       { digits; k = Fastpath.point r }
     end
   | _ -> exact ~base ~mode ~strategy ~tie fmt v

@@ -61,11 +61,6 @@ val fixed_tier :
   int
 (** {!shortest_tier} for {!Fastpath.convert_fixed}'s position rule. *)
 
-val observe_hit : int -> unit
-(** What a table-tier hit of [n] digits records: the digit-loop and
-    output-digit histograms ({!Generate.observe_finish}) and
-    [bdprint_free_format_digits]. *)
-
 val exact :
   base:int ->
   mode:Fp.Rounding.mode ->

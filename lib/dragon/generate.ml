@@ -10,18 +10,6 @@ type stopped = {
   m_plus_n : Nat.t;
 }
 
-(* Figure-3 loop iterations per conversion.  In free format every
-   iteration emits one digit, so this distribution is also the
-   digit-length distribution the paper reports as "average 15.2
-   digits"; recorded once per conversion, gated on the telemetry
-   switch. *)
-let h_loop_iterations =
-  Telemetry.Metrics.histogram
-    ~help:"Digit-generation loop iterations per conversion."
-    ~bounds:[| 1; 2; 4; 6; 8; 10; 12; 14; 16; 17; 18; 20; 24; 32; 64; 256;
-               1024; 8192 |]
-    "bdprint_generate_loop_iterations"
-
 (* Which implementation served each conversion: the whole loop in native
    machine words, or the pooled in-place Scratch kernels.  (The pure-Nat
    reference path is only reachable by explicit request or as the
@@ -61,12 +49,6 @@ let force_pure_flag =
 
 let set_force_pure b = Atomic.set force_pure_flag b
 let force_pure () = Atomic.get force_pure_flag
-
-let observe_finish emitted =
-  if Telemetry.Metrics.enabled () then begin
-    Telemetry.Metrics.observe h_loop_iterations emitted;
-    Robust.Budget.observe_output_digits emitted
-  end
 
 let check_digits ~base digits =
   (* Theorem 1: incrementing never cascades. *)
@@ -120,7 +102,7 @@ let run_pure ~base ~tie (bnd : Boundaries.t) =
           ((if up then d + 1 else d), up)
         end
       in
-      observe_finish n;
+      Robust.Budget.observe_output_digits n;
       let digits =
         check_digits ~base (Array.of_list (List.rev (last :: acc)))
       in
@@ -226,7 +208,7 @@ let run_scratch ~base ~tie (bnd : Boundaries.t) p =
            end
          in
          digit_put p (n - 1) last;
-         observe_finish n;
+         Robust.Budget.observe_output_digits n;
          let digits = check_digits ~base (Array.sub p.digits 0 n) in
          let rest = Nat.shift_right (Scratch.to_nat p.r) shift in
          let m_plus_n = Nat.shift_right (Scratch.to_nat p.mp) shift in
@@ -269,7 +251,7 @@ let run_fast ~base ~tie ~low_ok ~high_ok ~r ~s ~mp ~mm p =
            end
          in
          digit_put p (n - 1) last;
-         observe_finish n;
+         Robust.Budget.observe_output_digits n;
          let digits = check_digits ~base (Array.sub p.digits 0 n) in
          { digits; incremented; rest = Nat.of_int rest; m_plus_n = Nat.of_int mp }
        end

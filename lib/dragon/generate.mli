@@ -61,13 +61,6 @@ val set_force_pure : bool -> unit
 
 val force_pure : unit -> bool
 
-val observe_finish : int -> unit
-(** Records the digit-loop completion telemetry (loop-iteration
-    histogram plus the output-digit budget observation) for a
-    conversion that emitted this many digits.  Exposed so the
-    table-driven fast path's dispatcher reports its hits through the
-    same instruments as the exact kernels. *)
-
 val fastpath_count : unit -> int
 (** Conversions served by the word-sized fast path since startup (the
     [bdprint_generate_fastpath_total] counter; recorded only while

@@ -36,7 +36,7 @@ let free_hit ~mode ~notation fmt ~neg ~f ~e =
     let s = Render.layout ~notation ~neg ~k:(Fastpath.point r) ~base:10 buf n in
     Fastpath.give_back buf;
     Telemetry.Tracing.finish Telemetry.Tracing.Render t0;
-    Free_format.observe_hit n;
+    Robust.Budget.observe_output_digits n;
     s
   end
 
@@ -56,46 +56,40 @@ let fixed_hit ~mode ~notation fmt ~neg ~f ~e ~relative ~pos =
     let src = Render.marks buf ~digits:n ~zeros ~total in
     let s = Render.layout ~notation ~neg ~k ~base:10 src total in
     Fastpath.give_back buf;
-    Generate.observe_finish n;
+    Robust.Budget.observe_output_digits n;
     s
   end
 
-(* Free format on a decomposed value: the table tier unless [tried]
-   (it has already missed on this value), then the exact tier. *)
-let free_value ~tried ~base ~mode ~strategy ~tie ~notation fmt value =
+(* The exact tier's free format of a decomposed value, after the table
+   tier has declined it or been passed over. *)
+let exact_value ~base ~mode ~strategy ~tie ~notation fmt value =
   check_base base;
   match value with
   | Value.Zero neg -> Render.zero ~neg ()
   | Value.Inf neg -> Render.infinity ~neg ()
   | Value.Nan -> Render.nan
   | Value.Finite v ->
-    (* The shortest rule certifies the default estimator's fixup only. *)
-    let f =
-      match strategy with
-      | Scaling.Fast_estimate
-        when (not tried) && Free_format.tier_open ~base ~mode fmt ->
-        Free_format.tier_mantissa v
-      | _ -> 0
-    in
-    let s =
-      if f = 0 then ""
-      else
-        free_hit ~mode ~notation fmt ~neg:v.neg ~f ~e:v.e
-    in
-    if String.length s > 0 then s
-    else begin
-      let result = Free_format.exact ~base ~mode ~strategy ~tie fmt v in
-      let t0 = Telemetry.Tracing.start () in
-      let s = Render.free ~notation ~neg:v.neg ~base result in
-      Telemetry.Tracing.finish Telemetry.Tracing.Render t0;
-      s
-    end
+    let result = Free_format.exact ~base ~mode ~strategy ~tie fmt v in
+    let t0 = Telemetry.Tracing.start () in
+    let s = Render.free ~notation ~neg:v.neg ~base result in
+    Telemetry.Tracing.finish Telemetry.Tracing.Render t0;
+    s
 [@@lint.can_raise Robust.Error.E]
 
+(* The shortest rule certifies the default estimator's fixup only. *)
 let print_value_exn ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
     ?(strategy = Scaling.Fast_estimate) ?(tie = Generate.Closer_up)
     ?(notation = Render.Auto) fmt value =
-  free_value ~tried:false ~base ~mode ~strategy ~tie ~notation fmt value
+  let s =
+    match (strategy, value) with
+    | Scaling.Fast_estimate, Value.Finite v
+      when Free_format.tier_open ~base ~mode fmt ->
+      let f = Free_format.tier_mantissa v in
+      if f = 0 then "" else free_hit ~mode ~notation fmt ~neg:v.neg ~f ~e:v.e
+    | _ -> ""
+  in
+  if String.length s > 0 then s
+  else exact_value ~base ~mode ~strategy ~tie ~notation fmt value
 [@@lint.can_raise
   Robust.Error.E
   (* the [_exn] suffix is the contract: budget/range failures raise;
@@ -138,18 +132,17 @@ let print_table ~mode ~notation x =
     | s -> s
     | exception Robust.Error.E _ -> ""
 
-(* Base 10 with the default estimator has had its table-tier attempt
-   once [print_table] has run, whatever it answered. *)
 let print ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
     ?(strategy = Scaling.Fast_estimate) ?(tie = Generate.Closer_up)
     ?(notation = Render.Auto) x =
-  let tried =
-    match strategy with Scaling.Fast_estimate -> base = 10 | _ -> false
+  let s =
+    match strategy with
+    | Scaling.Fast_estimate when base = 10 -> print_table ~mode ~notation x
+    | _ -> ""
   in
-  let s = if tried then print_table ~mode ~notation x else "" in
   if String.length s > 0 then s
   else
-    free_value ~tried ~base ~mode ~strategy ~tie ~notation Format_spec.binary64
+    exact_value ~base ~mode ~strategy ~tie ~notation Format_spec.binary64
       (Fp.Ieee.decompose x)
 [@@lint.can_raise Robust.Error.E]
 (* documented raising convenience; [print_value] is the total variant *)
@@ -161,17 +154,10 @@ let print_fixed ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
   Fixed_format.check_request ~base request;
   let fmt = Format_spec.binary64 in
   let b = fields x in
-  (* A relative request reads the bits directly; [tried] once its table
-     tier has missed. *)
-  let tried =
-    match request with
-    | Fixed_format.Relative _ ->
-      (not (special b)) && Free_format.tier_open ~base ~mode fmt
-    | Fixed_format.Absolute _ -> false
-  in
+  let tier = (not (special b)) && Free_format.tier_open ~base ~mode fmt in
   let s =
     match request with
-    | Fixed_format.Relative i when tried ->
+    | Fixed_format.Relative i when tier ->
       (* [Fixed_format.vet] of a relative request *)
       Robust.Budget.check_output_digits i;
       fixed_hit ~mode ~notation fmt ~neg:(Float.sign_bit x) ~f:(mantissa b)
@@ -179,33 +165,26 @@ let print_fixed ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
     | _ -> ""
   in
   if String.length s > 0 then s
-  else begin
+  else
     match Fp.Ieee.decompose x with
     | Value.Zero neg -> Render.zero ~neg ()
     | Value.Inf neg -> Render.infinity ~neg ()
     | Value.Nan -> Render.nan
-    | Value.Finite v ->
-      let vetted =
-        if tried then None else Fixed_format.vet ~base fmt v request
-      in
-      let s =
-        match (request, vetted) with
-        | Fixed_format.Absolute j, None
-          when Free_format.tier_open ~base ~mode fmt ->
-          let f = Free_format.tier_mantissa v in
-          if f = 0 then ""
-          else
-            fixed_hit ~mode ~notation fmt ~neg:v.neg ~f ~e:v.e ~relative:false
-              ~pos:j
-        | _ -> ""
-      in
-      if String.length s > 0 then s
-      else
-        Render.fixed ~notation ~neg:v.neg ~base
-          (match vetted with
-          | Some t -> t
-          | None -> Fixed_format.exact ~base ~mode ~tie fmt v request)
-  end
+    | Value.Finite v -> (
+      match Fixed_format.vet ~base fmt v request with
+      | Some t -> Render.fixed ~notation ~neg:v.neg ~base t
+      | None ->
+        let s =
+          match request with
+          | Fixed_format.Absolute j when tier ->
+            fixed_hit ~mode ~notation fmt ~neg:v.neg ~f:(mantissa b)
+              ~e:(exponent b) ~relative:false ~pos:j
+          | _ -> ""
+        in
+        if String.length s > 0 then s
+        else
+          Render.fixed ~notation ~neg:v.neg ~base
+            (Fixed_format.exact ~base ~mode ~tie fmt v request))
 [@@lint.can_raise
   Robust.Error.E
   (* documented raising convenience; stream drivers use the catch wrapper *)]

@@ -15,7 +15,8 @@ val print :
   float ->
   string
 (** Free format.  Defaults: base 10, reader rounds to nearest even, fast
-    estimator, output ties round up, automatic notation. *)
+    estimator, output ties round up, automatic notation.  Runs
+    {!print_table} on the bits, then the exact tier on a decline. *)
 
 val print_fixed :
   ?base:int ->
@@ -26,7 +27,8 @@ val print_fixed :
   float ->
   string
 (** Fixed format to an absolute position or a number of significant
-    digits. *)
+    digits.  A relative request meets the table tier on the bits, an
+    absolute one after the vetting; the exact tier follows a decline. *)
 
 val shortest : float -> string
 (** [print] with all defaults — the drop-in [float -> string]. *)
@@ -64,9 +66,10 @@ val print_value :
   Fp.Format_spec.t ->
   Fp.Value.t ->
   (string, Robust.Error.t) result
-(** Free format for a decomposed value in any format.  Never raises:
-    misuse (base outside 2..36), budget violations and injected faults
-    all come back as [Error]. *)
+(** Free format for a decomposed value in any format: the table tier
+    once, where its gate admits the value, then the exact tier.  Never
+    raises: misuse (base outside 2..36), budget violations and injected
+    faults all come back as [Error]. *)
 
 val print_value_exn :
   ?base:int ->
@@ -96,9 +99,9 @@ val fastpath_enabled : unit -> bool
 val fastpath_stats : unit -> int * int
 (** [(hits, fallbacks)] of free-format conversions, from the
     [bdprint_fastpath_{hit,fallback}_total{format="free"}] counters;
-    recorded only while telemetry is enabled.  They count attempts: a
-    value {!print_table} declines and {!print_value} then tries again
-    counts two fallbacks. *)
+    recorded only while telemetry is enabled.  They count attempts:
+    each entry point makes at most one per value, but a bdprintd
+    request that [Net.Conversion.inline] declines counts two. *)
 
 val fixed_fastpath_stats : unit -> int * int
 (** The same for fixed format ([format="fixed"]), which runs the table

@@ -25,7 +25,7 @@ let decimal64_like =
 let mantissa_limit t = Nat.pow_int t.b t.p
 let min_normal_mantissa t = Nat.pow_int t.b (t.p - 1)
 
-let equal a b = a = b
+let equal a b = a == b || a = b
 
 let pp fmt t =
   Format.fprintf fmt "%s(b=%d, p=%d, e=[%d,%d])" t.name t.b t.p t.emin t.emax

@@ -111,7 +111,8 @@ val observe_input_length : int -> unit
 val observe_output_digits : int -> unit
 (** Records one conversion's final emitted-digit count into the
     [bdprint_budget_output_digits] histogram (a no-op while telemetry
-    is disabled).  Called once per conversion by the digit loops —
+    is disabled).  Called once per conversion by the digit loops and
+    the table tier's hits, the one record of the digit count —
     unlike the other budget dimensions, which are observed directly at
     their [check_*] sites, the output-digit check runs on every loop
     iteration and would otherwise record each conversion once per

@@ -47,7 +47,15 @@ let test_bases_and_hex () =
   check_output "base 16" "--base 16 255.9375" [ "ff.f" ];
   check_output "base 2" "--base 2 0.625" [ "0.101" ];
   check_output "hex input" "0x1.8p+1" [ "3.0" ];
-  check_output "hex output" "--hex 0.1" [ "0x1.999999999999ap-4" ]
+  check_output "hex output" "--hex 0.1" [ "0x1.999999999999ap-4" ];
+  (* --mode and --format choose the value read, which --hex prints as a
+     binary64 literal *)
+  check_output "hex output of a binary32" "--format binary32 --hex 0.1"
+    [ "0x1.99999ap-4" ];
+  check_output "hex output read downward" "--mode down --hex 0.1"
+    [ "0x1.9999999999999p-4" ];
+  check_output "hex defaults spelled out" "--hex --base 10 --notation auto 0.1"
+    [ "0x1.999999999999ap-4" ]
 
 let test_errors () =
   let status, _ = bdprint "not-a-number" in
@@ -515,6 +523,20 @@ let test_one_shot_exit_codes () =
         2,
         "error: syntax error: expected digits at index 0 in \"bogus\"" );
       ("--deadline-ms 5 0.1", 124, "bdprint: --deadline-ms requires --stdin");
+      (* one request per run: --hex takes none of the flags that shape
+         decimal text *)
+      ( "--hex --digits 3 0.1",
+        124,
+        "bdprint: --hex cannot be combined with --digits" );
+      ( "--hex --places 3 0.1",
+        124,
+        "bdprint: --hex cannot be combined with --places" );
+      ( "--hex --base 16 0.1",
+        124,
+        "bdprint: --hex cannot be combined with --base" );
+      ( "--hex --notation sci 0.1",
+        124,
+        "bdprint: --hex cannot be combined with --notation" );
     ];
   (* the stream has one driver, with no --jobs option *)
   let status, _, err = bdprint_full ~stdin:"0.1\n" "--stdin --jobs 2" in

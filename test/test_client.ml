@@ -17,7 +17,7 @@ module Faults = Robust.Faults
 
 (* bdprintd's own conversion; [pool_only] is the inline route of a
    server whose injected slow [convert] must see every request *)
-let convert_real = Net.Conversion.convert
+let convert_real input = Net.Conversion.convert input
 let pool_only _ = None
 
 (* tight timeouts and cooldowns so failure paths run in milliseconds *)

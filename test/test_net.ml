@@ -18,7 +18,7 @@ module Faults = Robust.Faults
 
 (* bdprintd's own conversion; [pool_only] is the inline route of a
    server whose injected [convert] must see every request *)
-let convert_real = Net.Conversion.convert
+let convert_real input = Net.Conversion.convert input
 let pool_only _ = None
 
 (* {2 Wire} *)
@@ -1031,16 +1031,26 @@ let test_server_two_routes_in_order () =
         (table (Reader.Fast.tiers input)))
     [ "5e22"; "1e23" ];
   let inline = if tier_open () then 3 else 0 in
+  (* The expected bytes come first: a conversion on this thread while
+     the connection thread converts would share the main domain's
+     table-tier pool, whose busy guard would send an inline answer to
+     the pool. *)
+  let wants =
+    List.map (fun input -> Result.get_ok (convert_real input)) inputs
+  in
   with_server (fun server port ->
       let c = connect port in
       send c
         (String.concat "" (List.map (fun input -> "CONV " ^ input ^ "\n") inputs));
-      List.iter
-        (fun input ->
-          let want = Result.get_ok (convert_real input) in
+      List.iter2
+        (fun input want ->
           Alcotest.(check bool) ("in order: " ^ input) true
             (recv_reply c = Wire.Converted want))
-        inputs;
+        inputs wants;
+      (* an inline answer is counted after its reply is written; the
+         PONG proves the thread has moved on *)
+      send c "PING\n";
+      Alcotest.(check bool) "pong" true (recv_reply c = Wire.Pong);
       close c;
       let s = Server.stats server in
       Alcotest.(check int) "answered inline" inline s.Server.inline;
