@@ -551,9 +551,8 @@ let kernel_bench ~size () =
   let fx_scr_t, fx_scr_w = with_fastpath false (fun () -> measure fixed_pass) in
   let fx_pure_t, fx_pure_w = forced_pure (fun () -> measure fixed_pass) in
   let sw_t, sw_w = measure sw_pass in
-  (* Dispatch splits (counters record only while telemetry is on): the
-     fast path's hit/fallback division of one pass per format, then the
-     word/scratch division of the exact kernels with the fast path off. *)
+  (* The table tier's hit/fallback division of one pass per format
+     (counters record only while telemetry is on). *)
   let fp_hits, fp_fallbacks =
     with_fastpath true (fun () ->
         tier_counts Dragon.Printer.fastpath_stats free_pass)
@@ -567,13 +566,6 @@ let kernel_bench ~size () =
   in
   let fallback_rate = rate fp_hits fp_fallbacks
   and fx_fallback_rate = rate fx_hits fx_fallbacks in
-  let f0 = Dragon.Generate.fastpath_count ()
-  and s0 = Dragon.Generate.scratchpath_count () in
-  Telemetry.set_enabled true;
-  with_fastpath false free_pass;
-  Telemetry.set_enabled false;
-  let fast_hits = Dragon.Generate.fastpath_count () - f0
-  and scratch_hits = Dragon.Generate.scratchpath_count () - s0 in
   let row name t w =
     Printf.printf "  %-34s %10.3f s %12.0f conv/s %12.1f minor w/conv\n" name t
       (fsize /. t) w
@@ -585,11 +577,8 @@ let kernel_bench ~size () =
   row "fixed format (17), kernel path" fx_scr_t fx_scr_w;
   row "fixed format (17), pure-Nat path" fx_pure_t fx_pure_w;
   row "Steele & White baseline" sw_t sw_w;
-  Printf.printf
-    "\n  free format: %.1fx fewer minor words, %.2fx throughput; digit loop\n\
-    \  paths on this corpus: %d word-sized fast, %d scratch\n"
-    (pure_w /. scr_w)
-    (pure_t /. scr_t) fast_hits scratch_hits;
+  Printf.printf "\n  free format: %.1fx fewer minor words, %.2fx throughput\n"
+    (pure_w /. scr_w) (pure_t /. scr_t);
   Printf.printf
     "  table fast path: %.2fx over the exact kernels (%.2fx over pure), %d \
      hits / %d fallbacks (%.3f%% fallback)\n"
@@ -629,8 +618,7 @@ let kernel_bench ~size () =
     \    \"speedup\": %.3f\n\
     \  },\n\
     \  \"steele_white\": { \"time_s\": %.6f, \"conversions_per_s\": %.0f, \
-     \"minor_words_per_conversion\": %.1f },\n\
-    \  \"digit_loop_paths\": { \"fastpath\": %d, \"scratchpath\": %d }\n\
+     \"minor_words_per_conversion\": %.1f }\n\
      }\n"
     size fast_t (fsize /. fast_t) fast_w fp_hits fp_fallbacks fallback_rate
     (scr_t /. fast_t) (pure_t /. fast_t) scr_t (fsize /. scr_t) scr_w pure_t
@@ -638,8 +626,7 @@ let kernel_bench ~size () =
     (fsize /. fx_fast_t) fx_fast_w fx_hits fx_fallbacks fx_fallback_rate
     (fx_scr_t /. fx_fast_t) (fx_pure_t /. fx_fast_t) fx_scr_t
     (fsize /. fx_scr_t) fx_scr_w fx_pure_t (fsize /. fx_pure_t) fx_pure_w
-    (fx_pure_w /. fx_scr_w) (fx_pure_t /. fx_scr_t) sw_t (fsize /. sw_t) sw_w
-    fast_hits scratch_hits;
+    (fx_pure_w /. fx_scr_w) (fx_pure_t /. fx_scr_t) sw_t (fsize /. sw_t) sw_w;
   close_out oc;
   Printf.printf "  wrote BENCH_kernel.json\n";
   (* Acceptance floor: the table fast path must clear 3x the exact
@@ -940,31 +927,41 @@ let daemon_bench ~size () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry: instrumentation overhead of the metrics/tracing layer *)
+(* Telemetry: instrumentation overhead of the metrics/tracing layer, on
+   the route bdprint and bdprintd run: [Net.Conversion.convert] from
+   text to bytes (reader, table tier, exact fallback, layout), on the
+   Schryer values' shortest strings, built as the daemon section builds
+   its corpus. *)
 
 let telemetry_bench ~size () =
+  Printf.printf "%s\nTelemetry: instrumentation overhead (text to bytes)\n"
+    line;
   Printf.printf
-    "%s\nTelemetry: instrumentation overhead (free-format conversion)\n" line;
-  Printf.printf "(%d Schryer doubles; medians of alternating passes)\n\n" size;
-  let values = Array.map decompose_pos (Workloads.Schryer.corpus ~size ()) in
-  let pass () =
-    Array.iter
-      (fun v ->
-        let r = Dragon.Free_format.convert b64 v in
-        sink := !sink + Array.length r.Dragon.Free_format.digits)
-      values
+    "(%d Schryer shortest strings through Net.Conversion.convert; medians \
+     of alternating passes)\n\n"
+    size;
+  let inputs =
+    Array.map Dragon.Printer.print (Workloads.Schryer.corpus ~size ())
   in
-  (* the tracing pass mirrors what the CLI does per request: sample a
-     trace id (1-in-64 by default), run the conversion inside the
+  let convert input =
+    match Net.Conversion.convert input with
+    | Ok out -> sink := !sink + String.length out
+    | Error e ->
+      failwith
+        (Printf.sprintf "telemetry bench: %S: %s" input
+           (Robust.Error.to_string e))
+  in
+  let pass () = Array.iter convert inputs in
+  (* the tracing pass mirrors what bdprint --stdin does per line: sample
+     a trace id (1-in-64 by default), run the conversion inside the
      request span, close it *)
   let traced_pass () =
     Array.iter
-      (fun v ->
+      (fun input ->
         let tid = Telemetry.Tracing.begin_request () in
-        let r = Dragon.Free_format.convert b64 v in
-        sink := !sink + Array.length r.Dragon.Free_format.digits;
+        convert input;
         Telemetry.Tracing.end_request tid)
-      values
+      inputs
   in
   pass () (* warm up; fills the power tables *);
   let reps = 25 in

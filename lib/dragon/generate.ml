@@ -10,17 +10,10 @@ type stopped = {
   m_plus_n : Nat.t;
 }
 
-(* Which implementation served each conversion: the whole loop in native
-   machine words, or the pooled in-place Scratch kernels.  (The pure-Nat
-   reference path is only reachable by explicit request or as the
-   fallback for states that violate the scaling invariant, so it has no
-   counter of its own.) *)
-let m_fastpath =
-  Telemetry.Metrics.counter
-    ~help:"Digit-generation conversions that ran entirely in native \
-           machine words (all of r, s, m+, m- word-sized)."
-    "bdprint_generate_fastpath_total"
-
+(* Conversions the pooled Scratch kernels served.  (The pure-Nat
+   reference path is only reachable by explicit request, a busy pool or
+   a state that violates the scaling invariant, so it has no counter of
+   its own.) *)
 let m_scratchpath =
   Telemetry.Metrics.counter
     ~help:"Digit-generation conversions that ran on the pooled in-place \
@@ -28,14 +21,16 @@ let m_scratchpath =
     "bdprint_generate_scratchpath_total"
 
 (* High-water mark of the per-domain scratch pool, in limbs across its
-   four workspaces — how much memory the in-place path retains. *)
+   five workspaces — how much memory the in-place path retains. *)
 let g_pool_limbs =
   Telemetry.Metrics.gauge
     ~help:"High-water capacity of the per-domain digit-loop scratch \
            pool, in 30-bit limbs summed over its workspaces."
     "bdprint_generate_scratch_pool_limbs"
 
-let fastpath_count () = Telemetry.Metrics.value m_fastpath
+(* A constant kept for perfbench's [generate.word_path_frac]; see the
+   interface. *)
+let fastpath_count () = 0
 let scratchpath_count () = Telemetry.Metrics.value m_scratchpath
 
 (* The pure-Nat reference path: forced via BDPRINT_FORCE_PURE=1 (read
@@ -112,12 +107,12 @@ let run_pure ~base ~tie (bnd : Boundaries.t) =
   loop 1 [] bnd.r bnd.m_plus bnd.m_minus
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain workspace pool shared by the scratch and fast paths.  The
-   four Scratch workspaces and the digit buffer grow to the steady-state
-   size of the workload and are then reused, so the loop itself
-   allocates nothing.  [busy] guards against reentrancy (a conversion
-   started from inside a conversion falls back to the pure path rather
-   than corrupting the pool). *)
+(* Per-domain workspace pool of the scratch path.  The five Scratch
+   workspaces and the digit buffer grow to the steady-state size of the
+   workload and are then reused, so the loop itself allocates nothing.
+   [busy] guards against reentrancy (a conversion started from inside a
+   conversion falls back to the pure path rather than corrupting the
+   pool). *)
 
 type pool = {
   r : Scratch.t;
@@ -220,51 +215,7 @@ let run_scratch ~base ~tie (bnd : Boundaries.t) p =
   [@@lint.no_alloc]
 
 (* ------------------------------------------------------------------ *)
-(* Word-sized fast path: when r, s, m+ and m- all fit comfortably in a
-   native int the whole loop runs on machine words.  Bounds (see [run]):
-   s < 2^56 and m± < 2^58 guarantee every intermediate stays below
-   2^62 — after the first division all re-multiplied quantities are
-   bounded by s, so rest*B < 2^62, m±*B < 2^62 and rest + m± < 2^59. *)
-
-let run_fast ~base ~tie ~low_ok ~high_ok ~r ~s ~mp ~mm p =
-  let rec loop n r mp mm =
-    Robust.Budget.check_output_digits n;
-    Robust.Faults.trip "nat.divmod";
-    let d = r / s in
-    let rest = r - (d * s) in
-    let c1 = Int.compare rest mm in
-    let tc1 = if low_ok then c1 <= 0 else c1 < 0 in
-    let c2 = Int.compare (rest + mp) s in
-    let tc2 = if high_ok then c2 >= 0 else c2 > 0 in
-    if not (tc1 || tc2) then begin
-      digit_put p (n - 1) d;
-      loop (n + 1) (rest * base) (mp * base) (mm * base)
-    end
-    else
-      (begin
-         let last, incremented =
-           if tc1 && not tc2 then (d, false)
-           else if tc2 && not tc1 then (d + 1, true)
-           else begin
-             let up = tie_up tie d (Int.compare (2 * rest) s) in
-             ((if up then d + 1 else d), up)
-           end
-         in
-         digit_put p (n - 1) last;
-         Robust.Budget.observe_output_digits n;
-         let digits = check_digits ~base (Array.sub p.digits 0 n) in
-         { digits; incremented; rest = Nat.of_int rest; m_plus_n = Nat.of_int mp }
-       end
-       [@lint.alloc_ok "one-time exit-path result construction"])
-  in
-  loop 1 r mp mm
-  [@@lint.no_alloc]
-
-(* ------------------------------------------------------------------ *)
 (* Dispatch *)
-
-let fast_s_limit = 1 lsl 56
-let fast_m_limit = 1 lsl 58
 
 let release p =
   p.busy <- false;
@@ -278,28 +229,9 @@ let run ~base ~tie (bnd : Boundaries.t) =
     if p.busy then run_pure ~base ~tie bnd
     else begin
       p.busy <- true;
-      match
-        match Nat.to_int_opt bnd.s with
-        | Some s when s > 0 && s < fast_s_limit -> (
-          match
-            (Nat.to_int_opt bnd.r, Nat.to_int_opt bnd.m_plus,
-             Nat.to_int_opt bnd.m_minus)
-          with
-          | Some r, Some mp, Some mm when mp < fast_m_limit && mm < fast_m_limit
-            ->
-            if Telemetry.Metrics.enabled () then
-              Telemetry.Metrics.incr m_fastpath;
-            run_fast ~base ~tie ~low_ok:bnd.low_ok ~high_ok:bnd.high_ok ~r ~s
-              ~mp ~mm p
-          | _ ->
-            if Telemetry.Metrics.enabled () then
-              Telemetry.Metrics.incr m_scratchpath;
-            run_scratch ~base ~tie bnd p)
-        | _ ->
-          if Telemetry.Metrics.enabled () then
-            Telemetry.Metrics.incr m_scratchpath;
-          run_scratch ~base ~tie bnd p
-      with
+      if Telemetry.Metrics.enabled () then
+        Telemetry.Metrics.incr m_scratchpath;
+      match run_scratch ~base ~tie bnd p with
       | result ->
         release p;
         result

@@ -12,22 +12,20 @@
 
     {2 Implementation paths}
 
-    Three implementations produce byte-identical digits:
+    Two implementations produce byte-identical digits:
 
-    - a {e word-sized fast path} that runs the whole loop in native
-      ints when [r], [s], [m+], [m-] all fit machine words (common for
-      small-exponent floats);
-    - the {e scratch path}: in-place {!Bignum.Scratch} kernels over a
-      per-domain pooled workspace, with the denominator normalized once
-      per conversion for estimated-quotient short division — in steady
-      state the loop allocates no minor words;
+    - the {e scratch path}, every conversion's loop: in-place
+      {!Bignum.Scratch} kernels over a per-domain pooled workspace, with
+      the denominator normalized once per conversion for
+      estimated-quotient short division — in steady state the loop
+      allocates no minor words;
     - the {e pure path}: the original immutable {!Bignum.Nat} loop,
-      kept as the differential reference and as the fallback for
-      states that violate the scaling invariant.
+      kept as the differential reference and as the fallback for a busy
+      pool (a conversion started inside a conversion) and for states
+      that violate the scaling invariant.
 
-    Telemetry counts fast- vs scratch-path conversions
-    ([bdprint_generate_fastpath_total] /
-    [bdprint_generate_scratchpath_total]) and the pool's limb
+    Telemetry counts scratch-path conversions
+    ([bdprint_generate_scratchpath_total]) and the pool's limb
     high-water mark. *)
 
 type tie = Closer_up | Closer_down | Closer_even
@@ -62,9 +60,13 @@ val set_force_pure : bool -> unit
 val force_pure : unit -> bool
 
 val fastpath_count : unit -> int
-(** Conversions served by the word-sized fast path since startup (the
-    [bdprint_generate_fastpath_total] counter; recorded only while
-    telemetry is enabled). *)
+(** Always 0.  It counted conversions on a word-sized native-int loop,
+    which is gone: with the table tier in front, no benchmarked
+    workload reached that loop, and the scratch path now serves its
+    states.  perfbench's [generate.word_path_frac] still calls it; both
+    go at the benchmark's next change. *)
 
 val scratchpath_count : unit -> int
-(** Same for the in-place scratch path. *)
+(** Conversions served by the scratch path since startup (the
+    [bdprint_generate_scratchpath_total] counter; recorded only while
+    telemetry is enabled). *)

@@ -1,9 +1,9 @@
 (* Rule family 3: no-alloc.
 
-   Functions annotated [@lint.no_alloc] — the Generate word-sized fast
-   path and the Scratch in-place kernels (PR 4) — promise a
-   steady-state loop that allocates nothing.  The rule rejects
-   syntactic allocation sources in their bodies:
+   Functions annotated [@lint.no_alloc] — Generate's Scratch digit
+   loop, the Scratch in-place kernels under it and the table tier's
+   kernel — promise a steady-state loop that allocates nothing.  The
+   rule rejects syntactic allocation sources in their bodies:
 
    - tuple / record / payload-carrying constructor / variant / array /
      lazy construction;

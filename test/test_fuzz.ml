@@ -171,11 +171,11 @@ let test_fixed_half_quantum () =
     | _ -> () (* inf/nan payloads: skip, not counted *)
   done
 
-(* The in-place digit-loop kernels (word-sized fast path + Scratch
-   workspace) must be byte-identical to the pure-Nat reference: print
-   every corpus/nasty line and a random batch through both, for free
-   format and fixed format, and compare the strings.  The fast and
-   kernel sides turn the force-pure switch off for their scope, so under
+(* The exact tier's in-place digit loop (the Scratch workspace kernels)
+   must be byte-identical to the pure-Nat reference: print every
+   corpus/nasty line and a random batch through both, for free format
+   and fixed format, and compare the strings.  The fast and kernel
+   sides turn the force-pure switch off for their scope, so under
    BDPRINT_FORCE_PURE=1 they still run the table tier and the kernels
    instead of the pure reference. *)
 let with_force_pure on f =
@@ -203,8 +203,8 @@ let without_fastpath f =
 
 (* Three-way agreement: the default dispatch (table-driven fast path
    with exact fallback), the exact kernels alone (fast path off, so the
-   scratch/word paths keep their own differential coverage), and the
-   pure-Nat reference. *)
+   Scratch loop keeps its own differential coverage), and the pure-Nat
+   reference. *)
 let check_paths_agree fmt input =
   let fast = without_pure (fun () -> print_opt fmt input) in
   let kernel =
@@ -286,6 +286,74 @@ let test_scratch_pure_differential () =
         Alcotest.failf "fixed-format fastpath/pure mismatch on %h"
           (Int64.float_of_bits payload)
     | _ -> ()
+  done;
+  (* Off the decimal nearest-even path: base 2, base 36, a directed mode
+     and the iterative scaling strategy, on every positive binary16 value
+     and on binary64 values near 1 (|e| <= 64), whose loop states mostly
+     fit one or two limbs; and the position rule on the even integers
+     just above 2^53.  The kernel (table tier off) must give the pure
+     reference's bytes or its error. *)
+  let outcome = function
+    | Ok s -> Ok s
+    | Error e -> Error (Robust.Error.to_string e)
+  in
+  let kernel f = without_pure (fun () -> without_fastpath f) in
+  let b16_values =
+    List.init 0x7bff (fun i ->
+        Fp.Ieee.decompose_bits Fp.Ieee.spec_binary16 (Int64.of_int (i + 1)))
+  in
+  let st = Random.State.make [| seed; 11 |] in
+  let b64_values =
+    List.init 2000 (fun _ ->
+        let biased = 1075 - 64 + Random.State.int st 129 in
+        let fraction = Random.State.int64 st 0x10_0000_0000_0000L in
+        let bits = Int64.(logor (shift_left (of_int biased) 52) fraction) in
+        Fp.Ieee.decompose (Int64.float_of_bits bits))
+  in
+  let settings =
+    [
+      ("base 2", fun fmt v -> Dragon.Printer.print_value ~base:2 fmt v);
+      ("base 36", fun fmt v -> Dragon.Printer.print_value ~base:36 fmt v);
+      ( "toward negative",
+        fun fmt v ->
+          Dragon.Printer.print_value ~mode:Fp.Rounding.Toward_negative fmt v );
+      ( "iterative",
+        fun fmt v ->
+          Dragon.Printer.print_value ~strategy:Dragon.Scaling.Iterative fmt v
+      );
+    ]
+  in
+  List.iter
+    (fun (name, print) ->
+      List.iter
+        (fun (fmt, values) ->
+          List.iter
+            (fun v ->
+              let k = kernel (fun () -> outcome (print fmt v)) in
+              let p = with_pure (fun () -> outcome (print fmt v)) in
+              if k <> p then
+                Alcotest.failf "%s: scratch/pure mismatch on %s" name
+                  (Value.to_string v))
+            values)
+        [ (b16, b16_values); (b64, b64_values) ])
+    settings;
+  for i = 0 to 300 do
+    let x = 0x1p53 +. float_of_int (2 * i) in
+    match Fp.Ieee.decompose x with
+    | Value.Finite v ->
+      let req = Dragon.Fixed_format.Relative 17 in
+      let k = kernel (fun () -> Dragon.Fixed_format.convert b64 v req) in
+      let p = with_pure (fun () -> Dragon.Fixed_format.convert b64 v req) in
+      let same =
+        match (k, p) with
+        | Ok a, Ok b -> Dragon.Fixed_format.equal a b
+        | Error a, Error b ->
+          Robust.Error.to_string a = Robust.Error.to_string b
+        | _ -> false
+      in
+      if not same then
+        Alcotest.failf "Relative 17: scratch/pure mismatch on %.17g" x
+    | _ -> Alcotest.failf "%.17g is not finite" x
   done
 
 (* Free and fixed format both dispatch through the table tier first,
@@ -339,10 +407,10 @@ let test_fastpath_format_invariance () =
 
 (* The kernel/pure differential must hold under injected faults too.
    Both digit-loop substrates share their fault points — [run_scratch]
-   and [run_fast] trip "nat.divmod" exactly where the pure path's
-   [Nat.divmod] does, and the scaling stage is common — so with a
-   point armed deterministically (probability 1) the two paths must
-   produce the same outcome *including the structured error*.  With a
+   trips "nat.divmod" exactly where the pure path's [Nat.divmod] does,
+   and the scaling stage is common — so with a point armed
+   deterministically (probability 1) the two paths must produce the
+   same outcome *including the structured error*.  With a
    transient probability the per-call draws are independent, so the
    obligations weaken to totality plus byte-equality whenever both
    paths happen to succeed. *)
