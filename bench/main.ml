@@ -476,6 +476,16 @@ let bignum_bench () =
 (* ------------------------------------------------------------------ *)
 (* Kernel: allocation-free digit loop vs the pure-Nat reference *)
 
+(* One kernel row: the median of its timed passes, the fastest and the
+   slowest beside it (CPU seconds per pass), and minor words per
+   conversion over all of them. *)
+type kernel_row = {
+  time_s : float;
+  fastest_s : float;
+  slowest_s : float;
+  words : float;
+}
+
 let kernel_bench ~size () =
   Printf.printf
     "%s\nKernel: in-place digit-loop kernels vs pure-Nat reference\n" line;
@@ -510,47 +520,47 @@ let kernel_bench ~size () =
               (Baselines.Steele_white.convert b64 v).Dragon.Free_format.digits)
       values
   in
-  (* Warm up first (power tables, scratch pools), then measure CPU time
-     and the minor-allocation delta of one clean pass. *)
-  let measure pass =
+  (* Warm up first (power tables, scratch pools), run Gc.full_major,
+     then time [passes] clean passes: one pass is one sample from a wide
+     spread on a shared host, so a row is their median.  The table tier
+     finishes a pass in single-digit milliseconds at this corpus size,
+     so each of its timings repeats the pass [reps] times to get a clock
+     reading that dwarfs timer resolution. *)
+  let passes = 5 in
+  let measure ?(reps = 1) pass =
     pass ();
     Gc.full_major ();
     let w0 = Gc.minor_words () in
-    let _, t = time_cpu pass in
+    let times =
+      Array.init passes (fun _ ->
+          let _, t =
+            time_cpu (fun () ->
+                for _ = 1 to reps do
+                  pass ()
+                done)
+          in
+          t /. float_of_int reps)
+    in
     let w1 = Gc.minor_words () in
-    (t, (w1 -. w0) /. fsize)
+    Array.sort Float.compare times;
+    {
+      time_s = times.(passes / 2);
+      fastest_s = times.(0);
+      slowest_s = times.(passes - 1);
+      words = (w1 -. w0) /. (fsize *. float_of_int (reps * passes));
+    }
   in
   let forced_pure f =
     Dragon.Generate.set_force_pure true;
     Fun.protect ~finally:(fun () -> Dragon.Generate.set_force_pure false) f
   in
-  (* The table-driven fast path finishes a pass in single-digit
-     milliseconds at this corpus size, so repeat it to get a clock
-     reading that dwarfs timer resolution. *)
-  let fast_reps = 50 in
-  let measure_fast pass =
-    pass ();
-    Gc.full_major ();
-    let w0 = Gc.minor_words () in
-    let _, t =
-      time_cpu (fun () ->
-          for _ = 1 to fast_reps do
-            pass ()
-          done)
-    in
-    let w1 = Gc.minor_words () in
-    let reps = float_of_int fast_reps in
-    (t /. reps, (w1 -. w0) /. (fsize *. reps))
-  in
-  let fast_t, fast_w = with_fastpath true (fun () -> measure_fast free_pass) in
-  let scr_t, scr_w = with_fastpath false (fun () -> measure free_pass) in
-  let pure_t, pure_w = forced_pure (fun () -> measure free_pass) in
-  let fx_fast_t, fx_fast_w =
-    with_fastpath true (fun () -> measure_fast fixed_pass)
-  in
-  let fx_scr_t, fx_scr_w = with_fastpath false (fun () -> measure fixed_pass) in
-  let fx_pure_t, fx_pure_w = forced_pure (fun () -> measure fixed_pass) in
-  let sw_t, sw_w = measure sw_pass in
+  let fast = with_fastpath true (fun () -> measure ~reps:50 free_pass) in
+  let scr = with_fastpath false (fun () -> measure free_pass) in
+  let pure = forced_pure (fun () -> measure free_pass) in
+  let fx_fast = with_fastpath true (fun () -> measure ~reps:50 fixed_pass) in
+  let fx_scr = with_fastpath false (fun () -> measure fixed_pass) in
+  let fx_pure = forced_pure (fun () -> measure fixed_pass) in
+  let sw = measure sw_pass in
   (* The table tier's hit/fallback division of one pass per format
      (counters record only while telemetry is on). *)
   let fp_hits, fp_fallbacks =
@@ -566,73 +576,75 @@ let kernel_bench ~size () =
   in
   let fallback_rate = rate fp_hits fp_fallbacks
   and fx_fallback_rate = rate fx_hits fx_fallbacks in
-  let row name t w =
-    Printf.printf "  %-34s %10.3f s %12.0f conv/s %12.1f minor w/conv\n" name t
-      (fsize /. t) w
+  let row name r =
+    Printf.printf
+      "  %-34s %10.3f s %10.0f conv/s (%.0f-%.0f) %10.1f minor w/conv\n" name
+      r.time_s (fsize /. r.time_s) (fsize /. r.slowest_s) (fsize /. r.fastest_s)
+      r.words
   in
-  row "free format, table fast path" fast_t fast_w;
-  row "free format, kernel path" scr_t scr_w;
-  row "free format, pure-Nat path" pure_t pure_w;
-  row "fixed format (17), table fast path" fx_fast_t fx_fast_w;
-  row "fixed format (17), kernel path" fx_scr_t fx_scr_w;
-  row "fixed format (17), pure-Nat path" fx_pure_t fx_pure_w;
-  row "Steele & White baseline" sw_t sw_w;
+  row "free format, table fast path" fast;
+  row "free format, kernel path" scr;
+  row "free format, pure-Nat path" pure;
+  row "fixed format (17), table fast path" fx_fast;
+  row "fixed format (17), kernel path" fx_scr;
+  row "fixed format (17), pure-Nat path" fx_pure;
+  row "Steele & White baseline" sw;
+  (* speedups compare medians *)
+  let over a b = a.time_s /. b.time_s in
   Printf.printf "\n  free format: %.1fx fewer minor words, %.2fx throughput\n"
-    (pure_w /. scr_w) (pure_t /. scr_t);
+    (pure.words /. scr.words) (over pure scr);
   Printf.printf
     "  table fast path: %.2fx over the exact kernels (%.2fx over pure), %d \
      hits / %d fallbacks (%.3f%% fallback)\n"
-    (scr_t /. fast_t) (pure_t /. fast_t) fp_hits fp_fallbacks
+    (over scr fast) (over pure fast) fp_hits fp_fallbacks
     (100.0 *. fallback_rate);
   Printf.printf
     "  fixed format (17) on the table tier: %.2fx over the exact kernels \
      (%.2fx over pure), %d hits / %d fallbacks (%.3f%% fallback)\n"
-    (fx_scr_t /. fx_fast_t) (fx_pure_t /. fx_fast_t) fx_hits fx_fallbacks
+    (over fx_scr fx_fast) (over fx_pure fx_fast) fx_hits fx_fallbacks
     (100.0 *. fx_fallback_rate);
+  let json r =
+    Printf.sprintf
+      "\"time_s\": %.6f, \"conversions_per_s\": { \"median\": %.0f, \"min\": \
+       %.0f, \"max\": %.0f }, \"minor_words_per_conversion\": %.1f"
+      r.time_s (fsize /. r.time_s) (fsize /. r.slowest_s) (fsize /. r.fastest_s)
+      r.words
+  in
+  let format_json ~fast ~hits ~fallbacks ~rate ~scr ~pure =
+    Printf.sprintf
+      "{\n\
+      \    \"fastpath\": { %s, \"hits\": %d, \"fallbacks\": %d, \
+       \"fallback_rate\": %.5f, \"speedup_vs_kernel\": %.3f, \
+       \"speedup_vs_pure\": %.3f },\n\
+      \    \"kernel\": { %s },\n\
+      \    \"pure\": { %s },\n\
+      \    \"minor_words_reduction\": %.2f,\n\
+      \    \"speedup\": %.3f\n\
+      \  }"
+      (json fast) hits fallbacks rate (over scr fast) (over pure fast) (json scr)
+      (json pure) (pure.words /. scr.words) (over pure scr)
+  in
   let oc = open_out "BENCH_kernel.json" in
   Printf.fprintf oc
     "{\n\
     \  \"size\": %d,\n\
-    \  \"free_format\": {\n\
-    \    \"fastpath\": { \"time_s\": %.6f, \"conversions_per_s\": %.0f, \
-     \"minor_words_per_conversion\": %.1f, \"hits\": %d, \"fallbacks\": %d, \
-     \"fallback_rate\": %.5f, \"speedup_vs_kernel\": %.3f, \
-     \"speedup_vs_pure\": %.3f },\n\
-    \    \"kernel\": { \"time_s\": %.6f, \"conversions_per_s\": %.0f, \
-     \"minor_words_per_conversion\": %.1f },\n\
-    \    \"pure\": { \"time_s\": %.6f, \"conversions_per_s\": %.0f, \
-     \"minor_words_per_conversion\": %.1f },\n\
-    \    \"minor_words_reduction\": %.2f,\n\
-    \    \"speedup\": %.3f\n\
-    \  },\n\
-    \  \"fixed_format_17\": {\n\
-    \    \"fastpath\": { \"time_s\": %.6f, \"conversions_per_s\": %.0f, \
-     \"minor_words_per_conversion\": %.1f, \"hits\": %d, \"fallbacks\": %d, \
-     \"fallback_rate\": %.5f, \"speedup_vs_kernel\": %.3f, \
-     \"speedup_vs_pure\": %.3f },\n\
-    \    \"kernel\": { \"time_s\": %.6f, \"conversions_per_s\": %.0f, \
-     \"minor_words_per_conversion\": %.1f },\n\
-    \    \"pure\": { \"time_s\": %.6f, \"conversions_per_s\": %.0f, \
-     \"minor_words_per_conversion\": %.1f },\n\
-    \    \"minor_words_reduction\": %.2f,\n\
-    \    \"speedup\": %.3f\n\
-    \  },\n\
-    \  \"steele_white\": { \"time_s\": %.6f, \"conversions_per_s\": %.0f, \
-     \"minor_words_per_conversion\": %.1f }\n\
+    \  \"passes\": %d,\n\
+    \  \"free_format\": %s,\n\
+    \  \"fixed_format_17\": %s,\n\
+    \  \"steele_white\": { %s }\n\
      }\n"
-    size fast_t (fsize /. fast_t) fast_w fp_hits fp_fallbacks fallback_rate
-    (scr_t /. fast_t) (pure_t /. fast_t) scr_t (fsize /. scr_t) scr_w pure_t
-    (fsize /. pure_t) pure_w (pure_w /. scr_w) (pure_t /. scr_t) fx_fast_t
-    (fsize /. fx_fast_t) fx_fast_w fx_hits fx_fallbacks fx_fallback_rate
-    (fx_scr_t /. fx_fast_t) (fx_pure_t /. fx_fast_t) fx_scr_t
-    (fsize /. fx_scr_t) fx_scr_w fx_pure_t (fsize /. fx_pure_t) fx_pure_w
-    (fx_pure_w /. fx_scr_w) (fx_pure_t /. fx_scr_t) sw_t (fsize /. sw_t) sw_w;
+    size passes
+    (format_json ~fast ~hits:fp_hits ~fallbacks:fp_fallbacks ~rate:fallback_rate
+       ~scr ~pure)
+    (format_json ~fast:fx_fast ~hits:fx_hits ~fallbacks:fx_fallbacks
+       ~rate:fx_fallback_rate ~scr:fx_scr ~pure:fx_pure)
+    (json sw);
   close_out oc;
   Printf.printf "  wrote BENCH_kernel.json\n";
-  (* Acceptance floor: the table fast path must clear 3x the exact
-     kernels on this corpus in both formats, with margin to spare;
-     regressing below that fails the bench (and the CI bench step)
-     loudly. *)
+  (* Acceptance floor: the table fast path's median must clear 3x the
+     exact kernels' median on this corpus in both formats, with margin
+     to spare; regressing below that fails the bench (and the CI bench
+     step) loudly. *)
   List.iter
     (fun (format, speedup) ->
       if speedup < 3.0 then begin
@@ -641,7 +653,7 @@ let kernel_bench ~size () =
           format speedup;
         exit 1
       end)
-    [ ("free format", scr_t /. fast_t); ("fixed format", fx_scr_t /. fx_fast_t) ]
+    [ ("free format", over scr fast); ("fixed format", over fx_scr fx_fast) ]
 
 (* ------------------------------------------------------------------ *)
 (* Daemon: open/closed-loop load generator against bdprintd (E11).
@@ -787,7 +799,10 @@ let daemon_bench ~size () =
   List.iter Thread.join ts;
   let closed_wall = Unix.gettimeofday () -. t0 in
   (* phase 2 — burst (open-loop approximation): pipeline a window of
-     requests before reading any reply; induces admission shedding *)
+     requests before reading any reply.  A connection converts one
+     request at a time, so the window waits in its socket, not in the
+     pool: four connections hold at most four pool requests, far below
+     the admission bound, and nothing is shed *)
   let window = 128 in
   let bursts_per_thread = max 1 (per_thread / window) in
   let burst tid () =

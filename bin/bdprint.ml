@@ -154,8 +154,8 @@ let stats_flag =
           "With $(b,--stdin), print stream statistics on exit to stderr: \
            lines submitted and converted, and per-error-class counts.  \
            With $(b,--connect), also print the client's line: requests, \
-           daemon answers, local fallbacks, retries, honored sheds, times \
-           the daemon was marked down and sockets opened.")
+           daemon answers, local fallbacks, errors, retries, times the \
+           daemon was marked down and sockets opened.")
 
 let deadline_ms =
   Arg.(
@@ -176,8 +176,9 @@ let connect_arg =
         ~doc:
           "Convert through the running bdprintd daemon at $(docv) \
            (HOST:PORT, :PORT, PORT or unix:PATH) instead of in-process, \
-           with pooled connections, retries and honored SHED retry-after \
-           hints.  When the daemon cannot answer, the conversion falls \
+           with pooled connections; a transport failure, ERR internal or \
+           SHED queue-full is retried on a jittered backoff.  When the \
+           daemon cannot answer, the conversion falls \
            back to the local in-process pipeline, which prints the same \
            bytes, so the stream still completes; after repeated failed \
            connects, or once the daemon drains, later inputs skip it for \
@@ -500,12 +501,11 @@ let connect_client ~local ~show_stats spec =
         let s = Client.stats client in
         Printf.eprintf
           "client: requests=%d remote-ok=%d local-fallbacks=%d \
-           errors=%d retries=%d sheds-honored=%d ejections=%d \
-           reconnects=%d\n\
+           errors=%d retries=%d ejections=%d reconnects=%d\n\
            %!"
           s.Client.requests s.Client.remote_ok s.Client.local_fallbacks
-          s.Client.typed_errors s.Client.retries s.Client.sheds_honored
-          s.Client.ejections s.Client.reconnects);
+          s.Client.typed_errors s.Client.retries s.Client.ejections
+          s.Client.reconnects);
   client
 
 (* A CONV request carries its input alone, and bdprintd answers it with

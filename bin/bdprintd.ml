@@ -35,10 +35,13 @@ let listen_arg =
           "Listen address: $(b,HOST:PORT), $(b,:PORT), $(b,PORT) (TCP; port \
            0 picks an ephemeral port) or $(b,unix:PATH).")
 
+let max_jobs = Service.Supervisor.max_jobs
+
 let jobs_arg =
   Arg.(
     value & opt int 2
-    & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains (at least 1).")
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:(Printf.sprintf "Worker domains, 1 to %d." max_jobs))
 
 let admission_arg =
   Arg.(
@@ -120,15 +123,15 @@ let flight_arg =
 let print_final_stats (s : Server.stats) =
   Printf.eprintf
     "bdprintd: served %d requests on %d connections: %d ok (%d cached, %d \
-     inline), %d failed, %d shed (%d queue-full, %d overload, %d \
-     draining), %d protocol errors\n\
+     inline), %d failed, %d shed (%d queue-full, %d draining), %d \
+     protocol errors\n\
      bdprintd: workers: %d submitted, %d retries, %d crashes, %d wedges, \
      %d respawns\n\
      %!"
     s.Server.requests s.Server.connections s.Server.replies_ok
     s.Server.cache_hits s.Server.inline s.Server.replies_failed
-    (s.Server.shed_queue_full + s.Server.shed_overload + s.Server.shed_draining)
-    s.Server.shed_queue_full s.Server.shed_overload s.Server.shed_draining
+    (s.Server.shed_queue_full + s.Server.shed_draining)
+    s.Server.shed_queue_full s.Server.shed_draining
     s.Server.proto_errors s.Server.supervisor.Service.Supervisor.submitted
     s.Server.supervisor.Service.Supervisor.retries
     s.Server.supervisor.Service.Supervisor.crashes
@@ -137,7 +140,10 @@ let print_final_stats (s : Server.stats) =
 
 let run listen jobs admission cache_size deadline_ms stuck_ms show_stats
     metrics_file trace_file flight_file =
-  if jobs < 1 then `Error (false, "--jobs must be at least 1")
+  (* before the bind: Supervisor.start spawns a domain per job, and the
+     runtime's domain limit would end the daemon on an exception *)
+  if jobs < 1 || jobs > max_jobs then
+    `Error (false, Printf.sprintf "--jobs must be between 1 and %d" max_jobs)
   else if admission < 1 then `Error (false, "--admission must be at least 1")
   else if cache_size < 0 then `Error (false, "--cache-size must be >= 0")
   else if (match deadline_ms with Some ms -> ms < 0 | None -> false) then
@@ -198,10 +204,10 @@ let cmd =
       `S Manpage.s_description;
       `P
         "Serves Burger-Dybvig shortest-form conversions over a line \
-         protocol (see docs/SERVICE.md): CONV/BATCH requests answered OK, \
-         ERR (structured failure) or SHED (explicit load shedding), \
-         plus PING, HEALTHZ, DEADLINE, STATS, \
-         METRICS and QUIT.";
+         protocol (see docs/SERVICE.md): CONV requests answered OK, ERR \
+         (structured failure) or SHED (explicit load shedding), plus \
+         DEADLINE, PING, STATS, METRICS, TRACE and QUIT.  Pipelined CONV \
+         frames are answered in order.";
       `P
         "A request that needs no bignum is converted on its connection's \
          thread (the reader's fast tiers, then the table tier); the rest, \

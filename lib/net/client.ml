@@ -11,7 +11,6 @@ type config = {
   backoff_ms : float;
   backoff_multiplier : float;
   backoff_cap_ms : float;
-  max_shed_wait_ms : int;
   eject_threshold : int;
   eject_cooldown_ms : int;
   pool_size : int;
@@ -25,7 +24,6 @@ let default_config =
     backoff_ms = 5.0;
     backoff_multiplier = 2.0;
     backoff_cap_ms = 200.0;
-    max_shed_wait_ms = 2_000;
     eject_threshold = 3;
     eject_cooldown_ms = 1_000;
     pool_size = 2;
@@ -45,7 +43,6 @@ type stats = {
   local_fallbacks : int;
   typed_errors : int;
   retries : int;
-  sheds_honored : int;
   ejections : int;
   reconnects : int;
 }
@@ -81,7 +78,6 @@ type t = {
   mutable s_local : int;
   mutable s_typed_errors : int;
   mutable s_retries : int;
-  mutable s_sheds : int;
   mutable s_ejections : int;
   mutable s_reconnects : int;
 }
@@ -95,11 +91,6 @@ let m_retries =
   Telemetry.Metrics.counter
     ~help:"Client attempts beyond the first (shed retry, backoff)."
     "bdprint_client_retries_total"
-
-let m_sheds_honored =
-  Telemetry.Metrics.counter
-    ~help:"SHED replies honored by waiting the server's retry-after-ms hint."
-    "bdprint_client_sheds_honored_total"
 
 let m_ejections =
   Telemetry.Metrics.counter
@@ -131,7 +122,6 @@ let create ?(config = default_config) ?local addr =
     s_local = 0;
     s_typed_errors = 0;
     s_retries = 0;
-    s_sheds = 0;
     s_ejections = 0;
     s_reconnects = 0;
   }
@@ -293,9 +283,8 @@ let is_down t =
 type a_result =
   | R_ok of string
   | R_err of Error.t  (** determinative remote error: do not retry *)
-  | R_shed of int option  (** queue-full / overload, with retry-after *)
   | R_drain  (** daemon draining: mark it down, no sleep *)
-  | R_retryable of Error.t  (** remote internal/proto error *)
+  | R_retryable of Error.t  (** remote internal/proto error or shed *)
   | R_transport of string  (** connection unusable *)
 
 (* The server's [detail] is its fully rendered error message; strip
@@ -405,14 +394,14 @@ let attempt_once t ~deadline ~tid input =
       | Wire.Failed { cls; detail } ->
         answered t conn;
         R_err (error_of_wire ~input cls detail)
-      | Wire.Shed { reason = "draining"; _ } ->
+      | Wire.Shed "draining" ->
         close_fd conn.fd;
         R_drain
-      | Wire.Shed { retry_after_ms; _ } ->
+      | Wire.Shed _ ->
+        (* queue-full: retried on the client's own backoff *)
         answered t conn;
-        R_shed retry_after_ms
-      | Wire.Pong | Wire.Ready _ | Wire.Draining _ | Wire.Batch_end _
-      | Wire.Payload _ | Wire.Bye ->
+        R_retryable (Error.internal ~where:"net.client" "remote shed")
+      | Wire.Pong | Wire.Payload _ | Wire.Bye ->
         finish_transport "unexpected reply tag"
     with Transport msg -> finish_transport msg)
 
@@ -428,7 +417,6 @@ let attempt t ~deadline ~tid input =
       match r with
       | R_ok _ -> "ok"
       | R_err _ -> "error"
-      | R_shed _ -> "shed"
       | R_drain -> "drain"
       | R_retryable _ -> "retryable"
       | R_transport _ -> "transport"
@@ -439,13 +427,6 @@ let attempt t ~deadline ~tid input =
 
 (* {2 The request loop} *)
 
-let traced_delay ~tid ?note s =
-  if s > 0. then begin
-    let t0 = Telemetry.Tracing.start_for tid in
-    Thread.delay s;
-    Telemetry.Tracing.finish ?note ~tid Telemetry.Tracing.Client_backoff t0
-  end
-
 let jittered_backoff t ~attempt ~deadline ~tid =
   let base =
     t.cfg.backoff_ms *. (t.cfg.backoff_multiplier ** float_of_int attempt)
@@ -455,16 +436,11 @@ let jittered_backoff t ~attempt ~deadline ~tid =
   let jitter = 0.5 +. Random.State.float t.rng 1.0 in
   Mutex.unlock t.m;
   let s = Float.min (capped *. jitter /. 1000.) (remaining_s deadline) in
-  traced_delay ~tid s
-
-let shed_wait t ~hint ~deadline ~tid =
-  let ms =
-    match hint with
-    | Some ms -> min ms t.cfg.max_shed_wait_ms
-    | None -> int_of_float t.cfg.backoff_cap_ms
-  in
-  let s = Float.min (float ms /. 1000.) (remaining_s deadline) in
-  traced_delay ~tid ~note:"shed" s
+  if s > 0. then begin
+    let t0 = Telemetry.Tracing.start_for tid in
+    Thread.delay s;
+    Telemetry.Tracing.finish ~tid Telemetry.Tracing.Client_backoff t0
+  end
 
 let count_result t r =
   Mutex.lock t.m;
@@ -528,13 +504,6 @@ let convert t ?deadline_ms input =
             count_result t
               (Result.Ok { output = out; tier = Remote t.addr; attempts = n + 1 })
           | R_err e -> count_result t (Result.Error e)
-          | R_shed hint ->
-            Mutex.lock t.m;
-            t.s_sheds <- t.s_sheds + 1;
-            bump m_sheds_honored;
-            Mutex.unlock t.m;
-            shed_wait t ~hint ~deadline ~tid;
-            loop (n + 1) (Some (Error.internal ~where:"net.client" "remote shed"))
           | R_drain ->
             mark_down t;
             loop (n + 1) last_err
@@ -584,7 +553,6 @@ let stats t =
       local_fallbacks = t.s_local;
       typed_errors = t.s_typed_errors;
       retries = t.s_retries;
-      sheds_honored = t.s_sheds;
       ejections = t.s_ejections;
       reconnects = t.s_reconnects;
     }

@@ -13,15 +13,11 @@
        and read timeouts, retry/backoff sleeps, and the [DEADLINE]
        installed on the server side are all derived from the remaining
        budget.}
-    {- {e Retries with jittered exponential backoff}: transport failures
-       and retryable remote errors ([ERR internal] / [ERR proto]) are
-       retried up to [max_attempts] times with capped exponential
-       backoff and ±50% jitter (seeded from {!Robust.Faults.seed}, so
-       chaos runs replay).}
-    {- {e Honored shed hints}: [SHED queue-full] / [SHED overload]
-       replies carry the server's [retry-after-ms]; the client sleeps
-       that long (capped by [max_shed_wait_ms] and the remaining
-       deadline) instead of its default backoff.}
+    {- {e Retries with jittered exponential backoff}: transport failures,
+       retryable remote errors ([ERR internal] / [ERR proto]) and
+       [SHED queue-full] are retried up to [max_attempts] times with
+       capped exponential backoff and ±50% jitter (seeded from
+       {!Robust.Faults.seed}, so chaos runs replay).}
     {- {e A down daemon is skipped}: [eject_threshold] consecutive
        transport failures, or a [SHED draining] reply, mark the daemon
        down for [eject_cooldown_ms].  Meanwhile every request goes
@@ -66,8 +62,6 @@ type config = {
   backoff_ms : float;  (** base backoff before the second attempt (5) *)
   backoff_multiplier : float;  (** exponential growth factor (2) *)
   backoff_cap_ms : float;  (** backoff ceiling (200) *)
-  max_shed_wait_ms : int;
-      (** cap on honoring a server [retry-after-ms] hint (2000) *)
   eject_threshold : int;
       (** consecutive transport failures that mark the daemon down (3) *)
   eject_cooldown_ms : int;
@@ -94,7 +88,6 @@ type stats = {
   local_fallbacks : int;
   typed_errors : int;
   retries : int;  (** attempts beyond each request's first *)
-  sheds_honored : int;  (** SHED replies waited out per the server hint *)
   ejections : int;  (** times the daemon was marked down *)
   reconnects : int;  (** fresh sockets opened (pool misses) *)
 }
@@ -112,8 +105,8 @@ val create :
 
 val convert : t -> ?deadline_ms:int -> string -> (outcome, Robust.Error.t) result
 (** One conversion through the resilience ladder: the daemon (with
-    retries and shed waits) unless it is down, then the local fallback,
-    then the last typed error.  [Error] is always one of the four
+    retries) unless it is down, then the local fallback, then the last
+    typed error.  [Error] is always one of the four
     {!Robust.Error.t} classes — transport failures surface as
     [Internal] only after every tier is exhausted; an exceeded
     [deadline_ms] surfaces as the standard [Budget] deadline error. *)

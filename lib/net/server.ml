@@ -28,7 +28,6 @@ type stats = {
   inline : int;
   replies_failed : int;
   shed_queue_full : int;
-  shed_overload : int;
   shed_draining : int;
   proto_errors : int;
   cache : Memo.stats;
@@ -67,14 +66,8 @@ type core = {
   mutable n_inline : int;
   mutable n_failed : int;
   mutable n_shed_full : int;
-  mutable n_shed_overload : int;
   mutable n_shed_drain : int;
   mutable n_proto : int;
-  mutable ewma_ms : float;
-      (** exponentially-weighted mean service time of pool requests,
-          admission to reply — feeds the adaptive admission controller
-          and the [retry-after-ms] hints, so it is always maintained,
-          independent of telemetry *)
 }
 [@@lint.guarded_by "m"]
 
@@ -92,7 +85,7 @@ type t = {
   stop : bool Atomic.t;  (** drain request flag; async-signal-safe *)
 }
 
-(* Daemon protocol/build version, reported in HEALTHZ and STATS. *)
+(* Daemon protocol/build version, reported in STATS. *)
 let version = "1.0.0"
 
 let m_latency =
@@ -153,50 +146,20 @@ let rec await core conn =
     Condition.wait conn.ready core.m;
     await core conn
 
-let count_shed () =
-  if Telemetry.Metrics.enabled () then Telemetry.Metrics.incr m_shed
+(* A shed carries its reason only: a client retries [queue-full] on its
+   own backoff and fails over from [draining]. *)
+let shed reason =
+  if Telemetry.Metrics.enabled () then Telemetry.Metrics.incr m_shed;
+  if Telemetry.Flight.enabled () then Telemetry.Flight.record ~kind:"shed" reason;
+  Wire.Shed reason
 
-(* [retry-after-ms] hints from the service-time EWMA.  A [queue-full]
-   shed clears once some in-flight request finishes: about one mean
-   service time.  An [overload] shed clears once the projected queue
-   wait has drained back under the deadline.  [draining] sheds carry no
-   hint — the right client response is failover, not retry. *)
 let shed_drain c =
   c.n_shed_drain <- c.n_shed_drain + 1;
-  count_shed ();
-  if Telemetry.Flight.enabled () then
-    Telemetry.Flight.record ~kind:"shed" "draining";
-  Wire.Shed { reason = "draining"; retry_after_ms = None }
+  shed "draining"
 
-let shed_full t c =
+let shed_full c =
   c.n_shed_full <- c.n_shed_full + 1;
-  count_shed ();
-  if Telemetry.Flight.enabled () then
-    Telemetry.Flight.record ~kind:"shed" "queue-full";
-  let hint = max 1. (c.ewma_ms /. float (max 1 t.cfg.jobs)) in
-  Wire.Shed
-    { reason = "queue-full"; retry_after_ms = Some (int_of_float (ceil hint)) }
-
-(* Projected wait before a request admitted now would start converting:
-   the pool requests ahead of it, spread over the worker pool, each
-   costing one mean service time. *)
-let projected_wait_ms t c =
-  float c.queued *. c.ewma_ms /. float (max 1 t.cfg.jobs)
-
-let shed_overload c ~deadline_ms:d ~projected =
-  c.n_shed_overload <- c.n_shed_overload + 1;
-  count_shed ();
-  if Telemetry.Flight.enabled () then
-    Telemetry.Flight.record ~kind:"shed" "overload";
-  let hint = max 1. (projected -. float d) in
-  Wire.Shed
-    { reason = "overload"; retry_after_ms = Some (int_of_float (ceil hint)) }
-
-(* Latency is measured unconditionally: beyond the (gated) histogram it
-   feeds the admission controller's EWMA, which must stay live with
-   telemetry off.  Only pool requests update the EWMA — sheds, cache
-   hits and inline answers say nothing about the pool's service time. *)
-let ewma_alpha = 0.2
+  shed "queue-full"
 
 (* What a request holds while its reply is written: nothing (a shed or
    a memo hit), or an admission slot on one of the two routes. *)
@@ -211,7 +174,8 @@ let leave_flight c =
 
 (* The bignum-free route, on this connection thread, traced under the
    request's own id.  A request past its deadline goes to the pool,
-   the one place that answers deadline errors. *)
+   the one place that answers deadline errors: the Supervisor fails
+   an expired request at dequeue without converting it. *)
 let try_inline t ~t0 ~deadline_ms ~tid input =
   match deadline_ms with
   | Some d when (Unix.gettimeofday () -. t0) *. 1e3 >= float d -> None
@@ -225,30 +189,18 @@ let try_inline t ~t0 ~deadline_ms ~tid input =
     out
 
 (* A request the inline route declined, holding its admission slot:
-   the pool's own admission (queue depth, projected wait), then the
-   supervisor.  Only pool requests queue, so only they are shed
-   queue-full or overload, and only they feed the EWMA. *)
-let convert_pooled t conn ~t0 ~deadline_ms ~tid input : Wire.reply * slot =
+   the pool's own admission bound, then the supervisor.  Only pool
+   requests queue, so only they are shed queue-full. *)
+let convert_pooled t conn ~deadline_ms ~tid input : Wire.reply * slot =
   let c = t.core in
   Mutex.lock c.m;
-  let refused =
-    if c.queued >= t.cfg.admission_capacity then Some (shed_full t c)
-    else
-      (* adaptive admission: shed when the projected queue wait alone
-         already exceeds the request's deadline — converting would only
-         burn a worker on a reply that arrives dead *)
-      let projected = projected_wait_ms t c in
-      match deadline_ms with
-      | Some d when projected > float d ->
-        Some (shed_overload c ~deadline_ms:d ~projected)
-      | Some _ | None -> None
-  in
-  match refused with
-  | Some reply ->
+  if c.queued >= t.cfg.admission_capacity then begin
+    let reply = shed_full c in
     leave_flight c;
     Mutex.unlock c.m;
     (reply, No_slot)
-  | None -> (
+  end
+  else begin
     c.queued <- c.queued + 1;
     Mutex.unlock c.m;
     match Supervisor.submit t.sup ?deadline_ms ~tid ~lineno:conn.id input with
@@ -259,10 +211,6 @@ let convert_pooled t conn ~t0 ~deadline_ms ~tid input : Wire.reply * slot =
       (match r.Supervisor.outcome with
       | Supervisor.Done _ -> c.n_ok <- c.n_ok + 1
       | Supervisor.Failed _ -> c.n_failed <- c.n_failed + 1);
-      let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-      c.ewma_ms <-
-        (if c.ewma_ms <= 0. then elapsed_ms
-         else c.ewma_ms +. (ewma_alpha *. (elapsed_ms -. c.ewma_ms)));
       Mutex.unlock c.m;
       ( (match r.Supervisor.outcome with
         | Supervisor.Done out ->
@@ -279,7 +227,8 @@ let convert_pooled t conn ~t0 ~deadline_ms ~tid input : Wire.reply * slot =
       c.queued <- c.queued - 1;
       let reply = shed_drain c in
       Mutex.unlock c.m;
-      (reply, Pool_slot))
+      (reply, Pool_slot)
+  end
 
 (* One conversion request on [conn], through cache, admission and one
    of the two routes; [t0] is its arrival time.  Returns the reply to
@@ -316,7 +265,7 @@ let convert_one t conn ~t0 ~deadline_ms ~tid input : Wire.reply * slot =
       Mutex.unlock c.m;
       match try_inline t ~t0 ~deadline_ms ~tid input with
       | Some out -> (Wire.Converted out, Inline_slot)
-      | None -> convert_pooled t conn ~t0 ~deadline_ms ~tid input)
+      | None -> convert_pooled t conn ~deadline_ms ~tid input)
 
 (* An inline answer is counted here, after its write, in the section
    that frees its slot. *)
@@ -348,8 +297,7 @@ let write_conv_reply t fd ~tid (reply, slot) =
     Fun.protect
       ~finally:(fun () -> release_admission t slot)
       (fun () -> write_all fd (Wire.render_reply reply));
-  Telemetry.Tracing.finish ~tid Telemetry.Tracing.Wire_write wt0;
-  reply
+  Telemetry.Tracing.finish ~tid Telemetry.Tracing.Wire_write wt0
 
 (* {2 Statistics} *)
 
@@ -379,7 +327,6 @@ let stats t =
   and inline = c.n_inline
   and replies_failed = c.n_failed
   and shed_queue_full = c.n_shed_full
-  and shed_overload = c.n_shed_overload
   and shed_draining = c.n_shed_drain
   and proto_errors = c.n_proto in
   Mutex.unlock c.m;
@@ -396,7 +343,6 @@ let stats t =
     inline;
     replies_failed;
     shed_queue_full;
-    shed_overload;
     shed_draining;
     proto_errors;
     cache;
@@ -408,15 +354,13 @@ let hit_rate (cache : Memo.stats) =
   let total = cache.Memo.hits + cache.Memo.misses in
   if total = 0 then 0. else float cache.Memo.hits /. float total
 
-let uptime_s t = Unix.gettimeofday () -. t.started
-
 let stats_json t =
   let s = stats t in
   let b = Buffer.create 512 in
   let field name v = Printf.bprintf b "\"%s\":%d," name v in
   Buffer.add_char b '{';
   Printf.bprintf b "\"version\":\"%s\"," version;
-  Printf.bprintf b "\"uptime_s\":%.3f," (uptime_s t);
+  Printf.bprintf b "\"uptime_s\":%.3f," (Unix.gettimeofday () -. t.started);
   field "connections" s.connections;
   field "active_connections" s.active_connections;
   field "requests" s.requests;
@@ -425,11 +369,12 @@ let stats_json t =
   field "inline" s.inline;
   field "replies_failed" s.replies_failed;
   field "shed_queue_full" s.shed_queue_full;
-  field "shed_overload" s.shed_overload;
+  (* [shed_overload] and [cache_skips] are always 0: the daemon sheds
+     no request for its deadline, and the memo skips no conversion.
+     Both fields stay because perfbench's traced daemon run reads them. *)
+  field "shed_overload" 0;
   field "shed_draining" s.shed_draining;
   field "proto_errors" s.proto_errors;
-  (* Always 0 since the memo stopped skipping fast conversions; the
-     field stays because perfbench's traced daemon run reads it. *)
   field "cache_skips" 0;
   field "cache_entries" s.cache.Memo.entries;
   field "cache_misses" s.cache.Memo.misses;
@@ -457,76 +402,25 @@ let proto_error t fd reason =
   if Telemetry.Metrics.enabled () then Telemetry.Metrics.incr m_proto_errors;
   write_all fd (Wire.render_reply (Wire.Failed { cls = "proto"; detail = reason }))
 
-(* HEALTHZ attributes: uptime, version, watchdog wedge count and memo
-   hit rate — enough for a probe (or an operator with netcat) to see a
-   daemon's identity and recent health in one line.  Old clients parse
-   only the leading READY/DRAINING tag and ignore the rest. *)
-let health_info t =
-  let sup = Supervisor.stats t.sup in
-  let cache =
-    match t.memo with Some memo -> Memo.stats memo | None -> empty_cache_stats
-  in
-  Printf.sprintf "uptime-s=%d version=%s wedges=%d memo-hit-rate=%.3f"
-    (int_of_float (uptime_s t))
-    version sup.Supervisor.wedges (hit_rate cache)
-
 (* The trace id a conversion runs under: the wire TID when the client
    is tracing (so both processes' spans share a track), else a locally
    sampled id when this daemon traces on its own. *)
 let conv_tid ~wire_tid =
   if wire_tid <> 0 then wire_tid else Telemetry.Tracing.sample ()
 
-let handle_request t conn reader deadline_ms quit req =
+let handle_request t conn deadline_ms quit req =
   let fd = conn.fd in
   match req with
   | Wire.Conv { input; tid = wire_tid } ->
     let tid = conv_tid ~wire_tid in
     let rt0 = Telemetry.Tracing.start_for tid in
-    let (_ : Wire.reply) =
-      write_conv_reply t fd ~tid
-        (timed_convert t conn ~deadline_ms:!deadline_ms ~tid input)
-    in
+    write_conv_reply t fd ~tid
+      (timed_convert t conn ~deadline_ms:!deadline_ms ~tid input);
     Telemetry.Tracing.finish ~tid Telemetry.Tracing.Request rt0
-  | Wire.Batch { count = n; tid = wire_tid } ->
-    let ok = ref 0 and failed = ref 0 and shed = ref 0 in
-    let aborted = ref false in
-    let i = ref 0 in
-    while (not !aborted) && !i < n do
-      match Line_reader.read reader with
-      | Line_reader.Interrupted -> ()
-      | Line input -> (
-        incr i;
-        let tid = conv_tid ~wire_tid in
-        match
-          write_conv_reply t fd ~tid
-            (timed_convert t conn ~deadline_ms:!deadline_ms ~tid
-               (String.trim input))
-        with
-        | Wire.Converted _ -> incr ok
-        | Wire.Shed _ -> incr shed
-        | _ -> incr failed)
-      | Too_long { terminated = true; _ } ->
-        incr i;
-        incr failed;
-        proto_error t fd "frame-too-long"
-      | Last _ | Too_long { terminated = false; _ } | Eof ->
-        (* the connection closed mid-batch: an unfinished frame is
-           dropped *)
-        aborted := true;
-        quit := true
-    done;
-    if not !aborted then
-      write_all fd
-        (Wire.render_reply (Wire.Batch_end { ok = !ok; failed = !failed; shed = !shed }))
   | Wire.Deadline ms ->
     deadline_ms := (if ms = 0 then None else Some ms);
     write_all fd (Wire.render_reply (Wire.Converted (Printf.sprintf "deadline=%d" ms)))
   | Wire.Ping -> write_all fd (Wire.render_reply Wire.Pong)
-  | Wire.Healthz ->
-    let ready = not (Atomic.get t.stop) in
-    let info = health_info t in
-    write_all fd
-      (Wire.render_reply (if ready then Wire.Ready info else Wire.Draining info))
   | Wire.Stats ->
     write_all fd
       (Wire.render_reply (Wire.Payload { verb = "STATS"; body = stats_json t }))
@@ -552,7 +446,7 @@ let handle_conn t conn =
        | Line line -> (
          match Wire.parse_request line with
          | Error reason -> proto_error t fd reason
-         | Ok req -> handle_request t conn reader deadline_ms quit req)
+         | Ok req -> handle_request t conn deadline_ms quit req)
        | Too_long { terminated = true; _ } -> proto_error t fd "frame-too-long"
        | Last _ | Too_long { terminated = false; _ } | Eof ->
          (* an unterminated final frame never completed: drop it *)
@@ -688,10 +582,8 @@ let start ?(config = default_config) ~inline ~convert spec =
         n_inline = 0;
         n_failed = 0;
         n_shed_full = 0;
-        n_shed_overload = 0;
         n_shed_drain = 0;
         n_proto = 0;
-        ewma_ms = 0.;
       }
     in
     let sup =

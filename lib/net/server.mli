@@ -18,9 +18,9 @@
        another client or the connection threads.}}
 
     A connection has at most one conversion in flight: its thread waits
-    for each reply, within a [BATCH] too, before it reads on.  So each
-    connection owns one waiter, made at accept and kept with its socket
-    under the daemon's one mutex.  A pool request goes to the
+    for each reply before it reads on, so pipelined [CONV] frames get
+    their replies in order, and each connection owns one waiter, made
+    at accept and kept with its socket under the daemon's one mutex.  A pool request goes to the
     supervisor labelled with the connection's id, and the supervisor
     domain that emits the reply posts it to that waiter.
 
@@ -32,13 +32,8 @@
        connections.  A pool request beyond the bound is answered
        [SHED queue-full] {e immediately} — the daemon never queues
        unboundedly and never silently drops.  Inline answers never
-       queue, so they are never shed this way.  An {e adaptive} controller
-       additionally sheds ([SHED overload]) a deadline-carrying pool
-       request whose projected queue wait (pool depth × the live
-       pool service-time EWMA ÷ workers) already exceeds its deadline —
-       refusing fast beats converting a reply that arrives dead.  Both
-       sheds carry a machine-readable [retry-after-ms] hint derived from
-       the same EWMA.}
+       queue, so they are never shed this way.  A shed carries its
+       reason only; the client retries it on its own backoff.}
     {- {e Wedge detection}: the supervisor's watchdog domain (see
        {!Service.Supervisor.watchdog_policy}; on by default here)
        answers any request stuck past its deadline on a live-but-wedged
@@ -46,7 +41,9 @@
        pathological request cannot capture a worker domain forever.}
     {- {e Per-client deadlines and budgets}: each connection can set a
        wall-clock deadline ([DEADLINE <ms>]) enforced through
-       {!Robust.Budget}'s cooperative check sites; input frames are
+       {!Robust.Budget}'s cooperative check sites.  A pool request still
+       queued when its deadline passes is answered [ERR budget] at
+       dequeue without being converted; input frames are
        bounded by the ambient budget's [max_input_length] and oversized
        frames are rejected as [ERR proto frame-too-long] without
        desynchronising the stream.}
@@ -84,14 +81,12 @@ val default_config : config
 type stats = {
   connections : int;  (** accepted since start *)
   active_connections : int;
-  requests : int;  (** conversion requests (CONV + batch items) *)
+  requests : int;  (** conversion requests ([CONV] frames) *)
   replies_ok : int;  (** includes cache hits and inline answers *)
   cache_hits : int;
   inline : int;  (** answered on the connection thread *)
   replies_failed : int;
   shed_queue_full : int;
-  shed_overload : int;
-      (** adaptive-admission sheds: projected wait exceeded the deadline *)
   shed_draining : int;
   proto_errors : int;  (** malformed frames answered [ERR proto ...] *)
   cache : Memo.stats;
@@ -144,6 +139,7 @@ val stats : t -> stats
 
 val stats_json : t -> string
 (** The [STATS] payload: a flat JSON object (stable keys, documented in
-    docs/SERVICE.md).  Its [cache_skips] key is always 0: the memo no
-    longer skips fast conversions, and the key stays for perfbench's
-    traced daemon run, which reads it. *)
+    docs/SERVICE.md).  Its [shed_overload] and [cache_skips] keys are
+    always 0: the daemon sheds no request for its deadline and the memo
+    skips no conversion, and the keys stay for perfbench's traced
+    daemon run, which reads them. *)

@@ -1,9 +1,7 @@
 type request =
   | Conv of { input : string; tid : int }
-  | Batch of { count : int; tid : int }
   | Deadline of int
   | Ping
-  | Healthz
   | Stats
   | Metrics
   | Trace_dump
@@ -12,15 +10,11 @@ type request =
 type reply =
   | Converted of string
   | Failed of { cls : string; detail : string }
-  | Shed of { reason : string; retry_after_ms : int option }
-  | Batch_end of { ok : int; failed : int; shed : int }
+  | Shed of string
   | Pong
-  | Ready of string
-  | Draining of string
   | Payload of { verb : string; body : string }
   | Bye
 
-let max_batch = 1024
 let max_deadline_ms = 3_600_000
 
 let strip_cr s =
@@ -66,22 +60,12 @@ let parse_request line =
     | Error e -> Error e
     | Ok (tid, input) ->
       if input = "" then Error "empty-input" else Ok (Conv { input; tid }))
-  | "BATCH" -> (
-    let count_str, attrs = split_verb (String.trim rest) in
-    match (int_of_string_opt count_str, split_tid attrs) with
-    | _, Error e -> Error e
-    | Some n, Ok (tid, "") when n >= 1 && n <= max_batch ->
-      Ok (Batch { count = n; tid })
-    | Some n, Ok _ when n >= 1 && n <= max_batch -> Error "bad-count"
-    | Some _, Ok _ -> Error (Printf.sprintf "bad-count (1..%d)" max_batch)
-    | None, Ok _ -> Error "bad-count")
   | "DEADLINE" -> (
     match int_of_string_opt (String.trim rest) with
     | Some ms when ms >= 0 && ms <= max_deadline_ms -> Ok (Deadline ms)
     | Some _ -> Error (Printf.sprintf "bad-deadline (0..%d)" max_deadline_ms)
     | None -> Error "bad-deadline")
   | "PING" when rest = "" -> Ok Ping
-  | "HEALTHZ" when rest = "" -> Ok Healthz
   | "STATS" when rest = "" -> Ok Stats
   | "METRICS" when rest = "" -> Ok Metrics
   | "TRACE" when rest = "" -> Ok Trace_dump
@@ -93,28 +77,11 @@ let render_reply = function
   | Converted out -> "OK " ^ one_line out ^ "\n"
   | Failed { cls; detail } ->
     Printf.sprintf "ERR %s %s\n" (one_line cls) (one_line detail)
-  | Shed { reason; retry_after_ms = None } -> "SHED " ^ one_line reason ^ "\n"
-  | Shed { reason; retry_after_ms = Some ms } ->
-    Printf.sprintf "SHED %s retry-after-ms=%d\n" (one_line reason) ms
-  | Batch_end { ok; failed; shed } ->
-    Printf.sprintf "END ok=%d failed=%d shed=%d\n" ok failed shed
+  | Shed reason -> "SHED " ^ one_line reason ^ "\n"
   | Pong -> "PONG\n"
-  | Ready "" -> "READY\n"
-  | Ready info -> "READY " ^ one_line info ^ "\n"
-  | Draining "" -> "DRAINING\n"
-  | Draining info -> "DRAINING " ^ one_line info ^ "\n"
   | Payload { verb; body } ->
     Printf.sprintf "%s %d\n%s\n" verb (String.length body) body
   | Bye -> "BYE\n"
-
-let kv_int key pairs =
-  List.find_map
-    (fun p ->
-      match String.index_opt p '=' with
-      | Some i when String.sub p 0 i = key ->
-        int_of_string_opt (String.sub p (i + 1) (String.length p - i - 1))
-      | _ -> None)
-    pairs
 
 (* Request-side rendering for the client and the tests.  The TID token
    goes first so a server can route on it before looking at the input. *)
@@ -130,10 +97,6 @@ let conv_reads_back ?(tid = 0) input =
   match parse_request (String.sub frame 0 (String.length frame - 1)) with
   | Ok (Conv c) -> String.equal c.input input
   | Ok _ | Error _ -> false
-
-let render_batch ?(tid = 0) count =
-  if tid = 0 then Printf.sprintf "BATCH %d\n" count
-  else Printf.sprintf "BATCH %d %s%d\n" count tid_prefix tid
 
 let payload_length line =
   let line = strip_cr line in
@@ -154,21 +117,8 @@ let parse_reply_line line =
     if cls = "" then Error "ERR without a class"
     else Ok (Failed { cls; detail })
   | "SHED" ->
-    if rest = "" then Error "SHED without a reason"
-    else
-      let reason, attrs = split_verb rest in
-      let retry_after_ms =
-        kv_int "retry-after-ms" (String.split_on_char ' ' attrs)
-      in
-      Ok (Shed { reason; retry_after_ms })
-  | "END" -> (
-    let pairs = String.split_on_char ' ' rest in
-    match (kv_int "ok" pairs, kv_int "failed" pairs, kv_int "shed" pairs) with
-    | Some ok, Some failed, Some shed -> Ok (Batch_end { ok; failed; shed })
-    | _ -> Error "malformed END counts")
+    if rest = "" then Error "SHED without a reason" else Ok (Shed rest)
   | "PONG" -> Ok Pong
-  | "READY" -> Ok (Ready rest)
-  | "DRAINING" -> Ok (Draining rest)
   | "BYE" -> Ok Bye
   | "STATS" | "METRICS" | "TRACE" -> (
     match payload_length line with

@@ -20,14 +20,10 @@ type request =
           only emit it for requests they are actually tracing, so the
           token never reaches a pre-TID server unless tracing is
           deliberately enabled against it. *)
-  | Batch of { count : int; tid : int }
-      (** [BATCH <n> [TID=<t>]]: the next [n] lines are inputs; [n]
-          replies follow in order, then an [END] line *)
   | Deadline of int
       (** [DEADLINE <ms>]: per-request deadline for subsequent requests
           on this connection; 0 clears it *)
   | Ping
-  | Healthz
   | Stats  (** length-framed JSON service statistics *)
   | Metrics  (** length-framed Prometheus snapshot *)
   | Trace_dump
@@ -40,30 +36,16 @@ type reply =
   | Failed of { cls : string; detail : string }
       (** [ERR <class> <detail>], [cls] one of syntax / range / budget /
           internal / proto *)
-  | Shed of { reason : string; retry_after_ms : int option }
-      (** [SHED <reason> [retry-after-ms=<n>]]: explicit load-shedding,
-          [reason] one of [queue-full] / [overload] / [draining]; the
-          request was {e not} converted.  [retry_after_ms] is the
-          server's machine-readable hint of when retrying is likely to
-          succeed — clients should honor it in place of their default
-          backoff.  [draining] sheds carry no hint: the right response
-          is failover, not retry. *)
-  | Batch_end of { ok : int; failed : int; shed : int }
-      (** [END ok=<n> failed=<n> shed=<n>] after a batch's replies *)
+  | Shed of string
+      (** [SHED <reason>]: explicit load-shedding, the reason
+          [queue-full] or [draining]; the request was {e not}
+          converted.  A [queue-full] shed may be retried after a
+          backoff; a [draining] daemon is going away. *)
   | Pong
-  | Ready of string
-      (** [READY [<attrs>]]: healthy.  [attrs] is a space-separated
-          [key=value] list — [uptime-s], [version], [wedges],
-          [memo-hit-rate] — empty on old servers; clients must ignore
-          keys they do not know. *)
-  | Draining of string  (** [DRAINING [<attrs>]]: shutting down *)
   | Payload of { verb : string; body : string }
       (** [<verb> <byte-count>] then the body bytes ([STATS],
           [METRICS], [TRACE]) *)
   | Bye
-
-val max_batch : int
-(** Upper bound on [BATCH <n>] (1024): bounds per-connection memory. *)
 
 val max_deadline_ms : int
 (** Upper bound on [DEADLINE <ms>] (3_600_000). *)
@@ -71,7 +53,7 @@ val max_deadline_ms : int
 val parse_request : string -> (request, string) result
 (** Parses one request line (without its newline).  [Error reason]
     describes the protocol violation ([unknown-verb ...],
-    [bad-count ...], ...); the server reports it as [ERR proto <reason>]
+    [bad-deadline ...], ...); the server reports it as [ERR proto <reason>]
     and keeps the connection. *)
 
 val render_reply : reply -> string
@@ -89,9 +71,6 @@ val conv_reads_back : ?tid:int -> string -> bool
     It fails for the empty string, blanks at either end, a CR or LF
     anywhere, and (for [tid = 0]) a leading [TID=] token: the daemon
     would convert another string than [input], or refuse the frame. *)
-
-val render_batch : ?tid:int -> int -> string
-(** The [BATCH] request frame, newline included. *)
 
 val parse_reply_line : string -> (reply, string) result
 (** Client-side parse of one reply line (without its newline).

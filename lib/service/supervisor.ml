@@ -461,11 +461,18 @@ let rec watchdog_loop t (p : watchdog_policy) =
     watchdog_loop t p
   end
 
+(* OCaml 5.1 runs at most 128 domains at once (Max_domains).  Besides
+   its workers a pool needs the caller's domain, the watchdog and a
+   replacement worker, which starts before the wedged one it replaces
+   has exited. *)
+let max_jobs = 125
+
 let start ?(jobs = 2) ?(queue_capacity = 64) ?(retry = default_retry)
     ?watchdog ~emit convert =
   (* documented preconditions: misconfiguration is a programming error,
      not a per-request failure, so it raises rather than returns *)
-  (if jobs < 1 then invalid_arg "Supervisor.start: jobs < 1")
+  (if jobs < 1 || jobs > max_jobs then
+     invalid_arg "Supervisor.start: jobs outside 1..max_jobs")
   [@lint.can_raise Invalid_argument];
   (if queue_capacity < 1 then invalid_arg "Supervisor.start: queue_capacity < 1")
   [@lint.can_raise Invalid_argument];

@@ -112,6 +112,12 @@ type stats = {
 
 type t
 
+val max_jobs : int
+(** The most worker domains {!start} takes (125): OCaml 5.1 runs at most
+    128 domains at once, and the pool also needs the caller's domain,
+    the watchdog and a replacement worker that overlaps the one it
+    replaces. *)
+
 val start :
   ?jobs:int ->
   ?queue_capacity:int ->
@@ -132,7 +138,10 @@ val start :
     dropped).  The ambient {!Robust.Budget} of the starting domain is
     captured and installed in every worker.  [retry.max_retries] bounds
     both the retries of an [Internal] failure and the re-runs of a
-    request whose worker died. *)
+    request whose worker died.
+    @raise Invalid_argument unless [1 <= jobs <= max_jobs],
+    [queue_capacity >= 1] and [retry.max_retries >= 0]; it spawns no
+    domain then. *)
 
 val submit : t -> ?deadline_ms:int -> ?tid:int -> lineno:int -> string -> unit
 (** Enqueues a request.  Blocks while [queue_capacity] requests are in

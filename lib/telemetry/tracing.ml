@@ -21,7 +21,7 @@
      requests across threads — the daemon's connection threads, a
      client shared by several threads — must instead carry the id
      explicitly through [start_for]/[finish ~tid].
-   - Across the wire the id rides the optional TID field of CONV/BATCH
+   - Across the wire the id rides the optional TID field of CONV
      (see Wire), so a daemon-side span lands under the same track as
      the client spans that caused it.
 

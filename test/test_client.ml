@@ -1,12 +1,13 @@
 (* Tests for the resilient daemon client (Net.Client): typed address
    parsing (Net.Addr, shared with bdprintd --listen), connection
    pooling, its reads through Net.Line_reader (split, over-long, cut and
-   endless replies), retries, the down state and its cooldown, honored
-   SHED retry-after hints, the local fallback tier, inputs a CONV line
-   cannot carry, a 10k-request end-to-end chaos run through the client
-   (slow/partial/malformed replies, then worker kills, a worker wedge
-   and a daemon restart) asserting zero wrong conversions, and kill -9
-   of a real bdprintd subprocess mid-stream. *)
+   endless replies), retries (a SHED queue-full on the client's own
+   backoff too), the down state and its cooldown, the local fallback
+   tier, inputs a CONV line cannot carry, a 10k-request end-to-end
+   chaos run through the client (slow/partial/malformed replies, then
+   worker kills, a worker wedge and a daemon restart) asserting zero
+   wrong conversions, kill -9 of a real bdprintd subprocess
+   mid-stream, and bdprintd's own address and --jobs checks. *)
 
 module Addr = Net.Addr
 module Client = Net.Client
@@ -317,7 +318,7 @@ let test_readmission_after_restart () =
   | Result.Error e -> Alcotest.failf "readmitted convert: %s" (Error.to_string e));
   Alcotest.(check int) "marked down once" 1 (Client.stats c).Client.ejections
 
-(* {2 Shed hints and deadlines} *)
+(* {2 Sheds and deadlines} *)
 
 (* raw helper connection for occupying the daemon's only admission slot *)
 let raw_connect port =
@@ -336,7 +337,7 @@ let raw_send fd s =
   in
   go 0 (Bytes.length b)
 
-let test_shed_retry_after_honored () =
+let test_queue_full_retried () =
   let slow input =
     Unix.sleepf 0.05;
     convert_real input
@@ -352,14 +353,17 @@ let test_shed_retry_after_honored () =
   let server = start_server ~config ~inline:pool_only ~convert:slow () in
   Fun.protect ~finally:(fun () -> stop_server server) @@ fun () ->
   let port = Option.get (Server.port server) in
+  (* the client's own backoff must outlast the occupier's 50 ms
+     conversion: nine sleeps capped at 50 ms, at least half of
+     1 + 2 + 4 + ... + 50 ms by the jitter, wait over 100 ms *)
   let c =
     Client.create
-      ~config:{ quick_config with Client.max_attempts = 10 }
+      ~config:{ quick_config with Client.max_attempts = 10; backoff_cap_ms = 50.0 }
       (Addr.Tcp ("127.0.0.1", port))
   in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  (* warm the daemon's service-time EWMA so its retry-after hints are
-     meaningful (~50 ms), then occupy the single admission slot *)
+  (* one conversion on the client's pooled connection, then occupy the
+     single admission slot *)
   check_ok "warmup" "0.1" (Client.convert c "0.1");
   let occupier = raw_connect port in
   (* the server submits only after it admits, so two submissions (the
@@ -384,11 +388,15 @@ let test_shed_retry_after_honored () =
     admitted ()
   in
   occupy (Server.stats server).Server.shed_queue_full;
-  (* the client gets SHED queue-full, honors the hint, retries, wins *)
+  let sheds = (Server.stats server).Server.shed_queue_full in
+  (* the client gets SHED queue-full, backs off on its own schedule,
+     retries and gets the bytes *)
   check_ok "shed then converted" "1.5" (Client.convert c "1.5");
   let s = Client.stats c in
-  Alcotest.(check bool) "shed honored" true (s.Client.sheds_honored >= 1);
   Alcotest.(check bool) "request retried" true (s.Client.retries >= 1);
+  Alcotest.(check bool) "the daemon shed it" true
+    ((Server.stats server).Server.shed_queue_full > sheds);
+  Alcotest.(check int) "answered remotely" 2 s.Client.remote_ok;
   Unix.close occupier
 
 let test_client_deadline () =
@@ -482,8 +490,6 @@ let start_vandal () =
                       write cfd
                         (Wire.render_reply
                            (Wire.Converted ("deadline=" ^ string_of_int ms)))
-                    | Ok Wire.Healthz ->
-                      write cfd (Wire.render_reply (Wire.Ready ""))
                     | Ok Wire.Ping -> write cfd (Wire.render_reply Wire.Pong)
                     | Ok _ | Error _ ->
                       write cfd
@@ -746,11 +752,10 @@ let test_chaos_through_client () =
     Client.close c;
     Printf.printf
       "chaos: %s: %d requests: remote-ok=%d local=%d errors=%d retries=%d \
-       sheds=%d ejections=%d\n\
+       ejections=%d\n\
        %!"
       name (Atomic.get completed) s.Client.remote_ok s.Client.local_fallbacks
-      s.Client.typed_errors s.Client.retries s.Client.sheds_honored
-      s.Client.ejections;
+      s.Client.typed_errors s.Client.retries s.Client.ejections;
     Alcotest.(check int) (name ^ ": zero wrong conversions") 0 (Atomic.get wrong);
     Alcotest.(check int) (name ^ ": zero misclassified failures") 0
       (Atomic.get wrong_class);
@@ -1074,6 +1079,34 @@ let test_listen_addr () =
   close_in_noerr ic;
   Alcotest.(check bool) "127.0.0.1:0 binds an ephemeral port" true (port > 0)
 
+(* A --jobs value past the runtime's domain limit is a usage error, as
+   --jobs 0 is: refused before the daemon binds or spawns a domain, so
+   nothing listens and no handshake is printed. *)
+let test_jobs_cap () =
+  let run jobs =
+    let out_file = Filename.temp_file "bdprintd_jobs" ".out" in
+    let st =
+      Sys.command
+        (Printf.sprintf "%s --jobs %d --listen 127.0.0.1:0 >%s 2>&1"
+           (bdprintd_exe ()) jobs out_file)
+    in
+    let ic = open_in out_file in
+    let out = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove out_file;
+    (st, out)
+  in
+  let st0, out0 = run 0 in
+  let st, out = run 1000 in
+  Alcotest.(check int) "usage error" 124 st0;
+  Alcotest.(check int) "the exit code of --jobs 0" st0 st;
+  Alcotest.(check bool) ("the usage error: " ^ out) true
+    (contains out
+       (Printf.sprintf "--jobs must be between 1 and %d"
+          Service.Supervisor.max_jobs));
+  Alcotest.(check string) "the message of --jobs 0" out0 out;
+  Alcotest.(check bool) "no socket bound" false (contains out "listening on")
+
 let () =
   Alcotest.run "client"
     [
@@ -1100,8 +1133,8 @@ let () =
           Alcotest.test_case "no fallback = typed error" `Quick
             test_no_fallback_typed_error;
           Alcotest.test_case "readmission" `Quick test_readmission_after_restart;
-          Alcotest.test_case "shed retry-after honored" `Quick
-            test_shed_retry_after_honored;
+          Alcotest.test_case "queue-full shed retried on backoff" `Quick
+            test_queue_full_retried;
           Alcotest.test_case "malformed reply recovery" `Quick
             test_malformed_reply_recovery;
         ] );
@@ -1125,5 +1158,7 @@ let () =
           Alcotest.test_case "--connect answers as in-process" `Quick
             test_connect_matches_in_process;
           Alcotest.test_case "bdprintd --listen" `Quick test_listen_addr;
+          Alcotest.test_case "bdprintd --jobs past the domain limit" `Quick
+            test_jobs_cap;
         ] );
     ]

@@ -38,14 +38,9 @@ let test_wire_requests () =
     (ok "CONV  TID=7  0.1" = Wire.Conv { input = "0.1"; tid = 7 });
   Alcotest.(check bool) "conv tid-like input" true
     (ok "CONV TID" = Wire.Conv { input = "TID"; tid = 0 });
-  Alcotest.(check bool) "batch" true
-    (ok "BATCH 10" = Wire.Batch { count = 10; tid = 0 });
-  Alcotest.(check bool) "batch tid" true
-    (ok "BATCH 10 TID=9" = Wire.Batch { count = 10; tid = 9 });
   Alcotest.(check bool) "trace" true (ok "TRACE" = Wire.Trace_dump);
   Alcotest.(check bool) "deadline" true (ok "DEADLINE 50" = Wire.Deadline 50);
   Alcotest.(check bool) "ping" true (ok "PING" = Wire.Ping);
-  Alcotest.(check bool) "healthz" true (ok "HEALTHZ" = Wire.Healthz);
   Alcotest.(check bool) "stats" true (ok "STATS" = Wire.Stats);
   Alcotest.(check bool) "metrics" true (ok "METRICS" = Wire.Metrics);
   Alcotest.(check bool) "quit" true (ok "QUIT" = Wire.Quit);
@@ -53,23 +48,21 @@ let test_wire_requests () =
   Alcotest.(check bool) "bad tid" true (errs "CONV TID=x 0.1");
   Alcotest.(check bool) "tid zero" true (errs "CONV TID=0 0.1");
   Alcotest.(check bool) "tid alone" true (errs "CONV TID=5");
-  Alcotest.(check bool) "batch trailing junk" true (errs "BATCH 10 extra");
   Alcotest.(check bool) "trace junk" true (errs "TRACE x");
   (* render/parse round-trip of the request frames the client emits *)
   Alcotest.(check string) "render conv" "CONV 0.1\n" (Wire.render_conv "0.1");
   Alcotest.(check string) "render conv tid" "CONV TID=7 0.1\n"
     (Wire.render_conv ~tid:7 "0.1");
-  Alcotest.(check string) "render batch tid" "BATCH 10 TID=9\n"
-    (Wire.render_batch ~tid:9 10);
-  Alcotest.(check bool) "batch 0" true (errs "BATCH 0");
-  Alcotest.(check bool) "batch over" true
-    (errs (Printf.sprintf "BATCH %d" (Wire.max_batch + 1)));
-  Alcotest.(check bool) "batch junk" true (errs "BATCH ten");
   Alcotest.(check bool) "deadline negative" true (errs "DEADLINE -1");
   Alcotest.(check bool) "deadline over" true
     (errs (Printf.sprintf "DEADLINE %d" (Wire.max_deadline_ms + 1)));
   Alcotest.(check bool) "ping junk" true (errs "PING x");
   Alcotest.(check bool) "unknown" true (errs "FROB 1");
+  (* retired verbs are unknown ones *)
+  Alcotest.(check bool) "no HEALTHZ" true
+    (Wire.parse_request "HEALTHZ" = Error "unknown-verb HEALTHZ");
+  Alcotest.(check bool) "no BATCH" true
+    (Wire.parse_request "BATCH 2" = Error "unknown-verb BATCH");
   Alcotest.(check bool) "empty" true (errs "")
 
 let test_wire_replies () =
@@ -82,29 +75,14 @@ let test_wire_replies () =
   Alcotest.(check bool) "err" true
     (round (Wire.Failed { cls = "syntax"; detail = "bad" })
     = Wire.Failed { cls = "syntax"; detail = "bad" });
-  Alcotest.(check bool) "shed" true
-    (round (Wire.Shed { reason = "queue-full"; retry_after_ms = None })
-    = Wire.Shed { reason = "queue-full"; retry_after_ms = None });
-  Alcotest.(check bool) "shed retry-after" true
-    (round (Wire.Shed { reason = "overload"; retry_after_ms = Some 40 })
-    = Wire.Shed { reason = "overload"; retry_after_ms = Some 40 });
-  Alcotest.(check string) "shed rendering" "SHED overload retry-after-ms=40\n"
-    (Wire.render_reply
-       (Wire.Shed { reason = "overload"; retry_after_ms = Some 40 }));
-  Alcotest.(check bool) "end" true
-    (round (Wire.Batch_end { ok = 3; failed = 1; shed = 2 })
-    = Wire.Batch_end { ok = 3; failed = 1; shed = 2 });
+  Alcotest.(check bool) "shed queue-full" true
+    (round (Wire.Shed "queue-full") = Wire.Shed "queue-full");
+  Alcotest.(check bool) "shed draining" true
+    (round (Wire.Shed "draining") = Wire.Shed "draining");
+  Alcotest.(check string) "shed rendering" "SHED queue-full\n"
+    (Wire.render_reply (Wire.Shed "queue-full"));
   Alcotest.(check bool) "pong" true (round Wire.Pong = Wire.Pong);
   Alcotest.(check bool) "bye" true (round Wire.Bye = Wire.Bye);
-  (* READY/DRAINING attrs round-trip; the bare forms stay byte-identical
-     to the pre-attr protocol *)
-  Alcotest.(check string) "ready bare" "READY\n"
-    (Wire.render_reply (Wire.Ready ""));
-  Alcotest.(check bool) "ready attrs" true
-    (round (Wire.Ready "uptime-s=3 version=1.0.0 wedges=0")
-    = Wire.Ready "uptime-s=3 version=1.0.0 wedges=0");
-  Alcotest.(check bool) "draining attrs" true
-    (round (Wire.Draining "uptime-s=3") = Wire.Draining "uptime-s=3");
   (* newline injection cannot desynchronise the framing *)
   let s = Wire.render_reply (Wire.Failed { cls = "syntax"; detail = "a\nb" }) in
   Alcotest.(check int) "one newline" 1
@@ -287,6 +265,11 @@ let recv_reply c =
     Wire.Payload { verb; body = recv_body c n }
   | Ok r -> r
 
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
+  go 0
+
 let with_server ?config ?(inline = Net.Conversion.inline)
     ?(convert = convert_real) f =
   let server =
@@ -310,20 +293,6 @@ let test_server_verbs () =
       let c = connect port in
       send c "PING\n";
       Alcotest.(check bool) "pong" true (recv_reply c = Wire.Pong);
-      send c "HEALTHZ\n";
-      (match recv_reply c with
-      | Wire.Ready attrs ->
-        (* attr soup must carry the documented keys *)
-        List.iter
-          (fun key ->
-            Alcotest.(check bool) ("healthz " ^ key) true
-              (List.exists
-                 (fun p ->
-                   String.length p > String.length key
-                   && String.sub p 0 (String.length key + 1) = key ^ "=")
-                 (String.split_on_char ' ' attrs)))
-          [ "uptime-s"; "version"; "wedges"; "memo-hit-rate" ]
-      | r -> Alcotest.failf "expected READY, got %s" (Wire.render_reply r));
       send c "CONV 0.1\n";
       Alcotest.(check bool) "conv" true (recv_reply c = Wire.Converted "0.1");
       (* the table tier declines 5e22, whose shortest form lies exactly
@@ -344,15 +313,23 @@ let test_server_verbs () =
       send c "DEADLINE 5000\n";
       Alcotest.(check bool) "deadline ack" true
         (recv_reply c = Wire.Converted "deadline=5000");
-      send c "BATCH 3\n1.5\n2.5\nnope\n";
-      Alcotest.(check bool) "b1" true (recv_reply c = Wire.Converted "1.5");
-      Alcotest.(check bool) "b2" true (recv_reply c = Wire.Converted "2.5");
+      (* pipelined CONV frames, one write: one conversion in flight per
+         connection, so the replies come back in order *)
+      send c "CONV 1.5\nCONV bogus\nCONV 2.5\n";
+      Alcotest.(check bool) "p1" true (recv_reply c = Wire.Converted "1.5");
       (match recv_reply c with
-      | Wire.Failed _ -> ()
-      | r -> Alcotest.failf "expected failure, got %s" (Wire.render_reply r));
-      (match recv_reply c with
-      | Wire.Batch_end { ok = 2; failed = 1; shed = 0 } -> ()
-      | r -> Alcotest.failf "bad END: %s" (Wire.render_reply r));
+      | Wire.Failed { cls = "syntax"; _ } -> ()
+      | r -> Alcotest.failf "expected syntax error, got %s" (Wire.render_reply r));
+      Alcotest.(check bool) "p3" true (recv_reply c = Wire.Converted "2.5");
+      (* retired verbs are unknown ones, and a BATCH header no longer
+         swallows the frames after it *)
+      send c "HEALTHZ\nBATCH 2\nCONV 0.25\n";
+      Alcotest.(check bool) "no HEALTHZ" true
+        (recv_reply c = Wire.Failed { cls = "proto"; detail = "unknown-verb HEALTHZ" });
+      Alcotest.(check bool) "no BATCH" true
+        (recv_reply c = Wire.Failed { cls = "proto"; detail = "unknown-verb BATCH" });
+      Alcotest.(check bool) "conv after them" true
+        (recv_reply c = Wire.Converted "0.25");
       send c "STATS\n";
       (match recv_reply c with
       | Wire.Payload { verb = "STATS"; body } ->
@@ -367,9 +344,9 @@ let test_server_verbs () =
       Alcotest.(check bool) "bye" true (recv_reply c = Wire.Bye);
       close c;
       let s = Server.stats server in
-      Alcotest.(check int) "requests" 8 s.Server.requests;
+      Alcotest.(check int) "requests" 9 s.Server.requests;
       Alcotest.(check int) "cache hit" 1 s.Server.cache_hits;
-      Alcotest.(check int) "proto clean" 0 s.Server.proto_errors)
+      Alcotest.(check int) "proto errors" 2 s.Server.proto_errors)
 
 let test_server_proto_resync () =
   with_server (fun server port ->
@@ -514,13 +491,17 @@ let test_server_trace_spans () =
     expect 8 (spans 8) (pool exact) []
   end
 
-(* Adaptive admission: with a known-slow service and a deadline shorter
-   than the projected queue wait, the daemon refuses up front with
-   [SHED overload] and a retry-after hint instead of converting a reply
-   that would arrive dead. *)
-let test_server_overload_shed () =
+(* A deadline the pool cannot meet: after one finished conversion, the
+   only worker is busy for 200 ms when a request with a 30 ms deadline
+   arrives.  It waits in the queue, and the Supervisor fails it at
+   dequeue with the budget error, without converting it: the convert
+   counts its calls.  The daemon sheds no request for its deadline,
+   whatever the pool's past service times. *)
+let test_server_deadline_miss () =
+  let calls = Atomic.make 0 in
   let slow input =
-    Unix.sleepf 0.1;
+    Atomic.incr calls;
+    Unix.sleepf 0.2;
     convert_real input
   in
   let config =
@@ -533,37 +514,38 @@ let test_server_overload_shed () =
   in
   with_server ~config ~inline:pool_only ~convert:slow (fun server port ->
       let a = connect port in
-      (* warm the service-time EWMA with one completed conversion *)
       send a "CONV 0.1\n";
-      Alcotest.(check bool) "warmup" true (recv_reply a = Wire.Converted "0.1");
+      Alcotest.(check bool) "first conv" true (recv_reply a = Wire.Converted "0.1");
       (* occupy the only worker... *)
       send a "CONV 0.5\n";
-      Thread.delay 0.02;
-      (* ...then ask for a 30 ms answer while ~100 ms of work is queued *)
+      let until = Unix.gettimeofday () +. 10.0 in
+      while Atomic.get calls < 2 && Unix.gettimeofday () < until do
+        Thread.delay 0.001
+      done;
+      (* ...then ask for a 30 ms answer while it converts *)
       let b = connect port in
       send b "DEADLINE 30\nCONV 1.5\n";
       Alcotest.(check bool) "ack" true (recv_reply b = Wire.Converted "deadline=30");
       (match recv_reply b with
-      | Wire.Shed { reason = "overload"; retry_after_ms = Some ms } ->
-        Alcotest.(check bool) "positive hint" true (ms >= 1)
-      | r -> Alcotest.failf "expected SHED overload, got %s" (Wire.render_reply r));
-      Alcotest.(check bool) "queued conv fine" true
+      | Wire.Failed { cls = "budget"; detail } ->
+        Alcotest.(check bool) ("names deadline-ms: " ^ detail) true
+          (contains detail "deadline-ms")
+      | r -> Alcotest.failf "expected ERR budget, got %s" (Wire.render_reply r));
+      Alcotest.(check bool) "busy conv fine" true
         (recv_reply a = Wire.Converted "0.5");
       close a;
       close b;
+      Alcotest.(check int) "the expired request never ran" 2 (Atomic.get calls);
       let s = Server.stats server in
-      Alcotest.(check bool) "overload shed counted" true
-        (s.Server.shed_overload >= 1))
+      Alcotest.(check int) "failed" 1 s.Server.replies_failed;
+      Alcotest.(check int) "no shed" 0
+        (s.Server.shed_queue_full + s.Server.shed_draining))
 
 (* Every answer the pool computed is memoized: a repeat is a cache hit.
    1e23 is pool-bound, since the table tier cannot certify a shortest
    form on the end of the rounding range.  STATS keeps its cache_skips
-   key at a constant 0, which perfbench's traced daemon run reads. *)
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  go 0
-
+   and shed_overload keys at a constant 0, which perfbench's traced
+   daemon run reads. *)
 let test_server_memo_hit () =
   with_server (fun server port ->
       let c = connect port in
@@ -576,6 +558,8 @@ let test_server_memo_hit () =
       | Wire.Payload { verb = "STATS"; body } ->
         Alcotest.(check bool) "stats carries cache_skips" true
           (contains body "\"cache_skips\":0");
+        Alcotest.(check bool) "stats carries shed_overload" true
+          (contains body "\"shed_overload\":0");
         Alcotest.(check bool) "stats counts the hit" true
           (contains body "\"cache_hits\":1")
       | r -> Alcotest.failf "bad STATS: %s" (Wire.render_reply r));
@@ -726,11 +710,7 @@ let test_server_shedding () =
       Array.iter
         (function
           | Wire.Converted "0.125" -> incr ok
-          | Wire.Shed { reason = "queue-full"; retry_after_ms } ->
-            (* the shed must carry a machine-readable retry hint *)
-            Alcotest.(check bool) "retry-after present" true
-              (match retry_after_ms with Some ms -> ms >= 1 | None -> false);
-            incr shed
+          | Wire.Shed "queue-full" -> incr shed
           | r -> Alcotest.failf "unexpected reply %s" (Wire.render_reply r))
         replies;
       Alcotest.(check int) "every request answered" n (!ok + !shed);
@@ -784,8 +764,7 @@ let test_server_drain_loses_nothing () =
         (total answered > 0);
       Alcotest.(check int) "server answered every admitted request"
         (final.Server.replies_ok + final.Server.replies_failed
-       + final.Server.shed_queue_full + final.Server.shed_overload
-       + final.Server.shed_draining)
+       + final.Server.shed_queue_full + final.Server.shed_draining)
         final.Server.requests;
       (* the client-observed gap (sent but unanswered) is only ever the
          last in-flight request of each connection, cut by EOF *)
@@ -1264,7 +1243,8 @@ let () =
           Alcotest.test_case "closed tier sends all to the pool" `Quick
             test_server_tier_closed;
           Alcotest.test_case "shedding" `Quick test_server_shedding;
-          Alcotest.test_case "overload-shed" `Quick test_server_overload_shed;
+          Alcotest.test_case "deadline miss on a busy pool" `Quick
+            test_server_deadline_miss;
           Alcotest.test_case "memo-hit" `Quick test_server_memo_hit;
           Alcotest.test_case "worker-kill" `Quick test_server_worker_kill;
           Alcotest.test_case "worker-wedge" `Quick test_server_worker_wedge;

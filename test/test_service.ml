@@ -454,6 +454,19 @@ let test_watchdog_emits_wedge_in_place () =
   Alcotest.(check int) "one respawn" 1 stats.S.respawns;
   Alcotest.(check int) "completed" n stats.S.completed
 
+(* Past the runtime's domain limit, start refuses before it spawns. *)
+let test_jobs_cap () =
+  let refused jobs =
+    match S.start ~jobs ~emit:(fun _ -> ()) (fun s -> Ok s) with
+    | exception Invalid_argument _ -> true
+    | svc ->
+      ignore (S.shutdown svc);
+      false
+  in
+  Alcotest.(check bool) "jobs 0" true (refused 0);
+  Alcotest.(check bool) "jobs past max_jobs" true (refused (S.max_jobs + 1));
+  Alcotest.(check bool) "jobs 1000" true (refused 1000)
+
 let test_submit_after_shutdown () =
   let svc = S.start ~jobs:1 ~emit:(fun _ -> ()) (fun s -> Ok s) in
   ignore (S.shutdown svc);
@@ -638,6 +651,7 @@ let () =
             test_deadline_cuts_running_conversion;
           Alcotest.test_case "shutdown drains everything" `Quick
             test_shutdown_drains_everything;
+          Alcotest.test_case "jobs past the domain limit" `Quick test_jobs_cap;
           Alcotest.test_case "submit after shutdown" `Quick
             test_submit_after_shutdown;
           Alcotest.test_case "watchdog emits a wedge in place" `Quick
