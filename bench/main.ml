@@ -9,18 +9,19 @@
    - ablation: estimator accuracy (ours, E7)
    - sweep:    scaling cost by magnitude, the series behind Table 2 (ours)
    - reader:   certified fast paths vs exact (reader tiers, fixed
-               format on the table tier beside Gay's heuristic, shortest
-               form on the table tier; ours, E9)
-   - daemon:   bdprintd load generator, in-process or at BDPRINTD_ADDR
-               (ours, E11; writes BENCH_service.json)
+               format on the table tier beside Gay's heuristic; ours, E9)
+   - telemetry: metrics and tracing overhead on bdprint's route (ours,
+               E11; writes BENCH_telemetry.json)
    - bignum:   substrate microbenchmarks (ours, E8)
-   - kernel:   allocation-free digit loop vs pure-Nat reference
-               (throughput + Gc.minor_words per conversion; writes
-               BENCH_kernel.json)
-   - bechamel: per-conversion microbenchmarks, one Test.make per table
+   - kernel:   table tier and allocation-free digit loop vs pure-Nat
+               reference (throughput + Gc.minor_words per conversion;
+               writes BENCH_kernel.json)
+
+   bdprintd's load is perfbench's `daemon` workload (BENCHMARK.json).
 
    Run everything:            dune exec bench/main.exe
    One section:               dune exec bench/main.exe -- table2
+   The two JSON files:        dune exec bench/main.exe -- all
    Bigger corpora:            dune exec bench/main.exe -- --size 250680 *)
 
 module Nat = Bignum.Nat
@@ -40,6 +41,11 @@ let time_cpu f =
   (r, Sys.time () -. t0)
 
 let sink = ref 0
+
+let median a =
+  let b = Array.copy a in
+  Array.sort Float.compare b;
+  b.(Array.length b / 2)
 
 (* [f] with the table tier's dispatch gate set to [on], restored
    afterwards. *)
@@ -397,28 +403,6 @@ let reader_bench ~size () =
     t_fixed_table
     (t_fixed_exact /. t_fixed_table)
     fixed_hits fixed_fallbacks;
-  (* Shortest form: the shipped table tier against the exact kernels *)
-  let free () =
-    Array.iter
-      (fun v ->
-        sink :=
-          !sink
-          + Array.length
-              (Dragon.Free_format.convert b64 v).Dragon.Free_format.digits)
-      values
-  in
-  let _, t_exact_kernels = with_fastpath false (fun () -> time_cpu free) in
-  let _, t_table = with_fastpath true (fun () -> time_cpu free) in
-  let hits, fallbacks =
-    with_fastpath true (fun () -> tier_counts Dragon.Printer.fastpath_stats free)
-  in
-  Printf.printf
-    "\n  Shortest form, table tier vs the exact kernels (digit-identical):\n";
-  Printf.printf "  exact kernels: %8.3f s\n" t_exact_kernels;
-  Printf.printf "  table tier:    %8.3f s  (%.1fx; %d hits, %d fallbacks)\n"
-    t_table
-    (t_exact_kernels /. t_table)
-    hits fallbacks;
   (* Gate: shortest strings have at most 17 digits, so the product tier
      answers every one of them; a single bignum fallback is a
      regression.  The count is exact, so the gate cannot flake. *)
@@ -476,14 +460,15 @@ let bignum_bench () =
 (* ------------------------------------------------------------------ *)
 (* Kernel: allocation-free digit loop vs the pure-Nat reference *)
 
-(* One kernel row: the median of its timed passes, the fastest and the
-   slowest beside it (CPU seconds per pass), and minor words per
-   conversion over all of them. *)
+(* One kernel row: a pass under its tier setting, how many times one
+   timing repeats the pass, the CPU seconds per pass of each round, and
+   the minor words of all its timed passes. *)
 type kernel_row = {
-  time_s : float;
-  fastest_s : float;
-  slowest_s : float;
-  words : float;
+  setting : (unit -> unit) -> unit;
+  pass : unit -> unit;
+  reps : int;
+  times : float array;
+  mutable words : float;
 }
 
 let kernel_bench ~size () =
@@ -520,55 +505,55 @@ let kernel_bench ~size () =
               (Baselines.Steele_white.convert b64 v).Dragon.Free_format.digits)
       values
   in
-  (* Warm up first (power tables, scratch pools), run Gc.full_major,
-     then time [passes] clean passes: one pass is one sample from a wide
-     spread on a shared host, so a row is their median.  The table tier
-     finishes a pass in single-digit milliseconds at this corpus size,
-     so each of its timings repeats the pass [reps] times to get a clock
-     reading that dwarfs timer resolution. *)
+  (* Warm every row up (power tables, scratch pools), run Gc.full_major,
+     then time [passes] rounds, each row's pass i before any row's pass
+     i + 1: host load that drifts over seconds then hits the rows a
+     ratio compares alike, and each ratio is the median of its per-round
+     ratios.  The table tier finishes a pass in single-digit milliseconds
+     at this corpus size, so each of its timings repeats the pass [reps]
+     times to get a clock reading that dwarfs timer resolution. *)
   let passes = 5 in
-  let measure ?(reps = 1) pass =
-    pass ();
-    Gc.full_major ();
-    let w0 = Gc.minor_words () in
-    let times =
-      Array.init passes (fun _ ->
-          let _, t =
-            time_cpu (fun () ->
-                for _ = 1 to reps do
-                  pass ()
-                done)
-          in
-          t /. float_of_int reps)
-    in
-    let w1 = Gc.minor_words () in
-    Array.sort Float.compare times;
-    {
-      time_s = times.(passes / 2);
-      fastest_s = times.(0);
-      slowest_s = times.(passes - 1);
-      words = (w1 -. w0) /. (fsize *. float_of_int (reps * passes));
-    }
+  let row ?(reps = 1) setting pass =
+    { setting; pass; reps; times = Array.make passes 0.; words = 0. }
   in
-  let forced_pure f =
+  let table_tier f = with_fastpath true f
+  and exact_tier f = with_fastpath false f
+  and forced_pure f =
     Dragon.Generate.set_force_pure true;
     Fun.protect ~finally:(fun () -> Dragon.Generate.set_force_pure false) f
   in
-  let fast = with_fastpath true (fun () -> measure ~reps:50 free_pass) in
-  let scr = with_fastpath false (fun () -> measure free_pass) in
-  let pure = forced_pure (fun () -> measure free_pass) in
-  let fx_fast = with_fastpath true (fun () -> measure ~reps:50 fixed_pass) in
-  let fx_scr = with_fastpath false (fun () -> measure fixed_pass) in
-  let fx_pure = forced_pure (fun () -> measure fixed_pass) in
-  let sw = measure sw_pass in
+  let fast = row ~reps:50 table_tier free_pass
+  and scr = row exact_tier free_pass
+  and pure = row forced_pure free_pass
+  and fx_fast = row ~reps:50 table_tier fixed_pass
+  and fx_scr = row exact_tier fixed_pass
+  and fx_pure = row forced_pure fixed_pass
+  and sw = row (fun f -> f ()) sw_pass in
+  let rows = [ fast; scr; pure; fx_fast; fx_scr; fx_pure; sw ] in
+  List.iter (fun r -> r.setting r.pass) rows;
+  Gc.full_major ();
+  for i = 0 to passes - 1 do
+    List.iter
+      (fun r ->
+        r.setting (fun () ->
+            let w0 = Gc.minor_words () in
+            let _, t =
+              time_cpu (fun () ->
+                  for _ = 1 to r.reps do
+                    r.pass ()
+                  done)
+            in
+            r.words <- r.words +. (Gc.minor_words () -. w0);
+            r.times.(i) <- t /. float_of_int r.reps))
+      rows
+  done;
   (* The table tier's hit/fallback division of one pass per format
      (counters record only while telemetry is on). *)
   let fp_hits, fp_fallbacks =
-    with_fastpath true (fun () ->
-        tier_counts Dragon.Printer.fastpath_stats free_pass)
+    table_tier (fun () -> tier_counts Dragon.Printer.fastpath_stats free_pass)
   in
   let fx_hits, fx_fallbacks =
-    with_fastpath true (fun () ->
+    table_tier (fun () ->
         tier_counts Dragon.Printer.fixed_fastpath_stats fixed_pass)
   in
   let rate hits fallbacks =
@@ -576,23 +561,32 @@ let kernel_bench ~size () =
   in
   let fallback_rate = rate fp_hits fp_fallbacks
   and fx_fallback_rate = rate fx_hits fx_fallbacks in
-  let row name r =
+  let median_s r = median r.times
+  and fastest_s r = Array.fold_left Float.min infinity r.times
+  and slowest_s r = Array.fold_left Float.max 0. r.times
+  and words r = r.words /. (fsize *. float_of_int (r.reps * passes)) in
+  let print_row name r =
     Printf.printf
       "  %-34s %10.3f s %10.0f conv/s (%.0f-%.0f) %10.1f minor w/conv\n" name
-      r.time_s (fsize /. r.time_s) (fsize /. r.slowest_s) (fsize /. r.fastest_s)
-      r.words
+      (median_s r)
+      (fsize /. median_s r)
+      (fsize /. slowest_s r)
+      (fsize /. fastest_s r)
+      (words r)
   in
-  row "free format, table fast path" fast;
-  row "free format, kernel path" scr;
-  row "free format, pure-Nat path" pure;
-  row "fixed format (17), table fast path" fx_fast;
-  row "fixed format (17), kernel path" fx_scr;
-  row "fixed format (17), pure-Nat path" fx_pure;
-  row "Steele & White baseline" sw;
-  (* speedups compare medians *)
-  let over a b = a.time_s /. b.time_s in
+  print_row "free format, table fast path" fast;
+  print_row "free format, kernel path" scr;
+  print_row "free format, pure-Nat path" pure;
+  print_row "fixed format (17), table fast path" fx_fast;
+  print_row "fixed format (17), kernel path" fx_scr;
+  print_row "fixed format (17), pure-Nat path" fx_pure;
+  print_row "Steele & White baseline" sw;
+  (* a's time over b's: the median of the per-round ratios *)
+  let over a b =
+    median (Array.init passes (fun i -> a.times.(i) /. b.times.(i)))
+  in
   Printf.printf "\n  free format: %.1fx fewer minor words, %.2fx throughput\n"
-    (pure.words /. scr.words) (over pure scr);
+    (words pure /. words scr) (over pure scr);
   Printf.printf
     "  table fast path: %.2fx over the exact kernels (%.2fx over pure), %d \
      hits / %d fallbacks (%.3f%% fallback)\n"
@@ -607,8 +601,11 @@ let kernel_bench ~size () =
     Printf.sprintf
       "\"time_s\": %.6f, \"conversions_per_s\": { \"median\": %.0f, \"min\": \
        %.0f, \"max\": %.0f }, \"minor_words_per_conversion\": %.1f"
-      r.time_s (fsize /. r.time_s) (fsize /. r.slowest_s) (fsize /. r.fastest_s)
-      r.words
+      (median_s r)
+      (fsize /. median_s r)
+      (fsize /. slowest_s r)
+      (fsize /. fastest_s r)
+      (words r)
   in
   let format_json ~fast ~hits ~fallbacks ~rate ~scr ~pure =
     Printf.sprintf
@@ -622,7 +619,9 @@ let kernel_bench ~size () =
       \    \"speedup\": %.3f\n\
       \  }"
       (json fast) hits fallbacks rate (over scr fast) (over pure fast) (json scr)
-      (json pure) (pure.words /. scr.words) (over pure scr)
+      (json pure)
+      (words pure /. words scr)
+      (over pure scr)
   in
   let oc = open_out "BENCH_kernel.json" in
   Printf.fprintf oc
@@ -641,10 +640,10 @@ let kernel_bench ~size () =
     (json sw);
   close_out oc;
   Printf.printf "  wrote BENCH_kernel.json\n";
-  (* Acceptance floor: the table fast path's median must clear 3x the
-     exact kernels' median on this corpus in both formats, with margin
-     to spare; regressing below that fails the bench (and the CI bench
-     step) loudly. *)
+  (* Acceptance floor: the table fast path's paired speedup over the
+     exact kernels must clear 3x on this corpus in both formats, with
+     margin to spare; regressing below that fails the bench (and the CI
+     bench step) loudly. *)
   List.iter
     (fun (format, speedup) ->
       if speedup < 3.0 then begin
@@ -656,297 +655,10 @@ let kernel_bench ~size () =
     [ ("free format", over scr fast); ("fixed format", over fx_scr fx_fast) ]
 
 (* ------------------------------------------------------------------ *)
-(* Daemon: open/closed-loop load generator against bdprintd (E11).
-
-   Targets BDPRINTD_ADDR (an externally started daemon, in bdprint
-   --connect's address grammar — the CI smoke job's mode) or, absent
-   that, an in-process Net.Server on an ephemeral port.  Every reply's
-   bytes are compared with a fault-free client-side conversion: an OK
-   must be its text, an ERR its error class, and anything else (an ERR
-   for a valid input, an unknown tag) is WRONG, so a chaos-faulted run
-   proves zero wrong outputs under worker kills.  Latency percentiles,
-   the ERR count and the daemon's shed, cache, retry and crash counters
-   land in BENCH_service.json; any wrong output makes the bench exit
-   non-zero. *)
-
-let daemon_bench ~size () =
-  Printf.printf "%s\nDaemon: bdprintd load generation (closed loop + burst)\n"
-    line;
-  let module Wire = Net.Wire in
-  let module Server = Net.Server in
-  let module Faults = Robust.Faults in
-  let convert = Net.Conversion.convert in
-  (* corpus: random doubles plus a hot set that exercises the cache *)
-  let hot = [| "0.1"; "1"; "0.5"; "1e23"; "-2.5"; "3.75" |] in
-  let corpus =
-    Array.map Dragon.Printer.print (Workloads.Schryer.corpus ~size ())
-  in
-  let inputs =
-    Array.init size (fun i ->
-        if i mod 4 = 0 then hot.(i mod Array.length hot) else corpus.(i))
-  in
-  (* expected outputs, computed fault-free: briefly disarm any ambient
-     fault points (the daemon under test keeps its own arming; in-process
-     servers re-arm right after) *)
-  let armed =
-    List.filter_map
-      (fun p ->
-        match Faults.probability p with
-        | Some pr -> Some (p, pr)
-        | None -> None)
-      Faults.points
-  in
-  Faults.disarm_all ();
-  let expected = Hashtbl.create (2 * size) in
-  Array.iter
-    (fun s -> if not (Hashtbl.mem expected s) then Hashtbl.add expected s (convert s))
-    inputs;
-  List.iter (fun (p, pr) -> Faults.arm ~probability:pr p) armed;
-  let in_process, target =
-    (* the address is vetted through the shared typed parser before any
-       socket is opened: a malformed BDPRINTD_ADDR exits 2 with a
-       structured range error instead of a late Failure mid-bench *)
-    match Sys.getenv_opt "BDPRINTD_ADDR" with
-    | Some addr -> (
-      match Net.Addr.parse addr with
-      | Result.Ok a -> (None, a)
-      | Result.Error e ->
-        Printf.eprintf "error: %s\n%!" (Robust.Error.to_string e);
-        exit 2)
-    | None ->
-      let server =
-        match
-          Server.start
-            ~config:{ Server.default_config with Server.jobs = 3 }
-            ~inline:Net.Conversion.inline ~convert
-            (Net.Addr.Tcp ("127.0.0.1", 0))
-        with
-        | Result.Ok s -> s
-        | Result.Error e ->
-          failwith ("daemon bench: " ^ Robust.Error.to_string e)
-      in
-      (Some server, Net.Addr.Tcp ("127.0.0.1", Option.get (Server.port server)))
-  in
-  Printf.printf "(%d requests against %s%s)\n\n" size
-    (Net.Addr.to_string target)
-    (if in_process = None then " [external daemon]" else " [in-process]");
-  let sockaddr =
-    match Net.Addr.sockaddr target with
-    | Result.Ok a -> a
-    | Result.Error msg -> failwith ("daemon bench: " ^ msg)
-  in
-  (* minimal blocking line client over the shared reader and writer *)
-  let module C = struct
-    type t = { fd : Unix.file_descr; reader : Net.Line_reader.t }
-
-    let connect () =
-      let fd =
-        Unix.socket (Unix.domain_of_sockaddr sockaddr) Unix.SOCK_STREAM 0
-      in
-      Unix.connect fd sockaddr;
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.0;
-      { fd; reader = Net.Line_reader.create fd }
-
-    let send t s = Net.Line_reader.write t.fd s 0 (String.length s)
-
-    let rec line t =
-      match Net.Line_reader.read t.reader with
-      | Net.Line_reader.Line s -> s
-      | Interrupted -> line t
-      | Last _ | Too_long _ | Eof -> failwith "daemon closed the connection"
-
-    let close t = try Unix.close t.fd with Unix.Unix_error (_, _, _) -> ()
-  end in
-  let n_ok = Atomic.make 0
-  and n_shed = Atomic.make 0
-  and n_wrong = Atomic.make 0 in
-  let n_err =
-    List.map
-      (fun cls -> (cls, Atomic.make 0))
-      [ "syntax"; "range"; "budget"; "internal"; "proto" ]
-  in
-  let classify input reply_line =
-    match (Wire.parse_reply_line reply_line, Hashtbl.find_opt expected input) with
-    | Ok (Wire.Converted out), Some (Ok e) when out = e -> Atomic.incr n_ok
-    | Ok (Wire.Failed { cls; _ }), want -> (
-      Option.iter Atomic.incr (List.assoc_opt cls n_err);
-      match want with
-      | Some (Error e) when Robust.Error.category e = cls -> ()
-      | _ -> Atomic.incr n_wrong)
-    | Ok (Wire.Shed _), _ -> Atomic.incr n_shed
-    | _, _ -> Atomic.incr n_wrong
-  in
-  let threads = 4 in
-  let per_thread = size / threads in
-  (* phase 1 — closed loop: one request in flight per client; per-request
-     round-trip latency in microseconds *)
-  let latencies = Array.make (threads * per_thread) 0.0 in
-  let closed_loop tid () =
-    let c = C.connect () in
-    for i = 0 to per_thread - 1 do
-      let input = inputs.(((tid * per_thread) + i) mod size) in
-      let t0 = Unix.gettimeofday () in
-      C.send c ("CONV " ^ input ^ "\n");
-      let reply = C.line c in
-      latencies.((tid * per_thread) + i) <-
-        (Unix.gettimeofday () -. t0) *. 1e6;
-      classify input reply
-    done;
-    C.close c
-  in
-  let t0 = Unix.gettimeofday () in
-  let ts = List.init threads (fun i -> Thread.create (closed_loop i) ()) in
-  List.iter Thread.join ts;
-  let closed_wall = Unix.gettimeofday () -. t0 in
-  (* phase 2 — burst (open-loop approximation): pipeline a window of
-     requests before reading any reply.  A connection converts one
-     request at a time, so the window waits in its socket, not in the
-     pool: four connections hold at most four pool requests, far below
-     the admission bound, and nothing is shed *)
-  let window = 128 in
-  let bursts_per_thread = max 1 (per_thread / window) in
-  let burst tid () =
-    let c = C.connect () in
-    for b = 0 to bursts_per_thread - 1 do
-      let base = ((tid * bursts_per_thread) + b) * window in
-      for k = 0 to window - 1 do
-        C.send c ("CONV " ^ inputs.((base + k) mod size) ^ "\n")
-      done;
-      for k = 0 to window - 1 do
-        classify inputs.((base + k) mod size) (C.line c)
-      done
-    done;
-    C.close c
-  in
-  let t1 = Unix.gettimeofday () in
-  let ts = List.init threads (fun i -> Thread.create (burst i) ()) in
-  List.iter Thread.join ts;
-  let burst_wall = Unix.gettimeofday () -. t1 in
-  let burst_requests = threads * bursts_per_thread * window in
-  (* daemon-side counters over the STATS verb *)
-  let stats_json =
-    let c = C.connect () in
-    C.send c "STATS\n";
-    let header = C.line c in
-    let body =
-      match Wire.payload_length header with
-      | Some n ->
-        let b = Buffer.create n in
-        let rec fill () =
-          if Buffer.length b < n then begin
-            Buffer.add_string b (C.line c);
-            fill ()
-          end
-        in
-        fill ();
-        Buffer.contents b
-      | None -> "{}"
-    in
-    C.close c;
-    body
-  in
-  let counter_of key =
-    (* flat {"key":int,...} extraction; good enough for our own format *)
-    let needle = "\"" ^ key ^ "\":" in
-    match String.index_opt stats_json '{' with
-    | None -> 0
-    | Some _ -> (
-      let rec find i =
-        if i + String.length needle > String.length stats_json then None
-        else if String.sub stats_json i (String.length needle) = needle then
-          Some (i + String.length needle)
-        else find (i + 1)
-      in
-      match find 0 with
-      | None -> 0
-      | Some s ->
-        let e = ref s in
-        while
-          !e < String.length stats_json
-          && (match stats_json.[!e] with '0' .. '9' | '-' -> true | _ -> false)
-        do
-          incr e
-        done;
-        if !e > s then int_of_string (String.sub stats_json s (!e - s)) else 0)
-  in
-  (match in_process with
-  | Some server ->
-    Server.drain server;
-    ignore (Server.wait server)
-  | None -> ());
-  Array.sort compare latencies;
-  let pct p =
-    latencies.(int_of_float (p *. float_of_int (Array.length latencies - 1)))
-  in
-  let mean =
-    Array.fold_left ( +. ) 0.0 latencies /. float_of_int (Array.length latencies)
-  in
-  let total_requests = (threads * per_thread) + burst_requests in
-  Printf.printf "  closed loop : %d requests, %.2f s, %.0f req/s\n"
-    (threads * per_thread) closed_wall
-    (float_of_int (threads * per_thread) /. closed_wall);
-  Printf.printf "  latency us  : p50 %.0f   p90 %.0f   p99 %.0f   mean %.0f\n"
-    (pct 0.50) (pct 0.90) (pct 0.99) mean;
-  Printf.printf "  burst       : %d requests, %.2f s, %.0f req/s\n"
-    burst_requests burst_wall
-    (float_of_int burst_requests /. burst_wall);
-  let errs = List.map (fun (cls, n) -> (cls, Atomic.get n)) n_err in
-  let n_failed = List.fold_left (fun acc (_, n) -> acc + n) 0 errs in
-  Printf.printf "  outcomes    : %d ok, %d ERR (%s), %d shed, %d WRONG\n"
-    (Atomic.get n_ok) n_failed
-    (String.concat ", "
-       (List.map (fun (cls, n) -> Printf.sprintf "%d %s" n cls) errs))
-    (Atomic.get n_shed) (Atomic.get n_wrong);
-  Printf.printf
-    "  daemon      : %d cache hits, %d inline, %d shed, %d retries, %d \
-     crashes, %d respawns\n"
-    (counter_of "cache_hits") (counter_of "inline")
-    (counter_of "shed_queue_full" + counter_of "shed_draining")
-    (counter_of "sup_retries") (counter_of "sup_crashes")
-    (counter_of "sup_respawns");
-  let oc = open_out "BENCH_service.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "bdprintd load generation",
-  "target": "%s",
-  "mode": "%s",
-  "threads": %d,
-  "requests": %d,
-  "closed_loop": { "requests": %d, "wall_s": %.3f, "rps": %.0f },
-  "burst": { "requests": %d, "window": %d, "wall_s": %.3f, "rps": %.0f },
-  "latency_us": { "p50": %.0f, "p90": %.0f, "p99": %.0f, "mean": %.0f },
-  "outcomes": { "ok": %d, "failed": %d, "shed": %d, "wrong": %d },
-  "daemon": { "cache_hits": %d, "inline": %d, "shed_queue_full": %d,
-              "shed_draining": %d, "retries": %d, "crashes": %d,
-              "respawns": %d }
-}
-|}
-    (Net.Addr.to_string target)
-    (if in_process = None then "external" else "in-process")
-    threads total_requests (threads * per_thread) closed_wall
-    (float_of_int (threads * per_thread) /. closed_wall)
-    burst_requests window burst_wall
-    (float_of_int burst_requests /. burst_wall)
-    (pct 0.50) (pct 0.90) (pct 0.99) mean (Atomic.get n_ok) n_failed
-    (Atomic.get n_shed) (Atomic.get n_wrong)
-    (counter_of "cache_hits") (counter_of "inline")
-    (counter_of "shed_queue_full")
-    (counter_of "shed_draining")
-    (counter_of "sup_retries") (counter_of "sup_crashes")
-    (counter_of "sup_respawns");
-  close_out oc;
-  Printf.printf "  wrote BENCH_service.json\n";
-  if Atomic.get n_wrong > 0 then begin
-    Printf.eprintf "daemon bench: %d WRONG outputs\n%!" (Atomic.get n_wrong);
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Telemetry: instrumentation overhead of the metrics/tracing layer, on
    the route bdprint and bdprintd run: [Net.Conversion.convert] from
    text to bytes (reader, table tier, exact fallback, layout), on the
-   Schryer values' shortest strings, built as the daemon section builds
-   its corpus. *)
+   Schryer values' shortest strings. *)
 
 let telemetry_bench ~size () =
   Printf.printf "%s\nTelemetry: instrumentation overhead (text to bytes)\n"
@@ -999,11 +711,6 @@ let telemetry_bench ~size () =
   done;
   Telemetry.set_enabled false;
   Telemetry.Tracing.clear ();
-  let median a =
-    let b = Array.copy a in
-    Array.sort compare b;
-    b.(Array.length b / 2)
-  in
   let m_off = median t_off
   and m_on = median t_on
   and m_trace = median t_trace in
@@ -1056,68 +763,6 @@ let telemetry_bench ~size () =
   Printf.printf "  wrote BENCH_telemetry.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks: one Test.make per table *)
-
-let bechamel_benches () =
-  Printf.printf "%s\nBechamel microbenchmarks (ns per conversion, OLS)\n" line;
-  let open Bechamel in
-  let corpus = Array.map decompose_pos (Workloads.Schryer.corpus ~size:512 ()) in
-  let cursor = ref 0 in
-  let next () =
-    cursor := (!cursor + 1) land 511;
-    corpus.(!cursor)
-  in
-  let table2_tests =
-    List.map
-      (fun strategy ->
-        Test.make
-          ~name:
-            (Printf.sprintf "table2/%s" (Dragon.Scaling.strategy_name strategy))
-          (Staged.stage (fun () ->
-               Dragon.Free_format.convert ~strategy b64 (next ()))))
-      [ Dragon.Scaling.Fast_estimate; Dragon.Scaling.Float_log;
-        Dragon.Scaling.Gay_taylor; Dragon.Scaling.Iterative ]
-  in
-  let table3_tests =
-    [
-      Test.make ~name:"table3/free-format"
-        (Staged.stage (fun () -> Dragon.Free_format.convert b64 (next ())));
-      Test.make ~name:"table3/naive-fixed-17"
-        (Staged.stage (fun () ->
-             Baselines.Naive_fixed.convert ~ndigits:17 b64 (next ())));
-      Test.make ~name:"table3/host-printf"
-        (Staged.stage (fun () ->
-             Printf.sprintf "%.16e" (Fp.Ieee.compose (Value.Finite (next ())))));
-      Test.make ~name:"table3/printf-model-ext64"
-        (Staged.stage (fun () ->
-             Baselines.Float_fixed.convert ~ndigits:17
-               (Fp.Ieee.compose (Value.Finite (next ())))));
-    ]
-  in
-  let tests =
-    Test.make_grouped ~name:"bdprint" (table2_tests @ table3_tests)
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  (* the paper's tables time the paper's algorithm: the table tier,
-     which only the fast estimator's rows would take, stays shut *)
-  let raw =
-    with_fastpath false (fun () ->
-        Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests)
-  in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| "run" |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some (t :: _) -> Printf.printf "  %-38s %12.1f ns\n" name t
-      | _ -> Printf.printf "  %-38s %12s\n" name "n/a")
-    (List.sort compare rows)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let args = Array.to_list Sys.argv in
@@ -1148,11 +793,9 @@ let () =
       ("ablation", fun () -> ablation ~size:(pick 50_000) ());
       ("sweep", sweep);
       ("reader", fun () -> reader_bench ~size:(pick 30_000) ());
-      ("daemon", fun () -> daemon_bench ~size:(pick 20_000) ());
       ("telemetry", fun () -> telemetry_bench ~size:(pick 20_000) ());
       ("bignum", bignum_bench);
       ("kernel", fun () -> kernel_bench ~size:(pick 8_000) ());
-      ("bechamel", bechamel_benches);
     ]
   in
   (* a misspelt or removed section would otherwise measure nothing and
@@ -1168,13 +811,12 @@ let () =
       (String.concat " " (List.rev unknown))
       (String.concat " " (List.map fst runs));
     exit 2);
-  (* [bench -- all]: regenerate every committed BENCH_*.json in one run
-     (kernel, telemetry, daemon) — the CI bench step drives this and
-     uploads the refreshed files as artifacts; any bench that fails its
-     own acceptance check (wrong daemon outputs, fast-path speedup
-     under the floor) exits nonzero and fails the step loudly. *)
-  if List.mem "all" !sections then
-    sections := [ "kernel"; "telemetry"; "daemon" ];
+  (* [bench -- all]: the kernel and telemetry sections, which write
+     BENCH_kernel.json and BENCH_telemetry.json — CI's bench step drives
+     this and uploads both files as artifacts; a section that fails its
+     own acceptance check (a fast-path speedup under the floor, a
+     conversion error) exits nonzero and fails the step loudly. *)
+  if List.mem "all" !sections then sections := [ "kernel"; "telemetry" ];
   List.iter
     (fun (name, run) ->
       if !sections = [] || List.mem name !sections then run ())

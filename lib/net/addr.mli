@@ -1,6 +1,6 @@
 (** bdprintd endpoint addresses: the one grammar that [bdprintd
-    --listen], [bdprint --connect] and the load generator's
-    [BDPRINTD_ADDR] accept, and its resolution to a socket address. *)
+    --listen] and [bdprint --connect] accept, and its resolution to a
+    socket address. *)
 
 type t =
   | Tcp of string * int  (** host, port *)

@@ -1,8 +1,8 @@
 (** A resilient client for one bdprintd daemon, over its wire protocol.
 
     [bdprint --connect] and the tests talk to bdprintd through this
-    module.  (The benchmark harnesses open their own sockets.)  Every
-    caller gets the same survival behaviour:
+    module.  (perfbench's [daemon] workload opens its own sockets.)
+    Every caller gets the same survival behaviour:
 
     {ul
     {- {e Reconnecting connection pool}: idle connections are pooled

@@ -552,6 +552,16 @@ let listen_on addr =
 let start ?(config = default_config) ~inline ~convert spec =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
+  (* before the bind, so a refused config leaves no socket behind *)
+  if config.jobs < 1 || config.jobs > Supervisor.max_jobs then
+    Result.Error
+      (Error.range ~what:"jobs"
+         (Printf.sprintf "%d not in 1..%d" config.jobs Supervisor.max_jobs))
+  else if config.admission_capacity < 1 then
+    Result.Error
+      (Error.range ~what:"admission capacity"
+         (Printf.sprintf "%d < 1" config.admission_capacity))
+  else
   match Result.map listen_on (Addr.sockaddr spec) with
   | exception Unix.Unix_error (err, fn, arg) ->
     Result.Error
@@ -587,8 +597,8 @@ let start ?(config = default_config) ~inline ~convert spec =
       }
     in
     let sup =
-      Supervisor.start ~jobs:(max 1 config.jobs)
-        ~queue_capacity:(max 1 config.admission_capacity)
+      Supervisor.start ~jobs:config.jobs
+        ~queue_capacity:config.admission_capacity
         ?watchdog:config.watchdog
         ~emit:(route_reply core) convert
     in

@@ -103,8 +103,11 @@ val start :
   (t, Robust.Error.t) result
 (** Binds the listener (TCP port 0 binds an ephemeral port), spawns the
     supervisor pool and the accept thread, and returns immediately.
-    Binding failures (address in use, bad path, a host that does not
-    resolve) surface as [Error (Internal _)].  bdprintd passes
+    A config with [jobs] outside 1..{!Service.Supervisor.max_jobs} or
+    an [admission_capacity] below 1 is [Error (Range _)], returned
+    before anything is bound.  Binding failures (address in use, bad
+    path, a host that does not resolve) surface as
+    [Error (Internal _)].  bdprintd passes
     {!Conversion.inline} and {!Conversion.convert}.
 
     [inline] runs on connection threads — systhreads of the domain that

@@ -9,8 +9,8 @@
     followed by exactly that many bytes.
 
     This module is pure — parsing and rendering only — so the protocol
-    is testable without sockets, and the load generator and the chaos
-    harness share one grammar with the server. *)
+    is testable without sockets, and the client, perfbench's daemon
+    workload and the chaos harness share one grammar with the server. *)
 
 type request =
   | Conv of { input : string; tid : int }

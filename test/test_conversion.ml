@@ -7,6 +7,8 @@
      decomposed value ([Printer.print_value], [Fixed_format.convert] and
      [Render.fixed], [Printer.print_hex]): bytes and error text agree,
      hostile inputs and an expired deadline included.
+     bdprintd's inline route ([Net.Conversion.inline]) joins it with
+     the table tier open: each answer it gives is the default route's.
    - An allocation bound: a table-tier hit costs at most 26 minor words
      from text to bytes.
    - The tier counters: one read and at most one table-tier attempt per
@@ -171,6 +173,19 @@ let expired =
     grant_ms = 0;
   }
 
+(* The table tier open for the scope, whatever BDPRINT_NO_FASTPATH and
+   BDPRINT_FORCE_PURE say. *)
+let with_table_tier f =
+  let was = Printer.fastpath_enabled ()
+  and pure = Dragon.Generate.force_pure () in
+  Printer.set_fastpath_enabled true;
+  Dragon.Generate.set_force_pure false;
+  Fun.protect
+    ~finally:(fun () ->
+      Printer.set_fastpath_enabled was;
+      Dragon.Generate.set_force_pure pure)
+    f
+
 let test_differential () =
   let inputs = cli_mix () in
   List.iter
@@ -197,20 +212,28 @@ let test_differential () =
                 (Printf.sprintf "%s on %s fails" s.name input)
                 true (Result.is_error got))
             [ "0.1"; "1e23" ]))
-    flag_sets
-
-(* The table tier open for the scope, whatever BDPRINT_NO_FASTPATH and
-   BDPRINT_FORCE_PURE say. *)
-let with_table_tier f =
-  let was = Printer.fastpath_enabled ()
-  and pure = Dragon.Generate.force_pure () in
-  Printer.set_fastpath_enabled true;
-  Dragon.Generate.set_force_pure false;
-  Fun.protect
-    ~finally:(fun () ->
-      Printer.set_fastpath_enabled was;
-      Dragon.Generate.set_force_pure pure)
-    f
+    flag_sets;
+  (* bdprintd's inline route, with the table tier open: each answer it
+     gives must be the default route's bytes.  The floor on its answers
+     keeps the check from passing with nothing checked. *)
+  let answered =
+    with_table_tier @@ fun () ->
+    List.fold_left
+      (fun n input ->
+        match Conversion.inline input with
+        | None -> n
+        | Some out ->
+          let want = show (Conversion.convert input) in
+          if "ok " ^ out <> want then
+            Alcotest.failf "inline on %S: %S, convert %S"
+              (String.sub input 0 (min 60 (String.length input)))
+              out want;
+          n + 1)
+      0 inputs
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d inline answers, at least 600" answered)
+    true (answered >= 600)
 
 let with_metrics on f =
   let was = Telemetry.Metrics.enabled () in

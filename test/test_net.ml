@@ -677,6 +677,46 @@ let test_server_reply_not_held () =
       close a;
       close b)
 
+(* A config the pool cannot run is a range error returned before the
+   bind, so no socket file is left on disk.  The default config on the
+   same path shows that a bind would leave one. *)
+let test_server_config_refused () =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "bdprintd-config-%d.sock" (Unix.getpid ()))
+  in
+  let spec = Net.Addr.Unix_path path in
+  let start config =
+    Server.start ~config ~inline:pool_only ~convert:convert_real spec
+  in
+  (try Sys.remove path with Sys_error _ -> ());
+  (match start Server.default_config with
+  | Result.Ok s ->
+    Alcotest.(check bool) "the default config binds" true
+      (Sys.file_exists path);
+    Server.drain s;
+    ignore (Server.wait s)
+  | Result.Error e -> Alcotest.failf "default config: %s" (Error.to_string e));
+  let d = Server.default_config in
+  List.iter
+    (fun (name, config) ->
+      (match start config with
+      | Result.Error (Error.Range _) -> ()
+      | Result.Error e -> Alcotest.failf "%s: %s" name (Error.to_string e)
+      | Result.Ok s ->
+        Server.drain s;
+        ignore (Server.wait s);
+        Alcotest.failf "%s: the server started" name);
+      Alcotest.(check bool) (name ^ " leaves no socket file") false
+        (Sys.file_exists path))
+    [
+      ( "jobs = max_jobs + 1",
+        { d with Server.jobs = Service.Supervisor.max_jobs + 1 } );
+      ("jobs = 0", { d with Server.jobs = 0 });
+      ("admission_capacity = 0", { d with Server.admission_capacity = 0 });
+    ]
+
 let test_server_shedding () =
   (* one worker, one admission slot, slow conversions: concurrent
      clients must get explicit SHED queue-full replies, never silence *)
@@ -1250,6 +1290,8 @@ let () =
           Alcotest.test_case "worker-wedge" `Quick test_server_worker_wedge;
           Alcotest.test_case "reply not held behind a wedge" `Quick
             test_server_reply_not_held;
+          Alcotest.test_case "config refused before the bind" `Quick
+            test_server_config_refused;
           Alcotest.test_case "deadline" `Quick test_server_deadline;
           Alcotest.test_case "flight admit ids" `Quick
             test_server_flight_admit_ids;
