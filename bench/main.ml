@@ -65,6 +65,59 @@ let tier_counts stats f =
 
 let line = String.make 72 '-'
 
+(* One timed row: a pass under its setting, how many times one timing
+   repeats the pass, the CPU seconds per pass of each round, and the
+   minor words of all its timed passes. *)
+type row = {
+  setting : (unit -> unit) -> unit;
+  pass : unit -> unit;
+  reps : int;
+  times : float array;
+  mutable words : float;
+}
+
+let passes = 5
+let plain f = f ()
+
+let row ?(reps = 1) setting pass =
+  { setting; pass; reps; times = Array.make passes 0.; words = 0. }
+
+(* Warm every row up (power tables, scratch pools), run Gc.full_major,
+   then time [passes] rounds, each row's pass i before any row's pass
+   i + 1: host load that drifts over seconds then hits the rows a ratio
+   compares alike, and each ratio is the median of its per-round ratios
+   ([over]).  A row whose pass takes a millisecond or less repeats it
+   [reps] times per timing to get a clock reading that dwarfs timer
+   resolution. *)
+let time_rows rows =
+  List.iter (fun r -> r.setting r.pass) rows;
+  Gc.full_major ();
+  for i = 0 to passes - 1 do
+    List.iter
+      (fun r ->
+        r.setting (fun () ->
+            let w0 = Gc.minor_words () in
+            let _, t =
+              time_cpu (fun () ->
+                  for _ = 1 to r.reps do
+                    r.pass ()
+                  done)
+            in
+            r.words <- r.words +. (Gc.minor_words () -. w0);
+            r.times.(i) <- t /. float_of_int r.reps))
+      rows
+  done
+
+let median_s r = median r.times
+let fastest_s r = Array.fold_left Float.min infinity r.times
+let slowest_s r = Array.fold_left Float.max 0. r.times
+
+(* minor words per item of a pass over [n] items *)
+let words_per r n = r.words /. float_of_int (n * r.reps * passes)
+
+(* a's time over b's: the median of the per-round ratios *)
+let over a b = median (Array.init passes (fun i -> a.times.(i) /. b.times.(i)))
+
 (* ------------------------------------------------------------------ *)
 (* Table 2: scaling algorithms *)
 
@@ -310,68 +363,52 @@ let sweep () =
 
 let reader_bench ~size () =
   Printf.printf "%s\nReader: Clinger and Lemire tiers vs exact\n" line;
+  Printf.printf
+    "(%d Schryer doubles and their shortest strings, %d torture inputs; \
+     medians of %d interleaved passes)\n\n"
+    size size passes;
   let corpus = Workloads.Schryer.corpus ~size () in
   (* shortest strings: the adversarial inputs closest to boundaries *)
   let strings = Array.map Dragon.Printer.print corpus in
-  let _, t_exact =
-    time_cpu (fun () ->
-        Array.iter
-          (fun s ->
-            match Reader.read_float s with
-            | Ok x -> sink := !sink + int_of_float x land 1
-            | Error _ -> ())
-          strings)
+  (* "0.<digits>e<k>" next to a midpoint: 17 to 25 digits, or the whole
+     midpoint (up to 768 digits) *)
+  let torture = Workloads.Corpus.torture_reader_inputs ~seed:1 size in
+  let form keep = Array.of_list (List.filter keep (Array.to_list torture)) in
+  let digits s = String.index s 'e' - 2 in
+  let cut = form (fun s -> digits s <= 25)
+  and whole = form (fun s -> digits s > 25) in
+  let read_all read inputs () =
+    Array.iter
+      (fun s ->
+        match read s with
+        | Ok x -> sink := !sink + (int_of_float x land 1)
+        | Error _ -> ())
+      inputs
   in
-  let before = Reader.Fast.stats () in
-  let _, t_fast =
-    time_cpu (fun () ->
-        Array.iter
-          (fun s ->
-            match Reader.Fast.read s with
-            | Ok x -> sink := !sink + int_of_float x land 1
-            | Error _ -> ())
-          strings)
-  in
-  let after = Reader.Fast.stats () in
-  let reader_fallbacks =
-    after.Reader.Fast.fallback - before.Reader.Fast.fallback
-  in
-  Printf.printf "  exact bignum reader: %8.3f s\n" t_exact;
-  Printf.printf "  tiered fast reader:  %8.3f s  (%.1fx)\n" t_fast
-    (t_exact /. t_fast);
-  Printf.printf
-    "  tiers on this corpus: %d Clinger exact, %d Lemire product, %d \
-     midpoint comparison or bignum fallback\n"
-    (after.Reader.Fast.exact - before.Reader.Fast.exact)
-    (after.Reader.Fast.extended - before.Reader.Fast.extended)
-    reader_fallbacks;
+  let exact_reader = row plain (read_all Reader.read_float strings)
+  and fast_reader = row ~reps:20 plain (read_all Reader.Fast.read strings)
+  and torture_cut = row plain (read_all Reader.Fast.read cut)
+  and torture_whole = row plain (read_all Reader.Fast.read whole) in
   (* Fixed format at 15 digits: the exact n-digit conversion, Gay's
      heuristic (a comparator that never shipped) and the shipped
      Fixed_format on its exact tier and on the table tier *)
   let values = Array.map decompose_pos corpus in
-  let _, t_naive =
-    time_cpu (fun () ->
-        Array.iter
-          (fun v ->
-            sink :=
-              !sink
-              + Array.length
-                  (fst (Baselines.Naive_fixed.convert ~ndigits:15 b64 v)))
-          values)
-  in
-  let h0 = Baselines.Gay_heuristic.fast_path_hits () in
-  let f0 = Baselines.Gay_heuristic.fallbacks () in
-  let _, t_gay =
-    time_cpu (fun () ->
-        Array.iter
-          (fun v ->
-            sink :=
-              !sink
-              + Array.length
-                  (fst (Baselines.Gay_heuristic.convert ~ndigits:15 b64 v)))
-          values)
-  in
-  let fixed15 () =
+  let naive () =
+    Array.iter
+      (fun v ->
+        sink :=
+          !sink
+          + Array.length (fst (Baselines.Naive_fixed.convert ~ndigits:15 b64 v)))
+      values
+  and gay () =
+    Array.iter
+      (fun v ->
+        sink :=
+          !sink
+          + Array.length
+              (fst (Baselines.Gay_heuristic.convert ~ndigits:15 b64 v)))
+      values
+  and fixed15 () =
     Array.iter
       (fun v ->
         sink :=
@@ -382,37 +419,99 @@ let reader_bench ~size () =
                 .Dragon.Fixed_format.digits)
       values
   in
-  let _, t_fixed_exact = with_fastpath false (fun () -> time_cpu fixed15) in
-  let _, t_fixed_table = with_fastpath true (fun () -> time_cpu fixed15) in
+  let naive_fixed = row plain naive
+  and gay_fixed = row ~reps:5 plain gay
+  and fixed_exact = row (with_fastpath false) fixed15
+  and fixed_table = row ~reps:5 (with_fastpath true) fixed15 in
+  time_rows
+    [
+      exact_reader; fast_reader; torture_cut; torture_whole; naive_fixed;
+      gay_fixed; fixed_exact; fixed_table;
+    ];
+  (* tier counts, each of one untimed pass *)
+  let compared inputs =
+    let before = Reader.Fast.stats () in
+    read_all Reader.Fast.read inputs ();
+    (Reader.Fast.stats ()).Reader.Fast.fallback - before.Reader.Fast.fallback
+  in
+  let before = Reader.Fast.stats () in
+  read_all Reader.Fast.read strings ();
+  let after = Reader.Fast.stats () in
+  let reader_fallbacks =
+    after.Reader.Fast.fallback - before.Reader.Fast.fallback
+  in
+  let h0 = Baselines.Gay_heuristic.fast_path_hits () in
+  let f0 = Baselines.Gay_heuristic.fallbacks () in
+  gay ();
+  let gay_hits = Baselines.Gay_heuristic.fast_path_hits () - h0
+  and gay_fallbacks = Baselines.Gay_heuristic.fallbacks () - f0 in
   let fixed_hits, fixed_fallbacks =
     with_fastpath true (fun () ->
         tier_counts Dragon.Printer.fixed_fastpath_stats fixed15)
   in
+  let print_row name r n =
+    Printf.printf "  %-30s %8.4f s %8.0f ns/input (%.0f-%.0f) %7.1f minor w/input\n"
+      name
+      (median_s r)
+      (median_s r /. float_of_int n *. 1e9)
+      (fastest_s r /. float_of_int n *. 1e9)
+      (slowest_s r /. float_of_int n *. 1e9)
+      (words_per r n)
+  in
+  print_row "exact bignum reader" exact_reader size;
+  print_row "tiered fast reader" fast_reader size;
   Printf.printf
-    "\n  Fixed format at 15 digits (correct by construction):\n";
-  Printf.printf "  exact conversion:         %8.3f s\n" t_naive;
-  Printf.printf
-    "  Gay heuristic:            %8.3f s  (%.1fx; %d hits, %d fallbacks)\n"
-    t_gay
-    (t_naive /. t_gay)
-    (Baselines.Gay_heuristic.fast_path_hits () - h0)
-    (Baselines.Gay_heuristic.fallbacks () - f0);
-  Printf.printf "  Fixed_format, exact tier: %8.3f s\n" t_fixed_exact;
-  Printf.printf
-    "  Fixed_format, table tier: %8.3f s  (%.1fx; %d hits, %d fallbacks)\n"
-    t_fixed_table
-    (t_fixed_exact /. t_fixed_table)
-    fixed_hits fixed_fallbacks;
-  (* Gate: shortest strings have at most 17 digits, so the product tier
-     answers every one of them; a single bignum fallback is a
-     regression.  The count is exact, so the gate cannot flake. *)
+    "  fast reader %.1fx the exact reader; tiers on the shortest strings: %d \
+     Clinger exact, %d Lemire product, %d midpoint comparison or bignum \
+     fallback\n"
+    (over exact_reader fast_reader)
+    (after.Reader.Fast.exact - before.Reader.Fast.exact)
+    (after.Reader.Fast.extended - before.Reader.Fast.extended)
+    reader_fallbacks;
+  let torture_rows =
+    [
+      ("torture reads, 17-25 digits", torture_cut, cut);
+      ("torture reads, full midpoints", torture_whole, whole);
+    ]
+  in
+  List.iter
+    (fun (name, r, inputs) ->
+      print_row name r (Array.length inputs);
+      Printf.printf "    (%d reads, %d of them compared with the midpoint)\n"
+        (Array.length inputs) (compared inputs))
+    torture_rows;
+  Printf.printf "\n  Fixed format at 15 digits (correct by construction):\n";
+  print_row "exact conversion" naive_fixed size;
+  print_row "Gay heuristic" gay_fixed size;
+  Printf.printf "    (%.1fx the exact conversion; %d hits, %d fallbacks)\n"
+    (over naive_fixed gay_fixed) gay_hits gay_fallbacks;
+  print_row "Fixed_format, exact tier" fixed_exact size;
+  print_row "Fixed_format, table tier" fixed_table size;
+  Printf.printf "    (%.1fx its exact tier; %d hits, %d fallbacks)\n"
+    (over fixed_exact fixed_table) fixed_hits fixed_fallbacks;
+  (* Gates, on exact counts, so they cannot flake.  Shortest strings
+     have at most 17 digits, so the product tier answers every one of
+     them; a single bignum fallback is a regression.  A torture read
+     that reaches the midpoint comparison compares in the domain's
+     workspaces and allocates little more than its result. *)
+  let failed = ref false in
   if reader_fallbacks > 0 then begin
     Printf.eprintf
       "FAIL: %d Schryer shortest strings reached the reader's fallback \
        tier (want 0)\n"
       reader_fallbacks;
-    exit 1
-  end
+    failed := true
+  end;
+  List.iter
+    (fun (name, r, inputs) ->
+      let words = words_per r (Array.length inputs) in
+      if words >= 32. then begin
+        Printf.eprintf "FAIL: %s: %.1f minor words per read (want < 32)\n"
+          name words;
+        failed := true
+      end)
+    torture_rows;
+  if !failed then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Bignum substrate microbenchmarks *)
@@ -460,17 +559,6 @@ let bignum_bench () =
 (* ------------------------------------------------------------------ *)
 (* Kernel: allocation-free digit loop vs the pure-Nat reference *)
 
-(* One kernel row: a pass under its tier setting, how many times one
-   timing repeats the pass, the CPU seconds per pass of each round, and
-   the minor words of all its timed passes. *)
-type kernel_row = {
-  setting : (unit -> unit) -> unit;
-  pass : unit -> unit;
-  reps : int;
-  times : float array;
-  mutable words : float;
-}
-
 let kernel_bench ~size () =
   Printf.printf
     "%s\nKernel: in-place digit-loop kernels vs pure-Nat reference\n" line;
@@ -505,17 +593,8 @@ let kernel_bench ~size () =
               (Baselines.Steele_white.convert b64 v).Dragon.Free_format.digits)
       values
   in
-  (* Warm every row up (power tables, scratch pools), run Gc.full_major,
-     then time [passes] rounds, each row's pass i before any row's pass
-     i + 1: host load that drifts over seconds then hits the rows a
-     ratio compares alike, and each ratio is the median of its per-round
-     ratios.  The table tier finishes a pass in single-digit milliseconds
-     at this corpus size, so each of its timings repeats the pass [reps]
-     times to get a clock reading that dwarfs timer resolution. *)
-  let passes = 5 in
-  let row ?(reps = 1) setting pass =
-    { setting; pass; reps; times = Array.make passes 0.; words = 0. }
-  in
+  (* the table tier finishes a pass in single-digit milliseconds at
+     this corpus size *)
   let table_tier f = with_fastpath true f
   and exact_tier f = with_fastpath false f
   and forced_pure f =
@@ -528,25 +607,8 @@ let kernel_bench ~size () =
   and fx_fast = row ~reps:50 table_tier fixed_pass
   and fx_scr = row exact_tier fixed_pass
   and fx_pure = row forced_pure fixed_pass
-  and sw = row (fun f -> f ()) sw_pass in
-  let rows = [ fast; scr; pure; fx_fast; fx_scr; fx_pure; sw ] in
-  List.iter (fun r -> r.setting r.pass) rows;
-  Gc.full_major ();
-  for i = 0 to passes - 1 do
-    List.iter
-      (fun r ->
-        r.setting (fun () ->
-            let w0 = Gc.minor_words () in
-            let _, t =
-              time_cpu (fun () ->
-                  for _ = 1 to r.reps do
-                    r.pass ()
-                  done)
-            in
-            r.words <- r.words +. (Gc.minor_words () -. w0);
-            r.times.(i) <- t /. float_of_int r.reps))
-      rows
-  done;
+  and sw = row plain sw_pass in
+  time_rows [ fast; scr; pure; fx_fast; fx_scr; fx_pure; sw ];
   (* The table tier's hit/fallback division of one pass per format
      (counters record only while telemetry is on). *)
   let fp_hits, fp_fallbacks =
@@ -561,10 +623,7 @@ let kernel_bench ~size () =
   in
   let fallback_rate = rate fp_hits fp_fallbacks
   and fx_fallback_rate = rate fx_hits fx_fallbacks in
-  let median_s r = median r.times
-  and fastest_s r = Array.fold_left Float.min infinity r.times
-  and slowest_s r = Array.fold_left Float.max 0. r.times
-  and words r = r.words /. (fsize *. float_of_int (r.reps * passes)) in
+  let words r = words_per r size in
   let print_row name r =
     Printf.printf
       "  %-34s %10.3f s %10.0f conv/s (%.0f-%.0f) %10.1f minor w/conv\n" name
@@ -581,10 +640,6 @@ let kernel_bench ~size () =
   print_row "fixed format (17), kernel path" fx_scr;
   print_row "fixed format (17), pure-Nat path" fx_pure;
   print_row "Steele & White baseline" sw;
-  (* a's time over b's: the median of the per-round ratios *)
-  let over a b =
-    median (Array.init passes (fun i -> a.times.(i) /. b.times.(i)))
-  in
   Printf.printf "\n  free format: %.1fx fewer minor words, %.2fx throughput\n"
     (words pure /. words scr) (over pure scr);
   Printf.printf

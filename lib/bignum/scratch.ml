@@ -1,7 +1,8 @@
 (* Mutable fixed-capacity limb workspaces for the digit-generation hot
-   path.  A [t] owns a little-endian array of 30-bit limbs (same
-   representation as [Nat]) of which the first [len] are significant;
-   limbs past [len] are garbage.  Every kernel works destructively on
+   path and the fast reader's midpoint comparison.  A [t] owns a
+   little-endian array of 30-bit limbs (same representation as [Nat])
+   of which the first [len] are significant; limbs past [len] are
+   garbage.  Every kernel works destructively on
    the workspace and grows the backing array geometrically, so a pooled
    workspace reaches a steady state after which no operation
    allocates. *)
@@ -54,7 +55,9 @@ let of_nat n =
   set_nat t n;
   t
 
-let to_nat t = Nat.of_limbs_copy t.limbs t.len
+let to_nat t =
+  (Nat.of_limbs_copy t.limbs t.len)
+  [@lint.can_raise Invalid_argument] (* len <= Array.length limbs *)
 
 let set_int t n =
   if n < 0 then invalid_arg "Scratch.set_int: negative";
@@ -71,6 +74,16 @@ let copy_into ~src ~dst =
   ensure dst src.len;
   Array.blit src.limbs 0 dst.limbs 0 src.len;
   dst.len <- src.len
+  [@@lint.no_alloc]
+
+let bits_of_limb limb =
+  let rec loop n v = if v = 0 then n else loop (n + 1) (v lsr 1) in
+  loop 0 limb
+  [@@lint.no_alloc]
+
+let bit_length t =
+  if t.len = 0 then 0
+  else ((t.len - 1) * base_bits) + bits_of_limb t.limbs.(t.len - 1)
   [@@lint.no_alloc]
 
 let compare a b =
@@ -128,25 +141,31 @@ let sub_in_place a b =
   clamp a
   [@@lint.no_alloc]
 
+(* a := a·m + c, for m and c below 2^30: each product plus carry stays
+   below 2^60 + 2^30, and the final carry below m.  Unchecked, like
+   [add_in_place]: its callers pass digit chunks and small powers.  The
+   clamp matters only for m = 0. *)
+let mul_add_in_place a m c =
+  let la = a.len in
+  ensure a (la + 1);
+  let al = a.limbs in
+  let carry = ref c in
+  for i = 0 to la - 1 do
+    let t = (al.(i) * m) + !carry in
+    al.(i) <- t land mask;
+    carry := t lsr base_bits
+  done;
+  if !carry <> 0 then begin
+    al.(la) <- !carry;
+    a.len <- la + 1
+  end;
+  clamp a
+  [@@lint.no_alloc]
+
 let mul_int_in_place a m =
   if m < 0 || m >= base then
     invalid_arg "Scratch.mul_int_in_place: out of limb range";
-  if m = 0 then a.len <- 0
-  else begin
-    let la = a.len in
-    ensure a (la + 1);
-    let al = a.limbs in
-    let carry = ref 0 in
-    for i = 0 to la - 1 do
-      let t = (al.(i) * m) + !carry in
-      al.(i) <- t land mask;
-      carry := t lsr base_bits
-    done;
-    if !carry <> 0 then begin
-      al.(la) <- !carry;
-      a.len <- la + 1
-    end
-  end
+  mul_add_in_place a m 0
   [@@lint.no_alloc]
 
 let shift_left_in_place a k =
@@ -182,11 +201,6 @@ let shift_left_in_place a k =
 
 (* ------------------------------------------------------------------ *)
 (* Invariant-divisor short division *)
-
-let bits_of_limb limb =
-  let rec loop n v = if v = 0 then n else loop (n + 1) (v lsr 1) in
-  loop 0 limb
-  [@@lint.no_alloc]
 
 let normalize_divisor t s =
   if Nat.is_zero s then raise Division_by_zero;

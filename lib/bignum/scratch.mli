@@ -1,5 +1,6 @@
 (** In-place bignum kernels: mutable fixed-capacity limb workspaces for
-    the digit-generation hot path.
+    the digit-generation hot path and the fast reader's midpoint
+    comparison.
 
     The pure {!Nat} substrate allocates a fresh limb array for every
     result, which is the right call everywhere except the Figure-3
@@ -12,7 +13,8 @@
     allocates}.
 
     Workspaces are not thread-safe; pool them per domain
-    ([Domain.DLS]), as {!Dragon.Generate} does.
+    ([Domain.DLS]), as {!Dragon.Generate} and the fast reader's midpoint
+    comparison do.
 
     Values past [length t] limbs are garbage — a workspace is not a
     [Nat] and never escapes; convert at the boundary with {!to_nat} /
@@ -51,6 +53,9 @@ val length : t -> int
 val capacity : t -> int
 (** Backing-array size in limbs — the pool high-water statistic. *)
 
+val bit_length : t -> int
+(** Significant bits; 0 for zero. *)
+
 val compare : t -> t -> int
 
 (** {1 Destructive kernels}
@@ -65,6 +70,10 @@ val sub_in_place : t -> t -> unit
 (** [sub_in_place a b] is [a := a - b]; requires [a >= b].
     @raise Invalid_argument on a negative result (checked first;
     [a] is unchanged). *)
+
+val mul_add_in_place : t -> int -> int -> unit
+(** [mul_add_in_place a m c] is [a := a * m + c].  It requires
+    [0 <= m, c < 2^30] and, like {!add_in_place}, does not check it. *)
 
 val mul_int_in_place : t -> int -> unit
 (** [mul_int_in_place a m] is [a := a * m] with [0 <= m < 2^30].

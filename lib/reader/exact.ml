@@ -1,4 +1,5 @@
 module Nat = Bignum.Nat
+module Scratch = Bignum.Scratch
 module Bigint = Bignum.Bigint
 module Ratio = Bignum.Ratio
 module Format_spec = Fp.Format_spec
@@ -23,42 +24,41 @@ let guarded f = Result.join (Error.catch f)
 (* ------------------------------------------------------------------ *)
 (* Parsing *)
 
-(* limbs.(0 .. used-1) <- limbs·p + c in Nat's 30-bit limbs, for p and c
-   below 2^30; returns the new length.  Each product plus carry stays
-   below 2^60 + 2^30, and the final carry below p. *)
-let mul_add_limbs limbs used p c =
-  let carry = ref c in
-  for j = 0 to used - 1 do
-    let t = (limbs.(j) * p) + !carry in
-    limbs.(j) <- t land 0x3FFF_FFFF;
-    carry := t lsr 30
+(* t <- the integer spelled by the first [limit] significant digits of
+   [s] between [first] and [stop], skipping the other bytes there (the
+   radix point, [_] separators); returns the index past the last digit
+   taken.  Nine digits at a time: a chunk is below 10^9 < 2^30, one
+   multiply-add on the limbs. *)
+let load_digits t s ~first ~stop ~limit =
+  Scratch.set_nat t Nat.zero;
+  let i = ref first in
+  (* leading zeros are not significant *)
+  while !i < stop && (s.[!i] < '1' || s.[!i] > '9') do
+    incr i
   done;
-  if !carry = 0 then used
-  else begin
-    limbs.(used) <- !carry;
-    used + 1
-  end
-
-let digits_nat s first stop =
-  (* Nine digits at a time: a chunk is below 10^9 < 2^30, so k chunks
-     fit k limbs, and the limbs are multiplied up in place. *)
-  let limbs = Array.make (((stop - first) / 9) + 1) 0 in
-  let used = ref 0 and chunk = ref 0 and scale = ref 1 in
-  for i = first to stop - 1 do
-    match s.[i] with
+  let n = ref 0 and chunk = ref 0 and scale = ref 1 in
+  while !i < stop && !n < limit do
+    (match s.[!i] with
     | '0' .. '9' as c ->
       chunk := (!chunk * 10) + (Char.code c - Char.code '0');
       scale := !scale * 10;
+      incr n;
       if !scale = 1_000_000_000 then begin
-        used := mul_add_limbs limbs !used !scale !chunk;
+        Scratch.mul_add_in_place t !scale !chunk;
         chunk := 0;
         scale := 1
       end
-    | _ -> ()
+    | _ -> ());
+    incr i
   done;
-  if !scale > 1 then used := mul_add_limbs limbs !used !scale !chunk;
-  (Nat.of_limbs_copy limbs !used)
-  [@lint.can_raise Invalid_argument] (* used <= chunks <= Array.length limbs *)
+  if !scale > 1 then Scratch.mul_add_in_place t !scale !chunk;
+  !i
+  [@@lint.no_alloc]
+
+let digits_nat s first stop =
+  let t = Scratch.create (((stop - first) / 9) + 1) in
+  ignore (load_digits t s ~first ~stop ~limit:max_int);
+  Scratch.to_nat t
 
 (* [word] (lowercase) spelled case-insensitively by all of [s] from [pos]. *)
 let spells s pos word =
@@ -213,10 +213,11 @@ let read_ratio ?(mode = Rounding.To_nearest_even) fmt r =
   (* deliberate raising API: feeds round_fraction directly; callers that
      sit on a boundary wrap it (oracle, tests run it bare) *)]
 
+(* 3.33 > log2 10 bits per digit of the power, in integers, so that the
+   fast reader's allocation-free comparison can call it. *)
 let check_scale_budget ~bits exp10 =
   Budget.check_exponent exp10;
-  Budget.check_bignum_bits
-    (bits + int_of_float (3.33 *. float_of_int (abs exp10)) + 64)
+  Budget.check_bignum_bits (bits + (abs exp10 * 333 / 100) + 64)
 
 let read_decimal ?(mode = Rounding.To_nearest_even) fmt (d : decimal) =
   if Nat.is_zero d.digits then Value.Zero d.neg

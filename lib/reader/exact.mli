@@ -39,13 +39,16 @@ val exp_clamp : int
 (** Two billion: {!parse} stops accumulating exponent digits at this
     magnitude and clamps the exponent to it. *)
 
-val digits_nat : string -> int -> int -> Bignum.Nat.t
-(** [digits_nat s first stop] is the integer spelled by the decimal
-    digits of [s] from [first] up to (not including) [stop]; other
-    bytes in that span (the radix point, [_] separators) are skipped.
-    The text-to-[Nat] step of {!parse}, read nine digits at a time
-    straight from the string; {!Fast_reader} calls it on the span its
-    scanner validated. *)
+val load_digits :
+  Bignum.Scratch.t -> string -> first:int -> stop:int -> limit:int -> int
+(** [load_digits t s ~first ~stop ~limit] sets [t] to the integer
+    spelled by the first [limit] significant decimal digits of [s] from
+    [first] up to (not including) [stop], and returns the index past the
+    last digit it took ([stop] when it took them all).  Other bytes in
+    that span (the radix point, [_] separators) are skipped.  Nine digits
+    per multiply-add, straight from the string; {!parse} builds its
+    digits with it and {!Fast_reader}'s midpoint comparison loads its
+    workspace with it.  Allocates only when [t] must grow. *)
 
 val check_scale_budget : bits:int -> int -> unit
 (** The budget checks {!read_decimal} makes before it builds

@@ -16,6 +16,7 @@
    [read] goes on to step 3 or to [Exact.parse]. *)
 
 module Nat = Bignum.Nat
+module Scratch = Bignum.Scratch
 module Budget = Robust.Budget
 module T = Fastpath.Pow10_table
 
@@ -197,11 +198,64 @@ let product neg wh wl q =
 (* ------------------------------------------------------------------ *)
 (* Past 19 digits: Clinger's comparison *)
 
-(* The decimal x = D·10^e10, D the digits of [s] between [first] and
-   [stop], lies strictly between w·10^q and (w+1)·10^q, whose nearest
-   doubles are [a] and its successor.  Compare x exactly with their
-   midpoint (2m+1)·2^(e-1), a = m·2^e, and break a tie to even: Clinger's
-   Algorithm R, started from the product's answer. *)
+(* A binary64 midpoint (2m+1)·2^k, k >= -1075, has at most 768
+   significant digits: (2m+1)·5^1075 < 2^54·5^1075 < 10^768.  It is at
+   least w·10^q, whose first digit is D's, so it is a whole number of
+   units of D's 768th significant digit, as is D cut after that digit.
+   The digits past the cut decide nothing unless the cut equals the
+   midpoint, and then any nonzero one puts D above it. *)
+let max_digits = 768
+
+(* The domain's pair of comparison workspaces, as Generate pools its
+   own: D's 768 digits and the midpoint times 5^1091 both fit 90 limbs.
+   A read takes the pair out of the slot and puts it back, so the empty
+   slot marks it in use: a nested read makes a fresh pair and runs the
+   same code, and a read that raises drops its pair for the next read to
+   replace. *)
+let workspaces : (Scratch.t * Scratch.t) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+(* The sign of D·10^e10 - y·2^k, D the digits of [s] between [first]
+   and [stop] and [y] the midpoint's odd part 2m+1, in place in [x] and
+   [y]: D's first 768 significant digits and a sticky bit for the rest,
+   then 5^|e10| on one side in steps of 5^12 < 2^30, then the power of
+   two on the other side. *)
+let midpoint_order x y s ~first ~stop ~e10 ~k =
+  let rest = Exact.load_digits x s ~first ~stop ~limit:max_digits in
+  let e10 = ref e10 and sticky = ref false in
+  for i = rest to stop - 1 do
+    match s.[i] with
+    | '0' -> incr e10
+    | '1' .. '9' ->
+      incr e10;
+      sticky := true
+    | _ -> ()
+  done;
+  let e10 = !e10 in
+  Exact.check_scale_budget ~bits:(Scratch.bit_length x) e10;
+  Robust.Faults.trip "nat.pow";
+  let side = if e10 >= 0 then x else y in
+  let n = ref (abs e10) in
+  while !n >= 12 do
+    Scratch.mul_add_in_place side 244_140_625 (* 5^12 *) 0;
+    n := !n - 12
+  done;
+  let p = ref 1 in
+  for _ = 1 to !n do
+    p := !p * 5
+  done;
+  Scratch.mul_add_in_place side !p 0;
+  (Scratch.shift_left_in_place (if e10 >= k then x else y) (abs (e10 - k)))
+  [@lint.can_raise Invalid_argument] (* the shift is not negative *);
+  let order = Scratch.compare x y in
+  if order = 0 && !sticky then 1 else order
+  [@@lint.no_alloc]
+
+(* The decimal x = D·10^e10 lies strictly between w·10^q and
+   (w+1)·10^q, whose nearest doubles are [a] and its successor.  Compare
+   x exactly with their midpoint (2m+1)·2^(e-1), a = m·2^e, and break a
+   tie to even: Clinger's Algorithm R, started from the product's
+   answer. *)
 let resolve s ~first ~stop ~e10 a =
   guarded (fun () ->
       let bits = Int64.bits_of_float a in
@@ -209,21 +263,16 @@ let resolve s ~first ~stop ~e10 a =
       let f = Int64.to_int bits land ((1 lsl 52) - 1) in
       let m = if be = 0 then f else f lor (1 lsl 52) in
       let k = (if be = 0 then -1074 else be - 1075) - 1 in
-      let d = Exact.digits_nat s first stop in
-      Exact.check_scale_budget ~bits:(Nat.bit_length d) e10;
-      let mid = Nat.of_int ((2 * m) + 1) in
-      let order =
-        if e10 >= 0 then begin
-          let x = Nat.mul d (Nat.pow_int 5 e10) in
-          if e10 >= k then Nat.compare (Nat.shift_left x (e10 - k)) mid
-          else Nat.compare x (Nat.shift_left mid (k - e10))
-        end
-        else begin
-          let y = Nat.mul mid (Nat.pow_int 5 (-e10)) in
-          if e10 >= k then Nat.compare (Nat.shift_left d (e10 - k)) y
-          else Nat.compare d (Nat.shift_left y (k - e10))
-        end
+      let ((x, y) as pair) =
+        match Domain.DLS.get workspaces with
+        | Some pair ->
+          Domain.DLS.set workspaces None;
+          pair
+        | None -> (Scratch.create 96, Scratch.create 96)
       in
+      Scratch.set_int y ((2 * m) + 1);
+      let order = midpoint_order x y s ~first ~stop ~e10 ~k in
+      Domain.DLS.set workspaces (Some pair);
       if order < 0 || (order = 0 && m land 1 = 0) then Ok a
       else Ok (Int64.float_of_bits (Int64.succ bits)))
 

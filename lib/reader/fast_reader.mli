@@ -17,8 +17,12 @@
         overflow and exact ties included);
     + {b fallback}: when dropped digits leave [w] and [w + 1] on two
       sides of a midpoint between doubles, one exact comparison of the
-      whole decimal against that midpoint decides (Clinger's Algorithm
-      R, started from the product's answer).
+      decimal against that midpoint decides (Clinger's Algorithm R,
+      started from the product's answer).  It runs in place, in the
+      domain's two {!Bignum.Scratch} workspaces.  A binary64 midpoint
+      has at most 768 significant digits, so the comparison loads the
+      first 768 and folds every later digit into one sticky bit, which
+      can only break an exact tie upward.
 
     Inputs the scanner does not take — [_] separators, [inf]/[nan],
     syntax errors, inputs over the {!Robust.Budget} length cap or past a
@@ -27,7 +31,9 @@
     {!Exact.read_decimal} (counted as {b fallback}).
 
     Results are {e always} correctly rounded to nearest-even.  A read of
-    up to 19 digits allocates only its [Ok] result. *)
+    up to 19 digits allocates only its [Ok] result.  A longer read that
+    reaches the comparison allocates under 32 minor words, whatever its
+    length, once the domain's workspaces exist. *)
 
 val read : string -> (float, Robust.Error.t) result
 (** Parse and convert to binary64, round-to-nearest-even.  Never

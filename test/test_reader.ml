@@ -374,7 +374,49 @@ let random_digit_string st =
   Buffer.add_string b (Printf.sprintf "e%d" (Random.State.int st 701 - 350));
   Buffer.contents b
 
+(* Subnormal and smallest-normal midpoints (2m+1)·2^-1075 written out
+   in full: 767 or 768 significant digits, the most a binary64 midpoint
+   has.  Each comes with what it must read as, around the comparison's
+   fold of every digit past the 768th into one sticky bit. *)
+let fold_edges () =
+  List.concat_map
+    (fun m ->
+      let lo = Int64.float_of_bits (Int64.of_int m)
+      and hi = Int64.float_of_bits (Int64.of_int (m + 1)) in
+      let tie = if m land 1 = 0 then lo else hi in
+      let mid = Nat.mul (Nat.of_int ((2 * m) + 1)) (Nat.pow_int 5 1075) in
+      let d = Nat.to_string mid in
+      let n = String.length d in
+      let zeros k = String.make k '0' in
+      (* a final 1 at significant digit [at] > n *)
+      let one_at at =
+        Printf.sprintf "%s%s1e%d" d (zeros (at - n - 1)) (-1075 - (at - n))
+      in
+      [
+        (Printf.sprintf "%se-1075" d, tie);
+        (Printf.sprintf "%s%se-1125" d (zeros 50), tie);
+        (one_at 769, hi);
+        (one_at 64_000, hi);
+        ( Printf.sprintf "%s%se-2075"
+            (Nat.to_string (Nat.pred mid))
+            (String.make 1000 '9'),
+          lo );
+        (Printf.sprintf "0.%s%s" (zeros (1075 - n)) d, tie);
+        (Printf.sprintf "0.%s%s1" (zeros (1075 - n)) d, hi);
+        (Printf.sprintf "%s%s1e-1076" (zeros 400) d, hi);
+      ])
+    [ 1 lsl 50; (1 lsl 52) - 3; (1 lsl 53) - 2 ]
+
 let test_fast_differential () =
+  List.iter
+    (fun (s, want) ->
+      check_fast_eq_exact s;
+      let name = String.sub s 0 40 ^ "..." in
+      Alcotest.(check (float 0.)) ("float_of_string " ^ name) want
+        (float_of_string s);
+      Alcotest.(check (float 0.)) ("Fast.read " ^ name) want
+        (Result.get_ok (R.Fast.read s)))
+    (fold_edges ());
   let st = Random.State.make [| 0xd1ff |] in
   for _ = 1 to 20_000 do
     let x = random_double st in
@@ -390,7 +432,9 @@ let test_fast_differential () =
 
 (* Gc counter check, like [is_literal]'s: a read of up to 19 digits
    allocates its [Ok] result (a block and a boxed float, 4 words) and
-   nothing else. *)
+   nothing else.  A torture read that reaches the midpoint comparison
+   compares in the domain's workspaces, so both torture forms stay under
+   32 words per read, and so does a 64,000-digit line. *)
 let test_fast_allocation () =
   let st = Random.State.make [| 0xa110c |] in
   let human () =
@@ -401,24 +445,52 @@ let test_fast_allocation () =
       Printf.sprintf "%d.%0*d" int_part places
         (Random.State.int st (int_of_float (10. ** float_of_int places)))
   in
+  (* after one warm-up pass *)
+  let words_per_read inputs =
+    let n = Array.length inputs in
+    Array.iter (fun s -> ignore (Sys.opaque_identity (R.Fast.read s))) inputs;
+    let w0 = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      ignore (Sys.opaque_identity (R.Fast.read inputs.(i)))
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
   List.iter
     (fun (name, inputs) ->
-      let n = Array.length inputs in
-      Array.iter (fun s -> ignore (Sys.opaque_identity (R.Fast.read s))) inputs;
-      let w0 = Gc.minor_words () in
-      for i = 0 to n - 1 do
-        ignore (Sys.opaque_identity (R.Fast.read inputs.(i)))
-      done;
-      let words = Gc.minor_words () -. w0 in
+      let words = words_per_read inputs in
       Alcotest.(check bool)
-        (Printf.sprintf "%s: %.2f words per read" name (words /. float_of_int n))
+        (Printf.sprintf "%s: %.2f words per read" name words)
         true
-        (words <= (4. *. float_of_int n) +. 16.))
+        (words <= 4. +. (16. /. float_of_int (Array.length inputs))))
     [
       ("%.17g", Array.init 10_000 (fun _ -> Printf.sprintf "%.17g" (random_double st)));
       ("shortest", Array.init 10_000 (fun _ -> Dragon.Printer.print (random_double st)));
       ("human", Array.init 10_000 (fun _ -> human ()));
-    ]
+    ];
+  (* "0.<digits>e<k>": 17 to 25 digits, or the whole midpoint *)
+  let torture = Workloads.Corpus.torture_reader_inputs ~seed:11 3000 in
+  let digits s = String.index s 'e' - 2 in
+  List.iter
+    (fun (name, keep) ->
+      let inputs =
+        Array.of_list (List.filter keep (Array.to_list torture))
+      in
+      let words = words_per_read inputs in
+      Alcotest.(check bool)
+        (Printf.sprintf "torture, %s: %d reads, %.2f words per read" name
+           (Array.length inputs) words)
+        true (words < 32.))
+    [
+      ("17-25 digits", fun s -> digits s <= 25);
+      ("full midpoints", fun s -> digits s > 25);
+    ];
+  let long, _ =
+    List.find (fun (s, _) -> String.length s > 60_000) (fold_edges ())
+  in
+  let words = words_per_read [| long |] in
+  Alcotest.(check bool)
+    (Printf.sprintf "64,000-digit line: %.0f words" words)
+    true (words <= 64.)
 
 (* The midpoint comparison runs under the reader's guard: a fault in
    the bignum power or a budget too small for the comparison comes back
